@@ -15,7 +15,7 @@ from _common import write_artifact
 from repro.harness.characterize import characterize_kernel
 from repro.harness.context import paper_context
 from repro.harness.report import ascii_scatter, format_heading, format_table
-from repro.pareto.algorithms import pareto_set_sort
+from repro.pareto.algorithms import pareto_set_numpy
 from repro.suite import FIG5_BENCHMARKS, get_benchmark
 
 
@@ -35,7 +35,7 @@ def regenerate_fig5() -> str:
 
         # Which memory domains contribute Pareto points?
         points = ch.sweep.objective_points()
-        front_idx = pareto_set_sort(points)
+        front_idx = pareto_set_numpy(points)
         front_domains = sorted(
             {ctx.device.domain(ch.sweep.points[i].mem_mhz).label for i in front_idx}
         )
@@ -84,7 +84,7 @@ def test_fig5_high_domains_dominate_front():
     high, total = 0, 0
     for name in FIG5_BENCHMARKS:
         ch = characterize_kernel(ctx.sim, get_benchmark(name), ctx.settings)
-        front_idx = pareto_set_sort(ch.sweep.objective_points())
+        front_idx = pareto_set_numpy(ch.sweep.objective_points())
         for i in front_idx:
             total += 1
             if ch.sweep.points[i].mem_mhz >= 3304.0:

@@ -7,9 +7,10 @@ training pass.  Two engine generations are measured here:
 * **vectorized** — :meth:`GPUSimulator.sweep_batch` behind
   :class:`SimulatorBackend` turns each per-point scalar loop into one
   numpy pass (≥10× over the scalar ``run_at`` loop, bit-identical);
-* **campaign mode** — :class:`ParallelBackend` fans the kernel list
-  across worker processes on top of the vectorized engine, the way
-  ``repro campaign`` sweeps a device.  Also bit-identical (the noise is
+* **campaign mode** — :class:`DevicePool` fans the kernel sweeps across
+  worker processes on top of the vectorized engine (features extracted
+  worker-side) and a :class:`DatasetAssembler` folds them in task order,
+  the way ``repro campaign`` sweeps a device.  Also bit-identical (the noise is
   counter-based, never call-order-based); the wall-clock win scales with
   available cores, asserted ≥2× at 4 workers on machines with ≥4 CPUs.
 
@@ -28,17 +29,20 @@ from _common import write_artifact
 
 from repro.campaign import CampaignPlan, run_campaign
 from repro.core.config import sample_training_settings
-from repro.core.dataset import TrainingDataset, build_training_dataset
+from repro.core.dataset import (
+    DatasetAssembler,
+    TrainingDataset,
+    build_training_dataset,
+)
 from repro.features.vector import build_design_matrix
 from repro.gpusim.executor import GPUSimulator
 from repro.harness.report import format_heading, format_table
 from repro.measure import (
-    ParallelBackend,
+    DevicePool,
     RecordingBackend,
     ReplayBackend,
     SimulatorBackend,
     compact_trace,
-    simulator_factory,
 )
 from repro.synthetic import generate_micro_benchmarks
 
@@ -130,6 +134,19 @@ def measure_assembly():
     return t_scalar, t_vector, ds_scalar, ds_vector
 
 
+def pooled_training_dataset(pool, specs, settings) -> TrainingDataset:
+    """The scheduler's shape: one sweep task per kernel on the pool, folded
+    in task order by a :class:`DatasetAssembler`."""
+    device_name = GPUSimulator().device.name
+    tasks = [(device_name, spec, settings, True) for spec in specs]
+    assembler = DatasetAssembler(settings)
+    for spec, (measurements, static, _seconds) in zip(
+        specs, pool.imap_sweeps(tasks)
+    ):
+        assembler.add(spec, static, measurements)
+    return assembler.finish()
+
+
 def measure_campaign(workers: int = CAMPAIGN_WORKERS, baseline=None):
     """(serial seconds, campaign seconds, datasets) for the multi-kernel sweep.
 
@@ -147,10 +164,11 @@ def measure_campaign(workers: int = CAMPAIGN_WORKERS, baseline=None):
             lambda: build_training_dataset(serial_backend, specs, settings)
         )
     t_serial, ds_serial = baseline
-    with ParallelBackend(simulator_factory(), workers=workers) as parallel:
-        list(parallel.imap_measure(specs[:1], settings[:2]))  # warm the pool
+    with DevicePool(workers=workers) as pool:
+        # Warm the pool: workers spawn and build their device backends.
+        pooled_training_dataset(pool, specs, settings[:2])
         t_campaign, ds_campaign = _best_of(
-            lambda: build_training_dataset(parallel, specs, settings)
+            lambda: pooled_training_dataset(pool, specs, settings)
         )
     return t_serial, t_campaign, ds_serial, ds_campaign
 
@@ -278,7 +296,7 @@ def regenerate_throughput() -> tuple[str, dict]:
     )
     n_points = ds_scalar.n_samples
     campaign_label = (
-        f"campaign ParallelBackend ({CAMPAIGN_WORKERS} workers, "
+        f"campaign DevicePool ({CAMPAIGN_WORKERS} workers, "
         f"{os.cpu_count() or 1} cores)"
     )
     rows = [

@@ -35,9 +35,7 @@ from .engine import (
     TRACES_SUBDIR,
     CampaignReport,
     DeviceCampaignResult,
-    campaign_backend,
     run_campaign,
-    run_device_campaign,
 )
 from .maintenance import StoreCompactionReport, TraceCompaction, compact_store
 from .plan import CAMPAIGN_RECIPES, RECIPE_SUITES, CampaignPlan
@@ -59,11 +57,9 @@ __all__ = [
     "SweepTask",
     "TRACES_SUBDIR",
     "TraceCompaction",
-    "campaign_backend",
     "compact_store",
     "interleave",
     "prepare_leg",
     "run_campaign",
-    "run_device_campaign",
     "run_legs",
 ]

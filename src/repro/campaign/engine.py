@@ -47,13 +47,9 @@ import hashlib
 import pathlib
 import time
 
-from ..core.dataset import TrainingDataset
-from ..core.pipeline import TrainedModels
-from ..gpusim.device import DeviceSpec, device_slug
+from ..gpusim.device import device_slug
 from ..harness.report import format_table
-from ..measure.backend import MeasurementBackend
-from ..measure.parallel import DevicePool, ParallelBackend, simulator_factory
-from ..measure.simulator import SimulatorBackend
+from ..measure.parallel import DevicePool
 from ..measure.trace_registry import TraceRegistry
 from ..obs import (
     MetricsRegistry,
@@ -184,18 +180,6 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def campaign_backend(plan: CampaignPlan, device: DeviceSpec) -> MeasurementBackend:
-    """A standalone measurement engine for one device leg of a plan.
-
-    Legacy single-leg entry point (the scheduler now shares one
-    :class:`~repro.measure.parallel.DevicePool` across legs); still the
-    right tool for driving one device's sweep outside a campaign.
-    """
-    if plan.workers > 1:
-        return ParallelBackend(simulator_factory(device), workers=plan.workers)
-    return SimulatorBackend(device)
-
-
 def _execute(
     plan: CampaignPlan,
     trace_registry: TraceRegistry,
@@ -204,7 +188,7 @@ def _execute(
     on_progress: ProgressCallback | None = None,
     registry: MetricsRegistry | None = None,
     span_log: SpanLog | None = None,
-) -> tuple[list[DeviceCampaignResult], list[LegRun], CampaignProgress]:
+) -> tuple[list[DeviceCampaignResult], CampaignProgress]:
     """Schedule, sweep, train and register every leg of a plan.
 
     ``registry`` collects every metric the run records (worker-side sweep
@@ -264,8 +248,7 @@ def _execute(
         meta = model_registry.meta_for(key)
         if meta is not None and meta.get("trace_sha256") == leg.trace_sha256:
             # Proven current — skip training AND skip materializing the
-            # bundle (leg.models stays None; single-leg callers that want
-            # the models resolve them through the registry lazily).
+            # bundle (leg.models stays None).
             leg.trained = False
             leg.n_samples = int(meta.get("n_samples") or 0)
             progress.leg_stage(leg.device.name, "reused")
@@ -387,31 +370,7 @@ def _execute(
     progress.finish()
     if on_progress is not None:
         on_progress(progress)
-    return results, legs, progress
-
-
-def run_device_campaign(
-    plan: CampaignPlan,
-    device: DeviceSpec,
-    trace_registry: TraceRegistry,
-    model_registry: ModelRegistry,
-    resume: bool = False,
-) -> tuple[DeviceCampaignResult, TrainingDataset, TrainedModels]:
-    """One device's leg on explicit registries (sweep, train, register).
-
-    A single-leg convenience over the shared scheduler path, kept for
-    callers that manage their own registries.
-    """
-    single = dataclasses.replace(plan, devices=(device.name,))
-    results, legs, _progress = _execute(
-        single, trace_registry, model_registry, resume=resume
-    )
-    leg = legs[0]
-    assert leg.dataset is not None
-    models = leg.models
-    if models is None:  # training skipped: bundle proven current on disk
-        models = model_registry.get(single.model_key(leg.device))
-    return results[0], leg.dataset, models
+    return results, progress
 
 
 def run_campaign(
@@ -452,7 +411,7 @@ def run_campaign(
             workers=plan.workers,
             resume=resume,
         ):
-            results, _legs, progress = _execute(
+            results, progress = _execute(
                 plan,
                 trace_registry,
                 model_registry,

@@ -213,36 +213,18 @@ def iter_kernel_measurements(
 ) -> "Iterator[tuple[KernelSpec, StaticFeatures, KernelMeasurements]]":
     """Stream ``(spec, static features, measurements)`` per kernel.
 
-    The campaign engine's measurement loop: one triple at a time, so a
-    consumer (dataset assembly, trace recording) never holds more than the
-    kernel in flight.  Backends exposing the fan-out protocol
-    (``imap_measure`` — :class:`~repro.measure.parallel.ParallelBackend`,
-    or :class:`~repro.measure.replay.RecordingBackend` wrapping one) run
-    the sweeps process-parallel and extract features in the workers;
-    plain backends are driven serially, with identical results.
+    A serial loop, one triple at a time, so a consumer (dataset assembly,
+    trace recording) never holds more than the kernel in flight.
+    Process-parallel sweeps go through
+    :class:`~repro.measure.parallel.DevicePool` instead (the campaign
+    scheduler's path), with bit-identical results.
 
     ``extractor_config`` (an :class:`~repro.features.extractor.ExtractorConfig`)
-    selects a non-default feature recipe/knob set.  Worker-side extraction
-    only knows the default config, so when one is given the features are
-    extracted parent-side instead (lowering is memoized; the extra cost is
-    one counting walk per kernel, not a re-parse).
+    selects a non-default feature recipe/knob set.
     """
     from ..measure.backend import as_backend
 
     backend = as_backend(backend)
-    specs = list(specs)
-    imap = getattr(backend, "imap_measure", None)
-    if imap is not None:
-        with_features = extractor_config is None
-        for spec, (measurements, static) in zip(
-            specs, imap(specs, settings, with_features=with_features)
-        ):
-            if extractor_config is not None:
-                static = spec.static_features(extractor_config)
-            elif static is None:
-                static = spec.static_features()
-            yield spec, static, measurements
-        return
     for spec in specs:
         yield (
             spec,
@@ -447,7 +429,7 @@ def assemble_training_dataset(
     Consumes any iterable of ``(spec, static, measurements)`` triples —
     typically :func:`iter_kernel_measurements` — accumulating one
     design-matrix block and one target column per kernel as they arrive,
-    so the source (a parallel sweep, an out-of-core trace replay) is never
+    so the source (a long sweep, an out-of-core trace replay) is never
     materialized whole.  The final stack is columnar (``np.vstack`` /
     ``np.concatenate``); no per-point Python loop.
     """
@@ -470,9 +452,8 @@ def build_training_dataset(
     executed under the sampled settings (step 3), measurements normalized
     against the code's default-configuration baseline (step 4).  The
     measurement loop is the streaming :func:`iter_kernel_measurements`
-    (which fans out across processes for parallel backends) folded by
-    :func:`assemble_training_dataset`; serial and parallel paths produce
-    bit-identical matrices.
+    folded by :func:`assemble_training_dataset`; the campaign scheduler's
+    process-parallel path produces bit-identical matrices.
     """
     if not specs:
         raise ValueError("need at least one training spec")

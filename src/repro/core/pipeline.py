@@ -83,20 +83,6 @@ class TrainedModels:
         energies = self.predict_energy(x).reshape(shape)
         return speedups, energies
 
-    def predict_objectives_batch(
-        self,
-        statics: list[StaticFeatures],
-        configs: list[tuple[float, float]],
-    ) -> list[list[tuple[float, float]]]:
-        """Per-kernel ``(speedup, norm_energy)`` pair lists for a batch."""
-        if not statics:
-            return []
-        speedups, energies = self.predict_objective_arrays(statics, configs)
-        return [
-            list(zip(speedups[i].tolist(), energies[i].tolist()))
-            for i in range(len(statics))
-        ]
-
     # -- persistence ------------------------------------------------------------
 
     def to_state(self) -> dict:

@@ -6,8 +6,8 @@ Given trained single-objective models and a *new* kernel, the predictor:
 2. forms feature vectors for every candidate frequency configuration
    (real settings of mem-l/h/H — mem-L is excluded from modeling),
 3. predicts speedup and normalized energy for each,
-4. runs Algorithm 1 over the predicted point cloud to get the predicted
-   Pareto set of configurations, and
+4. extracts the Pareto set of the predicted point cloud (the vectorized
+   dominance test, which returns exactly Algorithm 1's set), and
 5. applies the paper's **mem-L heuristic**: always append the last
    (highest-core) mem-L configuration to the predicted set.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from ..features.extractor import ExtractorConfig, FeatureExtractor
 from ..features.vector import StaticFeatures
 from ..gpusim.device import DeviceSpec
-from ..pareto.algorithms import pareto_front_masks, pareto_set_simple
+from ..pareto.algorithms import pareto_front_masks, pareto_set_numpy
 from ..workloads import KernelSpec
 from .config import mem_l_heuristic_config, prediction_candidates
 from .pipeline import TrainedModels
@@ -179,7 +179,7 @@ class ParetoPredictor:
 
     def predict_from_features(self, static: StaticFeatures) -> PredictedParetoSet:
         objectives = self.models.predict_objectives(static, self.candidates)
-        front_idx = pareto_set_simple(objectives)
+        front_idx = pareto_set_numpy(objectives)
         return self._assemble(static.kernel_name, objectives, front_idx)
 
     def predict_batch(
@@ -190,11 +190,10 @@ class ParetoPredictor:
         All kernels share ``self.candidates``; the stacked design matrix is
         scaled and predicted once per model (see
         :meth:`TrainedModels.predict_objective_arrays`), and per-kernel
-        front extraction uses the vectorized dominance test — which returns
-        exactly the same indices as Algorithm 1, so front membership
-        matches :meth:`predict_from_features` kernel for kernel (predicted
-        objectives may differ by ~1 ulp: BLAS reassociates sums differently
-        for different matrix shapes).
+        front extraction is the batched form of the dominance test
+        :meth:`predict_from_features` uses, so front membership matches it
+        kernel for kernel (predicted objectives may differ by ~1 ulp: BLAS
+        reassociates sums differently for different matrix shapes).
         """
         statics = list(statics)
         if not statics:

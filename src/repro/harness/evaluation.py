@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ..core.dataset import MeasuredPoint
 from ..core.predictor import ParetoPredictor, PredictedParetoSet
-from ..pareto.algorithms import pareto_set_sort
+from ..pareto.algorithms import pareto_set_numpy
 from ..pareto.extrema import ExtremaDistance, extrema_distance
 from ..pareto.hypervolume import PAPER_REFERENCE_POINT, coverage_difference
 from ..workloads import KernelSpec
@@ -67,7 +67,7 @@ def evaluate_pareto_prediction(
     sweep = sweep_kernel(backend, spec, settings)
     measured_points = sweep.points
 
-    true_idx = pareto_set_sort([p.objectives for p in measured_points])
+    true_idx = pareto_set_numpy([p.objectives for p in measured_points])
     true_front = [measured_points[i] for i in true_idx]
     true_objs = sorted({p.objectives for p in true_front})
 

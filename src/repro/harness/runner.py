@@ -85,10 +85,8 @@ def sweep_many(
 ) -> Iterator[SweepResult]:
     """Sweep many kernels at one config list, streaming one result at a time.
 
-    Backends exposing the fan-out protocol (``imap_measure`` — e.g.
-    :class:`~repro.measure.parallel.ParallelBackend`) run the sweeps
-    process-parallel; results arrive in spec order either way, so the
-    harness never holds a whole campaign's measurements at once.
+    Results arrive in spec order, one at a time, so the harness never
+    holds a whole campaign's measurements at once.
 
     ``on_sweep`` fires for each result just before it is yielded — the
     observability seam for long multi-kernel sweeps (progress meters,
@@ -103,11 +101,6 @@ def sweep_many(
             on_sweep(result)
         return result
 
-    imap = getattr(backend, "imap_measure", None)
-    if imap is not None:
-        for measurements, _static in imap(specs, chosen):
-            yield emit(SweepResult(measurements=measurements, device=backend.device))
-        return
     for spec in specs:
         yield emit(
             SweepResult(measurements=backend.measure(spec, chosen), device=backend.device)

@@ -6,9 +6,6 @@ instead of a concrete simulator.  Implementations:
 
 * :class:`~repro.measure.simulator.SimulatorBackend` — the vectorized
   :class:`~repro.gpusim.executor.GPUSimulator` (one numpy pass per sweep);
-* :class:`~repro.measure.parallel.ParallelBackend` — fans a kernel list
-  across a ``multiprocessing`` pool of inner backends, bit-identical to
-  the serial path (the campaign engine's workhorse);
 * :class:`~repro.measure.nvml_backend.NvmlBackend` — drives the
   :mod:`repro.nvml` facade call-for-call like the paper's real-hardware
   protocol (set clocks → launch → read power);
@@ -21,6 +18,11 @@ Trace persistence is :mod:`repro.measure.trace` (append-only JSONL v2,
 v1-JSON read compatibility) and :mod:`repro.measure.trace_registry` keys
 recorded traces the way :class:`repro.serve.registry.ModelRegistry` keys
 model bundles (device × suite × noise-settings hash).
+
+Fan-out is not a backend: :class:`~repro.measure.parallel.DevicePool` is
+the one process pool, running sweep tasks for any number of devices
+(each worker caches one backend per device) bit-identically to the serial
+loop — the campaign scheduler's executor.
 """
 
 from .backend import BackendCapabilities, MeasurementBackend, as_backend
@@ -34,12 +36,7 @@ from .columnar import (
     sidecar_path,
 )
 from .nvml_backend import NvmlBackend
-from .parallel import (
-    DevicePool,
-    ParallelBackend,
-    backend_for_device,
-    simulator_factory,
-)
+from .parallel import DevicePool, backend_for_device
 from .replay import RecordingBackend, ReplayBackend, replay_measurements
 from .simulator import SimulatorBackend
 from .trace import (
@@ -75,7 +72,6 @@ __all__ = [
     "TraceCompactor",
     "MeasurementBackend",
     "NvmlBackend",
-    "ParallelBackend",
     "RecordingBackend",
     "ReplayBackend",
     "ReplayError",
@@ -100,5 +96,4 @@ __all__ = [
     "save_trace",
     "scan_stream_records",
     "sidecar_path",
-    "simulator_factory",
 ]

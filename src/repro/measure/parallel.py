@@ -1,22 +1,23 @@
-"""Process-parallel measurement: fan a kernel list across worker backends.
+"""Process-parallel measurement: one worker pool for every device's sweeps.
 
-The measurement-backend protocol is the seam the ROADMAP predicted: a
-campaign sweeps *many* kernels over one configuration list, each kernel's
-sweep is independent, and the simulator's noise is counter-based (keyed by
-device × kernel × clocks, never by call order) — so distributing kernels
-over a ``multiprocessing`` pool is **bit-identical** to the serial loop,
-not merely statistically equivalent.  Each worker process builds its own
-inner backend once (from a picklable factory) and then serves measurement
-tasks; results stream back in submission order.
+A campaign sweeps *many* kernels over one configuration list, each
+kernel's sweep is independent, and the simulator's noise is counter-based
+(keyed by device × kernel × clocks, never by call order) — so distributing
+sweeps over a ``multiprocessing`` pool is **bit-identical** to the serial
+loop, not merely statistically equivalent.
 
-Workers can also extract each kernel's static features
-(``with_features=True``), moving the clkernel frontend — the dominant
-per-kernel cost of dataset assembly — off the parent's critical path.
+:class:`DevicePool` is the campaign scheduler's engine room: ONE process
+pool serves sweep tasks for *every* device of a campaign.  Tasks are
+tagged with a device name; each worker builds the backend for a device the
+first time it sees a task for it and caches it, so a worker that
+alternates between devices pays construction once per device, not per
+task.  Tasks can also extract each kernel's static features, moving the
+clkernel frontend — the dominant per-kernel cost of dataset assembly — off
+the parent's critical path.
 """
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import multiprocessing.pool
 import os
@@ -24,61 +25,15 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from ..features.vector import StaticFeatures
-from ..gpusim.device import DeviceSpec
-from ..gpusim.noise import NoiseConfig
 from ..obs import MetricsRegistry, use_registry
 from ..workloads import KernelSpec
-from .backend import BackendCapabilities, MeasurementBackend, as_backend
+from .backend import MeasurementBackend, as_backend
 from .simulator import SimulatorBackend
 
 if TYPE_CHECKING:
     from ..obs import MetricsSnapshot
     from ..core.dataset import KernelMeasurements
 
-
-def simulator_factory(
-    device: DeviceSpec | str | None = None, noise: NoiseConfig | None = None
-) -> Callable[[], SimulatorBackend]:
-    """A picklable factory for per-worker :class:`SimulatorBackend`s."""
-    from ..gpusim.device import resolve_device
-
-    if isinstance(device, str):
-        device = resolve_device(device)
-    return functools.partial(SimulatorBackend, device, None, noise)
-
-
-#: The worker process's backend, built once by the pool initializer.
-_WORKER_BACKEND: MeasurementBackend | None = None
-
-
-def _init_worker(factory: Callable[[], MeasurementBackend]) -> None:
-    global _WORKER_BACKEND
-    _WORKER_BACKEND = as_backend(factory())
-
-
-def _measure_task(
-    task: tuple[KernelSpec, Sequence[tuple[float, float]], bool],
-) -> "tuple[tuple[KernelMeasurements, StaticFeatures | None], MetricsSnapshot]":
-    spec, configs, with_features = task
-    assert _WORKER_BACKEND is not None, "worker pool initializer did not run"
-    # Each task records into a private delta registry that travels home
-    # with the result, so the parent can merge metrics in submission
-    # order — deterministic totals regardless of worker interleaving.
-    delta = MetricsRegistry()
-    with use_registry(delta):
-        measurements = _WORKER_BACKEND.measure(spec, configs)
-        static = spec.static_features() if with_features else None
-    return (measurements, static), delta.snapshot()
-
-
-# -- multi-device pool --------------------------------------------------------
-#
-# The campaign scheduler's engine room: ONE process pool serves sweep tasks
-# for *every* device of a campaign, instead of one pool per device leg.
-# Tasks are tagged with a device name; each worker builds the backend for a
-# device the first time it sees a task for it and caches it, so a worker
-# that alternates between devices pays construction once per device, not
-# per task.
 
 #: The worker process's device→backend cache and its factory (set once by
 #: the pool initializer).
@@ -199,8 +154,8 @@ class DevicePool:
         merge into (in submission order, so totals are deterministic).
         Defaults to a fresh private registry, exposed as :attr:`metrics`.
 
-    Unlike :class:`ParallelBackend` this is not itself a measurement
-    backend — it is the scheduler's executor, and it also accepts
+    This is not itself a measurement backend — it is the scheduler's
+    executor, and it also accepts
     arbitrary picklable function calls via :meth:`apply_async` so CPU-bound
     follow-up stages (a campaign leg's model training) can ride the same
     workers while sweeps of other legs continue.
@@ -290,139 +245,3 @@ class DevicePool:
         except Exception:
             pass
 
-
-class ParallelBackend:
-    """Runs sweeps on a pool of worker processes, one inner backend each.
-
-    Parameters
-    ----------
-    inner_factory:
-        Zero-argument picklable callable building the per-worker backend
-        (e.g. :func:`simulator_factory`).  Also called once in the parent,
-        for the protocol's ``device``/``capabilities`` and for single-kernel
-        :meth:`measure` calls, which never pay pool overhead.
-    workers:
-        Pool size; defaults to the machine's CPU count.
-    mp_context:
-        ``multiprocessing`` start method (``"fork"``/``"spawn"``…);
-        None uses the platform default.
-
-    The pool is created lazily on the first fan-out and torn down by
-    :meth:`close` (or the context manager).  Submission order is
-    preserved, and because every backend in the repo is deterministic
-    per (device, kernel, configuration), the fan-out is bit-identical to
-    measuring the same kernels serially.
-    """
-
-    def __init__(
-        self,
-        inner_factory: Callable[[], MeasurementBackend],
-        workers: int | None = None,
-        mp_context: str | None = None,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
-        self.inner_factory = inner_factory
-        self.workers = int(workers) if workers is not None else (os.cpu_count() or 1)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        self._mp_context = mp_context
-        self._local = as_backend(inner_factory())
-        self._pool: multiprocessing.pool.Pool | None = None
-        #: Where worker-side metric deltas land (merged in task order).
-        self.metrics = registry if registry is not None else MetricsRegistry()
-
-    # -- protocol ---------------------------------------------------------------
-
-    @property
-    def device(self) -> DeviceSpec:
-        return self._local.device
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        inner = self._local.capabilities
-        return BackendCapabilities(
-            device=inner.device,
-            kind=f"parallel+{inner.kind}",
-            vectorized=inner.vectorized,
-            deterministic=inner.deterministic,
-            online=inner.online,
-        )
-
-    def measure(
-        self, spec: KernelSpec, configs: Sequence[tuple[float, float]]
-    ) -> "KernelMeasurements":
-        """One kernel: measured in-process (no pool round-trip to win)."""
-        with use_registry(self.metrics):
-            return self._local.measure(spec, configs)
-
-    # -- fan-out ----------------------------------------------------------------
-
-    def _ensure_pool(self) -> multiprocessing.pool.Pool:
-        if self._pool is None:
-            ctx = multiprocessing.get_context(self._mp_context)
-            self._pool = ctx.Pool(
-                processes=self.workers,
-                initializer=_init_worker,
-                initargs=(self.inner_factory,),
-            )
-        return self._pool
-
-    def imap_measure(
-        self,
-        specs: Sequence[KernelSpec],
-        configs: Sequence[tuple[float, float]],
-        with_features: bool = False,
-    ) -> "Iterator[tuple[KernelMeasurements, StaticFeatures | None]]":
-        """Measure every spec at every config, streaming results in order.
-
-        Yields ``(measurements, static features or None)`` per spec as
-        workers finish, holding at most the pool's in-flight results in
-        memory — the streaming complement of
-        :func:`~repro.core.dataset.build_training_dataset`.
-        """
-        specs = list(specs)
-        configs = list(configs)
-        if self.workers == 1 or len(specs) <= 1:
-            # No parallelism to exploit; skip pool (and pickling) overhead.
-            for spec in specs:
-                with use_registry(self.metrics):
-                    measurements = self._local.measure(spec, configs)
-                yield (
-                    measurements,
-                    spec.static_features() if with_features else None,
-                )
-            return
-        pool = self._ensure_pool()
-        tasks = [(spec, configs, with_features) for spec in specs]
-        for result, snapshot in pool.imap(_measure_task, tasks, chunksize=1):
-            self.metrics.merge(snapshot)
-            yield result
-
-    def measure_many(
-        self,
-        specs: Sequence[KernelSpec],
-        configs: Sequence[tuple[float, float]],
-    ) -> "list[KernelMeasurements]":
-        """All sweeps at once (ordered); convenience over :meth:`imap_measure`."""
-        return [m for m, _ in self.imap_measure(specs, configs)]
-
-    # -- lifecycle --------------------------------------------------------------
-
-    def close(self) -> None:
-        """Tear the worker pool down (a later fan-out recreates it)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "ParallelBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # best-effort; close() is the real API
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -22,7 +22,7 @@ from __future__ import annotations
 import pathlib
 import time
 from collections import OrderedDict
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,15 +38,13 @@ from ..obs import (
 from ..workloads import KernelSpec
 from .backend import BackendCapabilities, MeasurementBackend
 from .columnar import ColumnarRecord, ColumnarTrace
-from .trace import (  # noqa: F401  (trace symbols re-exported for compat)
-    TRACE_FORMAT,
+from .trace import (
     TRACE_VERSION,
     KernelTrace,
     ReplayError,
     SweepTrace,
     TraceWriter,
     load_trace,
-    read_kernel_at,
     read_kernels_at,
     save_trace,
     scan_trace_offsets,
@@ -79,11 +77,11 @@ class _StreamedTrace:
     def __init__(
         self,
         path: pathlib.Path,
-        cache_kernels: int,
+        max_cached_kernels: int,
         prefer_columnar: bool = True,
     ) -> None:
-        if cache_kernels < 1:
-            raise ValueError("cache_kernels must be >= 1")
+        if max_cached_kernels < 1:
+            raise ValueError("max_cached_kernels must be >= 1")
         self.path = path
         self.columnar = ColumnarTrace.open(path) if prefer_columnar else None
         if self.columnar is not None:
@@ -102,7 +100,7 @@ class _StreamedTrace:
             assert header is not None
             self.device = str(header["device"])
             self.meta = dict(header.get("meta") or {})
-        self._cache_kernels = cache_kernels
+        self._max_cached_kernels = max_cached_kernels
         self._cache: OrderedDict[str, KernelTrace] = OrderedDict()
 
     def kernel_names(self) -> list[str]:
@@ -152,7 +150,7 @@ class _StreamedTrace:
             return None
         observe_replay_source(source)
         self._cache[name] = merged
-        if len(self._cache) > self._cache_kernels:
+        if len(self._cache) > self._max_cached_kernels:
             self._cache.popitem(last=False)
         return merged
 
@@ -165,25 +163,19 @@ class ReplayBackend:
     (``prefer_columnar=False`` opts out), falling back transparently —
     and bit-identically — to the JSONL stream when the sidecar is
     missing, stale, or torn.  ``max_cached_kernels`` bounds the
-    materialized-kernel LRU (``cache_kernels`` is the legacy spelling of
-    the same knob; ``max_cached_kernels`` wins when both are given).
+    materialized-kernel LRU.
     """
 
     def __init__(
         self,
         trace: SweepTrace | str | pathlib.Path,
         device: DeviceSpec | None = None,
-        cache_kernels: int | None = None,
         *,
         max_cached_kernels: int | None = None,
         prefer_columnar: bool = True,
     ) -> None:
         if max_cached_kernels is None:
-            max_cached_kernels = (
-                cache_kernels
-                if cache_kernels is not None
-                else DEFAULT_REPLAY_CACHE_KERNELS
-            )
+            max_cached_kernels = DEFAULT_REPLAY_CACHE_KERNELS
         self._stream: _StreamedTrace | None = None
         self.trace: SweepTrace | None = None
         if isinstance(trace, SweepTrace):
@@ -491,31 +483,6 @@ class RecordingBackend:
         result = self.inner.measure(spec, configs)
         self._record(result)
         return result
-
-    def imap_measure(
-        self,
-        specs: Iterable[KernelSpec],
-        configs: Sequence[tuple[float, float]],
-        with_features: bool = False,
-    ) -> Iterator[tuple[KernelMeasurements, object]]:
-        """Stream the inner backend's fan-out, recording each sweep.
-
-        Present so a :class:`~repro.measure.parallel.ParallelBackend` keeps
-        its parallel fan-out when wrapped for recording; serial inner
-        backends fall back to per-spec :meth:`measure` calls.
-        """
-        inner_imap = getattr(self.inner, "imap_measure", None)
-        if inner_imap is not None:
-            for measurements, static in inner_imap(
-                specs, configs, with_features=with_features
-            ):
-                self._record(measurements)
-                yield measurements, static
-            return
-        for spec in specs:
-            measurements = self.measure(spec, configs)
-            static = spec.static_features() if with_features else None
-            yield measurements, static
 
     def close(self) -> None:
         """Close an owned stream writer (pass-through writers stay open)."""

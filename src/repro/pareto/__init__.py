@@ -5,7 +5,6 @@ from .algorithms import (
     pareto_set_brute,
     pareto_set_numpy,
     pareto_set_simple,
-    pareto_set_sort,
 )
 from .dominance import (
     ObjectivePoint,
@@ -46,7 +45,6 @@ __all__ = [
     "pareto_set_brute",
     "pareto_set_numpy",
     "pareto_set_simple",
-    "pareto_set_sort",
     "relative_coverage",
     "weakly_dominates",
 ]

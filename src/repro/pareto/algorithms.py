@@ -1,18 +1,17 @@
 """Pareto-set extraction algorithms.
 
-Three interchangeable implementations:
+One production extractor and two test oracles:
 
-* :func:`pareto_set_simple` — the paper's Algorithm 1 verbatim (pop a
-  candidate, compare against the rest, classify);
-* :func:`pareto_set_sort` — the O(n log n) sweep the paper alludes to when
-  citing faster algorithms ([18] in the paper);
-* :func:`pareto_set_brute` — O(n²) reference oracle, kept for testing;
 * :func:`pareto_set_numpy` — the O(n²) dominance test as one broadcasted
-  numpy expression; :func:`pareto_front_masks` is its whole-batch form,
-  used by the batched serving path where the per-point Python loop of
-  Algorithm 1 dominates the request latency.
+  numpy expression, used everywhere a front is computed;
+  :func:`pareto_front_masks` is its whole-batch form, used by the batched
+  serving path;
+* :func:`pareto_set_simple` — the paper's Algorithm 1 verbatim (pop a
+  candidate, compare against the rest, classify), the oracle the
+  production extractor is property-tested against;
+* :func:`pareto_set_brute` — O(n²) reference oracle, kept for testing.
 
-All four return *indices* into the input list, sorted ascending, so callers
+All three return *indices* into the input list, sorted ascending, so callers
 can map back to configurations.  Duplicate points are kept (all copies are
 on the front if one is), matching Algorithm 1's behaviour.
 """
@@ -114,40 +113,8 @@ def pareto_front_masks(speedups: np.ndarray, energies: np.ndarray) -> np.ndarray
     return out
 
 
-def pareto_set_sort(points: list[tuple[float, float]]) -> list[int]:
-    """O(n log n) sweep: sort by speedup desc, energy asc; keep strict
-    improvements in energy.
-
-    Ties in both objectives are all kept (consistent with Algorithm 1).
-    """
-    if not points:
-        return []
-    order = sorted(
-        range(len(points)),
-        key=lambda i: (-points[i][0], points[i][1]),
-    )
-    front: list[int] = []
-    best_energy = float("inf")
-    best_speedup_at_best_energy = float("-inf")
-    kept_points: set[tuple[float, float]] = set()
-    for idx in order:
-        s, e = points[idx]
-        if e < best_energy:
-            front.append(idx)
-            kept_points.add((s, e))
-            best_energy = e
-            best_speedup_at_best_energy = s
-        elif (s, e) in kept_points:
-            front.append(idx)  # exact duplicate of a front point
-        elif e == best_energy and s == best_speedup_at_best_energy:
-            front.append(idx)
-            kept_points.add((s, e))
-    front.sort()
-    return front
-
-
 def pareto_points(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Convenience: the unique front points, sorted by ascending speedup."""
-    idx = pareto_set_sort(points)
+    idx = pareto_set_numpy(points)
     unique = sorted({points[i] for i in idx})
     return unique

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algorithms import pareto_set_sort
+from .algorithms import pareto_set_numpy
 from .dominance import dominates
 
 
@@ -45,7 +45,7 @@ class ConfigFront:
 
     def pareto_front(self) -> list[ConfigPoint]:
         """The non-dominated subset, sorted by ascending speedup."""
-        idx = pareto_set_sort(self.objective_points())
+        idx = pareto_set_numpy(self.objective_points())
         front = [self.points[i] for i in idx]
         return sorted(front, key=lambda p: (p.speedup, p.energy))
 

@@ -628,7 +628,17 @@ class _DaemonHandler(BaseHTTPRequestHandler):
         self._respond_json(status, {"error": message, "status": status}, headers)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Reject before reading: rfile.read(-1) would block this thread
+            # until the client hangs up, and without a length the body
+            # cannot be framed, so the connection is not reusable either.
+            self.close_connection = True
+            raise ValueError(f"invalid Content-Length: {header!r}")
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}

@@ -325,9 +325,6 @@ class FleetService:
             )
         return slug
 
-    # Backwards-compatible private spelling (pre-daemon callers).
-    _slug_for = slug_for
-
     def _cache_for(self, feature_recipe: str) -> KernelFeatureCache:
         """The fleet-shared feature cache for one feature recipe."""
         if feature_recipe == "paper10":
@@ -376,7 +373,7 @@ class FleetService:
 
         Alias spellings and the full name return the *same* instance.
         """
-        return self._service_for_slug(self._slug_for(device))
+        return self._service_for_slug(self.slug_for(device))
 
     def warm(self, devices: Sequence[str] | None = None) -> list[str]:
         """Materialize bundles ahead of traffic; returns the warmed names.
@@ -385,7 +382,7 @@ class FleetService:
         simply cycles the LRU — the most recently warmed stay resident.
         """
         slugs = (
-            [self._slug_for(d) for d in devices]
+            [self.slug_for(d) for d in devices]
             if devices is not None
             else sorted(self._keys)
         )
@@ -479,7 +476,7 @@ class FleetService:
         normalized = [_normalize_request(r) for r in requests]
         groups: OrderedDict[str, list[int]] = OrderedDict()
         for index, (device, _source, _name) in enumerate(normalized):
-            groups.setdefault(self._slug_for(device), []).append(index)
+            groups.setdefault(self.slug_for(device), []).append(index)
         results: list[PredictedParetoSet | None] = [None] * len(normalized)
         for slug, indices in groups.items():
             service = self._service_for_slug(slug)

@@ -103,6 +103,18 @@ class TestDevicePool:
         with DevicePool(workers=2) as pool:
             assert pool.apply_async(len, [1, 2, 3]).get() == 3
 
+    def test_pool_is_lazy_and_closeable(self):
+        plan = CampaignPlan(devices=("titan-x",), recipe="quick")
+        leg_tasks = plan.leg_tasks(plan.device_specs()[0])[:2]
+        pool = DevicePool(workers=2)
+        try:
+            assert pool._pool is None
+            list(pool.imap_sweeps([t.payload() for t in leg_tasks]))
+            assert pool._pool is not None
+        finally:
+            pool.close()
+        assert pool._pool is None
+
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers"):
             DevicePool(workers=0)

@@ -46,10 +46,8 @@ def test_sweep_kernel_accepts_backend_and_simulator():
 
 
 def test_sweep_many_on_sweep_hook_fires_in_order():
-    """The observability seam: one callback per result, pre-yield, both
-    for plain backends and for fan-out (imap_measure) backends."""
+    """The observability seam: one callback per result, pre-yield."""
     from repro.harness.runner import sweep_many
-    from repro.measure import ParallelBackend, simulator_factory
     from repro.suite import test_benchmarks
 
     specs = test_benchmarks()[:3]
@@ -66,19 +64,6 @@ def test_sweep_many_on_sweep_hook_fires_in_order():
         )
     )
     assert seen == [r.kernel for r in results] == [s.name for s in specs]
-
-    # The fan-out path (imap_measure protocol) reports identically.
-    seen_parallel = []
-    with ParallelBackend(simulator_factory(), workers=1) as backend:
-        list(
-            sweep_many(
-                backend,
-                specs,
-                settings,
-                on_sweep=lambda r: seen_parallel.append(r.kernel),
-            )
-        )
-    assert seen_parallel == seen
 
 
 def test_sweep_many_hook_sees_result_before_consumer():

@@ -167,7 +167,7 @@ class TestStreamingWriter:
 class TestOutOfCoreReplay:
     def test_lazy_kernel_loading(self, tmp_path, recorded):
         path = save_trace(tmp_path / "t.jsonl", recorded)
-        replay = ReplayBackend(path, cache_kernels=1)
+        replay = ReplayBackend(path, max_cached_kernels=1)
         stream = replay._stream
         assert stream is not None
         assert len(stream._cache) == 0  # nothing materialized yet
@@ -180,7 +180,7 @@ class TestOutOfCoreReplay:
         path = save_trace(tmp_path / "t.jsonl", recorded)
         specs = generate_micro_benchmarks()[::40]
         lazy = build_training_dataset(
-            ReplayBackend(path, cache_kernels=1), specs, SETTINGS
+            ReplayBackend(path, max_cached_kernels=1), specs, SETTINGS
         )
         eager = build_training_dataset(
             ReplayBackend(load_trace(path)), specs, SETTINGS

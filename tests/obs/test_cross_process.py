@@ -11,8 +11,8 @@ import filecmp
 
 from repro.campaign import CampaignPlan, run_campaign
 from repro.core.config import sample_training_settings
-from repro.gpusim.device import device_slug
-from repro.measure import ParallelBackend, simulator_factory
+from repro.gpusim.device import device_slug, make_titan_x
+from repro.measure import DevicePool
 from repro.obs import MetricsRegistry, load_snapshot, read_spans
 from repro.obs.instruments import (
     CAMPAIGN_SWEEPS_DONE_TOTAL,
@@ -36,16 +36,17 @@ N_SETTINGS = 4
 
 
 def _pool_snapshot(workers: int):
-    specs = generate_micro_benchmarks()[:N_SPECS]
+    device = make_titan_x()
+    settings = sample_training_settings(device, total=N_SETTINGS)
+    tasks = [
+        (device.name, spec, settings, False)
+        for spec in generate_micro_benchmarks()[:N_SPECS]
+    ]
     registry = MetricsRegistry()
-    with ParallelBackend(
-        simulator_factory(), workers=workers, registry=registry
-    ) as backend:
-        settings = sample_training_settings(backend.device, total=N_SETTINGS)
-        for _ in backend.imap_measure(specs, settings):
+    with DevicePool(workers=workers, registry=registry) as pool:
+        for _ in pool.imap_sweeps(tasks):
             pass
-        slug = device_slug(backend.device.name)
-    return registry.snapshot(), slug
+    return registry.snapshot(), device_slug(device.name)
 
 
 class TestWorkerDeltaMerging:

@@ -5,8 +5,8 @@ import pytest
 from repro.pareto.algorithms import (
     pareto_points,
     pareto_set_brute,
+    pareto_set_numpy,
     pareto_set_simple,
-    pareto_set_sort,
 )
 from repro.pareto.dominance import (
     dominates,
@@ -72,8 +72,8 @@ class TestAlgorithmsAgree:
         assert pareto_set_simple(points) == pareto_set_brute(points)
 
     @pytest.mark.parametrize("points", FIXTURES)
-    def test_sort_matches_brute(self, points):
-        assert pareto_set_sort(points) == pareto_set_brute(points)
+    def test_numpy_matches_brute(self, points):
+        assert pareto_set_numpy(points) == pareto_set_brute(points)
 
     def test_known_front(self):
         pts = [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0), (1.5, 0.8)]

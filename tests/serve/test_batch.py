@@ -69,21 +69,6 @@ class TestVectorizedPareto:
 
 
 class TestObjectiveBatching:
-    def test_matches_per_kernel_objectives(self, ctx, statics):
-        models = ctx.models
-        configs = ctx.predictor.candidates
-        batched = models.predict_objectives_batch(statics, configs)
-        assert len(batched) == len(statics)
-        for static, batch_objs in zip(statics, batched):
-            single = models.predict_objectives(static, configs)
-            assert len(batch_objs) == len(single) == len(configs)
-            for (bs, be), (ss, se) in zip(batch_objs, single):
-                assert bs == pytest.approx(ss, abs=ULP_TOL)
-                assert be == pytest.approx(se, abs=ULP_TOL)
-
-    def test_empty_batch(self, ctx):
-        assert ctx.models.predict_objectives_batch([], ctx.predictor.candidates) == []
-
     def test_arrays_shape(self, ctx, statics):
         configs = ctx.predictor.candidates
         speedups, energies = ctx.models.predict_objective_arrays(statics, configs)

@@ -13,6 +13,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -221,6 +222,23 @@ class TestEndpoints:
             daemon, "POST", "/predict", {"device": "titan-x"}
         )[0] == 400
         assert request(daemon, "POST", "/predict-batch", {"requests": []})[0] == 400
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_invalid_content_length_400_without_reading(self, daemon, length):
+        """A bad length is refused up front; the open connection must not
+        leave the handler waiting for a body that will never be framed."""
+        with socket.create_connection(daemon.address, timeout=5) as sock:
+            sock.sendall(
+                b"POST /predict HTTP/1.1\r\nHost: localhost\r\n"
+                + f"Content-Length: {length}\r\n\r\n".encode("ascii")
+            )
+            # The client keeps its end open, so only a prompt reply (not
+            # EOF) can end this read before the socket timeout.
+            resp = http.client.HTTPResponse(sock)
+            resp.begin()
+            body = resp.read()
+        assert resp.status == 400
+        assert "Content-Length" in json.loads(body)["error"]
 
     def test_unknown_device_404(self, daemon):
         status, _, body = request(
