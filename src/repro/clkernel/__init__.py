@@ -37,7 +37,7 @@ from .ir import (
     RegionVisitor,
     WalkFrame,
 )
-from .lexer import Lexer, Token, TokKind, tokenize
+from .lexer import Token, TokKind, tokenize
 from .lowering import (
     DEFAULT_BRANCH_PROBABILITY,
     DEFAULT_UNKNOWN_TRIP_COUNT,
@@ -63,7 +63,6 @@ __all__ = [
     "IROp",
     "IRRegion",
     "KernelIR",
-    "Lexer",
     "Lowerer",
     "Parser",
     "RegionVisitor",

@@ -14,15 +14,15 @@ sources (the suite kernels are self-contained).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
-from typing import Iterator
+from typing import NamedTuple
 
 from .errors import CLLexError
 
 
 class TokKind(Enum):
-    """Token categories produced by :class:`Lexer`."""
+    """Token categories produced by :func:`tokenize`."""
 
     IDENT = auto()
     KEYWORD = auto()
@@ -125,8 +125,7 @@ _PUNCT2 = (
 _PUNCT1 = "+-*/%<>=!&|^~?:;,.()[]{}#"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexeme with its source position (1-based line/col)."""
 
     kind: TokKind
@@ -144,158 +143,72 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r}, {self.line}:{self.col})"
 
 
-class Lexer:
-    """Hand-written maximal-munch tokenizer.
-
-    Usage::
-
-        tokens = Lexer(source).tokenize()
-
-    The returned list always ends with a single ``EOF`` token, which keeps
-    the parser free of bounds checks.
-    """
-
-    def __init__(self, source: str) -> None:
-        self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    # -- low-level cursor helpers ------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.src[idx] if idx < len(self.src) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.src):
-                return
-            if self.src[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _error(self, message: str) -> CLLexError:
-        return CLLexError(message, self.line, self.col)
-
-    # -- skipping ----------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and comments; raise on unterminated block comment."""
-        while self.pos < len(self.src):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.src) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.col
-                self._advance(2)
-                while self.pos < len(self.src):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise CLLexError("unterminated block comment", start_line, start_col)
-            else:
-                return
-
-    # -- literal scanning ----------------------------------------------------
-
-    def _scan_number(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        is_float = False
-
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            if not self._peek().isalnum():
-                raise self._error("malformed hex literal")
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == "." and self._peek(1) != ".":
-                is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            exp_head = self._peek()
-            exp_next = self._peek(1)
-            if exp_head in ("e", "E") and (
-                exp_next.isdigit()
-                or (exp_next in ("+", "-") and self._peek(2).isdigit())
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() in ("+", "-"):
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-
-        # Suffixes: f/F marks float; u/U, l/L are integer suffixes.
-        if self._peek() in ("f", "F"):
-            is_float = True
-            self._advance()
-        else:
-            while self._peek() in ("u", "U", "l", "L"):
-                self._advance()
-
-        text = self.src[start : self.pos]
-        kind = TokKind.FLOAT_LIT if is_float else TokKind.INT_LIT
-        return Token(kind, text, line, col)
-
-    def _scan_word(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.src[start : self.pos]
-        kind = TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT
-        return Token(kind, text, line, col)
-
-    def _scan_punct(self) -> Token:
-        line, col = self.line, self.col
-        rest = self.src[self.pos : self.pos + 3]
-        for group in (_PUNCT3, _PUNCT2):
-            for p in group:
-                if rest.startswith(p):
-                    self._advance(len(p))
-                    return Token(TokKind.PUNCT, p, line, col)
-        ch = self._peek()
-        if ch in _PUNCT1:
-            self._advance()
-            return Token(TokKind.PUNCT, ch, line, col)
-        raise self._error(f"unexpected character {ch!r}")
-
-    # -- public API ----------------------------------------------------------
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield tokens one at a time, ending with EOF."""
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.src):
-                yield Token(TokKind.EOF, "", self.line, self.col)
-                return
-            ch = self._peek()
-            if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-                yield self._scan_number()
-            elif ch.isalpha() or ch == "_":
-                yield self._scan_word()
-            else:
-                yield self._scan_punct()
-
-    def tokenize(self) -> list[Token]:
-        """Tokenize the whole source into a list (always EOF-terminated)."""
-        return list(self.tokens())
+#: One alternation, tried in order after any spaces and tabs, which every
+#: match skips so a token needs one match, not two.  Number literals are
+#: ASCII-only.  ``[^\W\d]\w*`` admits every word that starts with a letter
+#: or underscore and continues with ``str.isalnum()`` characters; it also
+#: admits a start like ``²`` (a digit that is not decimal), which
+#: :func:`tokenize` rejects.  A hex head must be followed by an alphanumeric.
+_MASTER = re.compile(
+    r"[ \t]*(?:"
+    r"(?P<trivia>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<bad_hex>0[xX](?![^\W_]))"
+    r"|(?P<hex>0[xX][0-9a-fA-F]*[uUlL]*)"
+    r"|(?P<decimal>(?:[0-9]+(?:\.(?!\.)[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?:[fF]|[uUlL]*))"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|(?P<punct>"
+    + "|".join(re.escape(p) for p in _PUNCT3 + _PUNCT2)
+    + "|["
+    + re.escape(_PUNCT1)
+    + "]))",
+    re.S,
+)
 
 
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper: tokenize ``source`` with a fresh :class:`Lexer`."""
-    return Lexer(source).tokenize()
+    """Tokenize the whole source into a list that always ends with ``EOF``.
+
+    The trailing ``EOF`` token keeps the parser free of bounds checks.
+    """
+    match = _MASTER.match
+    tokens: list[Token] = []
+    append = tokens.append
+    pos, end = 0, len(source)
+    line, bol = 1, 0  # bol: offset of the first character of ``line``
+    while pos < end:
+        # Spaces before a character no group accepts are returned as
+        # trivia first, so ``None`` means ``source[pos]`` itself is bad.
+        m = match(source, pos)
+        if m is None:
+            raise CLLexError(f"unexpected character {source[pos]!r}", line, pos - bol + 1)
+        group = m.lastgroup
+        assert group is not None  # the alternation always matches one group
+        text = m.group(group)
+        pos = m.end()
+        if group == "trivia":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                bol = pos - len(text) + text.rindex("\n") + 1
+            continue
+        col = pos - len(text) - bol + 1
+        if group == "word":
+            if not text[0].isalpha() and text[0] != "_":
+                raise CLLexError(f"unexpected character {text[0]!r}", line, col)
+            kind = TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT
+            append(Token(kind, text, line, col))
+        elif group == "punct":
+            append(Token(TokKind.PUNCT, text, line, col))
+        elif group == "decimal":
+            # A fraction, exponent or f suffix makes it a float.
+            kind = TokKind.INT_LIT if text.rstrip("uUlL").isdigit() else TokKind.FLOAT_LIT
+            append(Token(kind, text, line, col))
+        elif group == "hex":
+            append(Token(TokKind.INT_LIT, text, line, col))
+        elif group == "bad_hex":
+            raise CLLexError("malformed hex literal", line, col + 2)
+        else:
+            raise CLLexError("unterminated block comment", line, col)
+    append(Token(TokKind.EOF, "", line, end - bol + 1))
+    return tokens

@@ -97,8 +97,9 @@ class Parser:
     # -- cursor helpers ------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.idx + offset, len(self.toks) - 1)
-        return self.toks[idx]
+        if not offset:
+            return self.toks[self.idx]  # _next never advances past EOF
+        return self.toks[min(self.idx + offset, len(self.toks) - 1)]
 
     def _next(self) -> Token:
         tok = self.toks[self.idx]
@@ -471,12 +472,17 @@ class Parser:
     def _parse_primary(self) -> Expr:
         tok = self._next()
         if tok.kind is TokKind.INT_LIT:
-            text = tok.text.rstrip("uUlL")
-            value = int(text, 0)
+            try:
+                value = int(tok.text.rstrip("uUlL"), 0)
+            except ValueError:
+                raise self._error("malformed integer literal", tok) from None
             return IntLiteral(value=value, text=tok.text, line=tok.line)
         if tok.kind is TokKind.FLOAT_LIT:
-            text = tok.text.rstrip("fF")
-            return FloatLiteral(value=float(text), text=tok.text, line=tok.line)
+            try:
+                fvalue = float(tok.text.rstrip("fF"))
+            except ValueError:
+                raise self._error("malformed float literal", tok) from None
+            return FloatLiteral(value=fvalue, text=tok.text, line=tok.line)
         if tok.kind is TokKind.IDENT:
             if self._peek().is_punct("("):
                 return self._parse_call(tok.text, tok)

@@ -50,6 +50,15 @@ class TestLintSource:
         assert findings[0].finding.code == "frontend-error"
         assert findings[0].severity == "error"
 
+    @pytest.mark.parametrize("literal", ["0xg", "08", "1e5u", "\u00b2", "1\u00b2"])
+    def test_malformed_literal_is_a_finding_not_a_crash(self, literal):
+        source = f"__kernel void k(__global float* a) {{ a[0] = {literal}; }}"
+        findings, checked = lint_source(source, label="lit.cl")
+        assert checked == 0
+        assert [f.finding.code for f in findings] == ["frontend-error"]
+        assert findings[0].severity == "error"
+        assert findings[0].render().startswith("lit.cl:1:")
+
     def test_kernel_name_filter(self):
         two = CLEAN + UNKNOWN_LOOP
         findings, checked = lint_source(two, kernel_name="scale")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.clkernel.errors import CLLexError
-from repro.clkernel.lexer import Lexer, TokKind, tokenize
+from repro.clkernel.lexer import TokKind, tokenize
 
 
 def kinds(source):
@@ -106,6 +106,30 @@ class TestNumericLiterals:
         with pytest.raises(CLLexError):
             tokenize("0x")
 
+    def test_malformed_hex_position_is_after_the_head(self):
+        with pytest.raises(CLLexError, match="malformed hex literal") as info:
+            tokenize("a = 0x;")
+        assert (info.value.line, info.value.col) == (1, 7)
+
+    @pytest.mark.parametrize("source", ["0", "a = 0", "x[0"])
+    def test_source_ending_in_zero(self, source):
+        toks = tokenize(source)
+        assert toks[-2].kind is TokKind.INT_LIT
+        assert toks[-2].text == "0"
+        assert toks[-1].kind is TokKind.EOF
+
+    @pytest.mark.parametrize("source", ["\u00b2", "\u0663", "1\u00b2", ".\u00b2"])
+    def test_non_ascii_digit_is_not_a_literal(self, source):
+        with pytest.raises(CLLexError, match="unexpected character"):
+            tokenize(source)
+
+    def test_unicode_identifier(self):
+        toks = tokenize("\u00e9t\u00e92 \u4e00")
+        assert [(t.kind, t.text) for t in toks[:2]] == [
+            (TokKind.IDENT, "\u00e9t\u00e92"),
+            (TokKind.IDENT, "\u4e00"),
+        ]
+
     def test_member_access_not_float(self):
         # 'v.x' is three tokens, not a malformed float.
         assert texts("v.x") == ["v", ".", "x"]
@@ -187,9 +211,14 @@ class TestRealKernel:
             if (gid < n) { x[gid] = x[gid] * 2.0f; }
         }
         """
-        toks = Lexer(source).tokenize()
+        toks = tokenize(source)
         assert toks[-1].kind is TokKind.EOF
         assert sum(1 for t in toks if t.kind is TokKind.KEYWORD) >= 6
+
+    def test_tokens_are_immutable(self):
+        tok = tokenize("a")[0]
+        with pytest.raises(AttributeError):
+            tok.text = "b"
 
     def test_token_helpers(self):
         toks = tokenize("for (")

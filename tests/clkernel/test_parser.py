@@ -24,7 +24,7 @@ from repro.clkernel.ast_nodes import (
     UnaryOp,
     WhileStmt,
 )
-from repro.clkernel.errors import CLParseError
+from repro.clkernel.errors import CLFrontendError, CLParseError
 from repro.clkernel.parser import parse, parse_kernel
 
 
@@ -291,3 +291,25 @@ class TestSuiteSources:
         for spec in generate_micro_benchmarks():
             unit = parse(spec.source)
             assert unit.kernels(), spec.name
+
+
+#: Literals the lexer accepts but ``int()``/``float()`` reject.
+_UNCONVERTIBLE_LITERALS = ["0xg", "08", "1e5u", "1.5u", "0xl"]
+
+#: The literal sits at line 2, column 12.
+_LITERAL_KERNEL = "__kernel void k(__global float* a) {\n    a[0] = %s;\n}\n"
+
+
+class TestMalformedLiterals:
+    @pytest.mark.parametrize("literal", _UNCONVERTIBLE_LITERALS)
+    def test_parse_error_at_the_literal(self, literal):
+        with pytest.raises(CLParseError, match="malformed") as info:
+            parse(_LITERAL_KERNEL % literal)
+        assert (info.value.line, info.value.col) == (2, 12)
+
+    @pytest.mark.parametrize("literal", _UNCONVERTIBLE_LITERALS + ["\u00b2", "1\u00b2"])
+    def test_feature_extraction_raises_a_frontend_error(self, literal):
+        from repro.features import extract_features
+
+        with pytest.raises(CLFrontendError):
+            extract_features(_LITERAL_KERNEL % literal)
