@@ -17,52 +17,58 @@ Quick start::
         print(p.core_mhz, p.mem_mhz, p.speedup, p.norm_energy)
 """
 
-from .core.pipeline import TrainedModels, train_from_specs, train_models
-from .core.predictor import ParetoPredictor, PredictedParetoSet, PredictedPoint
-from .features.extractor import extract_features
-from .gpusim.device import make_tesla_p100, make_titan_x, resolve_device
-from .gpusim.executor import GPUSimulator
-from .harness.context import build_context, paper_context, quick_context
-from .measure import (
-    MeasurementBackend,
-    NvmlBackend,
-    RecordingBackend,
-    ReplayBackend,
-    SimulatorBackend,
-)
-from .serve import ModelKey, ModelRegistry, PredictionService
-from .suite.registry import get_benchmark, test_benchmarks
-from .synthetic.generator import generate_micro_benchmarks
-from .workloads import KernelSpec
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GPUSimulator",
-    "KernelSpec",
-    "MeasurementBackend",
-    "ModelKey",
-    "ModelRegistry",
-    "NvmlBackend",
-    "ParetoPredictor",
-    "PredictedParetoSet",
-    "PredictedPoint",
-    "PredictionService",
-    "RecordingBackend",
-    "ReplayBackend",
-    "SimulatorBackend",
-    "TrainedModels",
-    "__version__",
-    "build_context",
-    "extract_features",
-    "generate_micro_benchmarks",
-    "get_benchmark",
-    "make_tesla_p100",
-    "make_titan_x",
-    "paper_context",
-    "quick_context",
-    "resolve_device",
-    "test_benchmarks",
-    "train_from_specs",
-    "train_models",
-]
+#: Every top-level export and the submodule defining it.  Resolved on
+#: first access (PEP 562), so ``import repro`` — and with it every
+#: ``python -m repro.cli`` command — loads only the stacks it touches.
+_EXPORTS = {
+    "GPUSimulator": "gpusim.executor",
+    "KernelSpec": "workloads",
+    "MeasurementBackend": "measure",
+    "ModelKey": "serve",
+    "ModelRegistry": "serve",
+    "NvmlBackend": "measure",
+    "ParetoPredictor": "core.predictor",
+    "PredictedParetoSet": "core.predictor",
+    "PredictedPoint": "core.predictor",
+    "PredictionService": "serve",
+    "RecordingBackend": "measure",
+    "ReplayBackend": "measure",
+    "SimulatorBackend": "measure",
+    "TrainedModels": "core.pipeline",
+    "build_context": "harness.context",
+    "extract_features": "features.extractor",
+    "generate_micro_benchmarks": "synthetic.generator",
+    "get_benchmark": "suite.registry",
+    "make_tesla_p100": "gpusim.device",
+    "make_titan_x": "gpusim.device",
+    "paper_context": "harness.context",
+    "quick_context": "harness.context",
+    "resolve_device": "gpusim.device",
+    "test_benchmarks": "suite.registry",
+    "train_from_specs": "core.pipeline",
+    "train_models": "core.pipeline",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    elif not name.startswith("_"):
+        # ``import repro; repro.serve…``: a submodule not imported yet.
+        try:
+            value = importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

@@ -247,10 +247,14 @@ def _execute(
         key = plan.model_key(leg.device)
         meta = model_registry.meta_for(key)
         if meta is not None and meta.get("trace_sha256") == leg.trace_sha256:
-            # Proven current — skip training AND skip materializing the
-            # bundle (leg.models stays None).
+            # Proven current — skip training, the dataset AND materializing
+            # the bundle (leg.models stays None).
             leg.trained = False
-            leg.n_samples = int(meta.get("n_samples") or 0)
+            if leg.collect_dataset:
+                # The final pass holds one row per kernel per setting.
+                leg.n_samples = len(leg.specs) * len(leg.settings)
+            else:
+                leg.n_samples = int(meta.get("n_samples") or 0)
             progress.leg_stage(leg.device.name, "reused")
             leg_seconds[leg.device.name] = time.perf_counter() - start
         else:
@@ -282,7 +286,7 @@ def _execute(
                 trainings[leg.device.name] = pool.apply_async(
                     train_leg_task,
                     (
-                        leg.dataset,
+                        leg.training_dataset(),
                         leg.settings,
                         plan.interactions,
                         leg.device.name,
@@ -344,7 +348,6 @@ def _execute(
             model_path = model_registry.put(key, leg.models, extra_meta=extra_meta)
         else:
             model_path = model_registry.path_for(key)
-        assert leg.dataset is not None or not leg.collect_dataset
         results.append(
             DeviceCampaignResult(
                 device=leg.device.name,

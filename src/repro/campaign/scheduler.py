@@ -35,17 +35,20 @@ Resume (:func:`prepare_leg` with ``resume=True``) asks the
 :class:`~repro.measure.trace_registry.TraceRegistry` what a leg's stream
 already holds.  The recovered records must form a prefix of the leg's
 deterministic record sequence (pass-major kernel order, validated name by
-name and setting by setting); the prefix is reused — final-pass records
-fold into the dataset via :func:`~repro.measure.replay.replay_measurements`
-— and only the remainder is scheduled, with the partial stream reopened in
-append mode.  A finished resume is therefore byte-identical to a run that
-was never interrupted.
+name and setting by setting); the prefix is reused and only the remainder
+is scheduled, with the partial stream reopened in append mode.  Recovered
+final-pass records are kept on the leg and fold into the dataset via
+:func:`~repro.measure.replay.replay_measurements` only when the dataset is
+needed — ahead of the first live final-pass sweep, or when training asks
+for it — so a leg whose registered bundle is already current never
+replays a record or extracts a feature.  A finished resume is therefore
+byte-identical to a run that was never interrupted.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ..core.dataset import DatasetAssembler, TrainingDataset
@@ -53,7 +56,7 @@ from ..core.pipeline import TrainedModels, train_models
 from ..gpusim.device import DeviceSpec
 from ..measure.parallel import DevicePool, DeviceSweepTask
 from ..measure.replay import replay_measurements
-from ..measure.trace import TraceWriter
+from ..measure.trace import KernelTrace, TraceWriter
 from ..measure.trace_registry import TraceKey, TraceRegistry
 from ..obs import observe_training
 from ..workloads import KernelSpec
@@ -138,6 +141,9 @@ class LegRun:
     #: Non-None when the plan trains a non-default feature recipe: the
     #: extractor config every parent-side feature extraction must use.
     extractor_config: "ExtractorConfig | None" = None
+    #: Final-pass records recovered on resume, in task order, not yet
+    #: folded into the assembler.
+    recovered: list[tuple[SweepTask, KernelTrace]] = field(default_factory=list)
 
     @property
     def swept(self) -> bool:
@@ -149,17 +155,35 @@ class LegRun:
             self.writer.write_measurements(measurements)
         self.measured += 1
         if task.final and self.collect_dataset:
+            self._fold_recovered()
             if static is None:
                 static = task.spec.static_features(self.extractor_config)
             self.assembler.add(task.spec, static, measurements)
 
+    def _fold_recovered(self) -> None:
+        # Recovered records precede every live one in the leg's sequence,
+        # and replay round-trips float64 bit for bit, so they feed the
+        # dataset exactly as the sweeps that recorded them did.
+        for task, kernel in self.recovered:
+            self.assembler.add(
+                task.spec,
+                task.spec.static_features(self.extractor_config),
+                replay_measurements(task.spec, kernel, self.settings),
+            )
+        self.recovered = []
+
+    def training_dataset(self) -> TrainingDataset:
+        """The leg's training matrices, assembled on first call."""
+        if self.dataset is None:
+            self._fold_recovered()
+            self.dataset = self.assembler.finish()
+        return self.dataset
+
     def finish_sweeps(self) -> None:
-        """Publish the trace and freeze the dataset (all tasks landed)."""
+        """Publish the trace (all tasks landed)."""
         if self.writer is not None:
             self.writer.close(success=True)
             self.writer = None
-        if self.dataset is None and self.collect_dataset:
-            self.dataset = self.assembler.finish()
 
     def abort_writer(self) -> None:
         """Leave the partial stream behind for a later ``--resume``."""
@@ -256,24 +280,15 @@ def prepare_leg(
         extractor_config=plan.extractor_config(),
     )
 
-    # Final-pass records recovered from the trace feed the dataset exactly
-    # as a live sweep would — replay round-trips float64 bit for bit.
-    # (Streaming legs skip this: their trainer replays the published trace
-    # itself, in bounded mini-batches.)
-    final_start = (plan.repeats - 1) * len(specs)
+    # Recovered final-pass records wait on the leg until its dataset is
+    # needed.  (Streaming legs never need them: their trainer replays the
+    # published trace itself, in bounded mini-batches.)
     if state is not None and collect_dataset:
-        for i in range(min(reused, len(all_tasks))):
-            if i < final_start:
-                continue
-            task = all_tasks[i]
-            measurements = replay_measurements(
-                task.spec, state.records[i].kernel, leg.settings
-            )
-            leg.assembler.add(
-                task.spec,
-                task.spec.static_features(leg.extractor_config),
-                measurements,
-            )
+        final_start = (plan.repeats - 1) * len(specs)
+        leg.recovered = [
+            (all_tasks[i], state.records[i].kernel)
+            for i in range(final_start, reused)
+        ]
     return leg
 
 

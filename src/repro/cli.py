@@ -1266,24 +1266,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    from .clkernel.errors import CLFrontendError
-    from .measure.replay import ReplayError
-    from .serve.artifacts import ArtifactError
-    from .serve.service import ServiceError
+#: Errors a command reports as ``error: ...`` with exit status 2, besides
+#: :class:`CLIUsageError` and :class:`FileNotFoundError`: (module, class).
+_USER_ERRORS = (
+    ("repro.clkernel.errors", "CLFrontendError"),
+    ("repro.measure.replay", "ReplayError"),
+    ("repro.serve.artifacts", "ArtifactError"),
+    ("repro.serve.service", "ServiceError"),
+)
 
+
+def _user_error_types() -> tuple[type[Exception], ...]:
+    """The user-facing error classes the command could have raised.
+
+    Looked up, never imported: a class whose module the command did not
+    load cannot have been raised, and importing it here would cost every
+    command the measure and serve stacks.
+    """
+    types: list[type[Exception]] = [CLIUsageError, FileNotFoundError]
+    for module_name, class_name in _USER_ERRORS:
+        module = sys.modules.get(module_name)
+        if module is not None:
+            types.append(getattr(module, class_name))
+    return tuple(types)
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ArtifactError,
-        CLFrontendError,
-        CLIUsageError,
-        FileNotFoundError,
-        ReplayError,
-        ServiceError,
-    ) as exc:
+    except Exception as exc:
+        if not isinstance(exc, _user_error_types()):
+            raise
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -312,6 +312,8 @@ class FunctionDef:
     body: Block
     is_kernel: bool = False
     line: int = 0
+    #: Deepest nesting level the body reaches (see ``parser.MAX_NESTING_DEPTH``).
+    depth: int = 0
 
 
 @dataclass

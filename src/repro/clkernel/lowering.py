@@ -64,7 +64,7 @@ from .ast_nodes import (
 from .builtins import classify_builtin, returns_float
 from .errors import CLLoweringError
 from .ir import IRRegion, KernelIR
-from .parser import parse
+from .parser import MAX_NESTING_DEPTH, parse
 
 #: Static branch probability for `if` bodies (ablated; see DESIGN.md).
 DEFAULT_BRANCH_PROBABILITY = 0.5
@@ -130,6 +130,10 @@ class Lowerer:
         self.unit = unit
         self.branch_probability = branch_probability
         self._inline_stack: list[str] = []
+        #: Nesting the inlined call chain has used: each function's depth
+        #: plus one per call, bounded like one function's nesting so the
+        #: recursive lowering of a long helper chain stays shallow.
+        self._nesting = 0
         self._uses_local = False
         self._has_barrier = False
 
@@ -138,6 +142,7 @@ class Lowerer:
     def lower_kernel(self, kernel: FunctionDef) -> KernelIR:
         self._uses_local = False
         self._has_barrier = False
+        self._nesting = kernel.depth
         root = IRRegion(kind="body", line=kernel.line)
         scope = _Scope()
         for param in kernel.params:
@@ -538,15 +543,22 @@ class Lowerer:
                 f"{expr.callee!r} expects {len(callee.params)} args, got {len(expr.args)}",
                 expr.line,
             )
+        nesting = self._nesting + callee.depth + 1
+        if nesting > MAX_NESTING_DEPTH:
+            raise CLLoweringError(
+                f"helper calls nest deeper than {MAX_NESTING_DEPTH} levels", expr.line
+            )
         inline_scope = _Scope()
         for param, arg in zip(callee.params, expr.args):
             self._lower_expr(arg, region, scope)
             inline_scope.declare(param.name, param.param_type)
         self._inline_stack.append(expr.callee)
+        outer, self._nesting = self._nesting, nesting
         try:
             self._lower_block(callee.body, region, inline_scope)
         finally:
             self._inline_stack.pop()
+            self._nesting = outer
         return callee.return_type
 
     def _lower_index_load(self, expr: Index, region: IRRegion, scope: _Scope) -> CLType:

@@ -16,6 +16,15 @@ The parser is deliberately permissive about OpenCL qualifiers it does not
 model (``restrict``, ``volatile``, ``inline``) — they are accepted and
 dropped, mirroring how Clang's IR erases them before the paper's feature
 pass runs.
+
+Nesting is bounded: every construct that nests — a parenthesized
+expression, index subscript, call's arguments, prefix operator or cast,
+ternary branch, assignment right-hand side, binary or comma operator, and
+a block or ``if``/loop body — is one level, and a source nested deeper
+than :data:`MAX_NESTING_DEPTH` levels raises :class:`CLParseError` at the
+token that opens the level too many.  The parser, the lowering and the
+IR walks all recurse per level, so the bound keeps hostile input a typed
+error instead of a ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -77,6 +86,8 @@ _BIN_PRECEDENCE: dict[str, int] = {
     "%": 10,
 }
 
+_PREFIX_OPS = frozenset({"-", "+", "!", "~", "*", "&", "++", "--"})
+
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="})
 
 _ADDR_SPACE_KEYWORDS = frozenset(
@@ -85,6 +96,14 @@ _ADDR_SPACE_KEYWORDS = frozenset(
 _IGNORED_QUALIFIERS = frozenset(
     {"restrict", "volatile", "inline", "static", "__read_only", "__write_only"}
 )
+_COMPOUND_KEYWORDS = frozenset({"if", "for", "while", "do"})
+
+#: Deepest statement-plus-expression nesting a source may have.  A
+#: parenthesized level costs the recursive-descent parser seven Python
+#: frames, so a source this deep parses, lowers and extracts well inside
+#: the interpreter's default 1000-frame recursion limit, even from a
+#: caller already some 150 frames down.
+MAX_NESTING_DEPTH = 100
 
 
 class Parser:
@@ -93,6 +112,9 @@ class Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.toks = tokens
         self.idx = 0
+        self._depth = 0
+        #: Deepest ``_depth`` reached in the function being parsed.
+        self._deepest = 0
 
     # -- cursor helpers ------------------------------------------------------
 
@@ -110,6 +132,15 @@ class Parser:
     def _error(self, message: str, tok: Token | None = None) -> CLParseError:
         tok = tok or self._peek()
         return CLParseError(f"{message} (got {tok.text!r})", tok.line, tok.col)
+
+    def _descend(self, tok: Token) -> None:
+        """Enter one nesting level opened by ``tok``; callers leave it by
+        decrementing ``_depth`` (an error abandons the whole parse)."""
+        self._depth += 1
+        if self._depth > self._deepest:
+            if self._depth > MAX_NESTING_DEPTH:
+                raise self._error(f"nesting deeper than {MAX_NESTING_DEPTH} levels", tok)
+            self._deepest = self._depth
 
     def _expect_punct(self, text: str) -> Token:
         tok = self._next()
@@ -236,6 +267,7 @@ class Parser:
                 if not self._accept_punct(","):
                     break
         self._expect_punct(")")
+        self._deepest = 0
         body = self._parse_block()
         return FunctionDef(
             name=name_tok.text,
@@ -244,6 +276,7 @@ class Parser:
             body=body,
             is_kernel=is_kernel,
             line=start.line,
+            depth=self._deepest,
         )
 
     def _parse_param(self) -> ParamDecl:
@@ -265,16 +298,13 @@ class Parser:
 
     def _parse_stmt(self) -> Stmt:
         tok = self._peek()
-        if tok.is_punct("{"):
-            return self._parse_block()
-        if tok.is_keyword("if"):
-            return self._parse_if()
-        if tok.is_keyword("for"):
-            return self._parse_for()
-        if tok.is_keyword("while"):
-            return self._parse_while()
-        if tok.is_keyword("do"):
-            return self._parse_do_while()
+        if tok.is_punct("{") or (
+            tok.kind is TokKind.KEYWORD and tok.text in _COMPOUND_KEYWORDS
+        ):
+            self._descend(tok)
+            stmt = self._parse_compound(tok)
+            self._depth -= 1
+            return stmt
         if tok.is_keyword("return"):
             self._next()
             value = None if self._peek().is_punct(";") else self._parse_expr()
@@ -322,6 +352,17 @@ class Parser:
         expr = self._parse_expr()
         self._expect_punct(";")
         return ExprStmt(expr=expr, line=tok.line)
+
+    def _parse_compound(self, tok: Token) -> Stmt:
+        if tok.is_punct("{"):
+            return self._parse_block()
+        if tok.text == "if":
+            return self._parse_if()
+        if tok.text == "for":
+            return self._parse_for()
+        if tok.text == "while":
+            return self._parse_while()
+        return self._parse_do_while()
 
     def _parse_decl(self) -> DeclStmt:
         dtype = self._parse_qualified_type()
@@ -382,11 +423,14 @@ class Parser:
 
     def _parse_expr(self) -> Expr:
         expr = self._parse_assignment()
+        depth = self._depth
         # Comma operator: evaluate both; used in for-steps like `i++, j++`.
+        # Each one deepens the left-leaning tree by a level.
         while self._peek().is_punct(",") and self._comma_allowed:
-            self._next()
+            self._descend(self._next())
             rhs = self._parse_assignment()
             expr = BinaryOp(op=",", lhs=expr, rhs=rhs, line=expr.line)
+        self._depth = depth
         return expr
 
     #: The comma operator is only valid where it cannot be confused with an
@@ -397,49 +441,54 @@ class Parser:
         lhs = self._parse_ternary()
         tok = self._peek()
         if tok.kind is TokKind.PUNCT and tok.text in _ASSIGN_OPS:
-            self._next()
+            self._descend(self._next())
             rhs = self._parse_assignment()
+            self._depth -= 1
             return Assignment(op=tok.text, target=lhs, value=rhs, line=tok.line)
         return lhs
 
     def _parse_ternary(self) -> Expr:
         cond = self._parse_binary(1)
-        if self._accept_punct("?"):
+        if self._peek().is_punct("?"):
+            self._descend(self._next())
             then = self._parse_assignment()
             self._expect_punct(":")
             otherwise = self._parse_assignment()
+            self._depth -= 1
             return Ternary(cond=cond, then=then, otherwise=otherwise, line=cond.line)
         return cond
 
     def _parse_binary(self, min_prec: int) -> Expr:
         lhs = self._parse_unary()
+        depth = self._depth
         while True:
             tok = self._peek()
             if tok.kind is not TokKind.PUNCT:
-                return lhs
+                break
             prec = _BIN_PRECEDENCE.get(tok.text, 0)
             if prec < min_prec or prec == 0:
-                return lhs
-            self._next()
+                break
+            # Each operator deepens the left-leaning tree by a level.
+            self._descend(self._next())
             rhs = self._parse_binary(prec + 1)
             lhs = BinaryOp(op=tok.text, lhs=lhs, rhs=rhs, line=tok.line)
+        self._depth = depth
+        return lhs
 
     def _parse_unary(self) -> Expr:
         tok = self._peek()
-        if tok.kind is TokKind.PUNCT and tok.text in ("-", "+", "!", "~", "*", "&"):
-            self._next()
+        if tok.kind is TokKind.PUNCT and tok.text in _PREFIX_OPS:
+            self._descend(self._next())
             operand = self._parse_unary()
-            return UnaryOp(op=tok.text, operand=operand, line=tok.line)
-        if tok.kind is TokKind.PUNCT and tok.text in ("++", "--"):
-            self._next()
-            operand = self._parse_unary()
+            self._depth -= 1
             return UnaryOp(op=tok.text, operand=operand, line=tok.line)
         # C-style cast: '(' type ')' unary
         if tok.is_punct("(") and self._is_cast_ahead():
-            self._next()
+            self._descend(self._next())
             ctype = self._parse_qualified_type()
             self._expect_punct(")")
             operand = self._parse_unary()
+            self._depth -= 1
             return Cast(target_type=ctype, operand=operand, line=tok.line)
         return self._parse_postfix()
 
@@ -455,9 +504,10 @@ class Parser:
         while True:
             tok = self._peek()
             if tok.is_punct("["):
-                self._next()
+                self._descend(self._next())
                 index = self._parse_expr()
                 self._expect_punct("]")
+                self._depth -= 1
                 expr = Index(base=expr, index=index, line=tok.line)
             elif tok.is_punct("."):
                 self._next()
@@ -493,16 +543,18 @@ class Parser:
                 return self._parse_call(tok.text, tok)
             raise self._error("unexpected type keyword in expression", tok)
         if tok.is_punct("("):
+            self._descend(tok)
             saved = self._comma_allowed
             self._comma_allowed = True
             expr = self._parse_expr()
             self._comma_allowed = saved
             self._expect_punct(")")
+            self._depth -= 1
             return expr
         raise self._error("expected expression", tok)
 
     def _parse_call(self, callee: str, tok: Token) -> Call:
-        self._expect_punct("(")
+        self._descend(self._expect_punct("("))
         args: list[Expr] = []
         saved = self._comma_allowed
         self._comma_allowed = False
@@ -515,6 +567,7 @@ class Parser:
             self._expect_punct(")")
         finally:
             self._comma_allowed = saved
+        self._depth -= 1
         return Call(callee=callee, args=args, line=tok.line)
 
 

@@ -182,6 +182,12 @@ class DevicePool:
     def _ensure_pool(self) -> multiprocessing.pool.Pool:
         if self._pool is None:
             ctx = multiprocessing.get_context(self._mp_context)
+            if ctx.get_start_method() == "fork":
+                # Workers train campaign legs, whose linear SVR fit needs
+                # scipy.optimize.  Loaded once here, its pages are shared
+                # by every forked worker instead of each faulting in its
+                # own ~16 MB copy.
+                import scipy.optimize  # noqa: F401
             self._pool = ctx.Pool(
                 processes=self.workers,
                 initializer=_init_device_worker,

@@ -27,7 +27,6 @@ energy model, an RBF kernel with ``γ = 0.1``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .kernels import Kernel, LinearKernel, RBFKernel, kernel_from_state
 from .scaling import array_from_state, array_to_state
@@ -176,6 +175,10 @@ class SVR:
             grad_b = c_weight * float(np.sum(grad_r))
             value = 0.5 * float(w @ w) + c_weight * float(np.sum(loss))
             return value, np.concatenate([grad_w, [grad_b]])
+
+        # Imported here, not at module level: loading scipy.optimize costs
+        # more than the rest of a cold start, and serving never fits.
+        from scipy.optimize import minimize
 
         start = np.zeros(d + 1)
         result = minimize(

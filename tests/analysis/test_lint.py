@@ -59,6 +59,18 @@ class TestLintSource:
         assert findings[0].severity == "error"
         assert findings[0].render().startswith("lit.cl:1:")
 
+    def test_too_deep_nesting_is_a_finding_not_a_crash(self):
+        depth = 400
+        source = "__kernel void k(__global float* a) { a[0] = %s1%s; }" % (
+            "(" * depth,
+            ")" * depth,
+        )
+        findings, checked = lint_source(source, label="deep.cl")
+        assert checked == 0
+        assert [f.finding.code for f in findings] == ["frontend-error"]
+        assert "nesting deeper than" in findings[0].finding.message
+        assert findings[0].render().startswith("deep.cl:1:")
+
     def test_kernel_name_filter(self):
         two = CLEAN + UNKNOWN_LOOP
         findings, checked = lint_source(two, kernel_name="scale")

@@ -7,8 +7,10 @@ import pytest
 from repro.campaign import CampaignPlan, run_campaign
 from repro.campaign.engine import TRACES_SUBDIR
 from repro.cli import main as cli_main
+from repro.core.dataset import DatasetAssembler
 from repro.measure import TraceRegistry
 from repro.measure import parallel as parallel_mod
+from repro.workloads import KernelSpec
 
 DEVICES = ("titan-x", "tesla-p100")
 
@@ -57,6 +59,24 @@ def measured_kernels(monkeypatch):
     return swept
 
 
+def dataset_work(monkeypatch):
+    """Count the dataset-building calls a run makes, by kind."""
+    calls = {"static_features": 0, "add": 0}
+    features, add = KernelSpec.static_features, DatasetAssembler.add
+
+    def counting_features(self, *args, **kwargs):
+        calls["static_features"] += 1
+        return features(self, *args, **kwargs)
+
+    def counting_add(self, *args, **kwargs):
+        calls["add"] += 1
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(KernelSpec, "static_features", counting_features)
+    monkeypatch.setattr(DatasetAssembler, "add", counting_add)
+    return calls
+
+
 class TestCrashResume:
     def test_truncated_leg_finishes_byte_identical(
         self, plan, reference, tmp_path, monkeypatch
@@ -87,15 +107,39 @@ class TestCrashResume:
     ):
         first = run_campaign(plan, tmp_path)
         swept = measured_kernels(monkeypatch)
+        built = dataset_work(monkeypatch)
         again = run_campaign(plan, tmp_path, resume=True)
         assert swept == []  # zero sweeps measured
+        # Current bundles need no dataset: no record replayed, no feature
+        # extracted.
+        assert built == {"static_features": 0, "add": 0}
         for before, after in zip(first.results, again.results):
             assert after.resumed_sweeps == plan.tasks_per_leg
             assert not after.trained  # model bundle proven current via hash
+            assert after.n_samples == before.n_samples
             assert after.trace_path.read_bytes() == before.trace_path.read_bytes()
             assert after.model_path.read_bytes() == before.model_path.read_bytes()
         assert again.progress is not None
         assert again.progress.skipped == 2 * plan.tasks_per_leg
+
+    def test_missing_bundle_retrains_from_the_recovered_trace(
+        self, plan, reference, tmp_path, monkeypatch
+    ):
+        first = run_campaign(plan, tmp_path)
+        lost = first.results[1].model_path
+        original = lost.read_bytes()
+        lost.unlink()
+        swept = measured_kernels(monkeypatch)
+        built = dataset_work(monkeypatch)
+        again = run_campaign(plan, tmp_path, resume=True)
+        assert swept == []
+        assert [r.trained for r in again.results] == [False, True]
+        # Only the retrained leg built its dataset, one kernel at a time.
+        n_kernels = len(plan.kernel_specs())
+        assert built == {"static_features": n_kernels, "add": n_kernels}
+        assert lost.read_bytes() == original
+        for before, after in zip(first.results, again.results):
+            assert after.n_samples == before.n_samples
 
     def test_without_resume_flag_nothing_is_reused(
         self, plan, reference, tmp_path, monkeypatch

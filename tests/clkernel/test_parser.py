@@ -25,7 +25,7 @@ from repro.clkernel.ast_nodes import (
     WhileStmt,
 )
 from repro.clkernel.errors import CLFrontendError, CLParseError
-from repro.clkernel.parser import parse, parse_kernel
+from repro.clkernel.parser import MAX_NESTING_DEPTH, Parser, parse, parse_kernel
 
 
 def parse_stmt(body: str):
@@ -313,3 +313,114 @@ class TestMalformedLiterals:
 
         with pytest.raises(CLFrontendError):
             extract_features(_LITERAL_KERNEL % literal)
+
+
+def _nested(body: str) -> str:
+    return "__kernel void k(__global float* a, int n) {\n%s\n}\n" % body
+
+
+#: One source per nesting construct, ``depth`` levels deep.
+_NESTINGS = {
+    "parentheses": lambda d: _nested("(" * d + "n" + ")" * d + ";"),
+    "prefix-operators": lambda d: _nested("!" * d + "n;"),
+    "casts": lambda d: _nested("(float)" * d + "n;"),
+    "call-arguments": lambda d: _nested("sin(" * d + "1.0f" + ")" * d + ";"),
+    "ternaries": lambda d: _nested("n ? 1 : " * d + "2;"),
+    "assignments": lambda d: _nested("n = " * d + "1;"),
+    "subscripts": lambda d: _nested("a[" * d + "0" + "]" * d + ";"),
+    "binary-operators": lambda d: _nested(" + ".join(["n"] * (d + 1)) + ";"),
+    "comma-operators": lambda d: _nested(", ".join(["n"] * (d + 1)) + ";"),
+    "blocks": lambda d: _nested("{" * d + ";" + "}" * d),
+    "if-bodies": lambda d: _nested("if (n) " * d + ";"),
+    "for-bodies": lambda d: _nested("for (;;) " * d + ";"),
+    "while-bodies": lambda d: _nested("while (n) " * d + ";"),
+    "do-bodies": lambda d: _nested("do " * d + ";" + " while (n);" * d),
+}
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("construct", sorted(_NESTINGS))
+    def test_extracts_at_the_limit(self, construct):
+        from repro.features import extract_features
+
+        extract_features(_NESTINGS[construct](MAX_NESTING_DEPTH))
+
+    @pytest.mark.parametrize("construct", sorted(_NESTINGS))
+    def test_one_level_past_the_limit_is_a_frontend_error(self, construct):
+        from repro.features import extract_features
+
+        with pytest.raises(CLFrontendError, match="nesting deeper than"):
+            extract_features(_NESTINGS[construct](MAX_NESTING_DEPTH + 1))
+
+    def test_error_points_at_the_opening_token(self):
+        depth = MAX_NESTING_DEPTH + 1
+        with pytest.raises(CLParseError) as info:
+            parse(_nested("a[0] = " + "(" * depth + "1" + ")" * depth + ";"))
+        # `a[0] =` opens a level, so the limit falls on parenthesis #100.
+        assert (info.value.line, info.value.col) == (2, 8 + MAX_NESTING_DEPTH - 1)
+
+    @pytest.mark.parametrize("construct", ["parentheses", "call-arguments", "subscripts"])
+    def test_costliest_levels_extract_from_a_deep_caller(self, construct):
+        """These levels cost the parser the most frames each; at the limit
+        the kernel still extracts from 150 frames down."""
+        from repro.features import extract_features
+
+        # A fresh source: lowering is memoized per source text.
+        source = _NESTINGS[construct](MAX_NESTING_DEPTH).replace("void k(", "void deep(")
+
+        def descend(frames):
+            return extract_features(source) if frames == 0 else descend(frames - 1)
+
+        assert descend(150) is not None
+
+    def test_helper_call_chains_share_the_budget(self):
+        """Lowering inlines each helper into its caller, so a call chain
+        nests like one function body: too long a chain is a frontend
+        error, and the longest accepted one extracts from 150 frames down."""
+        from repro.features import extract_features
+
+        def chain(length):
+            helpers = "".join(
+                f"float f{i}(float x) {{ return f{i + 1}(x); }}\n" for i in range(length)
+            )
+            return (
+                f"float f{length}(float x) {{ return x; }}\n"
+                + helpers
+                + _nested("a[0] = f0(a[0]);")
+            )
+
+        with pytest.raises(CLFrontendError, match="helper calls nest deeper than"):
+            extract_features(chain(400))
+        longest = 1
+        while True:
+            try:
+                extract_features(chain(longest + 1))
+            except CLFrontendError:
+                break
+            longest += 1
+        assert longest >= 10
+
+        # A fresh source: lowering is memoized per source text.
+        source = chain(longest).replace("void k(", "void deep(")
+
+        def descend(frames):
+            return extract_features(source) if frames == 0 else descend(frames - 1)
+
+        assert descend(150) is not None
+
+    def test_corpora_stay_far_below_the_limit(self, monkeypatch):
+        from repro.suite import test_benchmarks
+        from repro.synthetic import generate_micro_benchmarks
+
+        deepest = 0
+        original = Parser._descend
+
+        def spy(self, tok):
+            nonlocal deepest
+            original(self, tok)
+            deepest = max(deepest, self._depth)
+
+        monkeypatch.setattr(Parser, "_descend", spy)
+        for spec in [*test_benchmarks(), *generate_micro_benchmarks()]:
+            parse(spec.source)
+        assert 0 < deepest <= MAX_NESTING_DEPTH // 4

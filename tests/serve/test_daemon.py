@@ -223,6 +223,18 @@ class TestEndpoints:
         )[0] == 400
         assert request(daemon, "POST", "/predict-batch", {"requests": []})[0] == 400
 
+    def test_too_deeply_nested_kernel_400(self, daemon):
+        depth = 400
+        source = "__kernel void deep(__global float* a) { a[0] = %s1%s; }" % (
+            "(" * depth,
+            ")" * depth,
+        )
+        status, _, body = request(
+            daemon, "POST", "/predict", {"source": source, "device": "titan-x"}
+        )
+        assert status == 400
+        assert "nesting deeper than" in json.loads(body)["error"]
+
     @pytest.mark.parametrize("length", ["-1", "abc"])
     def test_invalid_content_length_400_without_reading(self, daemon, length):
         """A bad length is refused up front; the open connection must not
