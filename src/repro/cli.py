@@ -106,16 +106,15 @@ def _resolve_setup(args):
         TraceRegistry,
     )
 
-    kind = getattr(args, "backend", "simulator") or "simulator"
-    trace = getattr(args, "trace", None)
-    trace_key = getattr(args, "trace_key", None)
+    trace, trace_key, cached = args.trace, args.trace_key, args.max_cached_kernels
     record = getattr(args, "record_trace", None)
-    device = _resolve_device_cli(args.device) if getattr(args, "device", None) else None
+    device = _resolve_device_cli(args.device) if args.device else None
 
-    if kind == "replay":
+    if args.backend == "replay":
         if trace and trace_key:
             raise CLIUsageError("pass either --trace PATH or --trace-key KEY, not both")
-        cached = getattr(args, "max_cached_kernels", None)
+        if cached is not None and cached < 1:
+            raise CLIUsageError("--max-cached-kernels must be >= 1")
         if trace:
             backend = ReplayBackend(trace, device=device, max_cached_kernels=cached)
         elif trace_key:
@@ -132,7 +131,7 @@ def _resolve_setup(args):
                 "--backend replay requires --trace PATH or --trace-key KEY"
             )
         device = backend.device
-    elif kind == "nvml":
+    elif args.backend == "nvml":
         backend = NvmlBackend(device)
         device = backend.device
     else:
@@ -146,7 +145,7 @@ def _resolve_setup(args):
 
 
 def _store_root(args) -> pathlib.Path:
-    return pathlib.Path(getattr(args, "store", None) or DEFAULT_STORE)
+    return pathlib.Path(args.store or DEFAULT_STORE)
 
 
 def _context_for(args):
@@ -155,7 +154,7 @@ def _context_for(args):
     from .measure import SimulatorBackend
 
     device, backend, recorder = _resolve_setup(args)
-    recipe = "quick" if getattr(args, "quick", False) else "paper"
+    recipe = "quick" if args.quick else "paper"
     features = _feature_recipe(args)
     if (
         recorder is None
@@ -236,7 +235,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     from .serve.artifacts import save_models
 
     features = _feature_recipe(args)
-    if getattr(args, "trainer", "exact") == "streaming":
+    if args.trainer == "streaming":
         if features != "paper10":
             raise CLIUsageError(
                 "--trainer streaming supports only the default 'paper10' "
@@ -334,11 +333,7 @@ def _reject_backend_flags_with_model(args) -> None:
     """--backend/--trace select the measurement engine for in-process
     training; combined with a pre-trained --model artifact they would be
     silently ignored, so refuse the mix outright."""
-    if (
-        getattr(args, "backend", "simulator") != "simulator"
-        or getattr(args, "trace", None)
-        or getattr(args, "trace_key", None)
-    ):
+    if args.backend != "simulator" or args.trace or args.trace_key:
         raise CLIUsageError(
             "--backend/--trace/--trace-key configure in-process training and "
             "cannot be combined with --model (the artifact is already trained)"
@@ -349,30 +344,25 @@ def _serves_from_store(args) -> bool:
     """True when predict/predict-batch should route through a campaign
     store's fleet: an explicit ``--store`` with no model file and no
     replay/trace flags (those keep their in-process training meaning)."""
-    if args.model and getattr(args, "store", None):
+    if args.model and args.store:
         raise CLIUsageError(
             "pass either --model PATH (one saved bundle) or --store DIR "
             "(serve from a campaign store), not both"
         )
     return (
-        getattr(args, "store", None) is not None
+        args.store is not None
         and not args.model
-        and getattr(args, "backend", "simulator") == "simulator"
-        and not getattr(args, "trace", None)
-        and not getattr(args, "trace_key", None)
+        and args.backend == "simulator"
+        and not args.trace
+        and not args.trace_key
     )
 
 
-def _fleet_for(args):
-    """A FleetService over --store, surfacing bad stores as CLI errors.
-
-    ``--quick`` narrows routing to quick-recipe bundles — without the
-    filter a store holding both recipes would silently serve the
-    preferred (paper) bundle to a user who asked for quick.
-    """
+def _fleet_for(args, recipe: str | None = None):
+    """A FleetService over --store (routing only ``recipe`` bundles when
+    given), surfacing bad stores as CLI errors."""
     from .serve.fleet import FleetService
 
-    recipe = "quick" if getattr(args, "quick", False) else None
     return FleetService.from_campaign_store(_store_root(args), recipe=recipe)
 
 
@@ -405,30 +395,73 @@ def _print_stats(summary: dict, prefix: str = "  ") -> None:
 
 def _save_metrics_out(snapshot, args) -> None:
     """Honor --metrics-out: persist a run's metric snapshot to FILE."""
-    path = getattr(args, "metrics_out", None)
+    path = args.metrics_out
     if path:
         from .obs import save_snapshot
 
         print(f"wrote metrics snapshot to {save_snapshot(snapshot, path)}")
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
-    source = pathlib.Path(args.kernel).read_text()
-    if _serves_from_store(args):
-        fleet = _fleet_for(args)
-        result = fleet.predict(
-            source, kernel_name=args.name, device=_fleet_device(fleet, args)
-        )
-    elif args.model:
-        from .serve.service import PredictionService
+def _prediction_server(args):
+    """The server predict and predict-batch run on, as ``(kind, server)``.
 
+    ``kind`` is ``"fleet"`` for a campaign store's :class:`FleetService`
+    (``--store``; items carry a device) and ``"service"`` for a
+    :class:`PredictionService` over a saved bundle (``--model``) or over
+    in-process training.
+    """
+    if _serves_from_store(args):
+        # --quick narrows routing to quick-recipe bundles — without the
+        # filter a store holding both recipes would silently serve the
+        # preferred (paper) bundle to a user who asked for quick.
+        return "fleet", _fleet_for(args, recipe="quick" if args.quick else None)
+    from .serve.service import PredictionService
+
+    if args.model:
         _reject_backend_flags_with_model(args)
         device = _resolve_device_cli(args.device) if args.device else None
-        service = PredictionService.from_artifact(args.model, device=device)
-        result = service.predict(source, kernel_name=args.name)
+        return "service", PredictionService.from_artifact(args.model, device=device)
+    ctx, _ = _context_for(args)
+    return "service", PredictionService(models=ctx.models, device=ctx.device)
+
+
+def _predict_entries(args, entries, label_devices: bool = False):
+    """Predict ``(device, source, name, label)`` entries in one batch.
+
+    Returns ``(kind, server, fronts)`` with ``fronts`` a list of
+    ``(label, result)`` in entry order.  On a fleet, entries without a
+    device go to ``--device`` (or the store's only device), and
+    ``label_devices`` appends the routed device to each label.
+    """
+    kind, server = _prediction_server(args)
+    if kind == "fleet":
+        default_device: str | None = None
+        items = []
+        labels = []
+        for device, source, name, label in entries:
+            if device is None:
+                if default_device is None:
+                    default_device = _fleet_device(server, args)
+                device = default_device
+            items.append((device, source, name))
+            labels.append(f"{label} @ {device}" if label_devices else label)
     else:
-        ctx, _ = _context_for(args)
-        result = ctx.predictor.predict_from_source(source, kernel_name=args.name)
+        routed = sorted({d for d, *_ in entries if d is not None})
+        if routed:
+            raise CLIUsageError(
+                f"--requests lines name devices ({', '.join(routed)}) but "
+                f"there is no fleet to route them; add --store DIR"
+            )
+        items = [(source, name) for _, source, name, _ in entries]
+        labels = [label for *_, label in entries]
+    return kind, server, list(zip(labels, server.predict_batch(items)))
+
+
+def _cmd_predict(args: argparse.Namespace) -> int:
+    source = pathlib.Path(args.kernel).read_text()
+    _, _, [(_, result)] = _predict_entries(
+        args, [(None, source, args.name, args.kernel)]
+    )
     _print_front(result)
     return 0
 
@@ -483,80 +516,28 @@ def _load_request_lines(
 
 
 def _cmd_predict_batch(args: argparse.Namespace) -> int:
-    from .serve.service import PredictionService
-
-    requests_file = getattr(args, "requests", None)
-    if requests_file and args.kernels:
+    if args.requests and args.kernels:
         raise CLIUsageError(
             "pass kernel file paths or --requests FILE.jsonl, not both"
         )
-    if not requests_file and not args.kernels:
-        raise CLIUsageError(
-            "pass kernel file paths or --requests FILE.jsonl"
-        )
-
-    if _serves_from_store(args):
-        fleet = _fleet_for(args)
-        if requests_file:
-            entries = _load_request_lines(pathlib.Path(requests_file))
-            default_device: str | None = None
-            items = []
-            labels = []
-            for device, source, name, label in entries:
-                if device is None:
-                    if default_device is None:
-                        # --device, or the store's only device.
-                        default_device = _fleet_device(fleet, args)
-                    device = default_device
-                items.append((device, source, name))
-                labels.append(f"{label} @ {device}")
-        else:
-            device = _fleet_device(fleet, args)
-            items = [
-                (device, pathlib.Path(p).read_text(), args.name)
-                for p in args.kernels
-            ]
-            labels = list(args.kernels)
-        results = fleet.predict_batch(items)
-        for label, result in zip(labels, results):
-            print(f"== {label}")
-            _print_front(result)
-        if args.stats:
-            print("-- fleet stats")
-            _print_stats(fleet.stats_summary())
-        _save_metrics_out(fleet.metrics_snapshot(), args)
-        return 0
-    if args.model:
-        _reject_backend_flags_with_model(args)
-        device = _resolve_device_cli(args.device) if args.device else None
-        service = PredictionService.from_artifact(args.model, device=device)
-    else:
-        ctx, _ = _context_for(args)
-        service = PredictionService(models=ctx.models, device=ctx.device)
-
-    if requests_file:
-        entries = _load_request_lines(pathlib.Path(requests_file))
-        routed = sorted({d for d, *_ in entries if d is not None})
-        if routed:
-            raise CLIUsageError(
-                f"--requests lines name devices ({', '.join(routed)}) but "
-                f"there is no fleet to route them; add --store DIR"
-            )
-        requests = [(source, name) for _, source, name, _ in entries]
-        labels = [label for *_, label in entries]
-    else:
-        requests = [
-            (pathlib.Path(p).read_text(), args.name) for p in args.kernels
+    if args.requests:
+        entries = _load_request_lines(pathlib.Path(args.requests))
+    elif args.kernels:
+        entries = [
+            (None, pathlib.Path(p).read_text(), args.name, p) for p in args.kernels
         ]
-        labels = list(args.kernels)
-    results = service.predict_batch(requests)
-    for label, result in zip(labels, results):
+    else:
+        raise CLIUsageError("pass kernel file paths or --requests FILE.jsonl")
+    kind, server, fronts = _predict_entries(
+        args, entries, label_devices=bool(args.requests)
+    )
+    for label, result in fronts:
         print(f"== {label}")
         _print_front(result)
     if args.stats:
-        print("-- service stats")
-        _print_stats(service.stats_summary())
-    _save_metrics_out(service.stats.registry.snapshot(), args)
+        print(f"-- {kind} stats")
+        _print_stats(server.stats_summary())
+    _save_metrics_out(server.stats.registry.snapshot(), args)
     return 0
 
 
@@ -823,8 +804,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             recipe="quick" if quick else "paper",
             repeats=args.repeats,
             workers=args.workers,
-            trainer=getattr(args, "trainer", "exact"),
-            batch_rows=getattr(args, "batch_rows", 4096),
+            trainer=args.trainer,
+            batch_rows=args.batch_rows,
             features=_feature_recipe(args),
         )
     except ValueError as exc:
@@ -861,8 +842,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     try:
         spec = get_benchmark(args.benchmark)
     except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        raise CLIUsageError(exc.args[0]) from None
     # Characterization needs only a sweep, not trained models — build the
     # backend directly instead of paying for a training context.
     device, backend, recorder = _resolve_setup(args)
@@ -1299,7 +1279,11 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         if not isinstance(exc, _user_error_types()):
             raise
-        message = exc.args[0] if exc.args else exc
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # args[0] of an OSError is its errno; name the path instead.
+            message = f"{exc.strerror}: {exc.filename}"
+        else:
+            message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
 

@@ -16,11 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..features.vector import (
-    StaticFeatures,
-    build_batch_design_matrix,
-    build_design_matrix,
-)
+from ..features.vector import StaticFeatures, build_batch_design_matrix
 from ..ml import regressor_from_state, scaler_from_state
 from ..ml.model_select import Regressor
 from ..ml.scaling import StandardScaler
@@ -58,11 +54,13 @@ class TrainedModels:
         static: StaticFeatures,
         configs: list[tuple[float, float]],
     ) -> list[tuple[float, float]]:
-        """Predicted (speedup, norm. energy) for one kernel at many configs."""
-        x = build_design_matrix(static, configs, interactions=self.interactions)
-        speedups = self.predict_speedup(x)
-        energies = self.predict_energy(x)
-        return list(zip(speedups.tolist(), energies.tolist()))
+        """Predicted (speedup, norm. energy) for one kernel at many configs.
+
+        A pair-list view of :meth:`predict_objective_arrays` for a batch
+        of one kernel.
+        """
+        speedups, energies = self.predict_objective_arrays([static], configs)
+        return list(zip(speedups[0].tolist(), energies[0].tolist()))
 
     def predict_objective_arrays(
         self,
@@ -72,10 +70,9 @@ class TrainedModels:
         """Vectorized batch prediction, returned as ``(N, M)`` arrays.
 
         The N kernels × M configs block is stacked into one design matrix
-        and each model predicts it in a single vectorized call — the
-        serving path's replacement for looping :meth:`predict_objectives`
-        over kernels.  Row ``i`` holds kernel ``i``'s predicted speedups
-        (resp. normalized energies) across all configs, in config order.
+        and each model predicts it in a single vectorized call.  Row ``i``
+        holds kernel ``i``'s predicted speedups (resp. normalized
+        energies) across all configs, in config order.
         """
         x = build_batch_design_matrix(statics, configs, interactions=self.interactions)
         shape = (len(statics), len(configs))

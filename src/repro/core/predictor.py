@@ -21,7 +21,7 @@ import numpy as np
 from ..features.extractor import ExtractorConfig, FeatureExtractor
 from ..features.vector import StaticFeatures
 from ..gpusim.device import DeviceSpec
-from ..pareto.algorithms import pareto_front_masks, pareto_set_numpy
+from ..pareto.algorithms import pareto_front_masks
 from ..workloads import KernelSpec
 from .config import mem_l_heuristic_config, prediction_candidates
 from .pipeline import TrainedModels
@@ -61,20 +61,18 @@ class PredictedParetoSet:
     ``all_points`` (the full predicted point cloud, one entry per candidate
     configuration) is materialized lazily: the serving path never pays for
     N×M :class:`PredictedPoint` objects unless a caller actually inspects
-    the cloud.  Passing ``all_points`` explicitly still works and takes
-    precedence over the lazy factory.
+    the cloud.
     """
 
     def __init__(
         self,
         kernel: str,
         front: list[PredictedPoint],
-        all_points: list[PredictedPoint] | None = None,
-        cloud_factory: "Callable[[], list[PredictedPoint]] | None" = None,
+        cloud_factory: Callable[[], list[PredictedPoint]],
     ) -> None:
         self.kernel = kernel
         self.front = front
-        self._all_points = list(all_points) if all_points is not None else None
+        self._all_points: list[PredictedPoint] | None = None
         self._cloud_factory = cloud_factory
 
     def __repr__(self) -> str:
@@ -86,8 +84,7 @@ class PredictedParetoSet:
     @property
     def all_points(self) -> list[PredictedPoint]:
         if self._all_points is None:
-            factory = self._cloud_factory
-            self._all_points = factory() if factory is not None else []
+            self._all_points = self._cloud_factory()
             self._cloud_factory = None  # release the captured objectives
         return self._all_points
 
@@ -104,39 +101,6 @@ class PredictedParetoSet:
 
     def heuristic_points(self) -> list[PredictedPoint]:
         return [p for p in self.front if not p.modeled]
-
-
-class _ArrayObjectives:
-    """Tuple-list view over per-kernel objective arrays (lazy conversion)."""
-
-    __slots__ = ("_speedups", "_energies")
-
-    def __init__(self, speedups: np.ndarray, energies: np.ndarray) -> None:
-        self._speedups = speedups
-        self._energies = energies
-
-    def __len__(self) -> int:
-        return int(self._speedups.shape[0])
-
-    def __getitem__(self, i: int) -> tuple[float, float]:
-        return (float(self._speedups[i]), float(self._energies[i]))
-
-    def __iter__(self):
-        return iter(zip(self._speedups.tolist(), self._energies.tolist()))
-
-    def take(self, indices: list[int]) -> list[tuple[float, float]]:
-        """Fancy-index both objectives in two vectorized calls.
-
-        The per-index path costs two numpy-scalar ``float()`` conversions
-        per point; on the batched serving hot path that is the dominant
-        cost of front assembly, so ``_assemble`` batches it through here.
-        """
-        return list(
-            zip(
-                self._speedups[indices].tolist(),
-                self._energies[indices].tolist(),
-            )
-        )
 
 
 class ParetoPredictor:
@@ -167,33 +131,26 @@ class ParetoPredictor:
     def predict_from_source(
         self, source: str, kernel_name: str | None = None
     ) -> PredictedParetoSet:
-        static = self._extractor.extract(source, kernel_name)
-        return self.predict_from_features(static)
+        return self.predict_batch([self._extractor.extract(source, kernel_name)])[0]
 
     def predict_for_spec(self, spec: KernelSpec) -> PredictedParetoSet:
-        return self.predict_from_features(
-            spec.static_features(self._extractor.config)
-        )
+        return self.predict_batch([spec.static_features(self._extractor.config)])[0]
 
     # -- the prediction phase ---------------------------------------------------
-
-    def predict_from_features(self, static: StaticFeatures) -> PredictedParetoSet:
-        objectives = self.models.predict_objectives(static, self.candidates)
-        front_idx = pareto_set_numpy(objectives)
-        return self._assemble(static.kernel_name, objectives, front_idx)
 
     def predict_batch(
         self, statics: Sequence[StaticFeatures]
     ) -> list[PredictedParetoSet]:
         """Predict Pareto sets for many kernels with one model pass.
 
-        All kernels share ``self.candidates``; the stacked design matrix is
+        The one prediction path: a single kernel is a batch of one.  All
+        kernels share ``self.candidates``; the stacked design matrix is
         scaled and predicted once per model (see
-        :meth:`TrainedModels.predict_objective_arrays`), and per-kernel
-        front extraction is the batched form of the dominance test
-        :meth:`predict_from_features` uses, so front membership matches it
-        kernel for kernel (predicted objectives may differ by ~1 ulp: BLAS
-        reassociates sums differently for different matrix shapes).
+        :meth:`TrainedModels.predict_objective_arrays`), and each kernel's
+        front is its row of the batched dominance test.  Front membership
+        never depends on the batch; predicted objectives may differ by
+        ~1 ulp between batch sizes (BLAS reassociates sums differently for
+        different matrix shapes).
         """
         statics = list(statics)
         if not statics:
@@ -202,40 +159,37 @@ class ParetoPredictor:
             statics, self.candidates
         )
         masks = pareto_front_masks(speedups, energies)
-        results: list[PredictedParetoSet] = []
-        for i, static in enumerate(statics):
-            front_idx = np.flatnonzero(masks[i]).tolist()
-            results.append(
-                self._assemble(
-                    static.kernel_name,
-                    # Row copies, so a retained result pins M floats per
-                    # objective instead of the whole (N, M) batch matrix.
-                    _ArrayObjectives(speedups[i].copy(), energies[i].copy()),
-                    front_idx,
-                )
+        return [
+            self._assemble(
+                static.kernel_name,
+                # Row copies, so a retained result pins M floats per
+                # objective instead of the whole (N, M) batch matrix.
+                speedups[i].copy(),
+                energies[i].copy(),
+                np.flatnonzero(masks[i]).tolist(),
             )
-        return results
+            for i, static in enumerate(statics)
+        ]
 
     def _assemble(
         self,
         kernel_name: str,
-        objectives: "Sequence[tuple[float, float]]",
+        speedups: np.ndarray,
+        energies: np.ndarray,
         front_idx: list[int],
     ) -> PredictedParetoSet:
         """Fig. 3 steps 5–9 for one kernel's predicted point cloud.
 
-        ``objectives`` only needs indexing and iteration: the sequential
-        path passes the plain tuple list, the batch path an array-backed
-        view so the full M-point cloud is never materialized eagerly.
+        ``speedups`` and ``energies`` hold the kernel's predictions in
+        candidate order; the full M-point cloud is only materialized if a
+        caller reads ``all_points``.
         """
         candidates = self.candidates
-        if isinstance(objectives, _ArrayObjectives):
-            front_objectives = objectives.take(front_idx)
-        else:
-            front_objectives = [objectives[i] for i in front_idx]
+        front_speedups = speedups[front_idx].tolist()
+        front_energies = energies[front_idx].tolist()
         front = [
             PredictedPoint(candidates[i][0], candidates[i][1], s, e)
-            for i, (s, e) in zip(front_idx, front_objectives)
+            for i, s, e in zip(front_idx, front_speedups, front_energies)
         ]
 
         if self.use_mem_l_heuristic:
@@ -250,8 +204,8 @@ class ParetoPredictor:
                     PredictedPoint(
                         core_mhz=heuristic[0],
                         mem_mhz=heuristic[1],
-                        speedup=min(s for s, _ in front_objectives),
-                        norm_energy=min(e for _, e in front_objectives),
+                        speedup=min(front_speedups),
+                        norm_energy=min(front_energies),
                         modeled=False,
                     )
                 )
@@ -263,7 +217,9 @@ class ParetoPredictor:
                 PredictedPoint(
                     core_mhz=core, mem_mhz=mem, speedup=s, norm_energy=e
                 )
-                for (core, mem), (s, e) in zip(candidates, objectives)
+                for (core, mem), s, e in zip(
+                    candidates, speedups.tolist(), energies.tolist()
+                )
             ]
 
         return PredictedParetoSet(

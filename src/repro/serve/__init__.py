@@ -31,7 +31,7 @@ Fleet serving a campaign store::
     from repro.serve import FleetService
 
     fleet = FleetService.from_campaign_store("repro-store")
-    front = fleet.pareto_front_for("tesla-p100", kernel_source)
+    front = fleet.predict(kernel_source, device="tesla-p100")
 """
 
 from .artifacts import (

@@ -76,8 +76,18 @@ from .fleet import FleetError, FleetService
 from .service import PredictionService, ServiceError
 
 
+#: Largest request body the daemon reads.  Prediction bursts run to tens
+#: of kilobytes; a longer ``Content-Length`` gets 413 before any of the
+#: body is read.
+MAX_REQUEST_BYTES = 1 << 20
+
+
 class DaemonError(ServiceError):
     """Raised for daemon lifecycle/configuration mistakes."""
+
+
+class _RequestTooLarge(ValueError):
+    """A request declared a body longer than :data:`MAX_REQUEST_BYTES`."""
 
 
 class Overloaded(DaemonError):
@@ -102,7 +112,9 @@ class DaemonConfig:
     added latency, while under load the window fills long before it
     expires.  ``max_queue`` bounds queued-plus-in-flight requests per
     device lane (the admission-control knob).  ``reload_interval_s = 0``
-    disables the hot-reload poller.
+    disables the hot-reload poller.  ``request_timeout_s`` bounds both
+    the wait for a queued prediction and every socket read or write of a
+    request handler, so a stalled client cannot pin a handler thread.
     """
 
     host: str = "127.0.0.1"
@@ -511,6 +523,8 @@ class ServeDaemon:
 
 
 def _status_for(exc: BaseException) -> int:
+    if isinstance(exc, _RequestTooLarge):
+        return 413
     if isinstance(exc, Overloaded):
         return 503
     if isinstance(exc, FleetError):
@@ -597,6 +611,12 @@ class _DaemonHandler(BaseHTTPRequestHandler):
     def daemon(self) -> ServeDaemon:
         return self.server.repro_daemon  # type: ignore[attr-defined]
 
+    def setup(self) -> None:
+        # StreamRequestHandler.setup applies ``timeout`` to the socket; a
+        # read that times out outside a request body ends the connection.
+        self.timeout = self.daemon.config.request_timeout_s
+        super().setup()
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # per-request stderr lines would swamp a load test
 
@@ -639,7 +659,19 @@ class _DaemonHandler(BaseHTTPRequestHandler):
             # cannot be framed, so the connection is not reusable either.
             self.close_connection = True
             raise ValueError(f"invalid Content-Length: {header!r}")
-        raw = self.rfile.read(length) if length else b""
+        if length > MAX_REQUEST_BYTES:
+            # Refuse before reading; the unread body would otherwise be
+            # parsed as the next request, so the connection closes too.
+            self.close_connection = True
+            raise _RequestTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_REQUEST_BYTES}-byte limit"
+            )
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            self.close_connection = True
+            raise
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

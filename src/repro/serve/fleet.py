@@ -456,16 +456,8 @@ class FleetService:
     def predict(
         self, source: str, kernel_name: str | None = None, *, device: str
     ) -> PredictedParetoSet:
-        """One kernel on one device — routed single-request path."""
-        service = self.service_for(device)
-        self.stats.inc(FLEET_REQUESTS_ROUTED_TOTAL)
-        return service.predict(source, kernel_name=kernel_name)
-
-    def pareto_front_for(
-        self, device: str, source: str, kernel_name: str | None = None
-    ) -> PredictedParetoSet:
-        """A device's predicted Pareto set for one kernel source."""
-        return self.predict(source, kernel_name=kernel_name, device=device)
+        """One kernel on one device — a routed batch of one."""
+        return self._route([(device, source, kernel_name)], mode="single")[0]
 
     def predict_batch(self, requests: Sequence) -> list[PredictedParetoSet]:
         """Cross-device batch: items are ``(device, source[, kernel_name])``.
@@ -473,18 +465,26 @@ class FleetService:
         Requests are grouped by device so each device's service runs one
         vectorized model pass; results come back in request order.
         """
-        normalized = [_normalize_request(r) for r in requests]
+        return self._route(
+            [_normalize_request(r) for r in requests], mode="batch"
+        )
+
+    def _route(
+        self, requests: list[tuple[str, str, str | None]], mode: str
+    ) -> list[PredictedParetoSet]:
+        """The one routing body; a ``single`` request is not a routed batch."""
         groups: OrderedDict[str, list[int]] = OrderedDict()
-        for index, (device, _source, _name) in enumerate(normalized):
+        for index, (device, _source, _name) in enumerate(requests):
             groups.setdefault(self.slug_for(device), []).append(index)
-        results: list[PredictedParetoSet | None] = [None] * len(normalized)
+        results: list[PredictedParetoSet | None] = [None] * len(requests)
         for slug, indices in groups.items():
             service = self._service_for_slug(slug)
-            batch = [(normalized[i][1], normalized[i][2]) for i in indices]
-            for i, result in zip(indices, service.predict_batch(batch)):
+            batch = [(requests[i][1], requests[i][2]) for i in indices]
+            for i, result in zip(indices, service._predict(batch, mode)):
                 results[i] = result
-        self.stats.inc(FLEET_BATCHES_ROUTED_TOTAL)
-        self.stats.inc(FLEET_REQUESTS_ROUTED_TOTAL, float(len(normalized)))
+        if mode == "batch":
+            self.stats.inc(FLEET_BATCHES_ROUTED_TOTAL)
+        self.stats.inc(FLEET_REQUESTS_ROUTED_TOTAL, float(len(requests)))
         return results  # type: ignore[return-value]
 
     # -- telemetry --------------------------------------------------------------

@@ -279,12 +279,8 @@ class PredictionService:
         return features
 
     def predict(self, source: str, kernel_name: str | None = None) -> PredictedParetoSet:
-        """One kernel → its predicted Pareto set (single-request path)."""
-        features = self.features_for(source, kernel_name)
-        start = self.clock()
-        result = self.predictor.predict_from_features(features)
-        self.stats.observe_predict(self.clock() - start, kernels=1, mode="single")
-        return result
+        """One kernel → its predicted Pareto set (a batch of one)."""
+        return self._predict([(source, kernel_name)], mode="single")[0]
 
     def predict_batch(self, requests: Sequence) -> list[PredictedParetoSet]:
         """Many kernels → their Pareto sets via one vectorized model pass.
@@ -292,12 +288,17 @@ class PredictionService:
         ``requests`` items are source strings or ``(source, kernel_name)``
         pairs.  Results are in request order.
         """
-        pairs = [_normalize(r) for r in requests]
+        return self._predict([_normalize(r) for r in requests], mode="batch")
+
+    def _predict(
+        self, pairs: list[tuple[str, str | None]], mode: str
+    ) -> list[PredictedParetoSet]:
+        """The one prediction body; ``mode`` labels the request counter."""
         features = [self.features_for(src, name) for src, name in pairs]
         start = self.clock()
         results = self.predictor.predict_batch(features)
         self.stats.observe_predict(
-            self.clock() - start, kernels=len(results), mode="batch"
+            self.clock() - start, kernels=len(results), mode=mode
         )
         return results
 

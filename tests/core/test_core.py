@@ -144,6 +144,20 @@ class TestTrainedModels:
         assert np.mean(corrs) > 0.75
         assert min(corrs) > 0.3
 
+    def test_predict_objectives_is_one_kernel_of_the_batch_pass(self, ctx):
+        from repro.features.vector import build_design_matrix
+
+        static = get_benchmark("MT").static_features()
+        pairs = ctx.models.predict_objectives(static, ctx.settings)
+        speedups, energies = ctx.models.predict_objective_arrays(
+            [static], ctx.settings
+        )
+        assert pairs == list(zip(speedups[0].tolist(), energies[0].tolist()))
+        # The single-kernel design matrix predicts the same values bit for bit.
+        x = build_design_matrix(static, ctx.settings)
+        assert [s for s, _ in pairs] == ctx.models.predict_speedup(x).tolist()
+        assert [e for _, e in pairs] == ctx.models.predict_energy(x).tolist()
+
     def test_energy_predictions_positive(self, ctx):
         spec = get_benchmark("MT")
         objs = ctx.models.predict_objectives(spec.static_features(), ctx.settings)
@@ -200,6 +214,16 @@ class TestParetoPredictor:
         result = ctx.predictor.predict_from_source(src)
         assert result.kernel == "axpy"
         assert result.size >= 1
+
+    def test_single_kernel_entry_points_are_batches_of_one(self, ctx):
+        spec = get_benchmark("K-means")
+        [batched] = ctx.predictor.predict_batch([spec.static_features()])
+        for result in (
+            ctx.predictor.predict_for_spec(spec),
+            ctx.predictor.predict_from_source(spec.source, spec.kernel_name),
+        ):
+            assert result.front == batched.front
+            assert result.all_points == batched.all_points
 
     def test_all_points_cover_candidates(self, ctx):
         result = ctx.predictor.predict_for_spec(get_benchmark("AES"))

@@ -1,10 +1,14 @@
-"""Batched inference: equivalence with the sequential per-kernel path."""
+"""Batched inference: a batch of N kernels against N batches of one."""
+
+import pathlib
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.features import extract_features
 from repro.harness.context import quick_context
 from repro.pareto.algorithms import (
     pareto_front_masks,
@@ -13,10 +17,37 @@ from repro.pareto.algorithms import (
     pareto_set_simple,
 )
 from repro.suite import test_benchmarks as suite_benchmarks
+from repro.synthetic import MixRecipe, generate_micro_benchmarks, render_mix
 
-#: Batched model predictions may differ from the per-kernel path by BLAS
-#: sum reassociation (shape-dependent blocking) — a few ulp, nothing more.
+#: Batched model predictions may differ from a batch of one by BLAS sum
+#: reassociation (shape-dependent blocking) — a few ulp, nothing more.
 ULP_TOL = 1e-12
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples" / "kernels"
+
+_MIX_CLASSES = (
+    "int_add", "int_mul", "int_div", "int_bw", "float_add",
+    "float_mul", "float_div", "sf", "gl_access", "loc_access",
+)
+
+
+def _corpus_statics():
+    """Suite, micro-benchmarks, example kernels and 40 seeded mix kernels."""
+    specs = suite_benchmarks() + generate_micro_benchmarks()
+    statics = [spec.static_features() for spec in specs]
+    statics += [
+        extract_features(path.read_text()) for path in sorted(EXAMPLES.glob("*.cl"))
+    ]
+    rng = random.Random(13)
+    for i in range(40):
+        ops = {
+            c: rng.randint(1, 40)
+            for c in rng.sample(_MIX_CLASSES, rng.randint(2, 4))
+        }
+        statics.append(
+            extract_features(render_mix(MixRecipe(name=f"mix-{i}", ops=ops)))
+        )
+    return statics
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +109,7 @@ class TestObjectiveBatching:
 class TestPredictorBatch:
     def test_batch_matches_sequential(self, ctx, statics):
         predictor = ctx.predictor
-        sequential = [predictor.predict_from_features(s) for s in statics]
+        sequential = [predictor.predict_batch([s])[0] for s in statics]
         batched = predictor.predict_batch(statics)
         assert len(batched) == len(sequential)
         for seq, bat in zip(sequential, batched):
@@ -106,8 +137,23 @@ class TestPredictorBatch:
         points = result.all_points
         assert len(points) == len(ctx.predictor.candidates)
         assert result.all_points is points  # materialized once
-        single = ctx.predictor.predict_from_features(statics[0])
-        assert [p.config for p in points] == [p.config for p in single.all_points]
+        batched = ctx.predictor.predict_batch(statics)[0]
+        assert [p.config for p in points] == [p.config for p in batched.all_points]
+        for single_point, batched_point in zip(points, batched.all_points):
+            assert single_point.speedup == pytest.approx(
+                batched_point.speedup, abs=ULP_TOL
+            )
+
+    def test_corpus_fronts_match_batches_of_one(self, ctx):
+        statics = _corpus_statics()
+        assert len(statics) == 12 + 106 + 3 + 40
+        batched = ctx.predictor.predict_batch(statics)
+        for static, result in zip(statics, batched):
+            [single] = ctx.predictor.predict_batch([static])
+            assert result.kernel == single.kernel == static.kernel_name
+            assert [(p.config, p.modeled) for p in result.front] == [
+                (p.config, p.modeled) for p in single.front
+            ], static.kernel_name
 
     def test_empty_batch(self, ctx):
         assert ctx.predictor.predict_batch([]) == []

@@ -31,7 +31,13 @@ from repro.obs.instruments import (
     DAEMON_RELOADS_TOTAL,
     DAEMON_SHED_TOTAL,
 )
-from repro.serve.daemon import DaemonConfig, DaemonError, Overloaded, ServeDaemon
+from repro.serve.daemon import (
+    MAX_REQUEST_BYTES,
+    DaemonConfig,
+    DaemonError,
+    Overloaded,
+    ServeDaemon,
+)
 from repro.serve.fleet import FleetService
 from repro.serve.registry import ModelKey, ModelRegistry
 from repro.store.layout import DAEMON_METRICS_FILENAME, METRICS_SUBDIR, MODELS_SUBDIR
@@ -252,6 +258,20 @@ class TestEndpoints:
         assert resp.status == 400
         assert "Content-Length" in json.loads(body)["error"]
 
+    def test_oversized_content_length_413_without_reading(self, daemon):
+        with socket.create_connection(daemon.address, timeout=5) as sock:
+            sock.sendall(
+                b"POST /predict HTTP/1.1\r\nHost: localhost\r\n"
+                + f"Content-Length: {MAX_REQUEST_BYTES + 1}\r\n\r\n".encode()
+            )
+            resp = http.client.HTTPResponse(sock)
+            resp.begin()
+            body = resp.read()
+            assert resp.status == 413
+            assert "exceeds" in json.loads(body)["error"]
+            # The unread body cannot be framed, so the daemon hangs up.
+            assert sock.recv(1) == b""
+
     def test_unknown_device_404(self, daemon):
         status, _, body = request(
             daemon, "POST", "/predict",
@@ -272,6 +292,32 @@ class TestEndpoints:
         assert "# TYPE repro_daemon_requests_total counter" in text
         assert "repro_fleet_requests_routed_total" in text
         assert request(daemon, "GET", "/stats?format=bogus")[0] == 400
+
+
+class TestHandlerTimeout:
+    @pytest.fixture(scope="class")
+    def impatient(self, store):
+        daemon = make_daemon(store, request_timeout_s=0.5)
+        yield daemon
+        daemon.close()
+
+    def test_silent_client_is_disconnected(self, impatient):
+        with socket.create_connection(impatient.address, timeout=5) as sock:
+            started = time.monotonic()
+            assert sock.recv(1) == b""
+        assert time.monotonic() - started < 4.0
+
+    def test_stalled_body_is_answered_and_disconnected(self, impatient):
+        with socket.create_connection(impatient.address, timeout=5) as sock:
+            sock.sendall(
+                b"POST /predict HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: 100\r\n\r\n{"
+            )
+            resp = http.client.HTTPResponse(sock)
+            resp.begin()
+            resp.read()
+            assert resp.status == 504
+            assert sock.recv(1) == b""
 
 
 class TestMicroBatching:

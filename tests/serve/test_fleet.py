@@ -152,10 +152,11 @@ class TestRouting:
                 fleet.predict(SAXPY, device=device)
             ) == front_bytes(direct.predict(SAXPY))
 
-    def test_pareto_front_for_is_the_routed_predict(self, fleet):
-        assert front_bytes(
-            fleet.pareto_front_for("p100", SAXPY)
-        ) == front_bytes(fleet.predict(SAXPY, device="tesla-p100"))
+    def test_predict_is_a_routed_batch_of_one(self, fleet):
+        [batched] = fleet.predict_batch([("p100", SAXPY)])
+        assert front_bytes(fleet.predict(SAXPY, device="tesla-p100")) == (
+            front_bytes(batched)
+        )
 
     def test_devices_differ(self, fleet):
         # Sanity: routing matters — the two devices disagree on the front.

@@ -50,6 +50,14 @@ class TestServicePredictions:
             single = service.predict(source, kernel_name=name)
             assert [p.config for p in bat.front] == [p.config for p in single.front]
 
+    def test_single_is_a_batch_of_one(self, service):
+        spec = suite_benchmarks()[1]
+        single = service.predict(spec.source, kernel_name=spec.kernel_name)
+        [batched] = service.predict_batch([(spec.source, spec.kernel_name)])
+        assert single.front == batched.front
+        assert service.stats.single_requests == 1
+        assert service.stats.batch_requests == 1
+
     def test_plain_string_requests(self, service):
         results = service.predict_batch([SAXPY, SAXPY])
         assert len(results) == 2

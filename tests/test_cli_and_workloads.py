@@ -53,6 +53,18 @@ class TestCLI:
     def test_characterize_unknown_benchmark(self, capsys):
         assert main(["characterize", "--quick", "nope"]) == 2
 
+    def test_characterize_unknown_benchmark_is_a_usage_error(self, capsys):
+        assert main(["characterize", "--quick", "nope"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown benchmark")
+
+    @pytest.mark.parametrize("command", [["features"], ["predict", "--quick"]])
+    def test_missing_kernel_file_names_the_path(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.cl"
+        assert main([*command, str(missing)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: No such file or directory: {missing}\n"
+        )
+
     def test_table2_quick(self, capsys):
         assert main(["table2", "--quick"]) == 0
         out = capsys.readouterr().out

@@ -62,6 +62,19 @@ def test_replay_requires_trace(capsys):
     assert "--trace" in capsys.readouterr().err
 
 
+def test_replay_rejects_non_positive_cache_bound(tmp_path, capsys):
+    trace = tmp_path / "mt.json"
+    assert main(["characterize", "MT", "--quick",
+                 "--record-trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--quick", "--backend", "replay", "--trace", str(trace),
+                 "--max-cached-kernels", "0",
+                 "--save", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: --max-cached-kernels must be >= 1\n"
+    )
+
+
 def test_unknown_device_reports_known_aliases(capsys):
     assert main(["characterize", "MT", "--quick", "--device", "gtx-9999"]) == 2
     err = capsys.readouterr().err
