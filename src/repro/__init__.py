@@ -28,13 +28,13 @@ _EXPORTS = {
     "GPUSimulator": "gpusim.executor",
     "KernelSpec": "workloads",
     "MeasurementBackend": "measure",
-    "ModelKey": "serve",
-    "ModelRegistry": "serve",
+    "ModelKey": "serve.registry",
+    "ModelRegistry": "serve.registry",
     "NvmlBackend": "measure",
     "ParetoPredictor": "core.predictor",
     "PredictedParetoSet": "core.predictor",
     "PredictedPoint": "core.predictor",
-    "PredictionService": "serve",
+    "PredictionService": "serve.service",
     "RecordingBackend": "measure",
     "ReplayBackend": "measure",
     "SimulatorBackend": "measure",

@@ -38,12 +38,11 @@ from .engine import (
     run_campaign,
 )
 from .maintenance import StoreCompactionReport, TraceCompaction, compact_store
-from .plan import CAMPAIGN_RECIPES, RECIPE_SUITES, CampaignPlan
+from .plan import RECIPE_SUITES, CampaignPlan
 from .progress import CampaignProgress, LegProgress, ProgressCallback
 from .scheduler import LegRun, SweepTask, interleave, prepare_leg, run_legs
 
 __all__ = [
-    "CAMPAIGN_RECIPES",
     "CampaignPlan",
     "CampaignProgress",
     "CampaignReport",

@@ -22,13 +22,6 @@ from ..workloads import KernelSpec
 if TYPE_CHECKING:
     from .scheduler import SweepTask
 
-#: recipe → (micro-benchmark stride, settings budget) — the shared table
-#: from :mod:`repro.core.config`.  One table on purpose: the exact-replay
-#: guarantee (`train --backend replay --trace-key <key>` == a campaign's
-#: dataset) holds because contexts and campaigns derive the same specs
-#: and settings from the same recipe.
-CAMPAIGN_RECIPES: dict[str, tuple[int, int]] = TRAINING_RECIPES
-
 #: recipe → trace-registry suite label.  The paper recipe records under
 #: the plain "default" suite (`--trace-key titan-x/default`); other
 #: recipes are namespaced by their own name.
@@ -57,9 +50,9 @@ class CampaignPlan:
     def __post_init__(self) -> None:
         if not self.devices:
             raise ValueError("a campaign needs at least one device")
-        if self.recipe not in CAMPAIGN_RECIPES:
+        if self.recipe not in TRAINING_RECIPES:
             raise ValueError(
-                f"unknown recipe {self.recipe!r}; known: {sorted(CAMPAIGN_RECIPES)}"
+                f"unknown recipe {self.recipe!r}; known: {sorted(TRAINING_RECIPES)}"
             )
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
@@ -110,11 +103,11 @@ class CampaignPlan:
         return [resolve_device(name) for name in self.devices]
 
     def kernel_specs(self) -> list[KernelSpec]:
-        stride, _budget = CAMPAIGN_RECIPES[self.recipe]
+        stride, _budget = TRAINING_RECIPES[self.recipe]
         return generate_micro_benchmarks()[::stride]
 
     def settings_for(self, device: DeviceSpec) -> list[tuple[float, float]]:
-        _stride, budget = CAMPAIGN_RECIPES[self.recipe]
+        _stride, budget = TRAINING_RECIPES[self.recipe]
         return sample_training_settings(device, total=budget)
 
     def trace_key(self, device: DeviceSpec) -> TraceKey:
@@ -175,7 +168,7 @@ class CampaignPlan:
         return ExtractorConfig(recipe=self.features)
 
     def describe(self) -> str:
-        stride, budget = CAMPAIGN_RECIPES[self.recipe]
+        stride, budget = TRAINING_RECIPES[self.recipe]
         text = (
             f"{len(self.devices)} device(s) x "
             f"{len(self.kernel_specs())} codes x {budget} settings, "

@@ -232,7 +232,7 @@ def _print_front(result) -> None:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from .serve.artifacts import save_models
+    from .core.pipeline import save_models
 
     features = _feature_recipe(args)
     if args.trainer == "streaming":
@@ -276,8 +276,8 @@ def _cmd_train_streaming(args: argparse.Namespace) -> int:
     from .core.config import TRAINING_RECIPES, sample_training_settings
     from .core.dataset import iter_kernel_measurements
     from .core.incremental import train_streaming_from_trace
+    from .core.pipeline import save_models
     from .measure.trace import TraceWriter
-    from .serve.artifacts import save_models
     from .synthetic.generator import generate_micro_benchmarks
 
     device, backend, recorder = _resolve_setup(args)
@@ -1251,7 +1251,7 @@ def build_parser() -> argparse.ArgumentParser:
 _USER_ERRORS = (
     ("repro.clkernel.errors", "CLFrontendError"),
     ("repro.measure.replay", "ReplayError"),
-    ("repro.serve.artifacts", "ArtifactError"),
+    ("repro.store.envelope", "ArtifactError"),
     ("repro.serve.service", "ServiceError"),
 )
 

@@ -24,7 +24,7 @@ from ..gpusim.device import DeviceSpec, MemoryDomain
 #: The paper's training sample size per code.
 PAPER_SAMPLE_SIZE = 40
 
-#: Training recipes shared by experiment contexts, the model registry and
+#: Training recipes shared by experiment contexts, ``repro train`` and
 #: the campaign engine: name → (micro-benchmark stride, settings budget).
 #: One table on purpose — `train --backend replay --trace-key <key>` only
 #: reproduces a campaign's dataset because both sides derive the same

@@ -11,6 +11,7 @@ cloud to the Pareto stage (:mod:`repro.core.predictor`).
 
 from __future__ import annotations
 
+import pathlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,6 +22,7 @@ from ..ml import regressor_from_state, scaler_from_state
 from ..ml.model_select import Regressor
 from ..ml.scaling import StandardScaler
 from ..ml.svr import make_energy_svr, make_speedup_svr
+from ..store.envelope import load_artifact, save_artifact
 from ..workloads import KernelSpec
 from .config import sample_training_settings
 from .dataset import TrainingDataset, build_training_dataset
@@ -114,6 +116,23 @@ class TrainedModels:
             interactions=bool(state["interactions"]),
             feature_recipe=str(state.get("feature_recipe", "paper10")),
         )
+
+
+def save_models(
+    path: str | pathlib.Path, models: TrainedModels, meta: dict | None = None
+) -> pathlib.Path:
+    """Persist a trained bundle as a versioned JSON artifact.
+
+    Python's float repr round-trips every IEEE-754 double exactly, so a
+    loaded bundle predicts **bit-identically** to the one that was saved.
+    """
+    return save_artifact(path, models.to_state(), meta)
+
+
+def load_models(path: str | pathlib.Path) -> tuple[TrainedModels, dict]:
+    """Load a trained bundle together with its provenance meta."""
+    payload, meta = load_artifact(path, expected_kind="trained_models")
+    return TrainedModels.from_state(payload), meta
 
 
 def train_models(

@@ -1,46 +1,40 @@
 """Experiment harness: sweeps, characterization, error analysis, reporting."""
 
-from .characterize import (
-    Characterization,
-    DomainSeries,
-    characterize_kernel,
-    default_point,
-)
-from .context import PaperContext, paper_context, quick_context
-from .errors import ErrorAnalysis, prediction_errors
-from .evaluation import (
-    ParetoEvaluation,
-    evaluate_pareto_prediction,
-    evaluate_suite,
-)
-from .report import (
-    ascii_scatter,
-    format_box,
-    format_error_panel,
-    format_heading,
-    format_table,
-)
-from .runner import SweepResult, measure_configs, sweep_kernel
+import importlib
 
-__all__ = [
-    "Characterization",
-    "DomainSeries",
-    "ErrorAnalysis",
-    "PaperContext",
-    "ParetoEvaluation",
-    "SweepResult",
-    "ascii_scatter",
-    "characterize_kernel",
-    "default_point",
-    "evaluate_pareto_prediction",
-    "evaluate_suite",
-    "format_box",
-    "format_error_panel",
-    "format_heading",
-    "format_table",
-    "measure_configs",
-    "paper_context",
-    "prediction_errors",
-    "quick_context",
-    "sweep_kernel",
-]
+#: Every export and the submodule defining it.  Resolved on first access
+#: (PEP 562), so ``import repro.harness.report`` — the serve daemon's text
+#: renderer — does not drag in the measurement stack behind ``runner``.
+_EXPORTS = {
+    "Characterization": "characterize",
+    "DomainSeries": "characterize",
+    "ErrorAnalysis": "errors",
+    "PaperContext": "context",
+    "ParetoEvaluation": "evaluation",
+    "SweepResult": "runner",
+    "ascii_scatter": "report",
+    "characterize_kernel": "characterize",
+    "default_point": "characterize",
+    "evaluate_pareto_prediction": "evaluation",
+    "evaluate_suite": "evaluation",
+    "format_box": "report",
+    "format_error_panel": "report",
+    "format_heading": "report",
+    "format_table": "report",
+    "measure_configs": "runner",
+    "paper_context": "context",
+    "prediction_errors": "errors",
+    "quick_context": "context",
+    "sweep_kernel": "runner",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -40,11 +40,6 @@ from ..workloads import KernelSpec
 #: Default experiment device (the paper's test platform).
 DEFAULT_DEVICE = "NVIDIA GTX Titan X"
 
-#: (micro-benchmark stride, settings budget) per training recipe — the
-#: shared table from :mod:`repro.core.config`, so contexts, the model
-#: registry and the campaign engine can never drift apart.
-CONTEXT_RECIPES: dict[str, tuple[int, int]] = TRAINING_RECIPES
-
 
 @dataclass
 class PaperContext:
@@ -75,10 +70,10 @@ def build_context(
     is the paper's ten-share vector.
     """
     try:
-        stride, budget = CONTEXT_RECIPES[recipe]
+        stride, budget = TRAINING_RECIPES[recipe]
     except KeyError:
         raise ValueError(
-            f"unknown recipe {recipe!r}; known: {sorted(CONTEXT_RECIPES)}"
+            f"unknown recipe {recipe!r}; known: {sorted(TRAINING_RECIPES)}"
         ) from None
 
     if device is None:

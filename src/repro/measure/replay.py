@@ -39,7 +39,6 @@ from ..workloads import KernelSpec
 from .backend import BackendCapabilities, MeasurementBackend
 from .columnar import ColumnarRecord, ColumnarTrace
 from .trace import (
-    TRACE_VERSION,
     KernelTrace,
     ReplayError,
     SweepTrace,
@@ -495,8 +494,8 @@ class RecordingBackend:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def save(self, path, version: int = TRACE_VERSION) -> pathlib.Path:
-        """Write the accumulated (merged) trace — JSONL by default."""
+    def save(self, path) -> pathlib.Path:
+        """Write the accumulated (merged) trace as a JSONL stream."""
         if not self._keep:
             where = self.stream_path
             raise ReplayError(
@@ -504,4 +503,4 @@ class RecordingBackend:
                 f"{where} and were not kept in memory "
                 "(pass keep_in_memory=True to keep both)"
             )
-        return save_trace(path, self.trace, version=version)
+        return save_trace(path, self.trace)

@@ -580,27 +580,14 @@ def read_kernels_at(
 # -- whole-trace I/O ----------------------------------------------------------
 
 
-def save_trace(
-    path: str | pathlib.Path,
-    trace: SweepTrace,
-    version: int = TRACE_VERSION,
-) -> pathlib.Path:
-    """Write a materialized trace; float64 values round-trip bit-for-bit.
-
-    ``version=2`` (default) writes the JSONL stream; ``version=1`` writes
-    the legacy whole-file JSON for interchange with older readers.
-    """
+def save_trace(path: str | pathlib.Path, trace: SweepTrace) -> pathlib.Path:
+    """Write a materialized trace as a JSONL stream; float64 values
+    round-trip bit-for-bit.  Legacy v1 whole-file traces stay readable."""
     path = pathlib.Path(path).expanduser()
-    if version == TRACE_VERSION:
-        with TraceWriter(path, device=trace.device, meta=trace.meta) as writer:
-            for name, kernel in trace.kernels.items():
-                writer.write_kernel(name, kernel)
-        return path
-    if version == TRACE_VERSION_V1:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(trace.to_state(), indent=1))
-        return path
-    raise ReplayError(f"cannot write trace version {version!r}")
+    with TraceWriter(path, device=trace.device, meta=trace.meta) as writer:
+        for name, kernel in trace.kernels.items():
+            writer.write_kernel(name, kernel)
+    return path
 
 
 def load_trace(path: str | pathlib.Path) -> SweepTrace:

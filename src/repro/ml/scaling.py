@@ -7,7 +7,7 @@ normalized and used to train the two models", Fig. 2 step 5).  Both scalers
 follow the fit/transform convention.
 
 Every scaler also implements the ``to_state``/``from_state`` persistence
-protocol used by :mod:`repro.serve.artifacts`: ``to_state`` returns a plain
+protocol used by :mod:`repro.store.envelope`: ``to_state`` returns a plain
 JSON-safe dict tagged with a ``kind`` discriminator, and
 ``from_state(state)`` reconstructs an equivalent instance exactly (float64
 values survive the JSON round-trip bit-for-bit).

@@ -45,6 +45,7 @@ from ..obs.instruments import (
     FLEET_SERVICE_HITS_TOTAL,
     FLEET_SERVICE_LOADS_TOTAL,
 )
+from ..store import StoreMiss
 from ..store.layout import MODELS_SUBDIR
 from .cache import KernelFeatureCache
 from .registry import ModelKey, ModelRegistry
@@ -347,7 +348,15 @@ class FleetService:
             self.stats.inc(FLEET_SERVICE_HITS_TOTAL)
             return service
         key = self._keys[slug]
-        models = self.registry.get(key)
+        try:
+            models = self.registry.get(key)
+        except StoreMiss:
+            # Serving only loads: a bundle gone since discovery is an
+            # unroutable request, never a reason to train one in-line.
+            raise FleetError(
+                f"model bundle for device {key.device_spec().name!r} is "
+                f"missing: no artifact at {self.registry.path_for(key)}"
+            ) from None
         service = PredictionService(
             models=models,
             device=key.device_spec(),

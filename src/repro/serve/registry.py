@@ -1,16 +1,15 @@
-"""Named model registry: train once, persist, reload instantly.
+"""Named model registry: keyed trained bundles, persisted and reloaded.
 
 A :class:`ModelKey` identifies a trained bundle by device, training recipe,
 and feature configuration.  :class:`ModelRegistry` maps keys to artifact
 files under a root directory and resolves ``get(key)`` in order of cost:
 
 1. **memory** — already materialized in this process;
-2. **disk** — a saved artifact exists, load it (milliseconds);
-3. **train** — first use anywhere: run the training recipe, save the
-   artifact, and serve from memory thereafter.
+2. **disk** — a saved artifact exists, load it (milliseconds).
 
-Recipes mirror the harness contexts: ``paper`` is the full 106-code ×
-40-setting setup, ``quick`` the reduced one used by fast tests.
+Serving only loads: bundles are built by the campaign engine and the
+``repro train`` command, which register them with :meth:`ModelRegistry.put`.
+A key with neither tier raises :class:`~repro.store.StoreMiss`.
 """
 
 from __future__ import annotations
@@ -18,19 +17,11 @@ from __future__ import annotations
 import pathlib
 import re
 from dataclasses import dataclass
-from typing import Callable
 
-from ..core.config import TRAINING_RECIPES, sample_training_settings
-from ..core.pipeline import TrainedModels, train_from_specs
+from ..core.pipeline import TrainedModels, load_models, save_models
 from ..gpusim.device import DeviceSpec, resolve_device
-from ..measure.simulator import SimulatorBackend
-from ..store import ArtifactStore
+from ..store import ArtifactStore, StoreStats
 from ..store.envelope import read_artifact_meta
-from ..synthetic.generator import generate_micro_benchmarks
-from .artifacts import load_models, save_models
-
-# TRAINING_RECIPES now lives in core.config (one shared table for contexts,
-# this registry, and campaigns) and is re-exported here.
 
 
 @dataclass(frozen=True)
@@ -87,139 +78,30 @@ class ModelKey:
         return {"device": self.device, "recipe": self.recipe, "features": self.features}
 
 
-def _recipe_workload(key: ModelKey):
-    """Resolve a key's (device, specs, settings) from the shared recipe table."""
-    try:
-        stride, budget = TRAINING_RECIPES[key.recipe]
-    except KeyError:
-        raise ValueError(
-            f"unknown recipe {key.recipe!r}; known: {sorted(TRAINING_RECIPES)}"
-        ) from None
-    device = key.device_spec()
-    micro = generate_micro_benchmarks()[::stride]
-    settings = sample_training_settings(device, total=budget)
-    return device, micro, settings
-
-
-def train_for_key(key: ModelKey) -> TrainedModels:
-    """The default trainer: run the key's recipe end to end."""
-    device, micro, settings = _recipe_workload(key)
-    backend = SimulatorBackend(device)
-    models, _dataset = train_from_specs(
-        backend,
-        micro,
-        settings,
-        interactions=key.interactions,
-        feature_recipe=key.feature_recipe,
-    )
-    return models
-
-
-def train_streaming_for_key(key: ModelKey, batch_rows: int = 4096) -> TrainedModels:
-    """Out-of-core trainer: measure once into a temp trace, stream-fit it.
-
-    The sweep happens exactly once (recorded to a scratch JSONL trace);
-    the two streaming passes then replay that file in ``batch_rows``-bound
-    mini-batches, so the dense design matrix never materializes.
-
-    Only the default ``paper10`` recipe streams: the incremental trainer
-    re-extracts features from trace rows with the legacy extractor and
-    has no recipe plumbing yet.
-    """
-    import tempfile
-
-    if key.feature_recipe != "paper10":
-        raise ValueError(
-            "streaming training supports only the default 'paper10' feature "
-            f"recipe, got {key.feature_recipe!r}; use the exact trainer"
-        )
-
-    from ..core.dataset import iter_kernel_measurements
-    from ..core.incremental import train_streaming_from_trace
-    from ..measure.trace import TraceWriter
-
-    device, micro, settings = _recipe_workload(key)
-    backend = SimulatorBackend(device)
-    with tempfile.TemporaryDirectory(prefix="repro-train-") as tmp:
-        trace_path = pathlib.Path(tmp) / "train.jsonl"
-        writer = TraceWriter(trace_path, device=device.name)
-        try:
-            for _spec, _static, measurements in iter_kernel_measurements(
-                backend, micro, settings
-            ):
-                writer.write_measurements(measurements)
-        finally:
-            writer.close(success=True)
-        result = train_streaming_from_trace(
-            trace_path,
-            micro,
-            settings,
-            interactions=key.interactions,
-            batch_rows=batch_rows,
-        )
-    return result.models
-
-
-def make_key_trainer(
-    trainer: str = "exact", batch_rows: int = 4096
-) -> Callable[[ModelKey], TrainedModels]:
-    """A registry ``trainer`` callable for the chosen training mode."""
-    if trainer == "exact":
-        return train_for_key
-    if trainer == "streaming":
-        return lambda key: train_streaming_for_key(key, batch_rows=batch_rows)
-    raise ValueError(f"trainer must be 'exact' or 'streaming', got {trainer!r}")
-
-
-@dataclass
-class RegistryStats:
-    """Where each ``get`` was satisfied from (view over the store stats)."""
-
-    memory_hits: int = 0
-    disk_loads: int = 0
-    trainings: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_loads": self.disk_loads,
-            "trainings": self.trainings,
-        }
-
-
 class ModelRegistry:
     """Keyed store of trained bundles backed by a directory of artifacts.
 
-    A thin domain binding of the generic :class:`repro.store.ArtifactStore`:
-    JSON-envelope serialization from :mod:`repro.serve.artifacts`, and the
-    training recipe as the store's builder, so a first ``get`` trains and
-    persists while every later one resolves from memory or disk.
+    A thin domain binding of the generic :class:`repro.store.ArtifactStore`
+    to the JSON-envelope bundle format of :func:`repro.core.pipeline.save_models`.
     """
 
     def __init__(
         self,
         root: str | pathlib.Path,
-        trainer: Callable[[ModelKey], TrainedModels] = train_for_key,
         memory_capacity: int | None = None,
     ) -> None:
-        self.trainer = trainer
         self._store = ArtifactStore(
             root,
-            write=lambda path, models, meta: save_models(path, models, meta=meta),
-            read=load_models,
-            builder=lambda key: self.trainer(key),
+            write=save_models,
+            read=lambda path: load_models(path)[0],
             memory_capacity=memory_capacity,
         )
         self.root = self._store.root
 
     @property
-    def stats(self) -> RegistryStats:
-        s = self._store.stats
-        return RegistryStats(
-            memory_hits=s.memory_hits,
-            disk_loads=s.disk_loads,
-            trainings=s.builds,
-        )
+    def stats(self) -> StoreStats:
+        """Where each ``get`` was satisfied from, plus churn counters."""
+        return self._store.stats
 
     def path_for(self, key: ModelKey) -> pathlib.Path:
         return self._store.path_for(key)
@@ -232,7 +114,7 @@ class ModelRegistry:
         return key in self._store
 
     def get(self, key: ModelKey) -> TrainedModels:
-        """Resolve a bundle: memory, then disk, then train-and-persist."""
+        """Resolve a bundle: memory, then disk; StoreMiss when neither."""
         return self._store.get(key)
 
     def put(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..core.config import modeled_subset
-from ..core.pipeline import TrainedModels
+from ..core.pipeline import TrainedModels, load_models
 from ..core.predictor import ParetoPredictor, PredictedParetoSet
 from ..features.vector import StaticFeatures
 from ..gpusim.device import DeviceSpec, _alias_slug
@@ -27,9 +27,7 @@ from ..obs.instruments import (
     SERVE_PREDICT_SECONDS,
     SERVE_REQUESTS_TOTAL,
 )
-from .artifacts import load_models_with_meta
 from .cache import CacheStats, KernelFeatureCache
-from .registry import ModelKey, ModelRegistry
 
 
 class ServiceError(RuntimeError):
@@ -224,14 +222,6 @@ class PredictionService:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def from_registry(
-        cls, registry: ModelRegistry, key: ModelKey, **kwargs
-    ) -> "PredictionService":
-        """Resolve ``key`` through the registry (training on first use)."""
-        models = registry.get(key)
-        return cls(models=models, device=key.device_spec(), **kwargs)
-
-    @classmethod
     def from_artifact(
         cls, path, device: DeviceSpec | None = None, **kwargs
     ) -> "PredictionService":
@@ -243,7 +233,7 @@ class PredictionService:
         """
         from ..gpusim.device import DEVICE_REGISTRY
 
-        models, meta = load_models_with_meta(path)
+        models, meta = load_models(path)
         if device is None:
             name = meta.get("device")
             device = DEVICE_REGISTRY.get(name) if name else None

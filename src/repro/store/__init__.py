@@ -1,12 +1,11 @@
 """repro.store — the unified artifact-store layer.
 
-Two pieces, both below every subsystem that persists anything:
+Three pieces, all below every subsystem that persists anything:
 
 * :mod:`repro.store.envelope` — versioned JSON envelopes around
-  ``to_state()`` payloads, with atomic writes (previously private to
-  :mod:`repro.serve.artifacts`, which now re-exports them);
+  ``to_state()`` payloads, with atomic writes;
 * :mod:`repro.store.artifact_store` — the generic keyed store
-  (slug keys, memory/disk/build tiers, LRU bound, stats) that
+  (slug keys, memory/disk tiers, LRU bound, stats) that
   :class:`repro.serve.registry.ModelRegistry` and
   :class:`repro.measure.trace_registry.TraceRegistry` are built on;
 * :mod:`repro.store.layout` — the campaign-store directory layout

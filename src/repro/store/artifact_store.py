@@ -1,15 +1,16 @@
 """A generic keyed artifact store: slug keys, memory/disk tiers, stats.
 
 This is the pattern that grew inside :class:`repro.serve.registry.ModelRegistry`
-(train once, persist, reload instantly), extracted so any keyed, versioned
+(persist once, reload instantly), extracted so any keyed, versioned
 payload — trained model bundles, measurement traces, future dataset shards —
 can share one resolution discipline:
 
 1. **memory** — already materialized in this process (LRU, optionally
    capacity-bounded);
-2. **disk** — a file exists under the store root, read it;
-3. **build** — first use anywhere: run the builder, persist the result,
-   and serve from memory thereafter.
+2. **disk** — a file exists under the store root, read it.
+
+A key in neither tier raises :class:`StoreMiss`: the store never builds.
+Producers register artifacts with :meth:`ArtifactStore.put`.
 
 The store is serialization-agnostic: callers supply ``write(path, value,
 meta)`` / ``read(path)`` callables, so a JSON-envelope model bundle and an
@@ -50,7 +51,6 @@ class StoreStats:
 
     memory_hits: int = 0
     disk_loads: int = 0
-    builds: int = 0
     puts: int = 0
     memory_evictions: int = 0
 
@@ -58,14 +58,13 @@ class StoreStats:
         return {
             "memory_hits": self.memory_hits,
             "disk_loads": self.disk_loads,
-            "builds": self.builds,
             "puts": self.puts,
             "memory_evictions": self.memory_evictions,
         }
 
 
 class StoreMiss(KeyError):
-    """Raised by ``get`` when a key has no artifact and no builder."""
+    """Raised by ``get`` when a key is neither in memory nor on disk."""
 
 
 class ArtifactStore:
@@ -81,9 +80,6 @@ class ArtifactStore:
         ``read(path) -> value`` — materialize a persisted artifact.
     suffix:
         File suffix appended to each key's slug (default ``".json"``).
-    builder:
-        Optional ``builder(key) -> value`` used when a key is neither in
-        memory nor on disk; the result is persisted before being returned.
     memory_capacity:
         Optional bound on the in-process tier; least-recently-used values
         are dropped (their files stay) once the bound is exceeded.
@@ -96,7 +92,6 @@ class ArtifactStore:
         write: Callable[[pathlib.Path, Any, dict], pathlib.Path],
         read: Callable[[pathlib.Path], Any],
         suffix: str = ".json",
-        builder: Callable[[Any], Any] | None = None,
         memory_capacity: int | None = None,
     ) -> None:
         if memory_capacity is not None and memory_capacity < 1:
@@ -107,7 +102,6 @@ class ArtifactStore:
         self.stats = StoreStats()
         self._write = write
         self._read = read
-        self._builder = builder
         self._memory_capacity = memory_capacity
         #: slug → value; slug-keyed so alias spellings of one key share an entry.
         self._memory: OrderedDict[str, Any] = OrderedDict()
@@ -153,26 +147,17 @@ class ArtifactStore:
                 self.stats.memory_evictions += 1
 
     def get(self, key: StoreKey) -> Any:
-        """Resolve an artifact: memory, then disk, then build-and-persist."""
+        """Resolve an artifact: memory, then disk; :class:`StoreMiss` if neither."""
         cached = self._memory.get(key.slug)
         if cached is not None:
             self._memory.move_to_end(key.slug)
             self.stats.memory_hits += 1
             return cached
         path = self.path_for(key)
-        if path.exists():
-            value = self._read(path)
-            self.stats.disk_loads += 1
-        elif self._builder is not None:
-            value = self._builder(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._write(path, value, key.as_meta())
-            self.stats.builds += 1
-        else:
-            raise StoreMiss(
-                f"no artifact for key {key.slug!r} under {self.root} "
-                f"(and the store has no builder)"
-            )
+        if not path.exists():
+            raise StoreMiss(f"no artifact for key {key.slug!r} at {path}")
+        value = self._read(path)
+        self.stats.disk_loads += 1
         self._remember(key.slug, value)
         return value
 

@@ -4,11 +4,10 @@ serve-layer validation, and the campaign plumbing."""
 import pytest
 
 from repro.core.config import sample_training_settings
-from repro.core.pipeline import train_from_specs
+from repro.core.pipeline import load_models, save_models, train_from_specs
 from repro.core.predictor import ParetoPredictor
 from repro.gpusim.device import make_titan_x
 from repro.measure.simulator import SimulatorBackend
-from repro.serve.artifacts import load_models, save_models
 from repro.serve.cache import KernelFeatureCache
 from repro.serve.registry import ModelKey
 from repro.serve.service import PredictionService, ServiceError
@@ -65,7 +64,7 @@ class TestRecipeTraining:
     def test_recipe_survives_artifact_round_trip(self, setup, tmp_path):
         models = train(setup, feature_recipe="paper10+memmix")
         path = save_models(tmp_path / "wide.json", models)
-        loaded = load_models(path)
+        loaded, _meta = load_models(path)
         assert loaded.feature_recipe == "paper10+memmix"
         assert loaded.scaler.mean_.shape == models.scaler.mean_.shape
 
@@ -132,12 +131,6 @@ class TestModelKeyRecipes:
     def test_unknown_features_rejected(self):
         with pytest.raises(ValueError):
             ModelKey(features="paper11+nonsense")
-
-    def test_streaming_trainer_rejects_recipes(self):
-        from repro.serve.registry import train_streaming_for_key
-
-        with pytest.raises(ValueError, match="streaming"):
-            train_streaming_for_key(ModelKey(features="paper10+loops"))
 
 
 class TestCampaignPlanRecipes:

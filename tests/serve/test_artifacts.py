@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.pipeline import load_models, save_models
 from repro.harness.context import quick_context
 from repro.ml import (
     SVR,
@@ -21,14 +22,11 @@ from repro.ml import (
 )
 from repro.ml.kernels import kernel_from_state
 from repro.ml.scaling import IdentityScaler, MinMaxScaler
-from repro.serve.artifacts import (
+from repro.store.envelope import (
     ARTIFACT_FORMAT_VERSION,
     ArtifactError,
     load_artifact,
-    load_models,
-    load_models_with_meta,
     save_artifact,
-    save_models,
 )
 from repro.suite import test_benchmarks as suite_benchmarks
 
@@ -139,7 +137,7 @@ class TestRegressorRoundTrip:
 class TestModelBundleRoundTrip:
     def test_save_load_predictions_bit_identical(self, ctx, tmp_path):
         path = save_models(tmp_path / "m.json", ctx.models)
-        clone = load_models(path)
+        clone, _meta = load_models(path)
         x = ctx.dataset.x[:50]
         assert np.array_equal(ctx.models.predict_speedup(x), clone.predict_speedup(x))
         assert np.array_equal(ctx.models.predict_energy(x), clone.predict_energy(x))
@@ -152,7 +150,7 @@ class TestModelBundleRoundTrip:
         from repro.core.predictor import ParetoPredictor
 
         path = save_models(tmp_path / "m.json", ctx.models)
-        clone = load_models(path)
+        clone, _meta = load_models(path)
         original = ctx.predictor
         reloaded = ParetoPredictor(
             clone, ctx.device, candidates=original.candidates
@@ -173,7 +171,7 @@ class TestModelBundleRoundTrip:
         path = save_models(
             tmp_path / "m.json", ctx.models, meta={"device": "X", "recipe": "quick"}
         )
-        _models, meta = load_models_with_meta(path)
+        _models, meta = load_models(path)
         assert meta == {"device": "X", "recipe": "quick"}
 
 

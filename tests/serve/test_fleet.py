@@ -5,13 +5,18 @@ every test here exercises the actual deployment path: campaign store on
 disk → fleet discovery from envelope metadata → routed predictions.
 """
 
+import http.client
 import json
+import re
+import shutil
+import time
 
 import pytest
 
 from repro.campaign import MODELS_SUBDIR, CampaignPlan, run_campaign
 from repro.cli import main as cli_main
 from repro.gpusim.device import resolve_device
+from repro.serve.daemon import DaemonConfig, ServeDaemon
 from repro.serve.fleet import FleetError, FleetService
 from repro.serve.registry import ModelKey, ModelRegistry
 from repro.serve.service import PredictionService
@@ -303,6 +308,57 @@ class TestLRU:
         before = front_bytes(fleet.predict(SAXPY, device="titan-x"))
         fleet.predict(SAXPY, device="p100")  # evict
         assert front_bytes(fleet.predict(SAXPY, device="titan-x")) == before
+
+
+def models_snapshot(root):
+    """Every file under a store's models/ directory: path → (size, mtime)."""
+    return {
+        str(path.relative_to(root)): (path.stat().st_size, path.stat().st_mtime_ns)
+        for path in sorted((root / MODELS_SUBDIR).rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestVanishedBundle:
+    """Serving only loads: a bundle deleted after discovery is an error,
+    never an in-request retrain that writes a new bundle into the store."""
+
+    @pytest.fixture
+    def root(self, store, tmp_path):
+        shutil.copytree(store, tmp_path / "store")
+        return tmp_path / "store"
+
+    @staticmethod
+    def unlink_titan_bundle(fleet):
+        path = fleet.registry.path_for(ModelKey(device=TITAN, recipe="quick"))
+        path.unlink()
+        return path
+
+    def test_fleet_predict_names_the_missing_bundle(self, root):
+        fleet = FleetService.from_campaign_store(root)
+        path = self.unlink_titan_bundle(fleet)
+        before = models_snapshot(root)
+        with pytest.raises(FleetError, match=re.escape(str(path))):
+            fleet.predict(SAXPY, device="titan-x")
+        assert models_snapshot(root) == before
+
+    def test_daemon_answers_404_without_stalling(self, root):
+        config = DaemonConfig(port=0, batch_window_ms=2.0, reload_interval_s=0.0)
+        with ServeDaemon.from_store(root, config=config) as daemon:
+            path = self.unlink_titan_bundle(daemon.fleet)
+            before = models_snapshot(root)
+            conn = http.client.HTTPConnection(*daemon.address, timeout=30)
+            payload = {"device": "titan-x", "source": SAXPY, "name": "saxpy"}
+            start = time.perf_counter()
+            conn.request("POST", "/predict", body=json.dumps(payload))
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+            elapsed = time.perf_counter() - start
+            conn.close()
+        assert (resp.status, body["status"]) == (404, 404)
+        assert str(path) in body["error"]
+        assert elapsed < 5.0
+        assert models_snapshot(root) == before
 
 
 class TestWarmAndStats:

@@ -1,4 +1,4 @@
-"""Model registry: lazy training, persistence, instant reload."""
+"""Model registry: keyed bundles, persistence, instant reload."""
 
 import numpy as np
 import pytest
@@ -6,23 +6,12 @@ import pytest
 from repro.core.pipeline import TrainedModels
 from repro.harness.context import quick_context
 from repro.serve.registry import ModelKey, ModelRegistry
+from repro.store import StoreMiss
 
 
 @pytest.fixture(scope="module")
 def ctx():
     return quick_context()
-
-
-@pytest.fixture
-def counting_trainer(ctx):
-    calls = []
-
-    def trainer(key):
-        calls.append(key)
-        return ctx.models
-
-    trainer.calls = calls
-    return trainer
 
 
 class TestModelKey:
@@ -50,53 +39,47 @@ class TestModelKey:
 
 
 class TestRegistry:
-    def test_first_get_trains_and_persists(self, tmp_path, counting_trainer):
-        registry = ModelRegistry(root=tmp_path, trainer=counting_trainer)
-        key = ModelKey(recipe="quick")
-        models = registry.get(key)
-        assert isinstance(models, TrainedModels)
-        assert len(counting_trainer.calls) == 1
-        assert registry.path_for(key).exists()
-        assert registry.stats.trainings == 1
+    def test_missing_key_misses(self, tmp_path):
+        registry = ModelRegistry(root=tmp_path)
+        with pytest.raises(StoreMiss):
+            registry.get(ModelKey(recipe="quick"))
+        assert registry.entries() == []
 
-    def test_second_get_hits_memory(self, tmp_path, counting_trainer):
-        registry = ModelRegistry(root=tmp_path, trainer=counting_trainer)
+    def test_second_get_hits_memory(self, tmp_path, ctx):
         key = ModelKey(recipe="quick")
+        ModelRegistry(root=tmp_path).put(key, ctx.models)
+        registry = ModelRegistry(root=tmp_path)
         first = registry.get(key)
         second = registry.get(key)
         assert second is first
-        assert len(counting_trainer.calls) == 1
+        assert registry.stats.disk_loads == 1
         assert registry.stats.memory_hits == 1
 
-    def test_fresh_registry_loads_from_disk(self, tmp_path, counting_trainer, ctx):
+    def test_fresh_registry_loads_from_disk(self, tmp_path, ctx):
         key = ModelKey(recipe="quick")
-        ModelRegistry(root=tmp_path, trainer=counting_trainer).get(key)
-
-        def failing_trainer(_key):
-            raise AssertionError("should load from disk, not retrain")
-
-        reloaded_registry = ModelRegistry(root=tmp_path, trainer=failing_trainer)
+        ModelRegistry(root=tmp_path).put(key, ctx.models)
+        reloaded_registry = ModelRegistry(root=tmp_path)
         reloaded = reloaded_registry.get(key)
+        assert isinstance(reloaded, TrainedModels)
         assert reloaded_registry.stats.disk_loads == 1
         x = ctx.dataset.x[:10]
         assert np.array_equal(
             ctx.models.predict_speedup(x), reloaded.predict_speedup(x)
         )
 
-    def test_evict_memory_keeps_disk(self, tmp_path, counting_trainer):
-        registry = ModelRegistry(root=tmp_path, trainer=counting_trainer)
+    def test_evict_memory_keeps_disk(self, tmp_path, ctx):
+        registry = ModelRegistry(root=tmp_path)
         key = ModelKey(recipe="quick")
-        registry.get(key)
+        registry.put(key, ctx.models)
         registry.evict_memory()
         registry.get(key)
-        assert len(counting_trainer.calls) == 1  # reloaded, not retrained
         assert registry.stats.disk_loads == 1
 
-    def test_contains_and_entries(self, tmp_path, counting_trainer):
-        registry = ModelRegistry(root=tmp_path, trainer=counting_trainer)
+    def test_contains_and_entries(self, tmp_path, ctx):
+        registry = ModelRegistry(root=tmp_path)
         key = ModelKey(recipe="quick")
         assert key not in registry
-        registry.get(key)
+        registry.put(key, ctx.models)
         assert key in registry
         assert registry.entries() == [key.slug]
 
@@ -106,16 +89,10 @@ class TestRegistry:
         path = registry.put(key, ctx.models)
         assert path.exists()
         assert registry.get(key) is ctx.models
-        assert registry.stats.trainings == 0
+        assert registry.stats.puts == 1
 
-    def test_keys_map_to_distinct_files(self, tmp_path, counting_trainer):
-        registry = ModelRegistry(root=tmp_path, trainer=counting_trainer)
-        registry.get(ModelKey(recipe="quick"))
-        registry.get(ModelKey(recipe="quick", features="concat"))
-        assert len(registry.entries()) == 2
-        assert len(counting_trainer.calls) == 2
-
-    def test_unknown_recipe_fails_at_training(self, tmp_path):
+    def test_keys_map_to_distinct_files(self, tmp_path, ctx):
         registry = ModelRegistry(root=tmp_path)
-        with pytest.raises(ValueError, match="unknown recipe"):
-            registry.get(ModelKey(recipe="exotic"))
+        registry.put(ModelKey(recipe="quick"), ctx.models)
+        registry.put(ModelKey(recipe="quick", features="concat"), ctx.models)
+        assert len(registry.entries()) == 2

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.pipeline import save_models
 from repro.harness.context import quick_context
-from repro.serve.artifacts import save_models
 from repro.serve.cache import KernelFeatureCache
-from repro.serve.registry import ModelKey, ModelRegistry
 from repro.serve.service import PredictionService, ServiceError
 from repro.suite import test_benchmarks as suite_benchmarks
 
@@ -119,12 +118,6 @@ class TestServiceFromArtifact:
         assert [(p.config, p.objectives) for p in a.front] == [
             (p.config, p.objectives) for p in b.front
         ]
-
-    def test_from_registry(self, ctx, tmp_path):
-        registry = ModelRegistry(root=tmp_path, trainer=lambda key: ctx.models)
-        svc = PredictionService.from_registry(registry, ModelKey(recipe="quick"))
-        assert svc.predict(SAXPY).size >= 1
-        assert registry.stats.trainings == 1
 
     def test_artifact_without_device_meta_rejected(self, ctx, tmp_path):
         path = save_models(tmp_path / "anon.json", ctx.models)  # no meta

@@ -53,20 +53,6 @@ class TestTiers:
         assert fresh.get(Key("a")) == {"x": 1}
         assert fresh.stats.disk_loads == 1
 
-    def test_builder_builds_once_and_persists(self, tmp_path):
-        calls = []
-
-        def build(key):
-            calls.append(key)
-            return key.slug.upper()
-
-        store = make_store(tmp_path, builder=build)
-        assert store.get(Key("a")) == "A"
-        assert store.get(Key("a")) == "A"
-        assert len(calls) == 1
-        assert store.stats.builds == 1
-        assert store.path_for(Key("a")).exists()
-
     def test_meta_written_next_to_payload(self, tmp_path):
         store = make_store(tmp_path)
         path = store.put(Key("a"), 7)

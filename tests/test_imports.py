@@ -47,7 +47,7 @@ def test_every_export_resolves():
 def test_submodules_resolve_as_attributes():
     code = (
         "import repro\n"
-        "print(repro.serve.PredictionService is repro.PredictionService,"
+        "print(repro.PredictionService is repro.serve.service.PredictionService,"
         " repro.clkernel.parser.__name__)\n"
     )
     assert run_python(code) == "True repro.clkernel.parser"
@@ -63,3 +63,39 @@ def test_unknown_attribute_raises_attribute_error():
         "        print(type(exc).__name__, end=' ')\n"
     )
     assert run_python(code) == "AttributeError AttributeError AttributeError"
+
+
+#: Measurement-side packages a serving process must never load: serving
+#: only loads bundles that a campaign or ``repro train`` built.
+BUILD_ONLY_PREFIXES = ("repro.measure", "repro.nvml", "repro.synthetic", "repro.campaign")
+
+
+@pytest.mark.parametrize("module", ["repro.serve.fleet", "repro.serve.daemon"])
+def test_serving_loads_no_measurement_code(module):
+    code = (
+        f"import sys, {module}\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('repro.'))))\n"
+    )
+    loaded = run_python(code).split()
+    offending = [
+        m
+        for m in loaded
+        if m.startswith(BUILD_ONLY_PREFIXES)
+        or (m.startswith("repro.harness.") and m != "repro.harness.report")
+    ]
+    assert offending == []
+
+
+def test_report_import_skips_the_runner():
+    code = "import sys, repro.harness.report; print('repro.harness.runner' in sys.modules)"
+    assert run_python(code) == "False"
+
+
+def test_harness_package_exports_resolve():
+    code = (
+        "import repro.harness\n"
+        "from repro.harness import evaluate_suite, prediction_errors\n"
+        "exec('from repro.harness import ' + ', '.join(repro.harness.__all__))\n"
+        "print(evaluate_suite.__module__, prediction_errors.__module__)\n"
+    )
+    assert run_python(code) == "repro.harness.evaluation repro.harness.errors"
