@@ -12,8 +12,9 @@ clock on the P100.
 from _common import write_artifact
 
 from repro.gpusim.device import make_tesla_p100, make_titan_x
+from repro.gpusim.executor import GPUSimulator
 from repro.harness.report import format_heading, format_table
-from repro.nvml.api import NVML
+from repro.suite import get_benchmark
 
 
 def regenerate_fig4() -> str:
@@ -57,20 +58,14 @@ def test_fig4_freq_domain(benchmark):
     assert "total reported: 219" in text
 
 
-def test_fig4_via_nvml_facade():
-    """The same numbers must be visible through the NVML call surface."""
-    lib = NVML()
-    lib.nvmlInit([make_titan_x()])
-    try:
-        handle = lib.nvmlDeviceGetHandleByIndex(0)
-        mem_clocks = lib.nvmlDeviceGetSupportedMemoryClocks(handle)
-        total_reported = sum(
-            len(lib.nvmlDeviceGetSupportedGraphicsClocks(handle, m)) for m in mem_clocks
-        )
-        assert total_reported == 219
-        # The clamp is discoverable through GetClockInfo, as in §4.1.
-        fake = max(lib.nvmlDeviceGetSupportedGraphicsClocks(handle, 3505.0))
-        lib.nvmlDeviceSetApplicationsClocks(handle, 3505.0, fake)
-        assert lib.nvmlDeviceGetClockInfo(handle, 0) == 1202.0
-    finally:
-        lib.nvmlShutdown()
+def test_fig4_via_simulator():
+    """The same numbers must hold where measurements are taken."""
+    device = make_titan_x()
+    total_reported = sum(len(d.reported_core_mhz) for d in device.domains)
+    assert total_reported == len(device.reported_configurations()) == 219
+    # A reported-but-fake core clock runs at the 1202 MHz clamp (§4.1).
+    mem_h = device.domain_by_label("H")
+    record = GPUSimulator(device).run_at(
+        get_benchmark("MT").profile(), max(mem_h.reported_core_mhz), 3505.0
+    )
+    assert record.effective_core_mhz == 1202.0

@@ -4,8 +4,8 @@ and Performance* (Fan, Cosenza, Juurlink — ICPP 2019).
 The package predicts Pareto-optimal (core, memory) frequency settings for
 an OpenCL kernel **without running it**, from static code features alone.
 Since no GPU is attached, measurements come from a DVFS-aware analytical
-simulator (:mod:`repro.gpusim`) behind an NVML-compatible facade
-(:mod:`repro.nvml`); see DESIGN.md for the substitution argument.
+simulator (:mod:`repro.gpusim`) that stands in for the GPU and its
+§4.1 measurement protocol; see DESIGN.md for the substitution argument.
 
 Quick start::
 
@@ -30,7 +30,6 @@ _EXPORTS = {
     "MeasurementBackend": "measure",
     "ModelKey": "serve.registry",
     "ModelRegistry": "serve.registry",
-    "NvmlBackend": "measure",
     "ParetoPredictor": "core.predictor",
     "PredictedParetoSet": "core.predictor",
     "PredictedPoint": "core.predictor",

@@ -54,9 +54,9 @@ Subcommands:
 ``train``, ``predict``, ``predict-batch``, ``characterize`` and ``table2``
 are device- and backend-parameterized: ``--device`` picks any registered
 GPU by name or alias (``titan-x``, ``tesla-p100``), ``--backend`` selects
-the measurement engine (``simulator``, ``nvml``, or ``replay`` with
-``--trace``), and ``--record-trace`` captures every sweep into a versioned
-JSON trace for later replay.  Cross-device workflows are one command each::
+the measurement engine (``simulator``, or ``replay`` with ``--trace`` or
+``--trace-key``), and ``--record-trace`` captures every sweep into a
+versioned JSON trace for later replay.  Cross-device workflows are one command each::
 
     repro-dvfs train --device tesla-p100 --save p100.json
     repro-dvfs predict kernel.cl --model p100.json
@@ -75,7 +75,15 @@ import pathlib
 import sys
 
 #: Choices for --backend.
-BACKEND_CHOICES = ("simulator", "nvml", "replay")
+BACKEND_CHOICES = ("simulator", "replay")
+
+#: The flags that only mean something with ``--backend replay``, as
+#: (argparse dest, flag spelling).
+REPLAY_FLAGS = (
+    ("trace", "--trace"),
+    ("trace_key", "--trace-key"),
+    ("max_cached_kernels", "--max-cached-kernels"),
+)
 
 #: Default artifact-store root (traces/ and models/ live under it).
 DEFAULT_STORE = "repro-store"
@@ -95,11 +103,15 @@ def _resolve_device_cli(name: str):
         raise CLIUsageError(exc.args[0]) from None
 
 
+def _replay_flags(args) -> list[str]:
+    """The replay-only flags set on the command line."""
+    return [flag for dest, flag in REPLAY_FLAGS if getattr(args, dest) is not None]
+
+
 def _resolve_setup(args):
     """Resolve (device, backend, recorder) from the common CLI flags."""
     from .harness.context import DEFAULT_DEVICE
     from .measure import (
-        NvmlBackend,
         RecordingBackend,
         ReplayBackend,
         SimulatorBackend,
@@ -131,10 +143,12 @@ def _resolve_setup(args):
                 "--backend replay requires --trace PATH or --trace-key KEY"
             )
         device = backend.device
-    elif args.backend == "nvml":
-        backend = NvmlBackend(device)
-        device = backend.device
     else:
+        stray = _replay_flags(args)
+        if stray:
+            raise CLIUsageError(
+                f"{', '.join(stray)} only applies with --backend replay"
+            )
         device = device or _resolve_device_cli(DEFAULT_DEVICE)
         backend = SimulatorBackend(device)
 
@@ -249,7 +263,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         # The default recipe keeps the pre-recipe meta spelling so its
         # artifacts stay byte-identical; named recipes record their name.
         "features": "interactions" if features == "paper10" else features,
-        "backend": ctx.backend.capabilities.kind,
+        "backend": ctx.backend.kind,
     }
     path = save_models(args.save, ctx.models, meta=meta)
     print(
@@ -310,7 +324,7 @@ def _cmd_train_streaming(args: argparse.Namespace) -> int:
         "device": device.name,
         "recipe": recipe,
         "features": "interactions",
-        "backend": backend.capabilities.kind,
+        "backend": backend.kind,
         "trainer": "streaming",
         "batch_rows": args.batch_rows,
     }
@@ -330,12 +344,12 @@ def _cmd_train_streaming(args: argparse.Namespace) -> int:
 
 
 def _reject_backend_flags_with_model(args) -> None:
-    """--backend/--trace select the measurement engine for in-process
-    training; combined with a pre-trained --model artifact they would be
-    silently ignored, so refuse the mix outright."""
-    if args.backend != "simulator" or args.trace or args.trace_key:
+    """--backend and its replay flags select the measurement engine for
+    in-process training; combined with a pre-trained --model artifact they
+    would be silently ignored, so refuse the mix outright."""
+    if args.backend != "simulator" or _replay_flags(args):
         raise CLIUsageError(
-            "--backend/--trace/--trace-key configure in-process training and "
+            "--backend and its replay flags configure in-process training and "
             "cannot be combined with --model (the artifact is already trained)"
         )
 
@@ -353,8 +367,7 @@ def _serves_from_store(args) -> bool:
         args.store is not None
         and not args.model
         and args.backend == "simulator"
-        and not args.trace
-        and not args.trace_key
+        and not _replay_flags(args)
     )
 
 

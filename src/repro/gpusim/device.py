@@ -70,9 +70,6 @@ class MemoryDomain:
         """The core clock actually applied for a request (clamping rule)."""
         return min(requested_mhz, self.core_clamp_mhz)
 
-    def supports_reported(self, core_mhz: float) -> bool:
-        return core_mhz in self.reported_core_mhz
-
 
 @dataclass(frozen=True)
 class ArchParams:
@@ -381,7 +378,7 @@ def make_gtx_1080_ti() -> DeviceSpec:
     )
 
 
-#: Registry used by the NVML facade, the serving layer and the CLI.
+#: Registry used by the measurement backends, the serving layer and the CLI.
 DEVICE_REGISTRY: dict[str, "DeviceSpec"] = {}
 
 #: Short-name → full-name alias table (filled by :func:`register_device`).

@@ -1,11 +1,12 @@
-"""The GPU simulator facade: set clocks, run kernels, read measurements.
+"""The GPU simulator: run kernels at frequency configurations, read measurements.
 
 :class:`GPUSimulator` glues the device tables, performance model, power
 model, noise source and the 62.5 Hz sampling pipeline into one object with
 the semantics of a real DVFS-managed GPU:
 
-* application clocks are *requested*; the effective core clock obeys the
-  device's clamping rule (Fig. 4a's gray points);
+* application clocks are *requested* and validated against the device's
+  reported menus; the effective core clock obeys the device's clamping
+  rule (Fig. 4a's gray points);
 * timing/power readings include deterministic per-configuration noise;
 * energy is produced by the paper's measurement protocol — repeat the kernel
   until the window holds enough 62.5 Hz samples, then mean-power × time.
@@ -36,9 +37,8 @@ from .sampler import PowerSampler
 #: repeats applications "multiple times" for statistical consistency).
 MIN_POWER_SAMPLES = 24
 
-#: Board power draw of an idle device (W).  Shared by the simulator's
-#: sampling fallback and the NVML facade's idle reading
-#: (:mod:`repro.nvml.api`), so the two measurement surfaces cannot drift.
+#: Board power draw of an idle device (W): the reading a sampling window
+#: too short for even one sample reports.
 IDLE_POWER_W = 15.0
 
 
@@ -124,54 +124,20 @@ class ClockError(ValueError):
 
 
 class GPUSimulator:
-    """A DVFS-capable GPU you can set clocks on and run kernels against."""
+    """A DVFS-capable GPU you run kernels against at requested clocks."""
 
     def __init__(
         self,
         device: DeviceSpec | None = None,
         noise: NoiseConfig | None = None,
-        idle_power_w: float = IDLE_POWER_W,
     ) -> None:
         self.device = device or make_titan_x()
         self.perf = PerformanceModel(self.device)
         self.power = PowerModel(self.device)
         self.noise = MeasurementNoise(noise)
         self.sampler = PowerSampler()
-        self.idle_power_w = idle_power_w
-        self._core_mhz, self._mem_mhz = self.device.default_config
-
-    # -- clock management -------------------------------------------------------
-
-    @property
-    def clocks(self) -> tuple[float, float]:
-        """Currently requested (core, mem) clocks in MHz."""
-        return (self._core_mhz, self._mem_mhz)
-
-    @property
-    def effective_core_mhz(self) -> float:
-        """The core clock actually applied (clamping rule)."""
-        domain = self.device.domain(self._mem_mhz)
-        return domain.effective_core(self._core_mhz)
-
-    def set_clocks(self, core_mhz: float, mem_mhz: float) -> None:
-        """Request application clocks; validates against the reported menus."""
-        domain = self.device.domain(mem_mhz)  # KeyError on bad mem clock
-        if not domain.supports_reported(core_mhz):
-            raise ClockError(
-                f"core clock {core_mhz} MHz not in the reported menu for "
-                f"mem {mem_mhz} MHz on {self.device.name}"
-            )
-        self._core_mhz = core_mhz
-        self._mem_mhz = mem_mhz
-
-    def reset_clocks(self) -> None:
-        self._core_mhz, self._mem_mhz = self.device.default_config
 
     # -- execution ---------------------------------------------------------------
-
-    def run(self, profile: WorkloadProfile) -> ExecutionRecord:
-        """Run a kernel at the current clocks with the measurement protocol."""
-        return self.run_at(profile, self._core_mhz, self._mem_mhz)
 
     def run_at(
         self, profile: WorkloadProfile, core_mhz: float, mem_mhz: float
@@ -243,7 +209,7 @@ class GPUSimulator:
             self.device.name, profile.name, effective, mem, n_samples
         )
         mean_power_w = self.sampler.mean_power_array(
-            true_power_w, n_samples, jitter, idle_power_w=self.idle_power_w
+            true_power_w, n_samples, jitter, idle_power_w=IDLE_POWER_W
         )
         energy_per_run_j = (mean_power_w * window_s) / repeats
         # Windows too short for even one sample report a single idle reading

@@ -6,9 +6,6 @@ instead of a concrete simulator.  Implementations:
 
 * :class:`~repro.measure.simulator.SimulatorBackend` — the vectorized
   :class:`~repro.gpusim.executor.GPUSimulator` (one numpy pass per sweep);
-* :class:`~repro.measure.nvml_backend.NvmlBackend` — drives the
-  :mod:`repro.nvml` facade call-for-call like the paper's real-hardware
-  protocol (set clocks → launch → read power);
 * :class:`~repro.measure.replay.ReplayBackend` — serves recorded sweeps
   from versioned traces (out-of-core for JSONL streams), with
   :class:`~repro.measure.replay.RecordingBackend` producing the traces
@@ -25,7 +22,7 @@ the one process pool, running sweep tasks for any number of devices
 loop — the campaign scheduler's executor.
 """
 
-from .backend import BackendCapabilities, MeasurementBackend, as_backend
+from .backend import MeasurementBackend, as_backend
 from .columnar import (
     COLUMNAR_FORMAT,
     COLUMNAR_VERSION,
@@ -35,7 +32,6 @@ from .columnar import (
     compact_trace,
     sidecar_path,
 )
-from .nvml_backend import NvmlBackend
 from .parallel import DevicePool, backend_for_device
 from .replay import RecordingBackend, ReplayBackend, replay_measurements
 from .simulator import SimulatorBackend
@@ -62,7 +58,6 @@ from .trace_registry import (
 )
 
 __all__ = [
-    "BackendCapabilities",
     "COLUMNAR_FORMAT",
     "COLUMNAR_VERSION",
     "ColumnarTrace",
@@ -71,7 +66,6 @@ __all__ = [
     "KernelTrace",
     "TraceCompactor",
     "MeasurementBackend",
-    "NvmlBackend",
     "RecordingBackend",
     "ReplayBackend",
     "ReplayError",

@@ -3,14 +3,13 @@
 A backend is anything that can answer "run this kernel at these frequency
 configurations and report (time, power, energy) against the default-clock
 baseline" — the contract of the paper's measurement stack (§4.1).  The
-protocol is deliberately small so simulated, real-NVML and replayed
-measurement share one call surface, and everything above it (dataset
-assembly, harness sweeps, serving, CLI) is backend-agnostic.
+protocol is deliberately small so simulated and replayed measurement share
+one call surface, and everything above it (dataset assembly, harness
+sweeps, serving, CLI) is backend-agnostic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from ..gpusim.device import DeviceSpec
@@ -19,32 +18,6 @@ from ..gpusim.executor import GPUSimulator
 if TYPE_CHECKING:
     from ..core.dataset import KernelMeasurements
     from ..workloads import KernelSpec
-
-
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend can do, for callers that must choose or validate.
-
-    Attributes
-    ----------
-    device:
-        Full device name the measurements describe.
-    kind:
-        Backend family: ``"simulator"``, ``"nvml"`` or ``"replay"``.
-    vectorized:
-        Whether a sweep runs as one array pass (vs. per-point calls).
-    deterministic:
-        Whether repeating a sweep reproduces bit-identical numbers.
-    online:
-        Whether arbitrary new kernels/configurations can be measured on
-        demand (False for replay, which only serves what was recorded).
-    """
-
-    device: str
-    kind: str
-    vectorized: bool
-    deterministic: bool
-    online: bool
 
 
 @runtime_checkable
@@ -56,9 +29,9 @@ class MeasurementBackend(Protocol):
         """The device the measurements describe."""
         ...
 
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        ...
+    #: Backend family, ``"simulator"`` or ``"replay"`` (recorded in
+    #: artifact meta and in metric labels).
+    kind: str
 
     def measure(
         self, spec: "KernelSpec", configs: Sequence[tuple[float, float]]

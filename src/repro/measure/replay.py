@@ -36,7 +36,7 @@ from ..obs import (
     sweep_recorder,
 )
 from ..workloads import KernelSpec
-from .backend import BackendCapabilities, MeasurementBackend
+from .backend import MeasurementBackend
 from .columnar import ColumnarRecord, ColumnarTrace
 from .trace import (
     KernelTrace,
@@ -165,6 +165,8 @@ class ReplayBackend:
     materialized-kernel LRU.
     """
 
+    kind = "replay"
+
     def __init__(
         self,
         trace: SweepTrace | str | pathlib.Path,
@@ -209,7 +211,6 @@ class ReplayBackend:
                 f"not {device.name!r}"
             )
         self._device = device
-        self._trace_device = trace_device
         self._device_slug = device_slug(device.name)
         # Per-kernel prepared mmap slices:
         # [last validated configs object, baseline, core, mem, time_ms,
@@ -229,16 +230,6 @@ class ReplayBackend:
     def device(self) -> DeviceSpec:
         return self._device
 
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            device=self._trace_device,
-            kind="replay",
-            vectorized=True,
-            deterministic=True,
-            online=False,
-        )
-
     def kernels(self) -> list[str]:
         if self._stream is not None:
             return self._stream.kernel_names()
@@ -255,7 +246,7 @@ class ReplayBackend:
         recs = self._obs_recorders.get(reg)
         if recs is None:
             recs = (
-                sweep_recorder("replay", self._device_slug, registry=reg),
+                sweep_recorder(self.kind, self._device_slug, registry=reg),
                 replay_source_recorder("columnar-mmap", registry=reg),
             )
             self._obs_recorders[reg] = recs
@@ -445,8 +436,8 @@ class RecordingBackend:
         return self.inner.device
 
     @property
-    def capabilities(self) -> BackendCapabilities:
-        return self.inner.capabilities
+    def kind(self) -> str:
+        return self.inner.kind
 
     @property
     def stream_path(self) -> pathlib.Path | None:

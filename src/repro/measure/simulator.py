@@ -11,7 +11,6 @@ from ..gpusim.executor import GPUSimulator
 from ..gpusim.noise import NoiseConfig
 from ..obs import observe_sweep
 from ..workloads import KernelSpec
-from .backend import BackendCapabilities
 
 
 class SimulatorBackend:
@@ -21,6 +20,8 @@ class SimulatorBackend:
     both go through the batch engine, so a backend sweep is bit-identical
     to the equivalent scalar ``run_at`` loop.
     """
+
+    kind = "simulator"
 
     def __init__(
         self,
@@ -36,16 +37,6 @@ class SimulatorBackend:
     def device(self) -> DeviceSpec:
         return self.sim.device
 
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            device=self.sim.device.name,
-            kind="simulator",
-            vectorized=True,
-            deterministic=True,
-            online=True,
-        )
-
     def measure(
         self, spec: KernelSpec, configs: Sequence[tuple[float, float]]
     ) -> KernelMeasurements:
@@ -57,7 +48,7 @@ class SimulatorBackend:
         # Observed strictly after the sweep: timing can never feed back
         # into the measured numbers (the no-perturbation invariant).
         observe_sweep(
-            "simulator",
+            self.kind,
             device_slug(self.sim.device.name),
             len(configs),
             time.perf_counter() - start,

@@ -11,8 +11,8 @@ Naming scheme (Prometheus conventions):
 * ``device`` labels carry the device *slug*
   (:func:`repro.gpusim.device.device_slug`), never a display name or
   alias — one series per physical device no matter how it was spelled;
-* ``backend`` labels carry the backend ``capabilities.kind``
-  (``simulator`` / ``nvml`` / ``replay``).
+* ``backend`` labels carry the backend ``kind``
+  (``simulator`` / ``replay``).
 
 The no-perturbation invariant: these helpers only ever *observe* wall
 clock and counts after the measured work completed; nothing here feeds

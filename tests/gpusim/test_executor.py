@@ -1,4 +1,4 @@
-"""Tests for the simulator facade: clocks, measurement protocol, noise."""
+"""Tests for the simulator: clocks, measurement protocol, noise."""
 
 import pytest
 
@@ -22,40 +22,9 @@ def profile():
     )
 
 
-class TestClockManagement:
-    def test_starts_at_default(self, sim):
-        assert sim.clocks == sim.device.default_config
-
-    def test_set_clocks(self, sim):
-        core = sim.device.domain_by_label("l").reported_core_mhz[10]
-        sim.set_clocks(core, 810.0)
-        assert sim.clocks == (core, 810.0)
-
-    def test_set_invalid_mem_raises(self, sim):
-        with pytest.raises(KeyError):
-            sim.set_clocks(1001.0, 1234.0)
-
-    def test_set_unlisted_core_raises(self, sim):
-        with pytest.raises(ClockError):
-            sim.set_clocks(999.5, 3505.0)
-
-    def test_clamped_effective_core(self, sim):
-        menu = sim.device.domain_by_label("H").reported_core_mhz
-        fake = max(menu)  # 1392, reported but clamped
-        sim.set_clocks(fake, 3505.0)
-        assert sim.clocks[0] == fake
-        assert sim.effective_core_mhz == 1202.0
-
-    def test_reset_clocks(self, sim):
-        core = sim.device.domain_by_label("l").reported_core_mhz[10]
-        sim.set_clocks(core, 810.0)
-        sim.reset_clocks()
-        assert sim.clocks == sim.device.default_config
-
-
 class TestExecution:
     def test_run_produces_positive_measurements(self, sim, profile):
-        r = sim.run(profile)
+        r = sim.run_default(profile)
         assert r.time_ms > 0
         assert r.power_w > 0
         assert r.energy_j > 0

@@ -1,4 +1,4 @@
-"""The measurement-backend protocol and its three implementations."""
+"""The measurement-backend protocol and its implementations."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.gpusim.device import make_tesla_p100, make_titan_x, resolve_device
 from repro.gpusim.executor import GPUSimulator
 from repro.measure import (
     MeasurementBackend,
-    NvmlBackend,
     RecordingBackend,
     ReplayBackend,
     ReplayError,
@@ -36,22 +35,22 @@ class TestProtocol:
         rec = RecordingBackend(sim_b)
         rec.measure(spec, SETTINGS)
         path = rec.save(tmp_path / "t.json")
-        backends = [sim_b, NvmlBackend(), ReplayBackend(path), rec]
-        for backend in backends:
+        for backend in (sim_b, ReplayBackend(path), rec):
             assert isinstance(backend, MeasurementBackend)
-            caps = backend.capabilities
-            assert caps.device == backend.device.name
+            assert backend.device.name == "NVIDIA GTX Titan X"
 
     def test_capability_kinds(self, tmp_path, spec):
-        sim_b = SimulatorBackend()
-        assert sim_b.capabilities.kind == "simulator"
-        assert sim_b.capabilities.vectorized
-        assert NvmlBackend().capabilities.kind == "nvml"
+        sim_b = SimulatorBackend(make_tesla_p100())
+        assert sim_b.kind == "simulator"
         rec = RecordingBackend(sim_b)
-        rec.measure(spec, SETTINGS)
+        assert rec.kind == "simulator"
+        assert rec.device is sim_b.device
+        rec.measure(spec, [(544.0, 715.0)])
         rep = ReplayBackend(rec.save(tmp_path / "t.json"))
-        assert rep.capabilities.kind == "replay"
-        assert not rep.capabilities.online
+        assert rep.kind == "replay"
+        assert rep.device.name == "NVIDIA Tesla P100"
+        # A recorder forwards whatever it wraps, replay included.
+        assert RecordingBackend(rep).kind == "replay"
 
     def test_as_backend_wraps_simulator(self):
         sim = GPUSimulator()
@@ -91,28 +90,6 @@ class TestSimulatorBackend:
         m = SimulatorBackend().measure(spec, SETTINGS)
         assert [p.config for p in m.points] == SETTINGS
         assert [p.speedup for p in m.points] == m.speedup.tolist()
-
-
-class TestNvmlBackend:
-    def test_identical_to_simulator_backend(self, spec):
-        """The real-hardware call pattern reproduces the vectorized sweep."""
-        sim_m = SimulatorBackend().measure(spec, SETTINGS)
-        nvml_m = NvmlBackend().measure(spec, SETTINGS)
-        for field in ("time_ms", "power_w", "energy_j", "speedup", "norm_energy"):
-            assert np.array_equal(getattr(sim_m, field), getattr(nvml_m, field)), field
-        assert sim_m.baseline.time_ms == nvml_m.baseline.time_ms
-        assert sim_m.baseline.energy_j == nvml_m.baseline.energy_j
-
-    def test_resets_clocks_after_sweep(self, spec):
-        backend = NvmlBackend()
-        backend.measure(spec, SETTINGS)
-        assert backend._handle.sim.clocks == backend.device.default_config
-
-    def test_p100(self, spec):
-        backend = NvmlBackend(make_tesla_p100())
-        m = backend.measure(spec, [(544.0, 715.0)])
-        assert len(m) == 1
-        assert m.baseline.config == (1328.0, 715.0)
 
 
 class TestReplay:

@@ -21,6 +21,14 @@ def kernel_file(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("trainer", ["exact", "streaming"])
+def test_train_meta_names_simulator_backend(tmp_path, trainer):
+    artifact = tmp_path / "m.json"
+    assert main(["train", "--quick", "--trainer", trainer,
+                 "--save", str(artifact)]) == 0
+    assert json.loads(artifact.read_text())["meta"]["backend"] == "simulator"
+
+
 def test_train_p100_then_predict_end_to_end(tmp_path, kernel_file, capsys):
     artifact = tmp_path / "p100.json"
     assert main(["train", "--quick", "--device", "tesla-p100",
@@ -83,8 +91,31 @@ def test_unknown_device_reports_known_aliases(capsys):
 
 
 def test_nvml_backend_characterize(capsys):
-    assert main(["characterize", "MT", "--quick", "--backend", "nvml"]) == 0
-    assert "MT" in capsys.readouterr().out
+    """The simulator is the only measurement engine: no ``nvml`` backend."""
+    with pytest.raises(SystemExit) as exc:
+        main(["characterize", "MT", "--quick", "--backend", "nvml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nvml'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag", [["--trace", "t.json"], ["--trace-key", "titan-x/quick"],
+             ["--max-cached-kernels", "0"]],
+    ids=["trace", "trace-key", "max-cached-kernels"],
+)
+@pytest.mark.parametrize("command", ["characterize", "train", "predict"])
+def test_replay_flags_require_replay_backend(command, flag, tmp_path,
+                                             kernel_file, capsys):
+    argv = {
+        "characterize": ["characterize", "MT"],
+        "train": ["train", "--save", str(tmp_path / "m.json")],
+        "predict": ["predict", str(kernel_file)],
+    }[command]
+    assert main([*argv, "--quick", *flag]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag[0]} only applies with --backend replay\n"
+    )
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_model_with_backend_flags_rejected(tmp_path, kernel_file, capsys):
@@ -92,7 +123,7 @@ def test_model_with_backend_flags_rejected(tmp_path, kernel_file, capsys):
     assert main(["train", "--quick", "--save", str(artifact)]) == 0
     capsys.readouterr()
     assert main(["predict", str(kernel_file), "--model", str(artifact),
-                 "--backend", "nvml"]) == 2
+                 "--backend", "replay"]) == 2
     assert "cannot be combined with --model" in capsys.readouterr().err
     assert main(["predict-batch", str(kernel_file), "--model", str(artifact),
                  "--trace", "t.json"]) == 2

@@ -41,7 +41,7 @@ def test_every_export_resolves():
         "exec('from repro import ' + ', '.join(repro.__all__))\n"
         "print(len(repro.__all__))\n"
     )
-    assert run_python(code) == "27"
+    assert run_python(code) == "26"
 
 
 def test_submodules_resolve_as_attributes():
@@ -67,7 +67,7 @@ def test_unknown_attribute_raises_attribute_error():
 
 #: Measurement-side packages a serving process must never load: serving
 #: only loads bundles that a campaign or ``repro train`` built.
-BUILD_ONLY_PREFIXES = ("repro.measure", "repro.nvml", "repro.synthetic", "repro.campaign")
+BUILD_ONLY_PREFIXES = ("repro.measure", "repro.synthetic", "repro.campaign")
 
 
 @pytest.mark.parametrize("module", ["repro.serve.fleet", "repro.serve.daemon"])
