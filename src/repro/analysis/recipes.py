@@ -6,7 +6,7 @@ fingerprint.  Naming rules:
 
 * the first ``+``-separated part is the **base** — ``paper10`` (the
   paper's ten normalized shares, today's exact layout) or ``paper10-raw``
-  (the ablation base: raw weighted counts, i.e. ``normalize=False``);
+  (the ablation base: raw weighted counts instead of shares);
 * each later part appends one registered **block** of extra columns
   (``loops``, ``memmix``, ``divergence``), computed by the analysis
   passes; block order in the name is column order in the vector, and a
@@ -37,7 +37,7 @@ from .passes import (
 #: pre-recipe artifacts can carry (they don't record one).
 DEFAULT_RECIPE = "paper10"
 
-#: The raw-count ablation base (the extractor's ``normalize=False`` path).
+#: The raw-count ablation base (§3.2's normalization step left out).
 RAW_RECIPE = "paper10-raw"
 
 

@@ -65,17 +65,10 @@ from ..store.layout import (
     MODELS_SUBDIR,
     SPANS_FILENAME,
     TRACES_SUBDIR,
-    TRAINER_STATE_SUBDIR,
 )
 from .plan import CampaignPlan
 from .progress import CampaignProgress, ProgressCallback
-from .scheduler import (
-    LegRun,
-    prepare_leg,
-    run_legs,
-    train_leg_task,
-    train_streaming_leg_task,
-)
+from .scheduler import LegRun, prepare_leg, run_legs, train_leg_task
 
 # Store layout (traces/ and models/ side by side under one root) lives in
 # repro.store.layout so the fleet serving layer — below this package in
@@ -223,9 +216,6 @@ def _execute(
                 reused=leg.reused,
             )
 
-    streaming = plan.trainer == "streaming"
-    trainer_state_dir = model_registry.root.parent / TRAINER_STATE_SUBDIR
-
     def on_leg_swept(leg: LegRun) -> None:
         # The leg's trace just published (or was reused whole): fingerprint
         # it, then either prove the registered bundle is already current or
@@ -250,11 +240,6 @@ def _execute(
             # Proven current — skip training, the dataset AND materializing
             # the bundle (leg.models stays None).
             leg.trained = False
-            if leg.collect_dataset:
-                # The final pass holds one row per kernel per setting.
-                leg.n_samples = len(leg.specs) * len(leg.settings)
-            else:
-                leg.n_samples = int(meta.get("n_samples") or 0)
             progress.leg_stage(leg.device.name, "reused")
             leg_seconds[leg.device.name] = time.perf_counter() - start
         else:
@@ -262,37 +247,16 @@ def _execute(
                 train_spans[leg.device.name] = span_log.span(
                     "campaign.train", device=device_slug(leg.device.name)
                 )
-            if streaming:
-                # A grown trace keeps its consumed prefix byte-identical, so
-                # the persisted accumulator state turns this retrain into a
-                # delta fit; any prefix mismatch falls back to scratch
-                # inside the task.
-                from ..core.incremental import load_trainer_state
-
-                prior = load_trainer_state(trainer_state_dir / f"{key.slug}.json")
-                trainings[leg.device.name] = pool.apply_async(
-                    train_streaming_leg_task,
-                    (
-                        str(trace_path),
-                        leg.specs,
-                        leg.settings,
-                        plan.interactions,
-                        plan.batch_rows,
-                        prior.to_state() if prior is not None else None,
-                        leg.device.name,
-                    ),
-                )
-            else:
-                trainings[leg.device.name] = pool.apply_async(
-                    train_leg_task,
-                    (
-                        leg.training_dataset(),
-                        leg.settings,
-                        plan.interactions,
-                        leg.device.name,
-                        plan.features,
-                    ),
-                )
+            trainings[leg.device.name] = pool.apply_async(
+                train_leg_task,
+                (
+                    leg.training_dataset(),
+                    leg.settings,
+                    plan.interactions,
+                    leg.device.name,
+                    plan.features,
+                ),
+            )
 
     try:
         run_legs(
@@ -305,24 +269,7 @@ def _execute(
         for leg in legs:
             pending = trainings.get(leg.device.name)
             if pending is not None:
-                if streaming:
-                    leg.models, state_payload, leg.train_meta = pending.get()
-                    leg.n_samples = int(leg.train_meta.get("n_samples") or 0)
-                    # Parent-side save: one writer per state file, never a
-                    # worker race.
-                    from ..core.incremental import (
-                        StreamingTrainerState,
-                        save_trainer_state,
-                    )
-
-                    key = plan.model_key(leg.device)
-                    save_trainer_state(
-                        trainer_state_dir / f"{key.slug}.json",
-                        StreamingTrainerState.from_state(state_payload),
-                        meta={**key.as_meta(), "trace_sha256": leg.trace_sha256},
-                    )
-                else:
-                    leg.models = pending.get()
+                leg.models = pending.get()
                 span = train_spans.get(leg.device.name)
                 if span is not None:
                     span.end()
@@ -342,10 +289,9 @@ def _execute(
         key = plan.model_key(leg.device)
         if leg.trained:
             assert leg.models is not None
-            extra_meta = {"trace_sha256": leg.trace_sha256}
-            if leg.train_meta is not None:
-                extra_meta.update(leg.train_meta)
-            model_path = model_registry.put(key, leg.models, extra_meta=extra_meta)
+            model_path = model_registry.put(
+                key, leg.models, extra_meta={"trace_sha256": leg.trace_sha256}
+            )
         else:
             model_path = model_registry.path_for(key)
         results.append(
@@ -353,11 +299,8 @@ def _execute(
                 device=leg.device.name,
                 n_kernels=len(leg.specs),
                 n_settings=len(leg.settings),
-                n_samples=(
-                    leg.dataset.n_samples
-                    if leg.dataset is not None
-                    else leg.n_samples
-                ),
+                # The final pass holds one row per kernel per setting.
+                n_samples=len(leg.specs) * len(leg.settings),
                 repeats=plan.repeats,
                 trace_key=leg.trace_key.display(),
                 trace_path=trace_registry.path_for(leg.trace_key),

@@ -1,22 +1,17 @@
-"""Whole-store maintenance: compact traces, migrate layout, expire state.
+"""Whole-store maintenance: compact traces, migrate layout.
 
 The operational counterpart of the campaign engine's per-leg auto-compact
 (behind ``repro store compact``): one pass over a campaign store that
 
 1. **compacts** every registered trace into its v3 columnar sidecar
    (:mod:`repro.measure.columnar`) so replay-mode training runs off
-   memory-mapped columns,
+   memory-mapped columns, and
 2. **migrates** the ``traces/`` and ``models/`` registries to the
-   two-level sharded layout (:mod:`repro.store.layout`), and
-3. **expires** superseded streaming-trainer states — accumulator
-   artifacts whose consumed byte prefix no longer matches any trace of
-   their device, which can therefore never serve a delta fit again (the
-   next retrain would fall back to scratch and overwrite them anyway).
+   two-level sharded layout (:mod:`repro.store.layout`).
 
 Everything here is safe on a live store: compaction is atomic and
-sidecar-only (the JSONL is never touched), migration keeps both layout
-generations readable, and expiry only removes state that is provably
-useless.  Running it twice is a no-op.
+sidecar-only (the JSONL is never touched), and migration keeps both
+layout generations readable.  Running it twice is a no-op.
 """
 
 from __future__ import annotations
@@ -24,15 +19,12 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass, field
 
-from ..core.incremental import load_trainer_state, state_extends_trace
-from ..gpusim.device import device_slug
 from ..harness.report import format_table
 from ..measure.columnar import CompactionResult, compact_trace
 from ..measure.trace import ReplayError
 from ..measure.trace_registry import TraceRegistry
 from ..serve.registry import ModelRegistry
-from ..store.envelope import ArtifactError, read_artifact_meta
-from ..store.layout import MODELS_SUBDIR, TRACES_SUBDIR, TRAINER_STATE_SUBDIR
+from ..store.layout import MODELS_SUBDIR, TRACES_SUBDIR
 
 
 @dataclass(frozen=True)
@@ -55,8 +47,6 @@ class StoreCompactionReport:
     traces: list[TraceCompaction] = field(default_factory=list)
     traces_migrated: int = 0
     models_migrated: int = 0
-    expired_states: list[str] = field(default_factory=list)
-    kept_states: list[str] = field(default_factory=list)
 
     @property
     def compacted(self) -> int:
@@ -82,59 +72,7 @@ class StoreCompactionReport:
             f"sharded layout: {self.traces_migrated} trace file(s), "
             f"{self.models_migrated} model file(s) migrated"
         )
-        if self.expired_states:
-            lines.append(
-                f"expired {len(self.expired_states)} superseded trainer "
-                f"state(s): {', '.join(self.expired_states)}"
-            )
-        else:
-            lines.append(
-                f"trainer states: {len(self.kept_states)} current, 0 expired"
-            )
         return "\n".join(lines)
-
-
-def _expire_trainer_states(
-    store_root: pathlib.Path, trace_registry: TraceRegistry
-) -> tuple[list[str], list[str]]:
-    """Partition persisted trainer states into (expired, kept) by slug.
-
-    A state earns its keep by *extending* some trace of its device — the
-    consumed byte prefix still hashes to the recorded ``prefix_sha256``
-    against at least one registered trace, so a future retrain can delta
-    fit from it.  Anything else (unreadable artifact, missing meta,
-    device with no traces left, rewritten trace) is superseded debris.
-    """
-    state_dir = store_root / TRAINER_STATE_SUBDIR
-    if not state_dir.is_dir():
-        return [], []
-    expired: list[str] = []
-    kept: list[str] = []
-    trace_slugs = trace_registry.entries()
-    for path in sorted(state_dir.glob("*.json")):
-        slug = path.stem
-        state = load_trainer_state(path)
-        keep = False
-        if state is not None:
-            try:
-                meta = read_artifact_meta(path) or {}
-                dev_slug = device_slug(str(meta["device"]))
-            except (ArtifactError, KeyError, TypeError, ValueError):
-                dev_slug = None
-            if dev_slug is not None:
-                for trace_slug in trace_slugs:
-                    if not trace_slug.startswith(f"{dev_slug}__"):
-                        continue
-                    trace_path = trace_registry.store.path_for_slug(trace_slug)
-                    if state_extends_trace(state, trace_path):
-                        keep = True
-                        break
-        if keep:
-            kept.append(slug)
-        else:
-            path.unlink()
-            expired.append(slug)
-    return expired, kept
 
 
 def compact_store(
@@ -144,9 +82,9 @@ def compact_store(
 ) -> StoreCompactionReport:
     """One maintenance pass over a campaign store (see module docstring).
 
-    ``migrate=False`` skips the sharded-layout migration (compaction and
-    expiry still run — useful for stores that tooling outside this repo
-    still reads by flat path).  ``force`` recompacts fresh sidecars too.
+    ``migrate=False`` skips the sharded-layout migration (compaction still
+    runs — useful for stores that tooling outside this repo still reads
+    by flat path).  ``force`` recompacts fresh sidecars too.
     """
     root = pathlib.Path(store_root).expanduser()
     trace_registry = TraceRegistry(root / TRACES_SUBDIR, memory_capacity=1)
@@ -173,8 +111,4 @@ def compact_store(
         report.traces_migrated = trace_registry.migrate_to_sharded()
         model_registry = ModelRegistry(root / MODELS_SUBDIR)
         report.models_migrated = model_registry.migrate_to_sharded()
-
-    report.expired_states, report.kept_states = _expire_trainer_states(
-        root, trace_registry
-    )
     return report

@@ -38,11 +38,6 @@ class CampaignPlan:
     workers: int = 1
     interactions: bool = True
     suite: str | None = None  # trace suite label override
-    #: "exact" retrains dense from scratch; "streaming" trains out-of-core
-    #: from the trace and delta-fits when the trace merely grew.
-    trainer: str = "exact"
-    #: Mini-batch row cap for the streaming trainer (peak resident rows).
-    batch_rows: int = 4096
     #: Static feature recipe the campaign trains with
     #: (:mod:`repro.analysis.recipes`); ``paper10`` is the paper layout.
     features: str = "paper10"
@@ -58,23 +53,12 @@ class CampaignPlan:
             raise ValueError("repeats must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.trainer not in ("exact", "streaming"):
-            raise ValueError(
-                f"trainer must be 'exact' or 'streaming', got {self.trainer!r}"
-            )
-        if self.batch_rows < 1:
-            raise ValueError("batch_rows must be >= 1")
         from ..analysis.recipes import RecipeError, resolve_recipe
 
         try:
             resolve_recipe(self.features)
         except RecipeError as exc:
             raise ValueError(f"unknown feature recipe: {exc}") from None
-        if self.features != "paper10" and self.trainer == "streaming":
-            raise ValueError(
-                "the streaming trainer supports only the default 'paper10' "
-                f"feature recipe, got {self.features!r}"
-            )
         if self.features != "paper10" and not self.interactions:
             raise ValueError(
                 "the concat (no-interactions) ablation is only defined for "
@@ -151,8 +135,8 @@ class CampaignPlan:
     def model_key(self, device: DeviceSpec) -> ModelKey:
         if self.features != "paper10":
             # Recipe-named keys always train with interactions (validated
-            # in __post_init__ by way of the streaming restriction); the
-            # legacy spellings cover the paper10 ablation pair.
+            # in __post_init__); the legacy spellings cover the paper10
+            # ablation pair.
             features = self.features
         else:
             features = "interactions" if self.interactions else "concat"
@@ -169,11 +153,8 @@ class CampaignPlan:
 
     def describe(self) -> str:
         stride, budget = TRAINING_RECIPES[self.recipe]
-        text = (
+        return (
             f"{len(self.devices)} device(s) x "
             f"{len(self.kernel_specs())} codes x {budget} settings, "
             f"{self.repeats} pass(es), {self.workers} worker(s)"
         )
-        if self.trainer == "streaming":
-            text += f", streaming trainer (batch_rows={self.batch_rows})"
-        return text

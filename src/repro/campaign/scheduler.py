@@ -131,13 +131,6 @@ class LegRun:
     models: TrainedModels | None = None
     trained: bool = True
     trace_sha256: str | None = None
-    #: False for streaming-trainer legs: the dense dataset never
-    #: materializes — training replays the published trace in mini-batches.
-    collect_dataset: bool = True
-    #: Streaming-trainer provenance (mode, delta records, lineage) set by
-    #: the engine when the leg trains out-of-core; merged into bundle meta.
-    train_meta: dict | None = None
-    n_samples: int = 0
     #: Non-None when the plan trains a non-default feature recipe: the
     #: extractor config every parent-side feature extraction must use.
     extractor_config: "ExtractorConfig | None" = None
@@ -154,7 +147,7 @@ class LegRun:
         if self.writer is not None:
             self.writer.write_measurements(measurements)
         self.measured += 1
-        if task.final and self.collect_dataset:
+        if task.final:
             self._fold_recovered()
             if static is None:
                 static = task.spec.static_features(self.extractor_config)
@@ -264,7 +257,6 @@ def prepare_leg(
         # Nothing reusable (reused == 0 here): start a fresh atomic stream.
         writer = trace_registry.writer(trace_key)
 
-    collect_dataset = plan.trainer != "streaming"
     leg = LegRun(
         device=device,
         trace_key=trace_key,
@@ -276,14 +268,12 @@ def prepare_leg(
         writer=writer,
         reused=reused,
         resumed_from=resumed_from,
-        collect_dataset=collect_dataset,
         extractor_config=plan.extractor_config(),
     )
 
     # Recovered final-pass records wait on the leg until its dataset is
-    # needed.  (Streaming legs never need them: their trainer replays the
-    # published trace itself, in bounded mini-batches.)
-    if state is not None and collect_dataset:
+    # needed.
+    if state is not None:
         final_start = (plan.repeats - 1) * len(specs)
         leg.recovered = [
             (all_tasks[i], state.records[i].kernel)
@@ -316,48 +306,6 @@ def train_leg_task(
     if device is not None:
         observe_training(_metric_device_slug(device), time.perf_counter() - start)
     return models
-
-
-def train_streaming_leg_task(
-    payload: tuple,
-) -> tuple[TrainedModels, dict, dict]:
-    """Picklable out-of-core training stage: replay the leg's trace in
-    bounded mini-batches, scratch or delta depending on ``prior_state``.
-
-    Returns ``(models, trainer-state payload, provenance meta)``.  The
-    state payload is saved by the *parent* (beside the model registry) so
-    a pool worker never races another writer on the state file.
-    """
-    from ..core.incremental import StreamingTrainerState, train_streaming_from_trace
-
-    trace_path, specs, settings, interactions, batch_rows, prior_payload, device = (
-        payload
-    )
-    prior = (
-        StreamingTrainerState.from_state(prior_payload)
-        if prior_payload is not None
-        else None
-    )
-    start = time.perf_counter()
-    result = train_streaming_from_trace(
-        trace_path,
-        specs,
-        settings,
-        interactions=interactions,
-        batch_rows=batch_rows,
-        prior_state=prior,
-    )
-    if device is not None:
-        observe_training(_metric_device_slug(device), time.perf_counter() - start)
-    meta = {
-        "trainer": "streaming",
-        "batch_rows": batch_rows,
-        "trainer_mode": result.mode,
-        "delta_records": result.delta_records,
-        "n_samples": result.state.n_samples,
-        "trainer_lineage": result.state.lineage,
-    }
-    return result.models, result.state.to_state(), meta
 
 
 def run_legs(

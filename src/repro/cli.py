@@ -33,8 +33,7 @@ Subcommands:
   compacted-prefix sha;
 * ``store compact [--store DIR]`` — one maintenance pass: compact every
   trace into its memory-mapped v3 columnar sidecar, migrate ``traces/``
-  and ``models/`` to the two-level sharded layout, and expire
-  superseded streaming-trainer states;
+  and ``models/`` to the two-level sharded layout;
 * ``stats --store DIR [--format prom|json]`` — export the store's merged
   ``repro.obs`` metrics (sweep-duration histograms per device, campaign
   counters, serve/cache counters) as Prometheus text exposition or JSON;
@@ -249,13 +248,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     from .core.pipeline import save_models
 
     features = _feature_recipe(args)
-    if args.trainer == "streaming":
-        if features != "paper10":
-            raise CLIUsageError(
-                "--trainer streaming supports only the default 'paper10' "
-                "feature recipe"
-            )
-        return _cmd_train_streaming(args)
     ctx, recorder = _context_for(args)
     meta = {
         "device": ctx.device.name,
@@ -270,73 +262,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         f"trained on {ctx.models.n_training_samples} samples "
         f"({ctx.dataset.n_kernels} codes x {len(ctx.settings)} settings) "
         f"for {ctx.device.name}"
-    )
-    print(f"saved model artifact to {path} ({path.stat().st_size} bytes)")
-    _save_recorded(recorder, args)
-    return 0
-
-
-def _cmd_train_streaming(args: argparse.Namespace) -> int:
-    """`repro train --trainer streaming`: out-of-core mini-batch training.
-
-    Measurements are recorded once into a scratch JSONL trace; the
-    streaming trainer then replays that file in ``--batch-rows``-bounded
-    mini-batches, so the dense design matrix never materializes.  The
-    peak-resident-rows line printed at the end is the contract CI's
-    memory-budget smoke parses.
-    """
-    import tempfile
-
-    from .core.config import TRAINING_RECIPES, sample_training_settings
-    from .core.dataset import iter_kernel_measurements
-    from .core.incremental import train_streaming_from_trace
-    from .core.pipeline import save_models
-    from .measure.trace import TraceWriter
-    from .synthetic.generator import generate_micro_benchmarks
-
-    device, backend, recorder = _resolve_setup(args)
-    recipe = "quick" if args.quick else "paper"
-    stride, budget = TRAINING_RECIPES[recipe]
-    specs = generate_micro_benchmarks()[::stride]
-    settings = sample_training_settings(device, total=budget)
-
-    with tempfile.TemporaryDirectory(prefix="repro-train-") as tmp:
-        trace_path = pathlib.Path(tmp) / "train.jsonl"
-        writer = TraceWriter(trace_path, device=device.name)
-        try:
-            for _spec, _static, measurements in iter_kernel_measurements(
-                backend, specs, settings
-            ):
-                writer.write_measurements(measurements)
-        finally:
-            writer.close(success=True)
-        result = train_streaming_from_trace(
-            trace_path,
-            specs,
-            settings,
-            interactions=True,
-            batch_rows=args.batch_rows,
-        )
-
-    models = result.models
-    summary = result.summary
-    meta = {
-        "device": device.name,
-        "recipe": recipe,
-        "features": "interactions",
-        "backend": backend.kind,
-        "trainer": "streaming",
-        "batch_rows": args.batch_rows,
-    }
-    path = save_models(args.save, models, meta=meta)
-    print(
-        f"trained on {models.n_training_samples} samples "
-        f"({summary.n_kernels} codes x {len(settings)} settings) "
-        f"for {device.name} [streaming]"
-    )
-    print(
-        f"streaming peak resident rows: {summary.peak_resident_rows} "
-        f"(cap {args.batch_rows}, {summary.peak_resident_bytes} bytes)"
     )
     print(f"saved model artifact to {path} ({path.stat().st_size} bytes)")
     _save_recorded(recorder, args)
@@ -817,8 +742,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             recipe="quick" if quick else "paper",
             repeats=args.repeats,
             workers=args.workers,
-            trainer=args.trainer,
-            batch_rows=args.batch_rows,
             features=_feature_recipe(args),
         )
     except ValueError as exc:
@@ -945,22 +868,6 @@ def _add_features_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_trainer_flags(parser: argparse.ArgumentParser) -> None:
-    """Training-mode flags shared by `train` and `campaign`."""
-    parser.add_argument(
-        "--trainer", choices=("exact", "streaming"), default="exact",
-        help="exact: dense in-memory fit (default); streaming: out-of-core "
-             "mini-batch fit from the measurement trace (bounded memory; "
-             "campaigns delta-fit from persisted accumulators when the "
-             "trace merely grew)",
-    )
-    parser.add_argument(
-        "--batch-rows", type=int, default=4096, metavar="N", dest="batch_rows",
-        help="mini-batch row cap for --trainer streaming: peak resident "
-             "dataset rows never exceed N (default: 4096)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-dvfs",
@@ -1011,7 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the reduced training setup (faster, less accurate)",
     )
     _add_features_flag(p_train)
-    _add_trainer_flags(p_train)
     _add_device_flags(p_train, record=True)
     p_train.set_defaults(func=_cmd_train)
 
@@ -1111,8 +1017,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compact = store_sub.add_parser(
         "compact",
         help="one maintenance pass: compact every trace into its v3 "
-             "columnar sidecar, migrate traces/ and models/ to the sharded "
-             "layout, and expire superseded streaming-trainer states",
+             "columnar sidecar and migrate traces/ and models/ to the "
+             "sharded layout",
     )
     p_compact.add_argument(
         "--store", metavar="DIR", default=None,
@@ -1124,8 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compact.add_argument(
         "--no-migrate", action="store_true", dest="no_migrate",
-        help="skip the sharded-layout migration (compaction and trainer-"
-             "state expiry still run)",
+        help="skip the sharded-layout migration (compaction still runs)",
     )
     p_compact.set_defaults(func=_cmd_store_compact)
 
@@ -1242,7 +1147,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="never render live progress",
     )
     _add_features_flag(p_camp)
-    _add_trainer_flags(p_camp)
     p_camp.set_defaults(func=_cmd_campaign)
 
     p_char = sub.add_parser("characterize", help="sweep a suite benchmark")

@@ -233,31 +233,6 @@ def iter_kernel_measurements(
         )
 
 
-@dataclass(frozen=True)
-class MiniBatch:
-    """A bounded slice of the design matrix with aligned target columns."""
-
-    x: np.ndarray
-    y_speedup: np.ndarray
-    y_energy: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.x.shape[0])
-
-
-@dataclass(frozen=True)
-class StreamingAssemblySummary:
-    """What a streaming assembly pass actually held in memory."""
-
-    n_rows: int
-    n_kernels: int
-    n_batches: int
-    peak_rows_cap: int
-    peak_resident_rows: int
-    peak_resident_bytes: int
-
-
 class DatasetAssembler:
     """Incremental training-matrix builder: fold sweeps in as they arrive.
 
@@ -268,54 +243,24 @@ class DatasetAssembler:
     kernel the moment its sweep lands.  Kernels must be added in the same
     order a serial pass would produce them for the stacked matrices to be
     bit-identical to the serial path.
-
-    **Streaming mode** (``on_batch`` set): instead of accumulating blocks
-    for one dense :meth:`finish` stack, folded rows are buffered up to
-    ``peak_rows`` and flushed to ``on_batch`` as bounded
-    :class:`MiniBatch`\\ es — the dense matrix never materializes.  The
-    buffer is flushed *before* a block would push it past the cap, and
-    oversized blocks are emitted in ``peak_rows``-sized slices, so resident
-    rows never exceed the cap.  :meth:`finish_streaming` flushes the tail
-    and reports the observed peaks (also exported through the obs-registry
-    gauges ``repro_dataset_peak_resident_rows`` / ``_bytes``).
     """
 
     def __init__(
         self,
         settings: list[tuple[float, float]],
         interactions: bool = True,
-        peak_rows: int | None = None,
-        on_batch=None,
     ) -> None:
         self.settings = list(settings)
         self.interactions = interactions
-        if on_batch is not None and peak_rows is None:
-            raise ValueError("streaming mode needs an explicit peak_rows cap")
-        if peak_rows is not None:
-            if peak_rows < 1:
-                raise ValueError("peak_rows must be >= 1")
-            if on_batch is None:
-                raise ValueError("peak_rows without an on_batch consumer")
-        self.peak_rows = peak_rows
-        self._on_batch = on_batch
         self._blocks: list[np.ndarray] = []
         self._speedups: list[np.ndarray] = []
         self._energies: list[np.ndarray] = []
         self._groups: list[str] = []
         self._feats: dict[str, StaticFeatures] = {}
-        self._buffer_rows = 0
-        self._streamed_rows = 0
-        self._n_batches = 0
-        self.peak_resident_rows = 0
-        self.peak_resident_bytes = 0
-
-    @property
-    def streaming(self) -> bool:
-        return self._on_batch is not None
 
     @property
     def n_kernels(self) -> int:
-        return len(self._feats) if self.streaming else len(self._blocks)
+        return len(self._blocks)
 
     def add(
         self,
@@ -328,9 +273,6 @@ class DatasetAssembler:
         block = build_design_matrix(
             static, self.settings, interactions=self.interactions
         )
-        if self.streaming:
-            self._stream_block(block, measurements.speedup, measurements.norm_energy)
-            return
         self._blocks.append(block)
         self._speedups.append(measurements.speedup)
         self._energies.append(measurements.norm_energy)
@@ -338,8 +280,6 @@ class DatasetAssembler:
 
     def finish(self) -> TrainingDataset:
         """Stack everything folded so far into the training matrices."""
-        if self.streaming:
-            raise RuntimeError("streaming assembler: use finish_streaming()")
         if not self._blocks:
             raise ValueError("need at least one training spec")
         return TrainingDataset(
@@ -348,74 +288,6 @@ class DatasetAssembler:
             y_energy=np.concatenate(self._energies),
             groups=list(self._groups),
             static_features=dict(self._feats),
-        )
-
-    # -- streaming mode ---------------------------------------------------------
-
-    def _note_resident(self, rows: int, n_cols: int) -> None:
-        if rows > self.peak_resident_rows:
-            self.peak_resident_rows = rows
-        # design block + the two target columns, all float64
-        resident = rows * (n_cols + 2) * 8
-        if resident > self.peak_resident_bytes:
-            self.peak_resident_bytes = resident
-
-    def _emit(self, x: np.ndarray, speedup: np.ndarray, energy: np.ndarray) -> None:
-        self._note_resident(x.shape[0], x.shape[1])
-        self._streamed_rows += x.shape[0]
-        self._n_batches += 1
-        self._on_batch(MiniBatch(x=x, y_speedup=speedup, y_energy=energy))
-
-    def _flush(self) -> None:
-        if not self._blocks:
-            return
-        if len(self._blocks) == 1:
-            x, s, e = self._blocks[0], self._speedups[0], self._energies[0]
-        else:
-            x = np.vstack(self._blocks)
-            s = np.concatenate(self._speedups)
-            e = np.concatenate(self._energies)
-        self._blocks.clear()
-        self._speedups.clear()
-        self._energies.clear()
-        self._buffer_rows = 0
-        self._emit(x, s, e)
-
-    def _stream_block(
-        self, block: np.ndarray, speedup: np.ndarray, energy: np.ndarray
-    ) -> None:
-        cap = self.peak_rows
-        rows = block.shape[0]
-        if self._buffer_rows and self._buffer_rows + rows > cap:
-            self._flush()
-        if rows >= cap:
-            for start in range(0, rows, cap):
-                stop = start + cap
-                self._emit(block[start:stop], speedup[start:stop], energy[start:stop])
-            return
-        self._blocks.append(block)
-        self._speedups.append(speedup)
-        self._energies.append(energy)
-        self._buffer_rows += rows
-        self._note_resident(self._buffer_rows, block.shape[1])
-        if self._buffer_rows >= cap:
-            self._flush()
-
-    def finish_streaming(self) -> StreamingAssemblySummary:
-        """Flush the tail batch and report (and export) the observed peaks."""
-        if not self.streaming:
-            raise RuntimeError("not a streaming assembler: use finish()")
-        self._flush()
-        from ..obs.instruments import observe_dataset_peak
-
-        observe_dataset_peak(self.peak_resident_rows, self.peak_resident_bytes)
-        return StreamingAssemblySummary(
-            n_rows=self._streamed_rows,
-            n_kernels=len(self._feats),
-            n_batches=self._n_batches,
-            peak_rows_cap=self.peak_rows,
-            peak_resident_rows=self.peak_resident_rows,
-            peak_resident_bytes=self.peak_resident_bytes,
         )
 
 
@@ -429,7 +301,7 @@ def assemble_training_dataset(
     Consumes any iterable of ``(spec, static, measurements)`` triples —
     typically :func:`iter_kernel_measurements` — accumulating one
     design-matrix block and one target column per kernel as they arrive,
-    so the source (a long sweep, an out-of-core trace replay) is never
+    so the source (a long sweep, a trace replay) is never
     materialized whole.  The final stack is columnar (``np.vstack`` /
     ``np.concatenate``); no per-point Python loop.
     """

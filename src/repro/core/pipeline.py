@@ -22,7 +22,7 @@ from ..ml import regressor_from_state, scaler_from_state
 from ..ml.model_select import Regressor
 from ..ml.scaling import StandardScaler
 from ..ml.svr import make_energy_svr, make_speedup_svr
-from ..store.envelope import load_artifact, save_artifact
+from ..store.envelope import ArtifactError, load_artifact, save_artifact
 from ..workloads import KernelSpec
 from .config import sample_training_settings
 from .dataset import TrainingDataset, build_training_dataset
@@ -130,9 +130,23 @@ def save_models(
 
 
 def load_models(path: str | pathlib.Path) -> tuple[TrainedModels, dict]:
-    """Load a trained bundle together with its provenance meta."""
+    """Load a trained bundle together with its provenance meta.
+
+    A payload that does not decode into a bundle (an unknown scaler or
+    regressor kind, a missing or mistyped field) raises
+    :class:`~repro.store.envelope.ArtifactError` naming the file, like
+    any other unreadable artifact.
+    """
     payload, meta = load_artifact(path, expected_kind="trained_models")
-    return TrainedModels.from_state(payload), meta
+    try:
+        models = TrainedModels.from_state(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ArtifactError(
+            f"artifact {pathlib.Path(path).expanduser()} is not a loadable "
+            f"model bundle: {detail}"
+        ) from None
+    return models, meta
 
 
 def train_models(

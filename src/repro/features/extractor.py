@@ -8,9 +8,8 @@ Since the analysis-pass rebase the extractor is a thin binding of a
 **feature recipe** (:mod:`repro.analysis.recipes`) to a
 :class:`~repro.analysis.passes.PassManager`: lowering still happens here,
 but the counting/composition runs through the registered passes.  The
-default config reproduces the paper's ten-share vector bit-for-bit;
-``normalize=False`` resolves to the ``paper10-raw`` recipe variant instead
-of a hand-rolled rebuild.
+default config reproduces the paper's ten-share vector bit-for-bit; the
+``paper10-raw`` recipe is the raw-count ablation of §3.2's normalization.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ class ExtractorConfig:
         Iteration weight for loops whose bounds are not statically known.
     branch_probability:
         Static probability assigned to conditionally executed regions.
-    normalize:
-        If False, raw weighted counts are used instead of shares (ablation
-        of the paper's §3.2 normalization step).  Equivalent to choosing
-        the ``paper10-raw`` recipe base.
     recipe:
         Named feature recipe (see :mod:`repro.analysis.recipes`) deciding
         the static column set.  The default ``paper10`` is the paper's
@@ -54,27 +49,13 @@ class ExtractorConfig:
 
     default_trip_count: int = DEFAULT_UNKNOWN_TRIP_COUNT
     branch_probability: float = DEFAULT_BRANCH_PROBABILITY
-    normalize: bool = True
     recipe: str = "paper10"
 
-    def effective_recipe(self) -> str:
-        """The recipe name after folding in ``normalize=False``.
-
-        ``normalize`` predates recipes; it maps onto the raw base so the
-        two spellings can never disagree: ``normalize=False`` with the
-        default base resolves to ``paper10-raw`` (extension blocks are
-        kept).  An explicitly raw base wins regardless of ``normalize``.
-        """
-        parts = self.recipe.split("+")
-        if not self.normalize and parts[0] == "paper10":
-            parts[0] = "paper10-raw"
-        return "+".join(parts)
-
     def resolved_recipe(self) -> "FeatureRecipe":
-        """Resolve (and validate) the effective recipe."""
+        """Resolve (and validate) the recipe."""
         from ..analysis.recipes import resolve_recipe
 
-        return resolve_recipe(self.effective_recipe())
+        return resolve_recipe(self.recipe)
 
     def analysis_config(self) -> "AnalysisConfig":
         from ..analysis.passes import AnalysisConfig

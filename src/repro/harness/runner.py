@@ -11,7 +11,6 @@ fly), so harness code is backend-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
 
 from ..core.dataset import KernelMeasurements, MeasuredPoint
 from ..gpusim.device import DeviceSpec
@@ -75,36 +74,6 @@ def sweep_kernel(
     chosen = configs if configs is not None else backend.device.real_configurations()
     measurements = backend.measure(spec, chosen)
     return SweepResult(measurements=measurements, device=backend.device)
-
-
-def sweep_many(
-    backend,
-    specs: list[KernelSpec],
-    configs: list[tuple[float, float]] | None = None,
-    on_sweep: "Callable[[SweepResult], None] | None" = None,
-) -> Iterator[SweepResult]:
-    """Sweep many kernels at one config list, streaming one result at a time.
-
-    Results arrive in spec order, one at a time, so the harness never
-    holds a whole campaign's measurements at once.
-
-    ``on_sweep`` fires for each result just before it is yielded — the
-    observability seam for long multi-kernel sweeps (progress meters,
-    logging) that consumers draining the iterator lazily would otherwise
-    have to wrap themselves.
-    """
-    backend = as_backend(backend)
-    chosen = configs if configs is not None else backend.device.real_configurations()
-
-    def emit(result: SweepResult) -> SweepResult:
-        if on_sweep is not None:
-            on_sweep(result)
-        return result
-
-    for spec in specs:
-        yield emit(
-            SweepResult(measurements=backend.measure(spec, chosen), device=backend.device)
-        )
 
 
 def measure_configs(

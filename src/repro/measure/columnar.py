@@ -17,13 +17,12 @@ readable by plain ``np.load``)::
     power_w.npy    float64 (n_rows,)  │ every column
     energy_j.npy   float64 (n_rows,)  ┘
 
-The header carries the **source contract** that keeps PR 7's append-aware
-trainer-state keying intact: ``source.prefix_sha256`` and
+The header carries a **source contract**: ``source.prefix_sha256`` and
 ``source.prefix_bytes`` fingerprint the exact JSONL byte prefix the
 columns were compacted from, and each record remembers its source
 ``end_offset``.  The sidecar therefore serves the compacted prefix while
-any JSONL bytes past ``prefix_bytes`` remain the live **delta tail** —
-``consumed_bytes`` semantics survive compaction unchanged.
+any JSONL bytes past ``prefix_bytes`` remain the live **delta tail**,
+which replay reads from the JSONL.
 
 Readers *prefer* the sidecar and silently fall back to the JSONL when it
 is missing, torn (unreadable zip/members), or stale (prefix sha mismatch
@@ -41,6 +40,7 @@ byte-identical sidecars, so resume-vs-one-shot store diffs stay clean.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import mmap
@@ -92,10 +92,21 @@ def sidecar_partial_path(trace_path: str | pathlib.Path) -> pathlib.Path:
     return side.with_name(side.name + ".partial")
 
 
-def _prefix_sha256(path: pathlib.Path, limit: int) -> str:
-    from ..core.incremental import prefix_sha256
-
-    return prefix_sha256(path, limit)
+def prefix_sha256(path: str | pathlib.Path, limit: int | None = None) -> str:
+    """SHA-256 of the first ``limit`` bytes of ``path`` (whole file if None)."""
+    digest = hashlib.sha256()
+    remaining = limit
+    with pathlib.Path(path).expanduser().open("rb") as handle:
+        while remaining is None or remaining > 0:
+            chunk = handle.read(
+                1 << 20 if remaining is None else min(1 << 20, remaining)
+            )
+            if not chunk:
+                break
+            digest.update(chunk)
+            if remaining is not None:
+                remaining -= len(chunk)
+    return digest.hexdigest()
 
 
 # -- deterministic npz writing -------------------------------------------------
@@ -323,7 +334,7 @@ class ColumnarTrace:
             return False
         if size < self.prefix_bytes or self.prefix_bytes <= 0:
             return False
-        return _prefix_sha256(trace_path, self.prefix_bytes) == self.prefix_sha256
+        return prefix_sha256(trace_path, self.prefix_bytes) == self.prefix_sha256
 
     # -- record access ----------------------------------------------------------
 
@@ -356,14 +367,6 @@ class ColumnarTrace:
         for record in records[1:]:
             merged.merge(self.record_kernel(record))
         return merged
-
-    def iter_records(self, start_offset: int = 0):
-        """Yield ``(name, KernelTrace, end_offset)`` for prefix records
-        past ``start_offset`` — the delta-fit iteration contract."""
-        for record in self.records:
-            if record.end_offset <= start_offset:
-                continue
-            yield record.name, self.record_kernel(record), record.end_offset
 
 
 def _observe_open(result: str) -> None:
@@ -479,7 +482,7 @@ class TraceCompactor:
             cursor = stop
 
         prefix_bytes = records[-1].end_offset
-        sha = _prefix_sha256(p, prefix_bytes)
+        sha = prefix_sha256(p, prefix_bytes)
         doc = {
             "format": COLUMNAR_FORMAT,
             "version": COLUMNAR_VERSION,

@@ -14,7 +14,7 @@ from .kernels import (
     kernel_from_state,
     make_kernel,
 )
-from .linear import LassoRegression, NormalEquations, OLSRegression, RidgeRegression
+from .linear import LassoRegression, OLSRegression, RidgeRegression
 from .metrics import (
     BoxStats,
     GroupedErrorReport,
@@ -35,12 +35,7 @@ from .model_select import (
 from .model_select import Regressor
 from .poly import PolynomialRegression, n_polynomial_terms, polynomial_expand
 from .scaling import IdentityScaler, MinMaxScaler, StandardScaler, scaler_from_state
-from .streaming import (
-    RandomFourierSVR,
-    WelfordScaler,
-    make_streaming_energy_model,
-    make_streaming_speedup_model,
-)
+from .streaming import RandomFourierSVR
 from .svr import SVR, make_energy_svr, make_speedup_svr
 
 #: Discriminator → regressor class, used by :func:`regressor_from_state`.
@@ -72,7 +67,6 @@ __all__ = [
     "LassoRegression",
     "LinearKernel",
     "MinMaxScaler",
-    "NormalEquations",
     "OLSRegression",
     "PolynomialKernel",
     "PolynomialRegression",
@@ -83,7 +77,6 @@ __all__ = [
     "RidgeRegression",
     "SVR",
     "StandardScaler",
-    "WelfordScaler",
     "cross_validate",
     "grid_search",
     "grouped_kfold_indices",
@@ -93,8 +86,6 @@ __all__ = [
     "make_energy_svr",
     "make_kernel",
     "make_speedup_svr",
-    "make_streaming_energy_model",
-    "make_streaming_speedup_model",
     "regressor_from_state",
     "scaler_from_state",
     "mape",

@@ -23,94 +23,6 @@ def _validated(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xa, ya
 
 
-class NormalEquations:
-    """Running sufficient statistics for least-squares: XᵀX, Xᵀy, Σx, Σy, n.
-
-    Mini-batches fold in via :meth:`update`; :meth:`solve` recovers the
-    exact batch OLS/ridge solution from the accumulated moments, so a model
-    trained by ``partial_fit`` over any batch split matches the one-shot
-    ``fit`` up to float summation order.  The state is a few d² floats —
-    independent of the number of rows — which is what makes training
-    out-of-core and appendable.
-    """
-
-    def __init__(self, n_features: int) -> None:
-        if n_features < 1:
-            raise ValueError("n_features must be >= 1")
-        self.n_features = int(n_features)
-        self.count = 0
-        self.sum_x = np.zeros(self.n_features)
-        self.sum_y = 0.0
-        self.xtx = np.zeros((self.n_features, self.n_features))
-        self.xty = np.zeros(self.n_features)
-
-    def update(self, x: np.ndarray, y: np.ndarray) -> "NormalEquations":
-        xa, ya = _validated(x, y)
-        if xa.shape[1] != self.n_features:
-            raise ValueError(
-                f"accumulator holds {self.n_features} features, batch has {xa.shape[1]}"
-            )
-        self.xtx += xa.T @ xa
-        self.xty += xa.T @ ya
-        self.sum_x += xa.sum(axis=0)
-        self.sum_y += float(ya.sum())
-        self.count += xa.shape[0]
-        return self
-
-    def solve(self, alpha: float, fit_intercept: bool) -> tuple[np.ndarray, float]:
-        """Return ``(coef, intercept)`` for the accumulated data.
-
-        With ``fit_intercept`` the moments are de-centered so the solve is
-        identical to ridge on mean-centered columns: ``XcᵀXc = XᵀX − n·μμᵀ``.
-        ``alpha == 0`` falls back to ``lstsq`` (min-norm, rank-safe) which is
-        how the batch OLS path behaves on degenerate designs.
-        """
-        if self.count == 0:
-            raise RuntimeError("no data accumulated")
-        if fit_intercept:
-            mean_x = self.sum_x / self.count
-            mean_y = self.sum_y / self.count
-            gram = self.xtx - self.count * np.outer(mean_x, mean_x)
-            rhs = self.xty - self.count * mean_x * mean_y
-        else:
-            gram = self.xtx.copy()
-            rhs = self.xty
-        if alpha > 0:
-            gram += alpha * np.eye(self.n_features)
-            coef = np.linalg.solve(gram, rhs)
-        else:
-            coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        if fit_intercept:
-            intercept = float(mean_y - mean_x @ coef)
-        else:
-            intercept = 0.0
-        return coef, intercept
-
-    def to_state(self) -> dict:
-        return {
-            "kind": "normal_equations",
-            "version": 1,
-            "n_features": self.n_features,
-            "count": self.count,
-            "sum_x": self.sum_x.tolist(),
-            "sum_y": self.sum_y,
-            "xtx": self.xtx.tolist(),
-            "xty": self.xty.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "NormalEquations":
-        if state.get("kind") != "normal_equations":
-            raise ValueError(f"not a normal_equations state: {state.get('kind')!r}")
-        acc = cls(n_features=int(state["n_features"]))
-        acc.count = int(state["count"])
-        acc.sum_x = np.asarray(state["sum_x"], dtype=np.float64)
-        acc.sum_y = float(state["sum_y"])
-        acc.xtx = np.asarray(state["xtx"], dtype=np.float64)
-        acc.xty = np.asarray(state["xty"], dtype=np.float64)
-        return acc
-
-
 class OLSRegression:
     """Ordinary least squares via numpy's lstsq (rank-safe)."""
 
@@ -118,13 +30,9 @@ class OLSRegression:
         self.fit_intercept = fit_intercept
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
-        self.accumulator: NormalEquations | None = None
-        self._stale = False
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "OLSRegression":
         xa, ya = _validated(x, y)
-        self.accumulator = None
-        self._stale = False
         if self.fit_intercept:
             design = np.hstack([xa, np.ones((xa.shape[0], 1))])
         else:
@@ -138,28 +46,7 @@ class OLSRegression:
             self.intercept_ = 0.0
         return self
 
-    def partial_fit(self, x: np.ndarray, y: np.ndarray) -> "OLSRegression":
-        """Fold one mini-batch into the running normal equations."""
-        xa, ya = _validated(x, y)
-        if self.accumulator is None:
-            self.accumulator = NormalEquations(xa.shape[1])
-        self.accumulator.update(xa, ya)
-        self._stale = True
-        return self
-
-    def finalize(self) -> "OLSRegression":
-        """Solve the accumulated normal equations into ``coef_``/``intercept_``."""
-        if self.accumulator is None:
-            raise RuntimeError("no partial_fit batches accumulated")
-        self.coef_, self.intercept_ = self.accumulator.solve(
-            alpha=0.0, fit_intercept=self.fit_intercept
-        )
-        self._stale = False
-        return self
-
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if self._stale:
-            self.finalize()
         if self.coef_ is None:
             raise RuntimeError("model is not fitted")
         xa = np.asarray(x, dtype=np.float64)
@@ -170,8 +57,6 @@ class OLSRegression:
         return out[0] if squeeze else out
 
     def to_state(self) -> dict:
-        if self._stale:
-            self.finalize()
         return {
             "kind": "ols",
             "fit_intercept": self.fit_intercept,
@@ -198,13 +83,9 @@ class RidgeRegression:
         self.fit_intercept = fit_intercept
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
-        self.accumulator: NormalEquations | None = None
-        self._stale = False
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RidgeRegression":
         xa, ya = _validated(x, y)
-        self.accumulator = None
-        self._stale = False
         if self.fit_intercept:
             x_mean = xa.mean(axis=0)
             y_mean = float(ya.mean())
@@ -220,33 +101,7 @@ class RidgeRegression:
         self.intercept_ = y_mean - float(x_mean @ self.coef_) if self.fit_intercept else 0.0
         return self
 
-    def partial_fit(self, x: np.ndarray, y: np.ndarray) -> "RidgeRegression":
-        """Fold one mini-batch into the running normal equations.
-
-        The de-centered solve in :meth:`NormalEquations.solve` makes the
-        result mathematically identical to batch :meth:`fit` on the
-        concatenation of all batches, in any order.
-        """
-        xa, ya = _validated(x, y)
-        if self.accumulator is None:
-            self.accumulator = NormalEquations(xa.shape[1])
-        self.accumulator.update(xa, ya)
-        self._stale = True
-        return self
-
-    def finalize(self) -> "RidgeRegression":
-        """Solve the accumulated normal equations into ``coef_``/``intercept_``."""
-        if self.accumulator is None:
-            raise RuntimeError("no partial_fit batches accumulated")
-        self.coef_, self.intercept_ = self.accumulator.solve(
-            alpha=self.alpha, fit_intercept=self.fit_intercept
-        )
-        self._stale = False
-        return self
-
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if self._stale:
-            self.finalize()
         if self.coef_ is None:
             raise RuntimeError("model is not fitted")
         xa = np.asarray(x, dtype=np.float64)
@@ -257,8 +112,6 @@ class RidgeRegression:
         return out[0] if squeeze else out
 
     def to_state(self) -> dict:
-        if self._stale:
-            self.finalize()
         return {
             "kind": "ridge",
             "alpha": self.alpha,

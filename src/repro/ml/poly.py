@@ -71,41 +71,6 @@ class PolynomialRegression:
         self._ridge.fit(polynomial_expand(arr, self.degree), y)
         return self
 
-    def partial_fit(self, x: np.ndarray, y: np.ndarray) -> "PolynomialRegression":
-        """Fold one mini-batch in: expand the batch, accumulate on the ridge.
-
-        The polynomial basis is row-local, so expanding per batch and running
-        the inner ridge's normal-equation accumulator is exactly equivalent
-        to expanding the full matrix — the expansion never materializes for
-        more rows than one batch.
-        """
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("x must be 2-D")
-        if self.n_features_ is None:
-            self.n_features_ = arr.shape[1]
-        elif arr.shape[1] != self.n_features_:
-            raise ValueError(
-                f"expected {self.n_features_} features, got {arr.shape[1]}"
-            )
-        self._ridge.partial_fit(polynomial_expand(arr, self.degree), y)
-        return self
-
-    def finalize(self) -> "PolynomialRegression":
-        """Solve the inner ridge's accumulated normal equations."""
-        self._ridge.finalize()
-        return self
-
-    @property
-    def accumulator(self):
-        """The inner ridge's :class:`NormalEquations` (feature-space state)."""
-        return self._ridge.accumulator
-
-    @accumulator.setter
-    def accumulator(self, acc) -> None:
-        self._ridge.accumulator = acc
-        self._ridge._stale = acc is not None
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self.n_features_ is None:
             raise RuntimeError("model is not fitted")

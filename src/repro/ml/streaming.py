@@ -1,143 +1,27 @@
-"""Streaming / out-of-core model components.
+"""Random-Fourier-feature regression: an RBF approximation without a gram.
 
-Everything here fits from bounded mini-batches so the design matrix never
-densifies:
-
-- :class:`WelfordScaler` — a ``StandardScaler`` built on running moments
-  (Welford / Chan parallel merge).  After folding the same rows, its
-  mean/scale match the batch scaler's to float round-off, including the
-  relative constant-column guard (the PR 3 cross-device-transfer fix).
-- :class:`RandomFourierSVR` — kernel ridge on random Fourier features
-  (Rahimi & Recht), approximating the paper's RBF energy model without ever
-  materializing an n×n gram matrix.  The projection is regenerated
-  deterministically from ``(seed, n_features)`` and never serialized, so
-  artifacts stay small and reloads are bit-identical.
-
-Model accumulators (:class:`~repro.ml.linear.NormalEquations`) are *not*
-part of ``to_state`` — serving bundles stay lean.  The campaign layer
-persists them separately (``repro.core.incremental``) so a grown trace can
-be delta-fitted instead of retrained from scratch.
+:class:`RandomFourierSVR` is kernel ridge on random Fourier features
+(Rahimi & Recht), approximating the paper's RBF energy model without ever
+materializing an n×n gram matrix.  The projection is regenerated
+deterministically from ``(seed, n_features)`` and never serialized, so
+artifacts stay small and reloads are bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linear import NormalEquations, RidgeRegression, _validated
-from .scaling import SCALER_KINDS, array_from_state, array_to_state
-
-
-class WelfordScaler:
-    """Zero-mean unit-variance scaling from running moments.
-
-    ``partial_fit`` folds batches via Chan's parallel update, so the final
-    mean/variance are numerically equivalent to the one-shot
-    :class:`~repro.ml.scaling.StandardScaler` (population variance, same
-    constant-column guard).  State round-trips exactly through JSON.
-    """
-
-    def __init__(self) -> None:
-        self.count_ = 0
-        self.mean_: np.ndarray | None = None
-        self._m2: np.ndarray | None = None
-        self.scale_: np.ndarray | None = None
-
-    def partial_fit(self, x: np.ndarray) -> "WelfordScaler":
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-D matrix")
-        if arr.shape[0] == 0:
-            raise ValueError("cannot fit on an empty batch")
-        n_b = arr.shape[0]
-        mean_b = arr.mean(axis=0)
-        m2_b = np.einsum("ij,ij->j", arr - mean_b, arr - mean_b)
-        if self.count_ == 0:
-            self.count_ = n_b
-            self.mean_ = mean_b
-            self._m2 = m2_b
-        else:
-            if arr.shape[1] != self.mean_.shape[0]:
-                raise ValueError(
-                    f"scaler holds {self.mean_.shape[0]} features, batch has {arr.shape[1]}"
-                )
-            total = self.count_ + n_b
-            delta = mean_b - self.mean_
-            self.mean_ = self.mean_ + delta * (n_b / total)
-            self._m2 = self._m2 + m2_b + delta * delta * (self.count_ * n_b / total)
-            self.count_ = total
-        self.scale_ = None  # moments moved; re-derive on demand
-        return self
-
-    def fit(self, x: np.ndarray) -> "WelfordScaler":
-        self.count_ = 0
-        self.mean_ = None
-        self._m2 = None
-        self.scale_ = None
-        return self.partial_fit(x)
-
-    def _finalized_scale(self) -> np.ndarray:
-        if self.count_ == 0 or self.mean_ is None:
-            raise RuntimeError("scaler is not fitted")
-        if self.scale_ is None:
-            std = np.sqrt(self._m2 / self.count_)
-            # Same relative guard as StandardScaler.fit: constant columns
-            # scale by 1 so they stay 0 instead of exploding on transfer.
-            constant = std <= 1e-12 * (np.abs(self.mean_) + 1.0)
-            std[constant] = 1.0
-            self.scale_ = std
-        return self.scale_
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        scale = self._finalized_scale()
-        arr = np.asarray(x, dtype=np.float64)
-        squeeze = arr.ndim == 1
-        if squeeze:
-            arr = arr[None, :]
-        out = arr - self.mean_
-        out /= scale
-        return out[0] if squeeze else out
-
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
-
-    def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        scale = self._finalized_scale()
-        arr = np.asarray(x, dtype=np.float64)
-        squeeze = arr.ndim == 1
-        if squeeze:
-            arr = arr[None, :]
-        out = arr * scale + self.mean_
-        return out[0] if squeeze else out
-
-    def to_state(self) -> dict:
-        return {
-            "kind": "welford_scaler",
-            "version": 1,
-            "count": self.count_,
-            "mean": array_to_state(self.mean_),
-            "m2": array_to_state(self._m2),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "WelfordScaler":
-        scaler = cls()
-        scaler.count_ = int(state["count"])
-        scaler.mean_ = array_from_state(state["mean"])
-        scaler._m2 = array_from_state(state["m2"])
-        return scaler
-
-
-SCALER_KINDS["welford_scaler"] = WelfordScaler
+from .linear import RidgeRegression, _validated
+from .scaling import array_from_state, array_to_state
 
 
 class RandomFourierSVR:
-    """RBF regression via random Fourier features + ridge accumulators.
+    """RBF regression via random Fourier features + ridge.
 
     Approximates ``k(a, b) = exp(−γ‖a − b‖²)`` with the Rahimi–Recht map
     ``z(x) = √(2/D)·cos(xW + b)``, ``W ~ N(0, 2γ)``, ``b ~ U[0, 2π)``, then
-    fits ridge on ``z`` through a :class:`NormalEquations` accumulator.  The
-    cost per batch is O(rows·D) — no gram matrix, no support vectors — and
-    ``partial_fit`` makes it appendable.
+    fits :class:`~repro.ml.linear.RidgeRegression` on ``z``.  The cost is
+    O(rows·D) — no gram matrix, no support vectors.
 
     Determinism contract: ``W``/``b`` are regenerated from
     ``default_rng(seed)`` the first time the input dimension is seen and are
@@ -165,8 +49,6 @@ class RandomFourierSVR:
         self.n_features_: int | None = None
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
-        self.accumulator: NormalEquations | None = None
-        self._stale = False
         self._weights: np.ndarray | None = None
         self._offsets: np.ndarray | None = None
 
@@ -190,41 +72,20 @@ class RandomFourierSVR:
         z *= np.sqrt(2.0 / self.n_components)
         return z
 
-    def _bind_dimension(self, n_features: int) -> None:
-        if self.n_features_ is None:
-            self.n_features_ = int(n_features)
-        elif n_features != self.n_features_:
-            raise ValueError(
-                f"expected {self.n_features_} features, got {n_features}"
-            )
-
-    def partial_fit(self, x: np.ndarray, y: np.ndarray) -> "RandomFourierSVR":
-        xa, ya = _validated(x, y)
-        self._bind_dimension(xa.shape[1])
-        if self.accumulator is None:
-            self.accumulator = NormalEquations(self.n_components)
-        self.accumulator.update(self._features(xa), ya)
-        self._stale = True
-        return self
-
-    def finalize(self) -> "RandomFourierSVR":
-        if self.accumulator is None:
-            raise RuntimeError("no partial_fit batches accumulated")
-        self.coef_, self.intercept_ = self.accumulator.solve(
-            alpha=self.alpha, fit_intercept=True
-        )
-        self._stale = False
-        return self
-
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomFourierSVR":
         xa, ya = _validated(x, y)
-        self.accumulator = None
-        self._bind_dimension(xa.shape[1])
-        return self.partial_fit(xa, ya).finalize()
+        if self.n_features_ is None:
+            self.n_features_ = int(xa.shape[1])
+        elif xa.shape[1] != self.n_features_:
+            raise ValueError(
+                f"expected {self.n_features_} features, got {xa.shape[1]}"
+            )
+        ridge = RidgeRegression(alpha=self.alpha, fit_intercept=True)
+        ridge.fit(self._features(xa), ya)
+        self.coef_, self.intercept_ = ridge.coef_, ridge.intercept_
+        return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if self._stale:
-            self.finalize()
         if self.coef_ is None:
             raise RuntimeError("model is not fitted")
         xa = np.asarray(x, dtype=np.float64)
@@ -235,8 +96,6 @@ class RandomFourierSVR:
         return out[0] if squeeze else out
 
     def to_state(self) -> dict:
-        if self._stale:
-            self.finalize()
         return {
             "kind": "rff_svr",
             "version": 1,
@@ -262,17 +121,3 @@ class RandomFourierSVR:
         model.coef_ = array_from_state(state["coef"])
         model.intercept_ = float(state["intercept"])
         return model
-
-
-def make_streaming_speedup_model(alpha: float = 1e-6) -> RidgeRegression:
-    """Streaming stand-in for the paper's linear speedup SVR.
-
-    Near-zero ridge on the scaled design matrix: exact closed form from the
-    running normal equations, appendable via ``partial_fit``.
-    """
-    return RidgeRegression(alpha=alpha, fit_intercept=True)
-
-
-def make_streaming_energy_model(seed: int = 0) -> RandomFourierSVR:
-    """Streaming stand-in for the paper's RBF energy SVR (γ=0.1)."""
-    return RandomFourierSVR(gamma=0.1, n_components=256, alpha=1e-4, seed=seed)

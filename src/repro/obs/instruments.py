@@ -53,11 +53,6 @@ CAMPAIGN_SWEEPS_PLANNED = "repro_campaign_sweeps_planned"
 TRAIN_DURATION_SECONDS = "repro_train_duration_seconds"
 TRAININGS_TOTAL = "repro_trainings_total"
 
-# -- dataset assembly ----------------------------------------------------------
-
-DATASET_PEAK_ROWS = "repro_dataset_peak_resident_rows"
-DATASET_PEAK_BYTES = "repro_dataset_peak_resident_bytes"
-
 # -- serving layer -------------------------------------------------------------
 
 SERVE_REQUESTS_TOTAL = "repro_serve_requests_total"
@@ -166,17 +161,6 @@ def declare_campaign_metrics(registry: MetricsRegistry) -> None:
         TRAININGS_TOTAL,
         help="Model-bundle trainings executed, by device.",
         labels=("device",),
-    )
-
-
-def declare_dataset_metrics(registry: MetricsRegistry) -> None:
-    registry.gauge(
-        DATASET_PEAK_ROWS,
-        help="Peak design-matrix rows resident during streaming assembly.",
-    )
-    registry.gauge(
-        DATASET_PEAK_BYTES,
-        help="Peak design-matrix bytes resident during streaming assembly.",
     )
 
 
@@ -310,7 +294,6 @@ def declare_standard_metrics(registry: MetricsRegistry) -> None:
     declare_sweep_metrics(registry)
     declare_trace_metrics(registry)
     declare_campaign_metrics(registry)
-    declare_dataset_metrics(registry)
     declare_serve_metrics(registry)
     declare_cache_metrics(registry)
     declare_fleet_metrics(registry)
@@ -442,24 +425,6 @@ def observe_replay_source(
         reg, declare_trace_metrics, (REPLAY_KERNEL_SOURCE_TOTAL,)
     )
     sources.inc(1.0, source=source)
-
-
-def observe_dataset_peak(
-    peak_rows: int,
-    peak_bytes: int,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Record the peak resident footprint of a streaming assembly pass.
-
-    Gauges are high-water marks: a pass only raises them, so the value a
-    smoke test reads after training is the worst batch the whole run held.
-    """
-    reg = registry if registry is not None else get_registry()
-    declare_dataset_metrics(reg)
-    rows_gauge = reg.get(DATASET_PEAK_ROWS)
-    bytes_gauge = reg.get(DATASET_PEAK_BYTES)
-    rows_gauge.set(max(rows_gauge.value(), float(peak_rows)))  # type: ignore[union-attr]
-    bytes_gauge.set(max(bytes_gauge.value(), float(peak_bytes)))  # type: ignore[union-attr]
 
 
 def observe_training(

@@ -45,7 +45,7 @@ from ..obs.instruments import (
     FLEET_SERVICE_HITS_TOTAL,
     FLEET_SERVICE_LOADS_TOTAL,
 )
-from ..store import StoreMiss
+from ..store import ArtifactError, StoreMiss
 from ..store.layout import MODELS_SUBDIR
 from .cache import KernelFeatureCache
 from .registry import ModelKey, ModelRegistry
@@ -356,6 +356,11 @@ class FleetService:
             raise FleetError(
                 f"model bundle for device {key.device_spec().name!r} is "
                 f"missing: no artifact at {self.registry.path_for(key)}"
+            ) from None
+        except ArtifactError as exc:
+            raise FleetError(
+                f"model bundle for device {key.device_spec().name!r} is "
+                f"unloadable: {exc}"
             ) from None
         service = PredictionService(
             models=models,

@@ -188,7 +188,7 @@ class PredictionService:
                 extractor = FeatureExtractor(ExtractorConfig(recipe=recipe))
             self.cache = KernelFeatureCache(extractor=extractor)
         else:
-            cached = self.cache.extractor.config.effective_recipe()
+            cached = self.cache.extractor.config.recipe
             if cached != recipe:
                 raise ServiceError(
                     f"feature cache extracts recipe {cached!r} but the model "

@@ -33,10 +33,6 @@ MODELS_SUBDIR = "models"
 #: Subdirectory of a campaign store holding persisted metric snapshots.
 METRICS_SUBDIR = "metrics"
 
-#: Subdirectory of a campaign store holding streaming-trainer accumulator
-#: states (one artifact per model key; see ``repro.core.incremental``).
-TRAINER_STATE_SUBDIR = "trainer_state"
-
 #: The campaign engine's per-run metric snapshot inside METRICS_SUBDIR.
 CAMPAIGN_METRICS_FILENAME = "campaign.json"
 

@@ -80,7 +80,7 @@ class TestServeValidation:
         models = train(setup, feature_recipe="paper10+loops")
         service = PredictionService(models=models, device=device)
         assert (
-            service.cache.extractor.config.effective_recipe() == "paper10+loops"
+            service.cache.extractor.config.recipe == "paper10+loops"
         )
         result = service.predict(KERNEL)
         assert result.front
@@ -157,16 +157,6 @@ class TestCampaignPlanRecipes:
         with pytest.raises(ValueError):
             CampaignPlan(devices=("titan-x",), features="paper10+bogus")
 
-    def test_plan_rejects_streaming_with_recipe(self):
-        from repro.campaign import CampaignPlan
-
-        with pytest.raises(ValueError, match="streaming"):
-            CampaignPlan(
-                devices=("titan-x",),
-                trainer="streaming",
-                features="paper10+loops",
-            )
-
     def test_recipe_campaign_end_to_end(self, tmp_path):
         from repro.campaign import CampaignPlan, run_campaign
         from repro.serve.fleet import FleetService
@@ -185,7 +175,7 @@ class TestCampaignPlanRecipes:
         service = fleet.service_for("titan-x")
         assert service.models.feature_recipe == "paper10+loops"
         assert (
-            service.cache.extractor.config.effective_recipe() == "paper10+loops"
+            service.cache.extractor.config.recipe == "paper10+loops"
         )
         # The recipe cache is fleet-shared but distinct from the default one.
         assert service.cache is not fleet.feature_cache

@@ -147,7 +147,7 @@ class TestExtractorIntegration:
 
         src = "__kernel void k(__global float* x) { x[0] = x[1] + 1.0f; }"
         norm = FeatureExtractor().extract(src)
-        raw = FeatureExtractor(ExtractorConfig(normalize=False)).extract(src)
+        raw = FeatureExtractor(ExtractorConfig(recipe="paper10-raw")).extract(src)
         assert sum(norm.values) == pytest.approx(1.0)
         assert sum(raw.values) == raw.total_instructions > 1.0
 

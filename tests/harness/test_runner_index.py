@@ -43,41 +43,3 @@ def test_sweep_kernel_accepts_backend_and_simulator():
     a = sweep_kernel(sim, spec, settings)
     b = sweep_kernel(SimulatorBackend(sim=sim), spec, settings)
     assert a.objective_points() == b.objective_points()
-
-
-def test_sweep_many_on_sweep_hook_fires_in_order():
-    """The observability seam: one callback per result, pre-yield."""
-    from repro.harness.runner import sweep_many
-    from repro.suite import test_benchmarks
-
-    specs = test_benchmarks()[:3]
-    sim = GPUSimulator()
-    settings = sample_training_settings(sim.device, total=8)
-
-    seen = []
-    results = list(
-        sweep_many(
-            SimulatorBackend(sim=sim),
-            specs,
-            settings,
-            on_sweep=lambda r: seen.append(r.kernel),
-        )
-    )
-    assert seen == [r.kernel for r in results] == [s.name for s in specs]
-
-
-def test_sweep_many_hook_sees_result_before_consumer():
-    """The callback observes each sweep even if the consumer stops early."""
-    from repro.harness.runner import sweep_many
-    from repro.suite import test_benchmarks
-
-    specs = test_benchmarks()[:3]
-    sim = GPUSimulator()
-    settings = sample_training_settings(sim.device, total=8)
-    seen = []
-    stream = sweep_many(
-        SimulatorBackend(sim=sim), specs, settings,
-        on_sweep=lambda r: seen.append(r.kernel),
-    )
-    next(stream)
-    assert seen == [specs[0].name]  # lazily driven: one sweep, one event

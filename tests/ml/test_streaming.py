@@ -1,175 +1,14 @@
-"""Streaming components: Welford scaling, partial_fit, random-Fourier SVR."""
+"""Random-Fourier-feature regression (``repro.ml.streaming``)."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.ml.linear import NormalEquations, OLSRegression, RidgeRegression
-from repro.ml.poly import PolynomialRegression
-from repro.ml.scaling import StandardScaler, scaler_from_state
-from repro.ml.streaming import (
-    RandomFourierSVR,
-    WelfordScaler,
-    make_streaming_energy_model,
-    make_streaming_speedup_model,
-)
 from repro.ml import regressor_from_state
 from repro.ml.kernels import RBFKernel
+from repro.ml.streaming import RandomFourierSVR
 from repro.ml.svr import SVR
-
-
-def linear_data(n=200, d=5, noise=0.0, seed=0):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, d))
-    w = rng.normal(size=d)
-    y = x @ w + 1.5 + noise * rng.normal(size=n)
-    return x, y
-
-
-def shuffled_batches(x, y, sizes, seed=1):
-    """Split (x, y) into uneven mini-batches in a shuffled row order."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(y))
-    x, y = x[order], y[order]
-    out, start = [], 0
-    for size in sizes:
-        out.append((x[start : start + size], y[start : start + size]))
-        start += size
-    assert start == len(y), "sizes must cover every row"
-    return out
-
-
-class TestWelfordScaler:
-    def test_matches_batch_scaler_over_shuffled_minibatches(self):
-        x, _ = linear_data(n=203)
-        batch = StandardScaler().fit(x)
-        streaming = WelfordScaler()
-        for xb, _ in shuffled_batches(x, np.zeros(len(x)), [64, 64, 64, 11]):
-            streaming.partial_fit(xb)
-        assert np.allclose(streaming.mean_, batch.mean_, atol=1e-12)
-        assert np.allclose(streaming._finalized_scale(), batch.scale_, atol=1e-12)
-        assert np.allclose(streaming.transform(x), batch.transform(x), atol=1e-12)
-
-    def test_constant_column_guard_matches_batch_scaler(self):
-        # The PR 3 guard: a constant column scales by 1 (stays 0), never
-        # by ~0 (which would explode on cross-device transfer).
-        x, _ = linear_data(n=120)
-        x[:, 2] = 7.5
-        batch = StandardScaler().fit(x)
-        streaming = WelfordScaler()
-        for xb, _ in shuffled_batches(x, np.zeros(len(x)), [40, 40, 40]):
-            streaming.partial_fit(xb)
-        assert batch.scale_[2] == 1.0
-        assert streaming._finalized_scale()[2] == 1.0
-        assert np.allclose(streaming.transform(x), batch.transform(x), atol=1e-12)
-        assert np.allclose(streaming.transform(x)[:, 2], 0.0)
-
-    def test_single_fold_equals_fit(self):
-        x, _ = linear_data(n=50)
-        a = WelfordScaler().fit(x)
-        b = WelfordScaler().partial_fit(x)
-        assert np.array_equal(a.mean_, b.mean_)
-        assert np.array_equal(a._finalized_scale(), b._finalized_scale())
-
-    def test_inverse_transform_roundtrips(self):
-        x, _ = linear_data(n=60)
-        scaler = WelfordScaler().fit(x)
-        assert np.allclose(scaler.inverse_transform(scaler.transform(x)), x)
-
-    def test_state_roundtrip_bit_identical(self):
-        x, _ = linear_data(n=77)
-        scaler = WelfordScaler()
-        for xb, _ in shuffled_batches(x, np.zeros(len(x)), [30, 30, 17]):
-            scaler.partial_fit(xb)
-        state = json.loads(json.dumps(scaler.to_state()))
-        # The registry dispatch: kind "welford_scaler" resolves this class.
-        reloaded = scaler_from_state(state)
-        assert isinstance(reloaded, WelfordScaler)
-        assert np.array_equal(reloaded.transform(x), scaler.transform(x))
-
-    def test_unfitted_and_bad_inputs(self):
-        with pytest.raises(RuntimeError):
-            WelfordScaler().transform(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            WelfordScaler().partial_fit(np.ones(3))
-        with pytest.raises(ValueError):
-            WelfordScaler().partial_fit(np.ones((0, 3)))
-        scaler = WelfordScaler().partial_fit(np.ones((4, 3)))
-        with pytest.raises(ValueError, match="features"):
-            scaler.partial_fit(np.ones((4, 2)))
-
-
-class TestPartialFitLinear:
-    def test_ridge_shuffled_minibatches_match_full_fit(self):
-        x, y = linear_data(noise=0.3)
-        full = RidgeRegression(alpha=1e-3).fit(x, y)
-        streamed = RidgeRegression(alpha=1e-3)
-        for xb, yb in shuffled_batches(x, y, [64, 64, 64, 8]):
-            streamed.partial_fit(xb, yb)
-        streamed.finalize()
-        assert np.allclose(streamed.coef_, full.coef_, atol=1e-8)
-        assert streamed.intercept_ == pytest.approx(full.intercept_, abs=1e-8)
-
-    def test_ols_predictions_match_full_fit(self):
-        # Coefficients are compared through predictions: on rank-deficient
-        # designs the two lstsq routes pick different min-norm solutions.
-        x, y = linear_data(noise=0.2, seed=3)
-        full = OLSRegression().fit(x, y)
-        streamed = OLSRegression()
-        for xb, yb in shuffled_batches(x, y, [100, 100]):
-            streamed.partial_fit(xb, yb)
-        assert np.allclose(streamed.predict(x), full.predict(x), atol=1e-8)
-
-    def test_predict_auto_finalizes(self):
-        x, y = linear_data()
-        m = RidgeRegression(alpha=1e-6).partial_fit(x, y)
-        assert m.coef_ is None
-        m.predict(x[:1])  # triggers the solve
-        assert m.coef_ is not None
-
-    def test_fit_resets_accumulated_state(self):
-        x, y = linear_data()
-        other_y = -2.0 * y
-        m = RidgeRegression(alpha=1e-6)
-        m.partial_fit(x, y)
-        m.fit(x, other_y)  # must forget the first batch entirely
-        fresh = RidgeRegression(alpha=1e-6).fit(x, other_y)
-        assert np.allclose(m.coef_, fresh.coef_)
-
-    def test_finalize_without_batches_raises(self):
-        with pytest.raises(RuntimeError):
-            RidgeRegression().finalize()
-
-    def test_accumulator_state_roundtrip(self):
-        x, y = linear_data()
-        m = RidgeRegression(alpha=1e-3).partial_fit(x, y)
-        acc = NormalEquations.from_state(
-            json.loads(json.dumps(m.accumulator.to_state()))
-        )
-        coef_a, int_a = m.accumulator.solve(alpha=1e-3, fit_intercept=True)
-        coef_b, int_b = acc.solve(alpha=1e-3, fit_intercept=True)
-        assert np.array_equal(coef_a, coef_b)
-        assert int_a == int_b
-
-
-class TestPartialFitPolynomial:
-    def test_shuffled_minibatches_match_full_fit(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(150, 3))
-        y = 0.5 * x[:, 0] ** 2 - x[:, 1] * x[:, 2] + 2.0
-        full = PolynomialRegression(degree=2, alpha=1e-6).fit(x, y)
-        streamed = PolynomialRegression(degree=2, alpha=1e-6)
-        for xb, yb in shuffled_batches(x, y, [50, 50, 50]):
-            streamed.partial_fit(xb, yb)
-        streamed.finalize()
-        assert np.allclose(streamed.predict(x), full.predict(x), atol=1e-6)
-
-    def test_dimension_bound_on_first_batch(self):
-        m = PolynomialRegression(degree=2)
-        m.partial_fit(np.ones((4, 3)), np.ones(4))
-        with pytest.raises(ValueError):
-            m.partial_fit(np.ones((4, 2)), np.ones(4))
 
 
 class TestRandomFourierSVR:
@@ -195,15 +34,6 @@ class TestRandomFourierSVR:
         # The approximation may cost at most 5 points of training-set MAPE
         # over the exact gram solve (it is usually within 1-2).
         assert rff_mape <= exact_mape + 0.05, (exact_mape, rff_mape)
-
-    def test_partial_fit_matches_fit(self):
-        x, y = self.rbf_like_data()
-        full = RandomFourierSVR(seed=3).fit(x, y)
-        streamed = RandomFourierSVR(seed=3)
-        for xb, yb in shuffled_batches(x, y, [80, 80, 80], seed=0):
-            streamed.partial_fit(xb, yb)
-        streamed.finalize()
-        assert np.allclose(streamed.predict(x), full.predict(x), atol=1e-8)
 
     def test_state_roundtrip_predicts_bit_identically(self):
         x, y = self.rbf_like_data()
@@ -233,10 +63,3 @@ class TestRandomFourierSVR:
             RandomFourierSVR(alpha=-1.0)
         with pytest.raises(RuntimeError):
             RandomFourierSVR().predict(np.ones((1, 2)))
-
-    def test_factories(self):
-        assert isinstance(make_streaming_speedup_model(), RidgeRegression)
-        energy = make_streaming_energy_model(seed=4)
-        assert isinstance(energy, RandomFourierSVR)
-        assert energy.seed == 4
-        assert energy.gamma == pytest.approx(0.1)

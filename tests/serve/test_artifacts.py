@@ -219,3 +219,33 @@ class TestEnvelopeValidation:
         save_artifact(path, {"kind": "identity_scaler"})
         payload, _meta = load_artifact(path)
         assert payload["kind"] == "identity_scaler"
+
+
+class TestUndecodableBundle:
+    """A payload that does not decode is an ArtifactError naming the file."""
+
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (
+                lambda p: p["scaler"].update(kind="welford_scaler"),
+                "unknown scaler kind 'welford_scaler'",
+            ),
+            (
+                lambda p: p["energy_model"].update(kind="bogus"),
+                "unknown regressor kind 'bogus'",
+            ),
+            (lambda p: p["scaler"].pop("mean"), "missing field 'mean'"),
+        ],
+        ids=["scaler-kind", "regressor-kind", "missing-field"],
+    )
+    def test_load_names_path_and_cause(self, ctx, tmp_path, edit, detail):
+        path = save_models(tmp_path / "m.json", ctx.models)
+        envelope = json.loads(path.read_text())
+        edit(envelope["payload"])
+        path.write_text(json.dumps(envelope))
+        with pytest.raises(ArtifactError) as err:
+            load_models(path)
+        assert str(err.value) == (
+            f"artifact {path} is not a loadable model bundle: {detail}"
+        )

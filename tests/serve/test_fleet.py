@@ -361,6 +361,47 @@ class TestVanishedBundle:
         assert models_snapshot(root) == before
 
 
+class TestUndecodableBundle:
+    """A bundle that no longer decodes (here, a scaler kind this build does
+    not know) is a FleetError naming it, as a vanished bundle is."""
+
+    @pytest.fixture
+    def root(self, store, tmp_path):
+        shutil.copytree(store, tmp_path / "store")
+        return tmp_path / "store"
+
+    @staticmethod
+    def break_titan_bundle(fleet):
+        path = fleet.registry.path_for(ModelKey(device=TITAN, recipe="quick"))
+        envelope = json.loads(path.read_text())
+        envelope["payload"]["scaler"]["kind"] = "welford_scaler"
+        path.write_text(json.dumps(envelope))
+        return path
+
+    def test_fleet_predict_names_the_bundle(self, root):
+        fleet = FleetService.from_campaign_store(root)
+        path = self.break_titan_bundle(fleet)
+        with pytest.raises(FleetError, match=re.escape(str(path))) as err:
+            fleet.predict(SAXPY, device="titan-x")
+        assert "unknown scaler kind 'welford_scaler'" in str(err.value)
+        # The other device still serves.
+        assert fleet.predict(SAXPY, device="p100").front
+
+    def test_daemon_answers_404(self, root):
+        config = DaemonConfig(port=0, batch_window_ms=2.0, reload_interval_s=0.0)
+        with ServeDaemon.from_store(root, config=config) as daemon:
+            path = self.break_titan_bundle(daemon.fleet)
+            conn = http.client.HTTPConnection(*daemon.address, timeout=30)
+            payload = {"device": "titan-x", "source": SAXPY, "name": "saxpy"}
+            conn.request("POST", "/predict", body=json.dumps(payload))
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+            conn.close()
+        assert (resp.status, body["status"]) == (404, 404)
+        assert str(path) in body["error"]
+        assert "welford_scaler" in body["error"]
+
+
 class TestWarmAndStats:
     def test_warm_preloads_every_device(self, fleet):
         assert fleet.warm() == [TITAN, P100]

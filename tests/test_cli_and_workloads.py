@@ -75,21 +75,21 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_train_streaming_bounds_resident_rows(self, tmp_path, capsys):
-        save = tmp_path / "models.json"
-        assert main([
-            "train", "--quick", "--trainer", "streaming",
-            "--batch-rows", "64", "--save", str(save),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert save.exists()
-        assert "[streaming]" in out
-        line = next(
-            ln for ln in out.splitlines()
-            if ln.startswith("streaming peak resident rows:")
-        )
-        peak = int(line.split(":")[1].split("(")[0].strip())
-        assert 0 < peak <= 64
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--quick", "--trainer", "streaming"],
+            ["campaign", "--quick", "--devices", "titan-x", "--batch-rows", "8"],
+        ],
+        ids=["train-trainer", "campaign-batch-rows"],
+    )
+    def test_trainer_flags_are_usage_errors(self, tmp_path, capsys, argv):
+        flag = "--save" if argv[0] == "train" else "--store"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, flag, str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_train_rejects_unknown_trainer(self):
         with pytest.raises(SystemExit):

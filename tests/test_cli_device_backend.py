@@ -21,12 +21,24 @@ def kernel_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("trainer", ["exact", "streaming"])
-def test_train_meta_names_simulator_backend(tmp_path, trainer):
+def test_train_meta_names_simulator_backend(tmp_path):
     artifact = tmp_path / "m.json"
-    assert main(["train", "--quick", "--trainer", trainer,
-                 "--save", str(artifact)]) == 0
+    assert main(["train", "--quick", "--save", str(artifact)]) == 0
     assert json.loads(artifact.read_text())["meta"]["backend"] == "simulator"
+
+
+def test_undecodable_model_is_a_usage_error(tmp_path, kernel_file, capsys):
+    artifact = tmp_path / "m.json"
+    assert main(["train", "--quick", "--save", str(artifact)]) == 0
+    envelope = json.loads(artifact.read_text())
+    envelope["payload"]["scaler"]["kind"] = "welford_scaler"
+    artifact.write_text(json.dumps(envelope))
+    capsys.readouterr()
+    assert main(["predict", str(kernel_file), "--model", str(artifact)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: artifact {artifact} is not a loadable model bundle: "
+        "unknown scaler kind 'welford_scaler'\n"
+    )
 
 
 def test_train_p100_then_predict_end_to_end(tmp_path, kernel_file, capsys):
