@@ -197,11 +197,12 @@ def _known_specs() -> dict[str, object]:
 def _store_kernel_names(root: pathlib.Path) -> list[str]:
     """Kernel names recorded in any trace under a campaign store."""
     from ..measure.trace import ReplayError, load_trace, scan_trace_offsets
+    from ..measure.trace_registry import TraceRegistry
     from ..store.layout import TRACES_SUBDIR
 
-    traces_root = root / TRACES_SUBDIR
+    registry = TraceRegistry(root / TRACES_SUBDIR)
     names: dict[str, None] = {}
-    for path in sorted(traces_root.glob("**/*.jsonl")):
+    for path in map(registry.path_for_slug, registry.entries()):
         try:
             _header, offsets = scan_trace_offsets(path)
             found = list(offsets)

@@ -32,8 +32,8 @@ Subcommands:
   columnar), record and row counts, bytes, compaction status, and the
   compacted-prefix sha;
 * ``store compact [--store DIR]`` — one maintenance pass: compact every
-  trace into its memory-mapped v3 columnar sidecar, migrate ``traces/``
-  and ``models/`` to the two-level sharded layout;
+  trace into its memory-mapped v3 columnar sidecar (the store's
+  ``traces/`` and ``models/`` stay flat directories of files);
 * ``stats --store DIR [--format prom|json]`` — export the store's merged
   ``repro.obs`` metrics (sweep-duration histograms per device, campaign
   counters, serve/cache counters) as Prometheus text exposition or JSON;
@@ -70,6 +70,7 @@ or, once a campaign store exists, zero-file fleet serving::
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 
@@ -161,13 +162,22 @@ def _store_root(args) -> pathlib.Path:
     return pathlib.Path(args.store or DEFAULT_STORE)
 
 
+def _training_recipe(args) -> str:
+    """The training recipe: ``quick`` under ``--quick`` or ``REPRO_QUICK``.
+
+    Resolved once per command, so the context a command trains and the
+    recipe it records in artifact meta can never disagree.
+    """
+    return "quick" if args.quick or os.environ.get("REPRO_QUICK") else "paper"
+
+
 def _context_for(args):
     """Build (or fetch cached) training context for the CLI flags."""
     from .harness.context import build_context, paper_context, quick_context
     from .measure import SimulatorBackend
 
     device, backend, recorder = _resolve_setup(args)
-    recipe = "quick" if args.quick else "paper"
+    recipe = _training_recipe(args)
     features = _feature_recipe(args)
     if (
         recorder is None
@@ -251,7 +261,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     ctx, recorder = _context_for(args)
     meta = {
         "device": ctx.device.name,
-        "recipe": "quick" if args.quick else "paper",
+        "recipe": _training_recipe(args),
         # The default recipe keeps the pre-recipe meta spelling so its
         # artifacts stay byte-identical; named recipes record their name.
         "features": "interactions" if features == "paper10" else features,
@@ -580,7 +590,7 @@ def _cmd_traces(args: argparse.Namespace) -> int:
     from .measure.trace import scan_stream_records
 
     _require_store(_store_root(args))
-    registry = TraceRegistry(_store_root(args) / TRACES_SUBDIR, memory_capacity=1)
+    registry = TraceRegistry(_store_root(args) / TRACES_SUBDIR)
     slugs = registry.entries()
     if not slugs:
         raise CLIUsageError(
@@ -589,7 +599,7 @@ def _cmd_traces(args: argparse.Namespace) -> int:
         )
     rows = []
     for slug in sorted(slugs):
-        path = registry.store.path_for_slug(slug)
+        path = registry.path_for_slug(slug)
         size = path.stat().st_size
         columnar = ColumnarTrace.open(path)
         if columnar is not None:
@@ -645,9 +655,7 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
     from .campaign import compact_store
 
     _require_store(_store_root(args))
-    report = compact_store(
-        _store_root(args), migrate=not args.no_migrate, force=args.force
-    )
+    report = compact_store(_store_root(args), force=args.force)
     print(report.format())
     return 0
 
@@ -726,8 +734,6 @@ def _campaign_progress_renderer(stream):
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    import os
-
     from .campaign import CampaignPlan, run_campaign
 
     devices = tuple(d.strip() for d in args.devices.split(",") if d.strip())
@@ -735,11 +741,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         raise CLIUsageError("--devices needs at least one device name or alias")
     for name in devices:
         _resolve_device_cli(name)  # surface typos as usage errors
-    quick = args.quick or bool(os.environ.get("REPRO_QUICK"))
+    recipe = _training_recipe(args)
     try:
         plan = CampaignPlan(
             devices=devices,
-            recipe="quick" if quick else "paper",
+            recipe=recipe,
             repeats=args.repeats,
             workers=args.workers,
             features=_feature_recipe(args),
@@ -764,14 +770,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     print(
         "replay a device's training set exactly:\n"
         f"  repro train --backend replay --trace-key {example.trace_key} "
-        f"--store {report.store_root}{' --quick' if quick else ''} "
+        f"--store {report.store_root}{' --quick' if recipe == 'quick' else ''} "
         f"--save models.json"
     )
     return 0
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    from .core.config import sample_training_settings
+    from .core.config import TRAINING_RECIPES, sample_training_settings
     from .harness.characterize import characterize_kernel
     from .suite import get_benchmark
 
@@ -782,12 +788,8 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     # Characterization needs only a sweep, not trained models — build the
     # backend directly instead of paying for a training context.
     device, backend, recorder = _resolve_setup(args)
-    budget = 24 if args.quick else None
-    settings = (
-        sample_training_settings(device, total=budget)
-        if budget
-        else sample_training_settings(device)
-    )
+    _, budget = TRAINING_RECIPES[_training_recipe(args)]
+    settings = sample_training_settings(device, total=budget)
     ch = characterize_kernel(backend, spec, settings)
     print(f"{spec.name} on {device.name}: {ch.classify()}-dominated "
           f"(memory sensitivity {ch.mem_sensitivity():.2f})")
@@ -915,7 +917,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_train.add_argument(
         "--quick", action="store_true",
-        help="use the reduced training setup (faster, less accurate)",
+        help="use the reduced training setup (faster, less accurate; "
+             "also implied by REPRO_QUICK=1)",
     )
     _add_features_flag(p_train)
     _add_device_flags(p_train, record=True)
@@ -927,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument(
         "--quick", action="store_true",
         help="(without --model) use the reduced training setup "
-             "(faster, less accurate)",
+             "(faster, less accurate; also implied by REPRO_QUICK=1)",
     )
     p_pred.add_argument(
         "--model", metavar="PATH",
@@ -960,7 +963,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--quick", action="store_true",
-        help="(without --model) use the reduced training setup",
+        help="(without --model) use the reduced training setup "
+             "(also implied by REPRO_QUICK=1)",
     )
     p_batch.add_argument(
         "--stats", action="store_true",
@@ -1017,8 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compact = store_sub.add_parser(
         "compact",
         help="one maintenance pass: compact every trace into its v3 "
-             "columnar sidecar and migrate traces/ and models/ to the "
-             "sharded layout",
+             "columnar sidecar",
     )
     p_compact.add_argument(
         "--store", metavar="DIR", default=None,
@@ -1027,10 +1030,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compact.add_argument(
         "--force", action="store_true",
         help="rewrite sidecars even when already fresh",
-    )
-    p_compact.add_argument(
-        "--no-migrate", action="store_true", dest="no_migrate",
-        help="skip the sharded-layout migration (compaction still runs)",
     )
     p_compact.set_defaults(func=_cmd_store_compact)
 
@@ -1151,12 +1150,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_char = sub.add_parser("characterize", help="sweep a suite benchmark")
     p_char.add_argument("benchmark", help="benchmark name, e.g. k-NN or MT")
-    p_char.add_argument("--quick", action="store_true")
+    p_char.add_argument(
+        "--quick", action="store_true",
+        help="sweep the reduced 24-setting sample (also implied by "
+             "REPRO_QUICK=1)",
+    )
     _add_device_flags(p_char, record=True)
     p_char.set_defaults(func=_cmd_characterize)
 
     p_t2 = sub.add_parser("table2", help="regenerate the paper's Table 2")
-    p_t2.add_argument("--quick", action="store_true")
+    p_t2.add_argument(
+        "--quick", action="store_true",
+        help="use the reduced training setup (also implied by REPRO_QUICK=1)",
+    )
     _add_device_flags(p_t2)
     p_t2.set_defaults(func=_cmd_table2)
 

@@ -5,8 +5,10 @@ traces: a :class:`TraceKey` identifies one recorded campaign by **device**
 (alias-stable slug), **suite** (which kernel set was swept) and the
 **noise-settings hash** (so traces taken under different measurement-noise
 configurations can never be confused), and :class:`TraceRegistry` maps
-keys to JSONL trace files under a root directory through the generic
-:class:`repro.store.ArtifactStore` tiers.
+each key to one JSONL trace file, ``<root>/<slug>.jsonl``, in a flat
+directory.  Readers open the file a key resolves to
+(``ReplayBackend(registry.resolve(key))``, ``load_trace``, ``iter_trace``);
+the registry itself only names files and streams campaigns into them.
 
 The user-facing spelling of a key is ``device/suite[/noise-hash]`` —
 ``train --backend replay --trace-key titan-x/default`` resolves a trace
@@ -18,25 +20,10 @@ from __future__ import annotations
 import hashlib
 import pathlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
 
 from ..gpusim.device import DeviceSpec, device_slug, resolve_device
 from ..gpusim.noise import NoiseConfig
-from ..store import ArtifactStore, StoreMiss, StoreStats
-from .trace import (
-    KernelTrace,
-    ReplayError,
-    ScannedRecord,
-    SweepTrace,
-    TraceWriter,
-    iter_trace,
-    load_trace,
-    save_trace,
-    scan_stream_records,
-)
-
-if TYPE_CHECKING:
-    from .replay import ReplayBackend
+from .trace import ReplayError, ScannedRecord, TraceWriter, scan_stream_records
 
 
 def noise_settings_hash(noise: NoiseConfig | None = None) -> str:
@@ -112,11 +99,11 @@ class TraceResumeState:
     """What a resume scan recovered for one trace key.
 
     ``source`` says where the intact records came from: ``"published"``
-    (a registered trace from an earlier clean run), ``"partial"`` (the
-    ``.partial`` stream a crashed atomic writer left behind), or
-    ``"none"`` (nothing recoverable — start fresh).  ``keep_bytes`` is
-    the byte offset just past the last intact record of a partial stream;
-    :meth:`TraceRegistry.resume_writer` truncates there before appending.
+    (a registered trace from an earlier clean run) or ``"partial"`` (the
+    ``.partial`` stream a crashed atomic writer left behind).
+    ``keep_bytes`` is the byte offset just past the last intact record of
+    a partial stream; :meth:`TraceRegistry.resume_writer` truncates there
+    before appending.
     """
 
     key: TraceKey
@@ -124,80 +111,31 @@ class TraceResumeState:
     records: list[ScannedRecord] = field(default_factory=list)
     keep_bytes: int = 0
 
-    @property
-    def resumable(self) -> bool:
-        return self.source != "none"
-
-    def kernel_names(self) -> list[str]:
-        """Recovered kernels in record order, deduplicated (repeat passes)."""
-        seen: dict[str, None] = {}
-        for record in self.records:
-            seen.setdefault(record.name, None)
-        return list(seen)
-
-
-def _write_trace(path: pathlib.Path, trace: SweepTrace, meta: dict) -> pathlib.Path:
-    merged_meta = {**meta, **trace.meta}
-    return save_trace(
-        path,
-        SweepTrace(device=trace.device, kernels=trace.kernels, meta=merged_meta),
-    )
-
 
 @dataclass
 class TraceRegistry:
     """Keyed store of recorded measurement traces (JSONL files on disk).
 
-    ``get`` materializes a whole trace through the store's memory/disk
-    tiers; for out-of-core access use :meth:`open_backend`, which serves a
-    :class:`~repro.measure.replay.ReplayBackend` straight off the file,
-    and :meth:`writer` streams a campaign's sweeps into the registry
-    (atomically: the key resolves to the new trace on clean close, and to
-    the previous one — if any — until then).
+    :meth:`writer` streams a campaign's sweeps into the registry
+    atomically: the key resolves to the new trace on clean close, and to
+    the previous one — if any — until then.
     """
 
     root: pathlib.Path
-    memory_capacity: int | None = 4
-    store: ArtifactStore = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.store = ArtifactStore(
-            self.root,
-            write=_write_trace,
-            read=load_trace,
-            suffix=".jsonl",
-            memory_capacity=self.memory_capacity,
-        )
-        self.root = self.store.root
-
-    @property
-    def stats(self) -> StoreStats:
-        return self.store.stats
+        self.root = pathlib.Path(self.root).expanduser()
+        self.root.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, key: TraceKey) -> pathlib.Path:
-        return self.store.path_for(key)
+        return self.path_for_slug(key.slug)
+
+    def path_for_slug(self, slug: str) -> pathlib.Path:
+        """A registered slug's trace file."""
+        return self.root / f"{slug}.jsonl"
 
     def __contains__(self, key: TraceKey) -> bool:
-        return key in self.store
-
-    def get(self, key: TraceKey) -> SweepTrace:
-        """Materialize a recorded trace (memory, then disk)."""
-        try:
-            return self.store.get(key)
-        except StoreMiss:
-            raise ReplayError(
-                f"no recorded trace for key {key.display()!r} under "
-                f"{self.root} (recorded: {self.entries() or 'none'})"
-            ) from None
-
-    def put(self, key: TraceKey, trace: SweepTrace) -> pathlib.Path:
-        """Register an already-recorded trace under ``key``."""
-        if trace.device != key.device_spec().name:
-            raise ReplayError(
-                f"trace was recorded on {trace.device!r} but the key names "
-                f"{key.device_spec().name!r}"
-            )
-        return self.store.put(key, trace)
+        return self.path_for(key).exists()
 
     def resolve(self, key: TraceKey | str) -> pathlib.Path:
         """The on-disk trace file for a key (or its string spelling)."""
@@ -211,33 +149,20 @@ class TraceRegistry:
             )
         return path
 
-    def open_backend(self, key: TraceKey | str) -> "ReplayBackend":
-        """An out-of-core :class:`ReplayBackend` over the keyed trace file."""
-        from .replay import ReplayBackend
-
-        return ReplayBackend(self.resolve(key))
-
     def writer(self, key: TraceKey) -> TraceWriter:
         """A streaming :class:`TraceWriter` registered under ``key``.
 
         Sweeps stream into a ``.partial`` sibling that is renamed over the
         registry file only on a clean close (``atomic=True``), so a crash
         or error mid-campaign can never destroy a previously registered
-        trace — the last good artifact stays resolvable.  Any copy of the
-        key already materialized in the memory tier is invalidated, since
-        the file is rewritten out of band.
+        trace — the last good artifact stays resolvable.
         """
-        self.store.invalidate(key)
         return TraceWriter(
             self.path_for(key),
             device=key.device_spec().name,
             meta=key.as_meta(),
             atomic=True,
         )
-
-    def iter_kernels(self, key: TraceKey | str) -> Iterator[tuple[str, KernelTrace]]:
-        """Stream the keyed trace's records without materializing it."""
-        return iter_trace(self.resolve(key))
 
     # -- resume -----------------------------------------------------------------
 
@@ -281,28 +206,6 @@ class TraceRegistry:
             )
         return states
 
-    def scan_resume(self, key: TraceKey) -> TraceResumeState:
-        """The single richest recorded stream for ``key`` (most records).
-
-        Convenience over :meth:`scan_resume_sources` for introspection;
-        the campaign engine compares *validated* prefixes across all
-        sources instead, since raw record count ignores plan mismatches.
-        Ties prefer the ``.partial`` stream (it is appendable).
-        """
-        states = self.scan_resume_sources(key)
-        if not states:
-            return TraceResumeState(key=key, source="none")
-        return max(states, key=lambda s: len(s.records))
-
-    def completed_kernels(self, key: TraceKey) -> list[str]:
-        """Kernels ``key``'s trace already holds complete records for.
-
-        Reads the richest of the interrupted ``.partial`` stream and the
-        published trace — the introspection behind ``campaign --resume``
-        deciding which sweeps to skip.
-        """
-        return self.scan_resume(key).kernel_names()
-
     def discard_partial(self, key: TraceKey) -> None:
         """Remove a leftover ``.partial`` stream for ``key``, if any.
 
@@ -316,12 +219,10 @@ class TraceRegistry:
     def resume_writer(self, key: TraceKey, keep_bytes: int) -> TraceWriter:
         """Reopen ``key``'s interrupted partial stream for appending.
 
-        ``keep_bytes`` comes from :meth:`scan_resume`; everything past it
-        (the crash tail) is truncated away.  Like :meth:`writer`, the key
-        publishes atomically on clean close and the memory tier is
-        invalidated up front.
+        ``keep_bytes`` comes from :meth:`scan_resume_sources`; everything
+        past it (the crash tail) is truncated away.  Like :meth:`writer`,
+        the key publishes atomically on clean close.
         """
-        self.store.invalidate(key)
         return TraceWriter.resume_partial(
             self.path_for(key),
             device=key.device_spec().name,
@@ -330,18 +231,9 @@ class TraceRegistry:
 
     def entries(self) -> list[str]:
         """Slugs of every recorded trace under the registry root."""
-        return self.store.entries()
-
-    def evict_memory(self) -> None:
-        self.store.evict_memory()
+        return sorted(p.name[: -len(".jsonl")] for p in self.root.glob("*.jsonl"))
 
     # -- columnar compaction ----------------------------------------------------
-
-    def sidecar_path_for(self, key: TraceKey) -> pathlib.Path:
-        """Where ``key``'s v3 columnar sidecar lives (beside the JSONL)."""
-        from .columnar import sidecar_path
-
-        return sidecar_path(self.path_for(key))
 
     def compact(self, key: TraceKey | str, force: bool = False):
         """Compact ``key``'s trace into its columnar sidecar (v2 → v3).
@@ -353,7 +245,3 @@ class TraceRegistry:
         from .columnar import compact_trace
 
         return compact_trace(self.resolve(key), force=force)
-
-    def migrate_to_sharded(self) -> int:
-        """Fan the registry out into the sharded layout; returns moves."""
-        return self.store.migrate_to_sharded()

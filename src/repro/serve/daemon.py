@@ -30,8 +30,8 @@ Three contracts the tests pin down:
   up its own lane.
 * **Hot reload** — a poller fingerprints the store's model registry and,
   when a campaign publishes new bundles, re-discovers routes via
-  :meth:`FleetService.refresh_from_store` (which invalidates the
-  registry's in-process copies).  A reload never changes an in-flight
+  :meth:`FleetService.refresh_from_store` (which drops the services of
+  re-published routes).  A reload never changes an in-flight
   response: a batch resolves its service once, up front, and keeps it.
 
 Endpoints: ``POST /predict``, ``POST /predict-batch``, ``POST /pareto``

@@ -7,7 +7,8 @@ the store's :class:`~repro.serve.registry.ModelRegistry`, routes every
 request by device key (full names and any :func:`~repro.gpusim.device.resolve_device`
 alias spell the same route), and lazy-loads one per-device service on
 first use, optionally bounded by an LRU so a long-tail fleet does not pin
-every bundle in memory.
+every bundle in memory.  That LRU is the only cache of loaded bundles:
+the registry reads from disk on every ``get``.
 
 Two invariants the tests pin down:
 
@@ -45,10 +46,10 @@ from ..obs.instruments import (
     FLEET_SERVICE_HITS_TOTAL,
     FLEET_SERVICE_LOADS_TOTAL,
 )
-from ..store import ArtifactError, StoreMiss
+from ..store import ArtifactError
 from ..store.layout import MODELS_SUBDIR
 from .cache import KernelFeatureCache
-from .registry import ModelKey, ModelRegistry
+from .registry import ModelKey, ModelRegistry, StoreMiss
 from .service import PredictionService, ServiceError, ServiceStats
 
 
@@ -192,10 +193,10 @@ class FleetService:
         use :meth:`from_campaign_store` to let preference rules pick one.
     max_services:
         Optional LRU bound on concurrently loaded per-device services.
-        Evicting a service also drops the registry's in-process copy of
-        its bundle, so the bound actually caps memory; the next request
-        for that device reloads from disk, and its request counters
-        survive the round trip.
+        The services hold the fleet's only references to loaded bundles,
+        so the bound caps memory; the next request for an evicted device
+        reloads from disk, and its request counters survive the round
+        trip.
     cache:
         The fleet-wide :class:`KernelFeatureCache`.  Every per-device
         service shares this one instance — the invariant that makes a
@@ -278,9 +279,7 @@ class FleetService:
                 f"{root} is not a campaign store (no {MODELS_SUBDIR}/ "
                 f"directory); run `repro campaign --store {root}` to create one"
             )
-        registry = ModelRegistry(
-            models_root, memory_capacity=kwargs.get("max_services")
-        )
+        registry = ModelRegistry(models_root)
         chosen = _discover_routes(registry, recipe=recipe, features=features)
         if not chosen:
             wanted = [
@@ -375,10 +374,7 @@ class FleetService:
         self.stats.inc(FLEET_SERVICE_LOADS_TOTAL)
         if self.max_services is not None:
             while len(self._services) > self.max_services:
-                evicted, _ = self._services.popitem(last=False)
-                # Drop the registry's in-process bundle copy too;
-                # otherwise the LRU bounds service objects but not memory.
-                self.registry.invalidate(self._keys[evicted])
+                self._services.popitem(last=False)
                 self.stats.inc(FLEET_SERVICE_EVICTIONS_TOTAL)
         return service
 
@@ -424,10 +420,9 @@ class FleetService:
         envelope metadata under the registry root (same preference rules
         as :meth:`from_campaign_store`), then for every route that is new,
         re-published (same key, new bytes on disk) or re-keyed, drops the
-        live service and the registry's in-process bundle copy so the next
-        request loads the fresh artifact.  Per-device counters and the
-        metrics registry survive — a reload is a routing event, not a
-        telemetry reset.
+        live service so the next request loads the fresh artifact.
+        Per-device counters and the metrics registry survive — a reload is
+        a routing event, not a telemetry reset.
 
         In-flight work is untouched: a caller already holding a
         :class:`PredictionService` keeps predicting against the bundle it
@@ -458,9 +453,6 @@ class FleetService:
             )
         )
         for slug in removed + updated:
-            old = self._route_prints.get(slug)
-            if old is not None:
-                self.registry.invalidate(old[0])
             self._services.pop(slug, None)
         self._route_prints = new_prints
         return FleetReload(added=added, removed=removed, updated=updated)
@@ -528,5 +520,4 @@ class FleetService:
             "per_device": per_device,
             "merged": merged.as_dict(),
             "feature_cache": self.feature_cache.stats.as_dict(),
-            "registry": self.registry.stats.as_dict(),
         }

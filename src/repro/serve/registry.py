@@ -1,15 +1,14 @@
 """Named model registry: keyed trained bundles, persisted and reloaded.
 
 A :class:`ModelKey` identifies a trained bundle by device, training recipe,
-and feature configuration.  :class:`ModelRegistry` maps keys to artifact
-files under a root directory and resolves ``get(key)`` in order of cost:
-
-1. **memory** — already materialized in this process;
-2. **disk** — a saved artifact exists, load it (milliseconds).
+and feature configuration.  :class:`ModelRegistry` maps each key to one
+artifact file, ``<root>/<slug>.json``, and ``get(key)`` loads it from disk
+(milliseconds).  Callers that serve repeatedly keep the loaded bundle
+themselves: a fleet's per-device service LRU is the only cache.
 
 Serving only loads: bundles are built by the campaign engine and the
 ``repro train`` command, which register them with :meth:`ModelRegistry.put`.
-A key with neither tier raises :class:`~repro.store.StoreMiss`.
+A key with no artifact raises :class:`StoreMiss`.
 """
 
 from __future__ import annotations
@@ -20,8 +19,11 @@ from dataclasses import dataclass
 
 from ..core.pipeline import TrainedModels, load_models, save_models
 from ..gpusim.device import DeviceSpec, resolve_device
-from ..store import ArtifactStore, StoreStats
-from ..store.envelope import read_artifact_meta
+from ..store.envelope import ArtifactError, read_artifact_meta
+
+
+class StoreMiss(KeyError):
+    """Raised by :meth:`ModelRegistry.get` when a key has no artifact."""
 
 
 @dataclass(frozen=True)
@@ -79,43 +81,29 @@ class ModelKey:
 
 
 class ModelRegistry:
-    """Keyed store of trained bundles backed by a directory of artifacts.
+    """Keyed store of trained bundles: one JSON-envelope artifact per key
+    (:func:`repro.core.pipeline.save_models`) in a flat directory."""
 
-    A thin domain binding of the generic :class:`repro.store.ArtifactStore`
-    to the JSON-envelope bundle format of :func:`repro.core.pipeline.save_models`.
-    """
-
-    def __init__(
-        self,
-        root: str | pathlib.Path,
-        memory_capacity: int | None = None,
-    ) -> None:
-        self._store = ArtifactStore(
-            root,
-            write=save_models,
-            read=lambda path: load_models(path)[0],
-            memory_capacity=memory_capacity,
-        )
-        self.root = self._store.root
-
-    @property
-    def stats(self) -> StoreStats:
-        """Where each ``get`` was satisfied from, plus churn counters."""
-        return self._store.stats
+    def __init__(self, root: str | pathlib.Path) -> None:
+        self.root = pathlib.Path(root).expanduser()
+        self.root.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, key: ModelKey) -> pathlib.Path:
-        return self._store.path_for(key)
+        return self.path_for_slug(key.slug)
 
     def path_for_slug(self, slug: str) -> pathlib.Path:
-        """Resolve a persisted slug's artifact path (shard-aware)."""
-        return self._store.path_for_slug(slug)
+        """A persisted slug's artifact path."""
+        return self.root / f"{slug}.json"
 
     def __contains__(self, key: ModelKey) -> bool:
-        return key in self._store
+        return self.path_for(key).exists()
 
     def get(self, key: ModelKey) -> TrainedModels:
-        """Resolve a bundle: memory, then disk; StoreMiss when neither."""
-        return self._store.get(key)
+        """Load a bundle from disk; :class:`StoreMiss` when it has no artifact."""
+        path = self.path_for(key)
+        if not path.exists():
+            raise StoreMiss(f"no artifact for key {key.slug!r} at {path}")
+        return load_models(path)[0]
 
     def put(
         self,
@@ -128,9 +116,11 @@ class ModelRegistry:
         ``extra_meta`` records extra provenance in the artifact (the
         campaign engine stores the SHA-256 of the trace the bundle was
         trained from, which is what lets a resumed campaign prove a
-        persisted bundle is still current and skip retraining).
+        persisted bundle is still current and skip retraining); key
+        fields win on collision, since they *are* the artifact's identity.
         """
-        return self._store.put(key, models, extra_meta=extra_meta)
+        meta = {**(extra_meta or {}), **key.as_meta()}
+        return save_models(self.path_for(key), models, meta)
 
     def meta_for(self, key: ModelKey) -> dict | None:
         """A persisted bundle's provenance meta, or None when absent.
@@ -145,7 +135,7 @@ class ModelRegistry:
 
     def entries(self) -> list[str]:
         """Slugs of every persisted bundle under the registry root."""
-        return self._store.entries()
+        return sorted(p.name[: -len(".json")] for p in self.root.glob("*.json"))
 
     def known_keys(self) -> list[ModelKey]:
         """The :class:`ModelKey` of every persisted bundle, from envelope meta.
@@ -158,15 +148,10 @@ class ModelRegistry:
         skipped: a registry directory may legitimately hold foreign files,
         and a half-written stray must not break discovery.
         """
-        from ..store import ArtifactError
-
         keys: list[ModelKey] = []
         for slug in self.entries():
-            # Resolved through the store, not root/slug concatenation —
-            # the artifact may live inside a shard bucket.
-            path = self._store.path_for_slug(slug)
             try:
-                meta = read_artifact_meta(path) or {}
+                meta = read_artifact_meta(self.path_for_slug(slug)) or {}
                 key = ModelKey(
                     device=meta["device"],
                     recipe=meta["recipe"],
@@ -177,19 +162,3 @@ class ModelRegistry:
             if key.slug == slug:
                 keys.append(key)
         return keys
-
-    def migrate_to_sharded(self) -> int:
-        """Fan the registry out into the sharded layout; returns moves."""
-        return self._store.migrate_to_sharded()
-
-    def invalidate(self, key: ModelKey | None = None) -> None:
-        """Drop in-process copies: one key's, or — with no key — every
-        key's (hot-reload path; artifacts on disk stay untouched)."""
-        if key is None:
-            self._store.evict_memory()
-        else:
-            self._store.invalidate(key)
-
-    def evict_memory(self) -> None:
-        """Drop in-process copies (artifacts on disk are untouched)."""
-        self._store.evict_memory()

@@ -1,19 +1,19 @@
-"""repro.store — the unified artifact-store layer.
+"""repro.store — the persistence layer below every subsystem.
 
-Three pieces, all below every subsystem that persists anything:
+Two pieces:
 
 * :mod:`repro.store.envelope` — versioned JSON envelopes around
   ``to_state()`` payloads, with atomic writes;
-* :mod:`repro.store.artifact_store` — the generic keyed store
-  (slug keys, memory/disk tiers, LRU bound, stats) that
-  :class:`repro.serve.registry.ModelRegistry` and
-  :class:`repro.measure.trace_registry.TraceRegistry` are built on;
 * :mod:`repro.store.layout` — the campaign-store directory layout
-  (``traces/`` + ``models/``) shared by the campaign engine that writes a
-  store and the fleet serving layer that deploys one.
+  (flat ``traces/`` + ``models/`` registries) shared by the campaign
+  engine that writes a store and the fleet serving layer that deploys
+  one.
+
+The keyed registries over that layout are
+:class:`repro.serve.registry.ModelRegistry` and
+:class:`repro.measure.trace_registry.TraceRegistry`.
 """
 
-from .artifact_store import ArtifactStore, StoreKey, StoreMiss, StoreStats
 from .envelope import (
     ARTIFACT_FORMAT_VERSION,
     ArtifactError,
@@ -24,24 +24,13 @@ from .envelope import (
     read_artifact_meta,
     save_artifact,
 )
-from .layout import (
-    MODELS_SUBDIR,
-    SHARDED_MARKER_FILENAME,
-    TRACES_SUBDIR,
-    shard_for,
-)
+from .layout import MODELS_SUBDIR, TRACES_SUBDIR
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
     "ArtifactError",
-    "ArtifactStore",
     "MODELS_SUBDIR",
-    "SHARDED_MARKER_FILENAME",
-    "StoreKey",
-    "StoreMiss",
-    "StoreStats",
     "TRACES_SUBDIR",
-    "shard_for",
     "atomic_write_text",
     "load_artifact",
     "make_envelope",

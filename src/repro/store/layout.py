@@ -4,8 +4,8 @@ A campaign store root holds two sibling registries plus the
 observability sidecar files::
 
     <store_root>/
-        traces/       # TraceRegistry  — JSONL measurement traces
-        models/       # ModelRegistry  — trained bundle artifacts
+        traces/       # TraceRegistry  — <slug>.jsonl measurement traces
+        models/       # ModelRegistry  — <slug>.json trained bundles
         metrics/      # repro.obs metric snapshots (JSON, one per writer)
         spans.jsonl   # repro.obs span log (append-only JSONL events)
 
@@ -14,6 +14,10 @@ consumer) must agree on these names without importing each other —
 ``repro.campaign`` sits *above* ``repro.serve`` in the layering — so the
 constants live here, below both.
 
+Each registry is one flat directory: an artifact's path is its key's
+slug plus a suffix, and its siblings (a trace's ``.partial`` stream and
+``.npz`` columnar sidecar) sit next to it.
+
 Observability output deliberately lives *beside* ``traces/`` and
 ``models/``, never inside them: byte-identity comparisons of the
 artifacts (resume tests, CI's crash-resume ``diff -r``) must see the
@@ -21,8 +25,6 @@ same bytes whether or not metrics were recorded.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 #: Subdirectory of a campaign store holding the trace registry.
 TRACES_SUBDIR = "traces"
@@ -43,32 +45,3 @@ DAEMON_METRICS_FILENAME = "serve-daemon.json"
 
 #: The store's append-only span log (at the store root).
 SPANS_FILENAME = "spans.jsonl"
-
-# -- sharded fan-out -----------------------------------------------------------
-#
-# At fleet scale (thousands of device×suite×noise keys) a flat registry
-# directory stops scaling: every lookup lists or hashes against one huge
-# directory, and rsync/inotify costs grow with total key count.  The
-# sharded layout fans artifacts out into 256 two-hex-digit buckets::
-#
-#     <registry root>/
-#         .sharded              # marker: new writes go to shards
-#         a3/<slug>.jsonl       # shard = sha256(slug)[:2]
-#         a3/<slug>.jsonl.npz   # siblings (sidecars, partials) follow
-#
-# The layout is opt-in per registry (created by `repro store compact` /
-# ArtifactStore.migrate_to_sharded) and readers are transparent across
-# both generations: a flat file always wins resolution, so a legacy
-# store keeps working unmigrated and a migrated store may still be
-# *read* by path from old clients that know the shard rule.
-
-#: Marker file whose presence routes a registry's new writes to shards.
-SHARDED_MARKER_FILENAME = ".sharded"
-
-#: Hex digits of the shard fan-out (2 → 256 buckets).
-SHARD_HEX_CHARS = 2
-
-
-def shard_for(slug: str) -> str:
-    """The shard bucket of one artifact slug (stable across processes)."""
-    return hashlib.sha256(slug.encode("utf-8")).hexdigest()[:SHARD_HEX_CHARS]

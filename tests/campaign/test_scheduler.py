@@ -5,7 +5,7 @@ import pytest
 
 from repro.campaign import CampaignPlan, SweepTask, interleave, run_campaign
 from repro.campaign.engine import TRACES_SUBDIR
-from repro.measure import DevicePool, TraceRegistry
+from repro.measure import DevicePool, TraceRegistry, iter_trace
 
 
 def _task(device, i, final=True):
@@ -176,7 +176,8 @@ class TestInterleavedCampaign:
         report = run_campaign(plan, tmp_path)
         registry = TraceRegistry(tmp_path / TRACES_SUBDIR)
         for result, device in zip(report.results, plan.device_specs()):
-            names = registry.completed_kernels(plan.trace_key(device))
+            trace_path = registry.resolve(plan.trace_key(device))
+            names = [name for name, _ in iter_trace(trace_path)]
             assert names == [s.name for s in plan.kernel_specs()]
             assert result.resumed_sweeps == 0
             assert result.trained

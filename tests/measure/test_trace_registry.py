@@ -1,4 +1,4 @@
-"""TraceRegistry: keyed traces, alias-stable slugs, streaming writers."""
+"""TraceRegistry: keyed trace files, alias-stable slugs, streaming writers."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,13 @@ from repro.gpusim.device import make_titan_x
 from repro.gpusim.noise import NoiseConfig
 from repro.measure import (
     RecordingBackend,
+    ReplayBackend,
     ReplayError,
     SimulatorBackend,
     TraceKey,
     TraceRegistry,
+    iter_trace,
+    load_trace,
     noise_settings_hash,
 )
 from repro.measure.trace_registry import DEFAULT_NOISE_HASH
@@ -22,11 +25,12 @@ SETTINGS = sample_training_settings(make_titan_x(), total=8)
 SPECS = generate_micro_benchmarks()[::40]
 
 
-def record_trace():
-    rec = RecordingBackend(SimulatorBackend())
-    for spec in SPECS:
-        rec.measure(spec, SETTINGS)
-    return rec.trace
+def seed_trace(registry, key):
+    """Record every spec into ``key``'s trace through the registry writer."""
+    with registry.writer(key) as writer:
+        rec = RecordingBackend(SimulatorBackend(), stream=writer)
+        for spec in SPECS:
+            rec.measure(spec, SETTINGS)
 
 
 class TestTraceKey:
@@ -64,38 +68,10 @@ class TestTraceKey:
 
 
 class TestRegistry:
-    def test_put_get_and_persistence(self, tmp_path):
-        registry = TraceRegistry(tmp_path)
-        key = TraceKey(device="titan-x")
-        trace = record_trace()
-        path = registry.put(key, trace)
-        assert path.suffix == ".jsonl"
-        assert key in registry
-        assert registry.get(key).kernels.keys() == trace.kernels.keys()
-        assert registry.stats.memory_hits == 1
-
-        fresh = TraceRegistry(tmp_path)
-        assert fresh.get(key).kernels.keys() == trace.kernels.keys()
-        assert fresh.stats.disk_loads == 1
-
-    def test_memory_eviction(self, tmp_path):
-        registry = TraceRegistry(tmp_path, memory_capacity=1)
-        trace = record_trace()
-        registry.put(TraceKey(device="titan-x", suite="a"), trace)
-        registry.put(TraceKey(device="titan-x", suite="b"), trace)
-        assert registry.stats.memory_evictions == 1
-        registry.get(TraceKey(device="titan-x", suite="a"))  # reloaded from disk
-        assert registry.stats.disk_loads == 1
-
     def test_missing_key_lists_recorded(self, tmp_path):
         registry = TraceRegistry(tmp_path)
         with pytest.raises(ReplayError, match="no recorded trace"):
-            registry.get(TraceKey(device="titan-x"))
-
-    def test_device_mismatch_rejected(self, tmp_path):
-        registry = TraceRegistry(tmp_path)
-        with pytest.raises(ReplayError, match="recorded on"):
-            registry.put(TraceKey(device="tesla-p100"), record_trace())
+            registry.resolve(TraceKey(device="titan-x"))
 
     def test_streaming_writer_lands_in_registry(self, tmp_path):
         registry = TraceRegistry(tmp_path)
@@ -105,31 +81,22 @@ class TestRegistry:
             rec = RecordingBackend(backend, stream=writer)
             direct = build_training_dataset(rec, SPECS, SETTINGS)
         assert key in registry
-        assert registry.get(key).meta["suite"] == "stream"
+        assert registry.path_for(key) == tmp_path / f"{key.slug}.jsonl"
+        assert registry.entries() == [key.slug]
+        assert load_trace(registry.resolve(key)).meta["suite"] == "stream"
 
-        replayed = build_training_dataset(registry.open_backend(key), SPECS, SETTINGS)
+        replayed = build_training_dataset(
+            ReplayBackend(registry.resolve(key)), SPECS, SETTINGS
+        )
         assert np.array_equal(direct.x, replayed.x)
         assert np.array_equal(direct.y_speedup, replayed.y_speedup)
         assert np.array_equal(direct.y_energy, replayed.y_energy)
-
-    def test_writer_invalidates_stale_memory_copy(self, tmp_path):
-        registry = TraceRegistry(tmp_path)
-        key = TraceKey(device="titan-x")
-        registry.put(key, record_trace())
-        assert len(registry.get(key).kernels) == len(SPECS)
-        # Rewrite the keyed file through a streaming writer with fewer
-        # kernels; get() must re-read the file, not serve the old copy.
-        with registry.writer(key) as writer:
-            RecordingBackend(SimulatorBackend(), stream=writer).measure(
-                SPECS[0], SETTINGS
-            )
-        assert list(registry.get(key).kernels) == [SPECS[0].name]
 
     def test_failed_rewrite_preserves_previous_trace(self, tmp_path):
         """A crash mid-campaign must not destroy the last good artifact."""
         registry = TraceRegistry(tmp_path)
         key = TraceKey(device="titan-x")
-        registry.put(key, record_trace())
+        seed_trace(registry, key)
         with pytest.raises(RuntimeError, match="boom"):
             with registry.writer(key) as writer:
                 RecordingBackend(SimulatorBackend(), stream=writer).measure(
@@ -138,20 +105,18 @@ class TestRegistry:
                 raise RuntimeError("boom")
         # The registry still serves the complete pre-crash trace; the
         # partial stream is parked beside it for forensics.
-        assert len(registry.get(key).kernels) == len(SPECS)
-        assert registry.path_for(key).with_name(
-            registry.path_for(key).name + ".partial"
-        ).exists()
+        assert len(load_trace(registry.resolve(key)).kernels) == len(SPECS)
+        assert registry.partial_path_for(key).exists()
 
     def test_open_backend_accepts_string_keys(self, tmp_path):
         registry = TraceRegistry(tmp_path)
-        registry.put(TraceKey(device="titan-x"), record_trace())
-        replay = registry.open_backend("titan-x/default")
+        seed_trace(registry, TraceKey(device="titan-x"))
+        replay = ReplayBackend(registry.resolve("titan-x/default"))
         assert replay.device.name == "NVIDIA GTX Titan X"
         assert len(replay.kernels()) == len(SPECS)
 
     def test_iter_kernels_streams(self, tmp_path):
         registry = TraceRegistry(tmp_path)
-        registry.put(TraceKey(device="titan-x"), record_trace())
-        names = [name for name, _ in registry.iter_kernels("titan-x")]
+        seed_trace(registry, TraceKey(device="titan-x"))
+        names = [name for name, _ in iter_trace(registry.resolve("titan-x"))]
         assert sorted(names) == sorted(s.name for s in SPECS)

@@ -166,30 +166,23 @@ class TestRegistryResume:
         partial.write_bytes(b"".join(published_lines[:2]))
         states = registry.scan_resume_sources(key)
         assert [s.source for s in states] == ["partial", "published"]
-        assert states[0].kernel_names() == ["k0"]
-        assert states[1].kernel_names() == ["k0", "k1"]
-        # scan_resume picks the richest stream (the published one here —
-        # a header-only crash leftover must not shadow a complete trace);
-        # equal record counts prefer the appendable partial.
-        assert registry.scan_resume(key).source == "published"
-        partial.write_bytes(b"".join(published_lines))
-        assert registry.scan_resume(key).source == "partial"
+        assert [r.name for r in states[0].records] == ["k0"]
+        assert [r.name for r in states[1].records] == ["k0", "k1"]
+        assert states[0].keep_bytes == len(b"".join(published_lines[:2]))
 
     def test_scan_resume_falls_back_to_published(self, tmp_path):
         registry = TraceRegistry(tmp_path)
         key = TraceKey(device="titan-x", suite="quick")
         with registry.writer(key) as writer:
             writer.write_kernel("k0", record(0))
-        state = registry.scan_resume(key)
+        (state,) = registry.scan_resume_sources(key)
         assert state.source == "published"
-        assert state.kernel_names() == ["k0"]
+        assert [r.name for r in state.records] == ["k0"]
 
     def test_scan_resume_empty_store(self, tmp_path):
         registry = TraceRegistry(tmp_path)
-        state = registry.scan_resume(TraceKey(device="titan-x", suite="quick"))
-        assert state.source == "none"
-        assert not state.resumable
-        assert state.kernel_names() == []
+        key = TraceKey(device="titan-x", suite="quick")
+        assert registry.scan_resume_sources(key) == []
 
     def test_wrong_device_stream_ignored(self, tmp_path):
         registry = TraceRegistry(tmp_path)
@@ -198,4 +191,4 @@ class TestRegistryResume:
         partial.parent.mkdir(parents=True, exist_ok=True)
         with TraceWriter(partial, device="NVIDIA Tesla P100") as writer:
             writer.write_kernel("k0", record(0))
-        assert registry.scan_resume(key).source == "none"
+        assert registry.scan_resume_sources(key) == []

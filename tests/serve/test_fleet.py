@@ -5,11 +5,13 @@ every test here exercises the actual deployment path: campaign store on
 disk → fleet discovery from envelope metadata → routed predictions.
 """
 
+import gc
 import http.client
 import json
 import re
 import shutil
 import time
+import weakref
 
 import pytest
 
@@ -286,12 +288,14 @@ class TestLRU:
     def test_eviction_keeps_only_the_bound(self, store):
         fleet = FleetService.from_campaign_store(store, max_services=1)
         fleet.predict(SAXPY, device="titan-x")
+        titan_models = weakref.ref(fleet.service_for("titan-x").models)
         fleet.predict(SAXPY, device="p100")
         assert fleet.loaded_devices() == [P100]
         assert fleet.stats.service_evictions == 1
-        # The registry's in-process bundle copy is dropped with the
-        # service, so the bound actually caps memory.
-        assert len(fleet.registry._store) == 1
+        # Nothing but the evicted service held the bundle, so the bound
+        # actually caps memory.
+        gc.collect()
+        assert titan_models() is None
 
     def test_counters_survive_eviction_and_reload(self, store):
         fleet = FleetService.from_campaign_store(store, max_services=1)

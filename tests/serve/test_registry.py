@@ -1,12 +1,11 @@
-"""Model registry: keyed bundles, persistence, instant reload."""
+"""Model registry: keyed bundles, persistence, reload from disk."""
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import TrainedModels
 from repro.harness.context import quick_context
-from repro.serve.registry import ModelKey, ModelRegistry
-from repro.store import StoreMiss
+from repro.serve.registry import ModelKey, ModelRegistry, StoreMiss
 
 
 @pytest.fixture(scope="module")
@@ -45,35 +44,16 @@ class TestRegistry:
             registry.get(ModelKey(recipe="quick"))
         assert registry.entries() == []
 
-    def test_second_get_hits_memory(self, tmp_path, ctx):
-        key = ModelKey(recipe="quick")
-        ModelRegistry(root=tmp_path).put(key, ctx.models)
-        registry = ModelRegistry(root=tmp_path)
-        first = registry.get(key)
-        second = registry.get(key)
-        assert second is first
-        assert registry.stats.disk_loads == 1
-        assert registry.stats.memory_hits == 1
-
     def test_fresh_registry_loads_from_disk(self, tmp_path, ctx):
         key = ModelKey(recipe="quick")
         ModelRegistry(root=tmp_path).put(key, ctx.models)
         reloaded_registry = ModelRegistry(root=tmp_path)
         reloaded = reloaded_registry.get(key)
         assert isinstance(reloaded, TrainedModels)
-        assert reloaded_registry.stats.disk_loads == 1
         x = ctx.dataset.x[:10]
         assert np.array_equal(
             ctx.models.predict_speedup(x), reloaded.predict_speedup(x)
         )
-
-    def test_evict_memory_keeps_disk(self, tmp_path, ctx):
-        registry = ModelRegistry(root=tmp_path)
-        key = ModelKey(recipe="quick")
-        registry.put(key, ctx.models)
-        registry.evict_memory()
-        registry.get(key)
-        assert registry.stats.disk_loads == 1
 
     def test_contains_and_entries(self, tmp_path, ctx):
         registry = ModelRegistry(root=tmp_path)
@@ -86,10 +66,11 @@ class TestRegistry:
     def test_put_registers_external_bundle(self, tmp_path, ctx):
         registry = ModelRegistry(root=tmp_path)
         key = ModelKey(recipe="quick")
-        path = registry.put(key, ctx.models)
-        assert path.exists()
-        assert registry.get(key) is ctx.models
-        assert registry.stats.puts == 1
+        path = registry.put(key, ctx.models, extra_meta={"recipe": "x", "n": 1})
+        assert path == tmp_path / f"{key.slug}.json"
+        # Key fields win over extra provenance on collision.
+        assert registry.meta_for(key) == {"n": 1, **key.as_meta()}
+        assert registry.known_keys() == [key]
 
     def test_keys_map_to_distinct_files(self, tmp_path, ctx):
         registry = ModelRegistry(root=tmp_path)

@@ -202,3 +202,38 @@ def test_trace_key_with_mismatched_device_rejected(tmp_path, capsys):
                  "--trace-key", "titan-x/quick", "--store", str(store),
                  "--device", "tesla-p100"]) == 2
     assert "recorded on" in capsys.readouterr().err
+
+
+class TestQuickEnvironment:
+    """``REPRO_QUICK=1`` means ``--quick``: a command trains one recipe and
+    records that same recipe in its artifact meta."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--features", "paper10-raw"], ["--record-trace", "trace.json"]],
+        ids=["default", "named-features", "record-trace"],
+    )
+    def test_train_records_the_recipe_it_trained(
+        self, tmp_path, monkeypatch, capsys, extra
+    ):
+        monkeypatch.setenv("REPRO_QUICK", "1")
+        monkeypatch.chdir(tmp_path)
+        artifact = tmp_path / "m.json"
+        assert main(["train", "--save", str(artifact), *extra]) == 0
+        assert json.loads(artifact.read_text())["meta"]["recipe"] == "quick"
+        assert "(36 codes x 24 settings)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command",
+        [["predict", "KERNEL"], ["predict-batch", "KERNEL"], ["characterize", "MT"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_environment_matches_the_flag(
+        self, kernel_file, monkeypatch, capsys, command
+    ):
+        argv = [str(kernel_file) if a == "KERNEL" else a for a in command]
+        assert main([*argv, "--quick"]) == 0
+        flagged = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_QUICK", "1")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == flagged
