@@ -4,9 +4,11 @@ Two cost stories share this bench.  The paper's own (§3.3): "for a given
 micro-benchmark, it takes 20 minutes to test 40 frequency settings, 70
 minutes to test all the 174 frequency settings" — regenerated from the
 paper's implied 30 s per setting.  And the reproduction's: the wall time
-and training-set MAPE of the dense fit (linear speedup SVR, RBF energy
-SVR) on the paper-scale 106-code x 40-setting workload, the baseline any
-cheaper energy solver is measured against.
+and training-set MAPE of the exact fit (linear speedup SVR, RBF energy
+SVR) on the paper-scale 106-code x 40-setting workload, plus the energy
+solver's own record: rounds, remaining KKT violation, convergence, kernel
+rows computed and the energy fit's wall time alone.  The timing key keeps
+its historical name, ``exact_dense_fit``, though no Gram matrix is built.
 
 Quick mode (``REPRO_BENCH_QUICK=1`` or ``REPRO_QUICK=1``) shrinks the
 workload so CI's smoke step stays fast.
@@ -26,6 +28,7 @@ from repro.gpusim.device import make_titan_x
 from repro.gpusim.executor import GPUSimulator
 from repro.harness.report import format_heading, format_table
 from repro.measure import SimulatorBackend
+from repro.ml.svr import make_energy_svr
 from repro.synthetic import generate_micro_benchmarks
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK") or os.environ.get("REPRO_QUICK"))
@@ -100,6 +103,13 @@ def measure_training_cost() -> dict:
     start = time.perf_counter()
     models = train_models(dataset, settings=settings)
     t_fit = time.perf_counter() - start
+    # The energy fit alone, timed on a refit of the same scaled rows; the
+    # solver has no RNG, so the refit is the shipped model bit for bit.
+    x_scaled = models.scaler.transform(dataset.x)
+    start = time.perf_counter()
+    energy = make_energy_svr().fit(x_scaled, dataset.y_energy)
+    t_energy = time.perf_counter() - start
+    assert np.array_equal(energy.beta_, models.energy_model.beta_)
 
     result = {
         "n_kernels": len(specs),
@@ -108,6 +118,14 @@ def measure_training_cost() -> dict:
         "timings_s": {
             "measure": t_measure,
             "exact_dense_fit": t_fit,
+        },
+        "energy_solver": {
+            "iterations": energy.iterations_,
+            "kkt_violation": energy.kkt_violation_,
+            "converged": energy.converged_,
+            "rows_computed": energy.rows_computed_,
+            "n_support": energy.n_support_,
+            "fit_s": t_energy,
         },
         "model_error": {
             "exact_energy_mape": _mape(
@@ -131,9 +149,10 @@ def regenerate_training_cost() -> tuple[str, dict]:
         ["stage", "rows", "ms"],
         [
             ("measure + assemble", str(m["rows"]), f"{t['measure'] * 1e3:9.1f}"),
-            ("exact dense fit", str(m["rows"]), f"{t['exact_dense_fit'] * 1e3:9.1f}"),
+            ("exact fit (both models)", str(m["rows"]), f"{t['exact_dense_fit'] * 1e3:9.1f}"),
         ],
     )
+    solver = m["energy_solver"]
     text = (
         cost_text
         + "\n\n"
@@ -144,6 +163,10 @@ def regenerate_training_cost() -> tuple[str, dict]:
         + fit_table
         + f"\ntraining-set MAPE: speedup {err['exact_speedup_mape'] * 100:.2f}%, "
         + f"energy {err['exact_energy_mape'] * 100:.2f}%"
+        + f"\nenergy solver: {solver['iterations']} rounds, KKT violation "
+        + f"{solver['kkt_violation']:.2e} (converged: {solver['converged']}), "
+        + f"{solver['rows_computed']} of {m['rows']} kernel rows, "
+        + f"{solver['fit_s'] * 1e3:.1f} ms"
     )
     data = {"quick": QUICK, "campaign_cost": cost_data, **m}
     return text, data
@@ -155,6 +178,8 @@ def test_training_cost():
     assert "20 min" in text
     assert data["timings_s"]["exact_dense_fit"] > 0.0
     assert data["model_error"]["exact_energy_mape"] > 0.0
+    assert data["energy_solver"]["converged"] is True
+    assert data["energy_solver"]["rows_computed"] < data["rows"]
 
 
 def test_sampled_sweep_simulated(benchmark):

@@ -27,6 +27,10 @@ class Kernel(Protocol):
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray: ...
 
+    def diag(self, x: np.ndarray) -> np.ndarray:
+        """``K(x_i, x_i)`` for every row: the Gram diagonal, without the Gram."""
+        ...
+
     def to_state(self) -> dict: ...
 
 
@@ -47,6 +51,10 @@ class LinearKernel:
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _as_2d(a) @ _as_2d(b).T
+
+    def diag(self, x: np.ndarray) -> np.ndarray:
+        x2d = _as_2d(x)
+        return np.einsum("ij,ij->i", x2d, x2d)
 
     def to_state(self) -> dict:
         return {"kind": "linear"}
@@ -80,6 +88,9 @@ class RBFKernel:
         np.exp(out, out=out)
         return out
 
+    def diag(self, x: np.ndarray) -> np.ndarray:
+        return np.ones(_as_2d(x).shape[0])
+
     def to_state(self) -> dict:
         return {"kind": "rbf", "gamma": self.gamma}
 
@@ -101,6 +112,10 @@ class PolynomialKernel:
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (self.gamma * (_as_2d(a) @ _as_2d(b).T) + self.coef0) ** self.degree
+
+    def diag(self, x: np.ndarray) -> np.ndarray:
+        x2d = _as_2d(x)
+        return (self.gamma * np.einsum("ij,ij->i", x2d, x2d) + self.coef0) ** self.degree
 
     def to_state(self) -> dict:
         return {

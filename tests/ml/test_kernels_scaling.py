@@ -84,6 +84,17 @@ class TestFactory:
             make_kernel("sigmoid")
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [LinearKernel(), RBFKernel(gamma=0.3), PolynomialKernel(degree=3, gamma=0.5)],
+    ids=["linear", "rbf", "poly"],
+)
+def test_diag_matches_gram_diagonal(kernel):
+    x = np.random.default_rng(2).normal(size=(7, 4))
+    assert np.allclose(kernel.diag(x), np.diag(kernel(x, x)), rtol=1e-12, atol=1e-12)
+    assert kernel.diag(x[0]).shape == (1,)
+
+
 class TestStandardScaler:
     def test_zero_mean_unit_var(self):
         rng = np.random.default_rng(5)

@@ -1,0 +1,150 @@
+"""The dual SVR solver: KKT optimality, memory, determinism, old bundles."""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.ml.kernels import PolynomialKernel, RBFKernel
+from repro.ml.svr import SVR
+
+
+def smooth_data(n, d=3, noise=0.05, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2, 2, size=(n, d))
+    y = np.sin(x[:, 0]) + 0.5 * x[:, 1] + noise * rng.normal(size=n)
+    return x, y
+
+
+def full_gram_kkt_steps(model, x, y):
+    """Each coordinate's exact 1-D step, from the dense Gram matrix.
+
+    Independent of the solver's incremental gradient: ``g = Kβ − y_c``
+    recomputed from scratch, then the soft-threshold/box-clip minimizer.
+    """
+    gram = model.kernel(x, x)
+    k_diag = np.diag(gram)
+    beta = model.beta_
+    g = gram @ beta - (y - y.mean())
+    z = beta - g / k_diag
+    target = np.sign(z) * np.clip(np.abs(z) - model.epsilon / k_diag, 0.0, model.C)
+    return np.abs(target - beta) * k_diag, gram
+
+
+class TestKKT:
+    @pytest.mark.parametrize(
+        "kernel, C",
+        [
+            (RBFKernel(gamma=0.5), 1.0),
+            (RBFKernel(gamma=0.5), 0.05),  # many β at the box bound
+            (RBFKernel(gamma=2.0), 100.0),
+            (PolynomialKernel(degree=2, gamma=0.5), 1.0),
+        ],
+    )
+    def test_fitted_beta_is_optimal_to_tol(self, kernel, C):
+        x, y = smooth_data(120, noise=0.3, seed=4)
+        model = SVR(kernel=kernel, C=C, epsilon=0.1).fit(x, y)
+        steps, gram = full_gram_kkt_steps(model, x, y)
+        assert model.converged_ is True
+        assert steps.max() <= model.tol * (1 + 1e-9)
+        assert model.kkt_violation_ == pytest.approx(steps.max(), rel=1e-9, abs=1e-12)
+        assert np.all(np.abs(model.beta_) <= C)
+        if C == 0.05:
+            assert np.any(np.abs(model.beta_) == C)
+        beta = model.beta_
+        dense = 0.5 * beta @ gram @ beta - (y - y.mean()) @ beta
+        dense += model.epsilon * np.abs(beta).sum()
+        assert model.dual_objective() == pytest.approx(dense, rel=1e-9, abs=1e-12)
+
+    def test_iteration_cap_is_reported_not_silent(self):
+        x, y = smooth_data(200, noise=0.3)
+        model = SVR(kernel=RBFKernel(gamma=0.5), C=1000.0, max_iter=5).fit(x, y)
+        assert model.iterations_ == 5
+        assert model.converged_ is False
+        assert model.kkt_violation_ > model.tol
+        steps, _ = full_gram_kkt_steps(model, x, y)
+        assert model.kkt_violation_ == pytest.approx(steps.max(), rel=1e-9)
+        state = json.loads(json.dumps(model.to_state()))
+        assert state["converged"] is False and state["iterations"] == 5
+
+
+class TestNoGram:
+    def test_fit_never_allocates_a_quarter_gram(self):
+        n = 3000
+        x, y = smooth_data(n)
+        tracemalloc.start()
+        try:
+            model = SVR(kernel=RBFKernel(gamma=0.5), C=1.0, epsilon=0.1).fit(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+        assert model.converged_ is True
+        assert model.rows_computed_ < n
+
+    def test_no_full_gram_in_fit_or_dual_objective(self):
+        class Recording(RBFKernel):
+            def __call__(self, a, b):
+                shapes.append((np.shape(a)[0], np.shape(b)[0]))
+                return super().__call__(a, b)
+
+        shapes = []
+        x, y = smooth_data(400)
+        model = SVR(kernel=Recording(gamma=0.5), C=1.0).fit(x, y)
+        model.dual_objective()
+        assert model.n_support_ < 400
+        assert (400, 400) not in shapes
+        assert max(a * b for a, b in shapes) <= 400 * model.n_support_
+
+
+class TestDeterminism:
+    def test_two_fits_are_bit_identical(self):
+        x, y = smooth_data(300, noise=0.3, seed=9)
+        a = SVR(kernel=RBFKernel(gamma=0.5), C=1.0).fit(x, y)
+        b = SVR(kernel=RBFKernel(gamma=0.5), C=1.0).fit(x, y)
+        assert np.array_equal(a.beta_, b.beta_)
+        assert a.to_state() == b.to_state()
+        assert np.array_equal(a.predict(x), b.predict(x))
+
+
+#: States written by the random-order CD solver with an epoch cap, before
+#: the greedy one: ``max_epochs``/``shuffle_seed``/``n_epochs`` keys and
+#: no convergence record.  Each pairs with its predictions at ``PROBE``,
+#: as float.hex, computed when it was written.
+PARENT_STATES = [
+    (
+        '{"kind": "svr", "kernel": {"kind": "rbf", "gamma": 0.1}, "C": 1000.0, '
+        '"epsilon": 0.1, "max_epochs": 120, "tol": 0.0001, "shuffle_seed": 0, '
+        '"bias": 1.3378333333333334, "n_epochs": 120, "beta": [-10.97586717151008, '
+        "20.050829893428606, -4.329750185565446, 7.759600582972237, "
+        "-2.4569229309683744, -19.060066947272762, 14.30400342474714, "
+        "-6.6657775816575855, -9.540432601778878, 14.345745853916778], "
+        '"coef": null, "sv_mask": null, "x_train": [[0.031, -0.428], '
+        "[-0.892, -0.233], [-0.183, -0.909], [-0.902, 0.998], [0.305, -0.531], "
+        "[-0.13, 0.948], [0.795, 0.688], [-0.215, -0.014], [0.111, -0.457], "
+        "[0.759, -0.872]]}",
+        ["0x1.1d2e5d006f40fp+0", "0x1.64c531b57a1a5p+0", "0x1.193fc051b53abp+0"],
+    ),
+    (
+        '{"kind": "svr", "kernel": {"kind": "linear"}, "C": 1000.0, '
+        '"epsilon": 0.1, "max_epochs": 120, "tol": 0.0001, "shuffle_seed": 0, '
+        '"bias": 1.3283397493595563, "n_epochs": 22, "beta": null, '
+        '"coef": [-0.08063108906665202, -0.18678561302929117], '
+        '"sv_mask": [true, true, true, false, true, false, true, true, true, '
+        'true, true, true], "x_train": null}',
+        ["0x1.540e12e579e3cp+0", "0x1.55b03ff1041ecp+0", "0x1.3880307a05620p+0"],
+    ),
+]
+PROBE = np.array([[0.0, 0.0], [0.5, -0.25], [-0.75, 0.9]])
+
+
+class TestOlderStates:
+    @pytest.mark.parametrize("text, expected", PARENT_STATES, ids=["rbf", "linear"])
+    def test_loads_and_predicts_bit_identically(self, text, expected):
+        state = json.loads(text)
+        model = SVR.from_state(state)
+        assert [float(v).hex() for v in model.predict(PROBE)] == expected
+        assert model.iterations_ == state["n_epochs"]
+        assert model.converged_ is None and model.kkt_violation_ is None
+        assert "max_epochs" not in model.to_state()
