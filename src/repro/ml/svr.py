@@ -30,14 +30,23 @@ are bit-identical.
 dual CD zigzags across its flat valleys (pathologically slow convergence).
 Since the linear model has an explicit finite-dimensional primal, we solve
 that directly instead: ``min ½‖w‖² + C·Σ L_ε(y − Xw − b)`` with a Huber-
-smoothed ε-insensitive loss and L-BFGS (the LIBLINEAR-style formulation).
-The two paths expose the same fit/predict API.
+smoothed ε-insensitive loss (the LIBLINEAR-style formulation), by a
+numpy L-BFGS (:func:`_lbfgs`: two-loop recursion, backtracking Armijo line
+search, started at zero).  It stops when a step lowers the objective by at
+most ``1e-12`` relative, or the gradient's largest entry is at most
+``1e-9`` (L-BFGS-B's ``ftol``/``gtol`` rules), and records
+``iterations_``/``converged_``; a fit stopped by the 500-iteration cap
+reports ``converged_ = False``.  The runtime needs numpy alone; a
+reference L-BFGS-B is only this solver's test oracle.  The two paths
+expose the same fit/predict API.
 
 Hyper-parameters follow the paper (``C = 1000``, ``ε = 0.1``) except the
 energy model's ``C``; :func:`make_energy_svr` says why it is 1.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -206,63 +215,22 @@ class SVR:
         return beta
 
     def _fit_linear_primal(self, xa: np.ndarray, ya: np.ndarray) -> "SVR":
-        """L-BFGS on the primal with a Huber-smoothed ε-insensitive loss.
-
-        The smoothing width ``δ`` is small relative to ε (or to the target
-        scale when ε = 0), so the optimum matches the exact SVR to within
-        the measurement noise of any downstream use.
-        """
-        n, d = xa.shape
+        """L-BFGS on the primal with a Huber-smoothed ε-insensitive loss."""
+        d = xa.shape[1]
         eps = self.epsilon
-        c_weight = self.C
-        delta = max(eps, float(np.std(ya)), 1e-6) * 1e-3
         y_mean = float(ya.mean())
         yc = ya - y_mean
-
-        def objective(params: np.ndarray) -> tuple[float, np.ndarray]:
-            w = params[:d]
-            b = params[d]
-            residual = yc - xa @ w - b
-            t = np.abs(residual) - eps
-            # Huber hinge: quadratic in (0, delta], linear above.
-            quad = t <= delta
-            active = t > 0.0
-            loss = np.zeros(n)
-            loss[active & quad] = t[active & quad] ** 2 / (2.0 * delta)
-            loss[~quad] = t[~quad] - delta / 2.0
-            dldt = np.zeros(n)
-            dldt[active & quad] = t[active & quad] / delta
-            dldt[~quad] = 1.0
-            # d loss_i/d residual_i = -dldt_i · sign(residual_i), and
-            # d residual_i/dw = -x_i — so d loss/dw = C·Xᵀ(grad_r).
-            grad_r = -np.sign(residual) * dldt
-            grad_w = w + c_weight * (xa.T @ grad_r)
-            grad_b = c_weight * float(np.sum(grad_r))
-            value = 0.5 * float(w @ w) + c_weight * float(np.sum(loss))
-            return value, np.concatenate([grad_w, [grad_b]])
-
-        # Imported here, not at module level: loading scipy.optimize costs
-        # more than the rest of a cold start, and serving never fits.
-        from scipy.optimize import minimize
-
-        start = np.zeros(d + 1)
-        result = minimize(
-            objective,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-9},
+        params, self.iterations_, self.converged_ = _lbfgs(
+            _smoothed_primal(xa, ya, eps, self.C), np.zeros(d + 1)
         )
-        w = result.x[:d]
-        b = result.x[d]
+        w = params[:d]
+        b = params[d]
         residual = yc - xa @ w - b
         self.coef_ = w
         self.bias_ = y_mean + b
         self.x_train_ = xa
         self.y_centered_ = yc
-        self.iterations_ = int(result.nit)
         self.kkt_violation_ = None
-        self.converged_ = bool(result.success)
         # 'Support vectors' of the primal path: points outside the tube.
         self._sv_mask = np.abs(residual) >= eps - 1e-12
         self.beta_ = None
@@ -415,6 +383,120 @@ class SVR:
         lin = float(self.y_centered_[sv] @ beta)
         reg = self.epsilon * float(np.sum(np.abs(beta)))
         return quad - lin + reg
+
+
+#: Linear-primal L-BFGS: iteration cap and curvature pairs kept.  The
+#: stopping tolerances are L-BFGS-B's (``ftol`` on the relative decrease
+#: of one step, ``gtol`` on the largest gradient entry).
+LBFGS_MAX_ITER = 500
+LBFGS_MEMORY = 10
+LBFGS_FTOL = 1e-12
+LBFGS_GTOL = 1e-9
+
+
+def _smoothed_primal(
+    xa: np.ndarray, ya: np.ndarray, epsilon: float, c_weight: float
+) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """The linear SVR's primal ``½‖w‖² + C·Σ L_ε(y − Xw − b)`` and its
+    gradient, as a function of ``params = [w, b]`` on centered targets.
+
+    ``L_ε`` is the ε-insensitive loss with its hinge Huber-smoothed over a
+    width ``δ`` that is small relative to ε (or to the target scale when
+    ε = 0), so the optimum matches the exact SVR to within the measurement
+    noise of any downstream use.
+    """
+    n, d = xa.shape
+    delta = max(epsilon, float(np.std(ya)), 1e-6) * 1e-3
+    yc = ya - float(ya.mean())
+
+    def objective(params: np.ndarray) -> tuple[float, np.ndarray]:
+        w = params[:d]
+        b = params[d]
+        residual = yc - xa @ w - b
+        t = np.abs(residual) - epsilon
+        # Huber hinge: quadratic in (0, delta], linear above.
+        quad = t <= delta
+        active = t > 0.0
+        loss = np.zeros(n)
+        loss[active & quad] = t[active & quad] ** 2 / (2.0 * delta)
+        loss[~quad] = t[~quad] - delta / 2.0
+        dldt = np.zeros(n)
+        dldt[active & quad] = t[active & quad] / delta
+        dldt[~quad] = 1.0
+        # d loss_i/d residual_i = -dldt_i · sign(residual_i), and
+        # d residual_i/dw = -x_i — so d loss/dw = C·Xᵀ(grad_r).
+        grad_r = -np.sign(residual) * dldt
+        grad_w = w + c_weight * (xa.T @ grad_r)
+        grad_b = c_weight * float(np.sum(grad_r))
+        value = 0.5 * float(w @ w) + c_weight * float(np.sum(loss))
+        return value, np.concatenate([grad_w, [grad_b]])
+
+    return objective
+
+
+def _lbfgs(
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.ndarray
+) -> tuple[np.ndarray, int, bool]:
+    """Minimize ``fun`` (value and gradient) from ``x0`` by limited-memory
+    BFGS (Liu & Nocedal, Math. Programming 45, 1989).
+
+    The two-loop recursion turns the last :data:`LBFGS_MEMORY` curvature
+    pairs into a search direction; a backtracking line search (quadratic
+    interpolation, Armijo condition) accepts only steps that decrease
+    ``fun``, and a pair with ``sᵀy ≤ 0`` is skipped.  Returns the
+    minimizer, the iterations taken and whether a stopping test was met:
+    the largest gradient entry at most :data:`LBFGS_GTOL`, or a step's
+    decrease at most :data:`LBFGS_FTOL` times ``max(|f_old|, |f_new|, 1)``.
+    The cap (:data:`LBFGS_MAX_ITER`) or a failed line search reports
+    ``False``.
+    """
+    x = x0.copy()
+    f, g = fun(x)
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1/sᵀy)
+    for iteration in range(LBFGS_MAX_ITER):
+        if float(np.abs(g).max()) <= LBFGS_GTOL:
+            return x, iteration, True
+        direction = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alpha = rho * float(s @ direction)
+            direction = direction - alpha * y
+            alphas.append(alpha)
+        if pairs:
+            s, y, rho = pairs[-1]
+            direction = direction / (rho * float(y @ y))  # H₀ = sᵀy/yᵀy
+            step = 1.0
+        else:
+            step = 1.0 / float(np.linalg.norm(g))
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            direction = direction + (alpha - rho * float(y @ direction)) * s
+        slope = float(g @ direction)
+        if slope >= 0.0:  # not a descent direction: restart from -g
+            pairs.clear()
+            direction = -g
+            slope = -float(g @ g)
+        for _ in range(60):
+            x_new = x + step * direction
+            f_new, g_new = fun(x_new)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            # Minimizer of the quadratic through f, slope and f_new,
+            # kept within [0.1, 0.5] of the rejected step.
+            curvature = 2.0 * (f_new - f - slope * step)
+            trial = -slope * step * step / curvature if curvature > 0.0 else 0.0
+            step = min(max(trial, 0.1 * step), 0.5 * step)
+        else:
+            return x, iteration, False
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+            del pairs[:-LBFGS_MEMORY]
+        stalled = f - f_new <= LBFGS_FTOL * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if stalled:
+            return x, iteration + 1, True
+    return x, LBFGS_MAX_ITER, False
 
 
 def make_speedup_svr() -> SVR:

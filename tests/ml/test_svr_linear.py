@@ -7,7 +7,8 @@ from repro.ml.kernels import LinearKernel, RBFKernel
 from repro.ml.linear import LassoRegression, OLSRegression, RidgeRegression
 from repro.ml.metrics import rmse
 from repro.ml.poly import PolynomialRegression, n_polynomial_terms, polynomial_expand
-from repro.ml.svr import SVR, make_energy_svr, make_speedup_svr
+from repro.ml import svr as svr_module
+from repro.ml.svr import SVR, _smoothed_primal, make_energy_svr, make_speedup_svr
 
 
 def linear_data(n=120, d=4, noise=0.0, seed=0):
@@ -162,6 +163,59 @@ class TestSVRLinear:
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             SVR().predict(np.ones((1, 2)))
+
+
+def quick_speedup_data():
+    """The quick context's speedup training set, scaled as training sees it."""
+    from repro.harness.context import quick_context
+
+    ctx = quick_context()
+    return ctx.models.scaler.transform(ctx.dataset.x), ctx.dataset.y_speedup
+
+
+class TestLinearPrimalSolver:
+    """The numpy L-BFGS against scipy's L-BFGS-B, the test oracle, on the
+    one shared objective definition."""
+
+    def check_against_scipy(self, x, y, epsilon=0.1, C=1000.0):
+        optimize = pytest.importorskip("scipy.optimize")
+        objective = _smoothed_primal(x, y, epsilon, C)
+        oracle = optimize.minimize(
+            objective,
+            np.zeros(x.shape[1] + 1),
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-9},
+        )
+        m = SVR(kernel=LinearKernel(), C=C, epsilon=epsilon).fit(x, y)
+        assert m.converged_ is True and m.kkt_violation_ is None
+        ours = objective(np.append(m.coef_, m.bias_ - y.mean()))[0]
+        assert ours <= oracle.fun * (1 + 1e-9), (ours, oracle.fun)
+        oracle_pred = x @ oracle.x[:-1] + oracle.x[-1] + y.mean()
+        np.testing.assert_allclose(m.predict(x), oracle_pred, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.0])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_scipy_on_synthetic_data(self, epsilon, seed):
+        x, y, _ = linear_data(n=300, d=6, noise=0.3, seed=seed)
+        self.check_against_scipy(x, y, epsilon=epsilon)
+
+    def test_matches_scipy_on_quick_speedup_dataset(self):
+        self.check_against_scipy(*quick_speedup_data())
+
+    def test_two_fits_are_bit_identical(self):
+        x, y = quick_speedup_data()
+        a = make_speedup_svr().fit(x, y)
+        b = make_speedup_svr().fit(x, y)
+        assert np.array_equal(a.coef_, b.coef_) and a.bias_ == b.bias_
+        assert a.iterations_ == b.iterations_
+
+    def test_capped_fit_reports_not_converged(self, monkeypatch):
+        monkeypatch.setattr(svr_module, "LBFGS_MAX_ITER", 5)
+        m = make_speedup_svr().fit(*quick_speedup_data())
+        assert m.iterations_ == 5
+        assert m.converged_ is False
+        assert m.to_state()["converged"] is False
 
 
 class TestSVRRBF:
