@@ -212,10 +212,29 @@ def _save_recorded(recorder, args) -> None:
         print(f"recorded measurement trace to {path}")
 
 
+def _read_text(path, where: str = "") -> str:
+    """Read a kernel source or ``--requests`` file as UTF-8 text.
+
+    A missing file propagates as :class:`FileNotFoundError` (``main``
+    names its path); any other unreadable or undecodable input is a
+    usage error, ``<where><path>: <reason>``.
+    """
+    try:
+        return pathlib.Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        reason = f"byte {byte:#04x} at offset {exc.start} is not UTF-8"
+    raise CLIUsageError(f"{where}{path}: {reason}")
+
+
 def _cmd_features(args: argparse.Namespace) -> int:
     from .features import extract_features
 
-    source = pathlib.Path(args.kernel).read_text()
+    source = _read_text(args.kernel)
     features = extract_features(source, kernel_name=args.name)
     print(f"kernel: {features.kernel_name}")
     print(f"total weighted instructions: {features.total_instructions:.1f}")
@@ -406,7 +425,7 @@ def _predict_entries(args, entries, label_devices: bool = False):
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    source = pathlib.Path(args.kernel).read_text()
+    source = _read_text(args.kernel)
     _, _, [(_, result)] = _predict_entries(
         args, [(None, source, args.name, args.kernel)]
     )
@@ -421,14 +440,14 @@ def _load_request_lines(
 
     Each line is one request object carrying ``source`` (inline kernel
     text) or ``kernel`` (a path to read), optionally ``device`` and
-    ``name``.  Blank lines and ``#`` comments are skipped.
+    ``name``, each a string.  Blank lines and ``#`` comments are skipped.
     """
     import json
 
     if not path.exists():
         raise CLIUsageError(f"--requests file not found: {path}")
     entries: list[tuple[str | None, str, str | None, str]] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -440,6 +459,9 @@ def _load_request_lines(
             raise CLIUsageError(
                 f"{path}:{lineno}: each request must be a JSON object"
             )
+        for field in ("source", "kernel", "device", "name"):
+            if obj.get(field) is not None and not isinstance(obj[field], str):
+                raise CLIUsageError(f"{path}:{lineno}: '{field}' must be a string")
         source = obj.get("source")
         kernel = obj.get("kernel")
         if (source is None) == (kernel is None):
@@ -453,7 +475,7 @@ def _load_request_lines(
                 raise CLIUsageError(
                     f"{path}:{lineno}: kernel file not found: {kernel}"
                 )
-            source = kernel_path.read_text()
+            source = _read_text(kernel_path, where=f"{path}:{lineno}: ")
             label = str(kernel)
         else:
             label = obj.get("name") or f"{path.name}:{lineno}"
@@ -472,7 +494,7 @@ def _cmd_predict_batch(args: argparse.Namespace) -> int:
         entries = _load_request_lines(pathlib.Path(args.requests))
     elif args.kernels:
         entries = [
-            (None, pathlib.Path(p).read_text(), args.name, p) for p in args.kernels
+            (None, _read_text(p), args.name, p) for p in args.kernels
         ]
     else:
         raise CLIUsageError("pass kernel file paths or --requests FILE.jsonl")
@@ -820,56 +842,6 @@ def _cmd_table2(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_device_flags(parser: argparse.ArgumentParser, record: bool = False) -> None:
-    """The shared measurement-selection flags."""
-    parser.add_argument(
-        "--device", metavar="NAME",
-        help="target device, full name or alias (titan-x, tesla-p100); "
-             "default: titan-x (or the replay trace's device)",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default="simulator",
-        help="measurement backend (default: the vectorized simulator)",
-    )
-    parser.add_argument(
-        "--trace", metavar="PATH",
-        help="measurement trace file to serve from (with --backend replay)",
-    )
-    parser.add_argument(
-        "--trace-key", metavar="KEY", dest="trace_key",
-        help="registered trace to serve from, as device/suite[/noise-hash] "
-             "(with --backend replay; e.g. titan-x/default)",
-    )
-    parser.add_argument(
-        "--max-cached-kernels", type=int, metavar="N", dest="max_cached_kernels",
-        help="(with --backend replay) LRU bound on materialized per-kernel "
-             "records; memory-mapped columnar slices bypass the cache "
-             "entirely (default: 64)",
-    )
-    parser.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="campaign store root: with --trace-key, where traces resolve "
-             "from; on predict/predict-batch without --model, serve "
-             "predictions for --device straight from the store's registered "
-             f"bundles (default: {DEFAULT_STORE})",
-    )
-    if record:
-        parser.add_argument(
-            "--record-trace", metavar="PATH", dest="record_trace",
-            help="record every sweep into a JSON trace for later replay",
-        )
-
-
-def _add_features_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--features", metavar="RECIPE", default="paper10",
-        help="static feature recipe: paper10 (the default; the paper's "
-             "exact ten-share layout), paper10-raw (unnormalized counts), "
-             "or an extension like paper10+loops, paper10+memmix, "
-             "paper10+divergence (blocks compose: paper10+loops+memmix)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-dvfs",
@@ -880,25 +852,98 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_feat = sub.add_parser("features", help="extract static code features")
-    p_feat.add_argument("kernel", help="path to an OpenCL .cl source file")
-    p_feat.add_argument("--name", help="kernel function name (if several)")
+    # Every flag more than one subcommand takes is declared once, on a
+    # parent parser the subcommands list in ``parents=``.
+    kernel = argparse.ArgumentParser(add_help=False)
+    kernel.add_argument("kernel", help="path to an OpenCL .cl source file")
+    name = argparse.ArgumentParser(add_help=False)
+    name.add_argument(
+        "--name",
+        help="kernel function name, for translation units with several "
+             "(predict-batch applies it to every file)",
+    )
+    quick = argparse.ArgumentParser(add_help=False)
+    quick.add_argument(
+        "--quick", action="store_true",
+        help="the reduced quick recipe (faster, less accurate; also implied "
+             "by REPRO_QUICK=1): train on it, sweep its 24-setting sample, "
+             "or route only quick-recipe bundles from a store",
+    )
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument(
+        "--model", metavar="PATH",
+        help="load a saved model artifact instead of training in-process",
+    )
+    metrics_out = argparse.ArgumentParser(add_help=False)
+    metrics_out.add_argument(
+        "--metrics-out", metavar="FILE", dest="metrics_out",
+        help="also write the run's metric snapshot (counters + latency "
+             "histograms) to FILE as JSON",
+    )
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument(
+        "--store", metavar="DIR", default=None,
+        help=f"campaign store root (default: {DEFAULT_STORE}); with "
+             "--trace-key, where traces resolve from; on predict and "
+             "predict-batch without --model, serve --device's predictions "
+             "from the store's registered bundles",
+    )
+    features = argparse.ArgumentParser(add_help=False)
+    features.add_argument(
+        "--features", metavar="RECIPE", default="paper10",
+        help="static feature recipe: paper10 (the default; the paper's "
+             "exact ten-share layout), paper10-raw (unnormalized counts), "
+             "or an extension like paper10+loops, paper10+memmix, "
+             "paper10+divergence (blocks compose: paper10+loops+memmix)",
+    )
+    # The measurement-selection flags (with --store, where --trace-key
+    # resolves) of every command that trains or sweeps.
+    measure = argparse.ArgumentParser(add_help=False, parents=[store])
+    measure.add_argument(
+        "--device", metavar="NAME",
+        help="target device, full name or alias (titan-x, tesla-p100); "
+             "default: titan-x (or the replay trace's device)",
+    )
+    measure.add_argument(
+        "--backend", choices=BACKEND_CHOICES, default="simulator",
+        help="measurement backend (default: the vectorized simulator)",
+    )
+    measure.add_argument(
+        "--trace", metavar="PATH",
+        help="measurement trace file to serve from (with --backend replay)",
+    )
+    measure.add_argument(
+        "--trace-key", metavar="KEY", dest="trace_key",
+        help="registered trace to serve from, as device/suite[/noise-hash] "
+             "(with --backend replay; e.g. titan-x/default)",
+    )
+    measure.add_argument(
+        "--max-cached-kernels", type=int, metavar="N", dest="max_cached_kernels",
+        help="(with --backend replay) LRU bound on materialized per-kernel "
+             "records; memory-mapped columnar slices bypass the cache "
+             "entirely (default: 64)",
+    )
+    record = argparse.ArgumentParser(add_help=False)
+    record.add_argument(
+        "--record-trace", metavar="PATH", dest="record_trace",
+        help="record every sweep into a JSON trace for later replay",
+    )
+
+    p_feat = sub.add_parser(
+        "features", parents=[kernel, name], help="extract static code features"
+    )
     p_feat.set_defaults(func=_cmd_features)
 
     p_lint = sub.add_parser(
-        "lint",
+        "lint", parents=[store],
         help="diagnose kernel sources with the analysis passes: unknown "
              "loop trip counts, zero-weight regions, assumed branch "
-             "probabilities; exits nonzero on error-severity findings",
+             "probabilities; exits nonzero on error-severity findings "
+             "(with --store, lint the kernels behind the store's traces)",
     )
     p_lint.add_argument(
         "sources", nargs="*", metavar="KERNEL.cl",
         help="OpenCL source files to lint (one translation unit each)",
-    )
-    p_lint.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="lint the kernel corpus behind a campaign store's traces "
-             "instead of source files (kernels resolve by recorded name)",
     )
     p_lint.add_argument(
         "--min-severity", choices=("info", "warning", "error"),
@@ -909,38 +954,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.set_defaults(func=_cmd_lint)
 
     p_train = sub.add_parser(
-        "train", help="train the paper's models and save them to disk"
+        "train", parents=[quick, features, measure, record],
+        help="train the paper's models and save them to disk",
     )
     p_train.add_argument(
         "--save", required=True, metavar="PATH",
         help="where to write the model artifact (JSON)",
     )
-    p_train.add_argument(
-        "--quick", action="store_true",
-        help="use the reduced training setup (faster, less accurate; "
-             "also implied by REPRO_QUICK=1)",
-    )
-    _add_features_flag(p_train)
-    _add_device_flags(p_train, record=True)
     p_train.set_defaults(func=_cmd_train)
 
-    p_pred = sub.add_parser("predict", help="predict Pareto-optimal clocks")
-    p_pred.add_argument("kernel", help="path to an OpenCL .cl source file")
-    p_pred.add_argument("--name", help="kernel function name (if several)")
-    p_pred.add_argument(
-        "--quick", action="store_true",
-        help="(without --model) use the reduced training setup "
-             "(faster, less accurate; also implied by REPRO_QUICK=1)",
+    p_pred = sub.add_parser(
+        "predict", parents=[kernel, name, quick, model, measure],
+        help="predict Pareto-optimal clocks",
     )
-    p_pred.add_argument(
-        "--model", metavar="PATH",
-        help="load a saved model artifact instead of training in-process",
-    )
-    _add_device_flags(p_pred)
     p_pred.set_defaults(func=_cmd_predict)
 
     p_batch = sub.add_parser(
-        "predict-batch",
+        "predict-batch", parents=[name, model, quick, metrics_out, measure],
         help="predict many kernels via the batched serving path",
     )
     p_batch.add_argument(
@@ -953,29 +983,9 @@ def build_parser() -> argparse.ArgumentParser:
              "object per line; per-line devices need --store routing",
     )
     p_batch.add_argument(
-        "--name",
-        help="kernel function name, applied to every file "
-             "(for multi-kernel translation units)",
-    )
-    p_batch.add_argument(
-        "--model", metavar="PATH",
-        help="load a saved model artifact instead of training in-process",
-    )
-    p_batch.add_argument(
-        "--quick", action="store_true",
-        help="(without --model) use the reduced training setup "
-             "(also implied by REPRO_QUICK=1)",
-    )
-    p_batch.add_argument(
         "--stats", action="store_true",
         help="print service cache/latency counters after the batch",
     )
-    p_batch.add_argument(
-        "--metrics-out", metavar="FILE", dest="metrics_out",
-        help="write the run's metric snapshot (counters + latency "
-             "histograms) to FILE as JSON",
-    )
-    _add_device_flags(p_batch)
     p_batch.set_defaults(func=_cmd_predict_batch)
 
     p_dev = sub.add_parser(
@@ -984,15 +994,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_dev.set_defaults(func=_cmd_devices)
 
     p_stats = sub.add_parser(
-        "stats",
+        "stats", parents=[store],
         help="export a campaign store's merged metrics (sweep-duration "
              "histograms per device, campaign counters, serve/cache "
              "counters) as Prometheus text exposition or JSON",
-    )
-    p_stats.add_argument(
-        "--store", metavar="DIR", default=None,
-        help=f"campaign store root to read metrics/ from "
-             f"(default: {DEFAULT_STORE})",
     )
     p_stats.add_argument(
         "--format", choices=("prom", "json"), default="prom",
@@ -1002,14 +1007,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=_cmd_stats)
 
     p_traces = sub.add_parser(
-        "traces",
+        "traces", parents=[store],
         help="list a campaign store's registered measurement traces: format "
              "version (v2 JSONL / v3 columnar), record and row counts, "
              "bytes, compaction status, and compacted-prefix sha",
-    )
-    p_traces.add_argument(
-        "--store", metavar="DIR", default=None,
-        help=f"campaign store root (default: {DEFAULT_STORE})",
     )
     p_traces.set_defaults(func=_cmd_traces)
 
@@ -1019,13 +1020,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
     p_compact = store_sub.add_parser(
-        "compact",
+        "compact", parents=[store],
         help="one maintenance pass: compact every trace into its v3 "
              "columnar sidecar",
-    )
-    p_compact.add_argument(
-        "--store", metavar="DIR", default=None,
-        help=f"campaign store root (default: {DEFAULT_STORE})",
     )
     p_compact.add_argument(
         "--force", action="store_true",
@@ -1034,25 +1031,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_compact.set_defaults(func=_cmd_store_compact)
 
     p_status = sub.add_parser(
-        "serve-status",
+        "serve-status", parents=[store],
         help="list what a campaign store can serve: devices with registered "
              "bundles, their aliases, recipes, and trace provenance",
-    )
-    p_status.add_argument(
-        "--store", metavar="DIR", default=None,
-        help=f"campaign store root (default: {DEFAULT_STORE})",
     )
     p_status.set_defaults(func=_cmd_serve_status)
 
     p_daemon = sub.add_parser(
-        "serve-daemon",
+        "serve-daemon", parents=[store, quick],
         help="serve a campaign store over HTTP: micro-batched grouped "
              "predictions, per-device admission control (503 + Retry-After), "
              "hot reload when a campaign publishes new bundles",
-    )
-    p_daemon.add_argument(
-        "--store", metavar="DIR", default=None,
-        help=f"campaign store root to serve (default: {DEFAULT_STORE})",
     )
     p_daemon.add_argument(
         "--host", default="127.0.0.1",
@@ -1090,10 +1079,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU bound on concurrently loaded per-device services",
     )
     p_daemon.add_argument(
-        "--quick", action="store_true",
-        help="route only quick-recipe bundles",
-    )
-    p_daemon.add_argument(
         "--no-warm", action="store_false", dest="warm",
         help="skip materializing every device's bundle at startup (first "
              "request per device then pays the disk load)",
@@ -1101,7 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_daemon.set_defaults(func=_cmd_serve_daemon, warm=True)
 
     p_camp = sub.add_parser(
-        "campaign",
+        "campaign", parents=[quick, store, metrics_out, features],
         help="run a multi-device measurement campaign: parallel sweeps -> "
              "registered traces -> trained, registered models",
     )
@@ -1118,23 +1103,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="measurement passes over the grid (default: 1)",
     )
     p_camp.add_argument(
-        "--quick", action="store_true",
-        help="use the reduced training setup (also implied by REPRO_QUICK=1)",
-    )
-    p_camp.add_argument(
-        "--store", metavar="DIR", default=None,
-        help=f"artifact store root (default: {DEFAULT_STORE})",
-    )
-    p_camp.add_argument(
         "--resume", action="store_true",
         help="reuse every sweep already recorded under the store (finishes "
              "a crashed or interrupted campaign; final artifacts are "
              "byte-identical to a one-shot run)",
-    )
-    p_camp.add_argument(
-        "--metrics-out", metavar="FILE", dest="metrics_out",
-        help="also write the campaign's metric snapshot to FILE (the store "
-             "always keeps one under metrics/campaign.json)",
     )
     p_camp.add_argument(
         "--progress", action="store_true", default=None,
@@ -1145,25 +1117,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-progress", action="store_false", dest="progress",
         help="never render live progress",
     )
-    _add_features_flag(p_camp)
     p_camp.set_defaults(func=_cmd_campaign)
 
-    p_char = sub.add_parser("characterize", help="sweep a suite benchmark")
-    p_char.add_argument("benchmark", help="benchmark name, e.g. k-NN or MT")
-    p_char.add_argument(
-        "--quick", action="store_true",
-        help="sweep the reduced 24-setting sample (also implied by "
-             "REPRO_QUICK=1)",
+    p_char = sub.add_parser(
+        "characterize", parents=[quick, measure, record],
+        help="sweep a suite benchmark",
     )
-    _add_device_flags(p_char, record=True)
+    p_char.add_argument("benchmark", help="benchmark name, e.g. k-NN or MT")
     p_char.set_defaults(func=_cmd_characterize)
 
-    p_t2 = sub.add_parser("table2", help="regenerate the paper's Table 2")
-    p_t2.add_argument(
-        "--quick", action="store_true",
-        help="use the reduced training setup (also implied by REPRO_QUICK=1)",
+    p_t2 = sub.add_parser(
+        "table2", parents=[quick, measure], help="regenerate the paper's Table 2"
     )
-    _add_device_flags(p_t2)
     p_t2.set_defaults(func=_cmd_table2)
 
     return parser

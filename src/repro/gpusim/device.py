@@ -282,102 +282,6 @@ def make_tesla_p100() -> DeviceSpec:
     )
 
 
-def make_tesla_v100() -> DeviceSpec:
-    """Tesla V100 (Volta): three tunable memory clocks, fine core menus.
-
-    Data-only spec exercising the sampler/domain logic harder than the
-    first two devices: a six-entry deep-idle memory state (405 MHz, like
-    Titan X's mem-L), a mid HBM2 state (810 MHz), and the full-rate state
-    (877 MHz) whose reported core menu extends past the 1380 MHz clamp —
-    so the undersized-domain heuristic, the per-domain budget split *and*
-    the clamping rule are all live on a three-domain device.
-    """
-    v100_clamp = 1380.0
-    mid_cores = _snap(_spread(405.0, 1312.0, 48), 1312.0)
-    full_real = _snap(_spread(510.0, v100_clamp, 60), 1312.0)
-    full_fake = _spread(1395.0, 1530.0, 10)
-    domains = (
-        MemoryDomain(
-            mem_mhz=405.0, label="L", reported_core_mhz=_spread(135.0, 405.0, 6)
-        ),
-        MemoryDomain(mem_mhz=810.0, label="l", reported_core_mhz=mid_cores),
-        MemoryDomain(
-            mem_mhz=877.0,
-            label="H",
-            reported_core_mhz=full_real + full_fake,
-            core_clamp_mhz=v100_clamp,
-        ),
-    )
-    arch = ArchParams(
-        num_sms=80,
-        bus_bytes=512.0,  # HBM2: 4096-bit bus
-        dram_efficiency=0.76,
-    )
-    power = PowerParams(
-        p_board_w=25.0,
-        core_leakage_w_per_v=40.0,
-        core_dynamic_w=185.0,
-        mem_static_w=28.0,
-        mem_dynamic_w_per_ghz=20.0,
-    )
-    return DeviceSpec(
-        name="NVIDIA Tesla V100",
-        compute_capability="7.0",
-        domains=domains,
-        default_core_mhz=1312.0,
-        default_mem_mhz=877.0,
-        arch=arch,
-        power=power,
-        vf_curve=VoltageCurve(
-            v_min=0.72, v_max=1.093, flat_until_mhz=690.0, max_mhz=1530.0
-        ),
-    )
-
-
-def make_gtx_1080_ti() -> DeviceSpec:
-    """GeForce GTX 1080 Ti (Pascal consumer): one memory domain, wide core menu.
-
-    The consumer-Pascal shape: like the P100 there is a single tunable
-    GDDR5X memory clock (5505 MHz), but the core menu is Titan-X-class —
-    a 71-point application-clock ladder (~25 MHz steps) from 139 MHz up
-    to the 1911 MHz boost ceiling, far finer than the P100's coarse grid.
-    Exercises the single-domain code paths (no mem-L heuristic, predictor
-    candidates fall back to the full grid) on a device whose core-clock
-    cardinality rivals the paper's test platform.
-    """
-    domains = (
-        MemoryDomain(
-            mem_mhz=5505.0,
-            label="M",
-            reported_core_mhz=_snap(_spread(139.0, 1911.0, 71), 1481.0),
-        ),
-    )
-    arch = ArchParams(
-        num_sms=28,
-        bus_bytes=44.0,  # GDDR5X: 352-bit bus
-        dram_efficiency=0.78,
-    )
-    power = PowerParams(
-        p_board_w=22.0,
-        core_leakage_w_per_v=36.0,
-        core_dynamic_w=165.0,
-        mem_static_w=26.0,
-        mem_dynamic_w_per_ghz=16.0,
-    )
-    return DeviceSpec(
-        name="NVIDIA GTX 1080 Ti",
-        compute_capability="6.1",
-        domains=domains,
-        default_core_mhz=1481.0,
-        default_mem_mhz=5505.0,
-        arch=arch,
-        power=power,
-        vf_curve=VoltageCurve(
-            v_min=0.80, v_max=1.093, flat_until_mhz=800.0, max_mhz=1911.0
-        ),
-    )
-
-
 #: Registry used by the measurement backends, the serving layer and the CLI.
 DEVICE_REGISTRY: dict[str, "DeviceSpec"] = {}
 
@@ -419,8 +323,6 @@ def register_device(spec: DeviceSpec, aliases: tuple[str, ...] = ()) -> DeviceSp
 
 register_device(make_titan_x(), aliases=("titan-x", "gtx-titan-x", "titanx"))
 register_device(make_tesla_p100(), aliases=("tesla-p100", "p100"))
-register_device(make_tesla_v100(), aliases=("tesla-v100", "v100"))
-register_device(make_gtx_1080_ti(), aliases=("1080-ti", "gtx-1080-ti", "1080ti"))
 
 
 def device_aliases(name: str) -> list[str]:

@@ -114,11 +114,11 @@ def build_context(
 
 
 @lru_cache(maxsize=4)
-def _paper_context_cached(seed: int, device: str) -> PaperContext:
+def _paper_context_cached(device: str) -> PaperContext:
     return build_context(device=device, recipe="paper")
 
 
-def paper_context(seed: int = 0, device: str = DEFAULT_DEVICE) -> PaperContext:
+def paper_context(device: str = DEFAULT_DEVICE) -> PaperContext:
     """The paper's full training setup (106 codes, 40 settings).
 
     Cached per process; treat the returned object as read-only.  With
@@ -128,12 +128,12 @@ def paper_context(seed: int = 0, device: str = DEFAULT_DEVICE) -> PaperContext:
     serve a quick context under the paper key (or vice versa).
     """
     if os.environ.get("REPRO_QUICK"):
-        return quick_context(seed, device)
-    return _paper_context_cached(seed, device)
+        return quick_context(device)
+    return _paper_context_cached(device)
 
 
 @lru_cache(maxsize=4)
-def quick_context(seed: int = 0, device: str = DEFAULT_DEVICE) -> PaperContext:
+def quick_context(device: str = DEFAULT_DEVICE) -> PaperContext:
     """A reduced setup (subset of codes/settings) for fast tests.
 
     Training uses every third micro-benchmark and a 24-setting sample;

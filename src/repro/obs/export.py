@@ -12,11 +12,10 @@ wrapper over :func:`to_prometheus`.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import tempfile
 from typing import Iterable
 
+from ..store.envelope import atomic_write_text
 from .metrics import FamilyData, HistogramValue, MetricError, MetricsSnapshot
 
 #: Version tag of the persisted snapshot JSON.
@@ -151,22 +150,7 @@ def to_json(snapshot: MetricsSnapshot) -> str:
 
 def save_snapshot(snapshot: MetricsSnapshot, path: str | pathlib.Path) -> pathlib.Path:
     """Write a snapshot atomically (tmp + rename, like the store's writers)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(to_json(snapshot) + "\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
+    return atomic_write_text(path, to_json(snapshot) + "\n")
 
 
 def load_snapshot(path: str | pathlib.Path) -> MetricsSnapshot:

@@ -746,6 +746,9 @@ class _DaemonHandler(BaseHTTPRequestHandler):
     def _item_request(self, item: dict) -> tuple[str, str, str | None]:
         if not isinstance(item, dict):
             raise ValueError("each request must be a JSON object")
+        for field in ("device", "name", "kernel_name"):
+            if item.get(field) is not None and not isinstance(item[field], str):
+                raise ValueError(f"'{field}' must be a string")
         device = item.get("device")
         if not device:
             raise ValueError("request needs a 'device'")

@@ -116,10 +116,3 @@ class TestRepeats:
         # Two passes over the grid, merged: each kernel holds one copy.
         for kernel in trace.kernels.values():
             assert len(kernel.configs) == len(settings)
-
-    def test_v100_campaign_runs(self, tmp_path):
-        """The new three-domain device works through the whole stack."""
-        plan = CampaignPlan(devices=("v100",), recipe="quick")
-        report = run_campaign(plan, store_root=tmp_path)
-        assert report.results[0].device == "NVIDIA Tesla V100"
-        assert report.results[0].n_settings == 24

@@ -8,9 +8,7 @@ from repro.gpusim.device import (
     device_aliases,
     device_slug,
     get_device,
-    make_gtx_1080_ti,
     make_tesla_p100,
-    make_tesla_v100,
     make_titan_x,
     resolve_device,
 )
@@ -75,6 +73,17 @@ class TestTitanXMenus:
         with pytest.raises(KeyError):
             self.dev.domain_by_label("X")
 
+    def test_sampler_spreads_budget_across_large_domains(self):
+        from repro.core.config import sample_training_settings
+
+        # The whole undersized mem-L domain, then the rest split evenly
+        # over the three large domains.
+        settings = sample_training_settings(self.dev, total=40)
+        by_mem = {mem: 0 for mem in self.dev.mem_clocks_mhz}
+        for _core, mem in settings:
+            by_mem[mem] += 1
+        assert by_mem == {405.0: 6, 810.0: 12, 3304.0: 11, 3505.0: 11}
+
 
 class TestTeslaP100:
     def test_single_memory_domain(self):
@@ -93,90 +102,12 @@ class TestTeslaP100:
         dev = make_tesla_p100()
         assert dev.default_core_mhz == 1328.0
 
-
-class TestTeslaV100:
-    def setup_method(self):
-        self.dev = make_tesla_v100()
-
-    def test_three_memory_domains(self):
-        assert self.dev.mem_clocks_mhz == (405.0, 810.0, 877.0)
-        assert [d.label for d in self.dev.domains] == ["L", "l", "H"]
-
-    def test_undersized_low_domain(self):
-        # Six cores, like Titan X's mem-L — keeps the §4.5 heuristic and
-        # the sampler's take-all-of-the-small-domain rule live.
-        low = self.dev.domain_by_label("L")
-        assert len(low.real_core_mhz) == 6
-        assert max(low.real_core_mhz) == 405.0
-
-    def test_full_rate_domain_clamps(self):
-        full = self.dev.domain_by_label("H")
-        assert max(full.real_core_mhz) == 1380.0
-        fakes = [c for c in full.reported_core_mhz if c > 1380.0]
-        assert len(fakes) == 10
-        assert full.effective_core(1530.0) == 1380.0
-
-    def test_mid_domain_has_no_clamp(self):
-        mid = self.dev.domain_by_label("l")
-        assert mid.real_core_mhz == mid.reported_core_mhz
-
-    def test_default_config_is_settable(self):
-        assert self.dev.default_config == (1312.0, 877.0)
-        assert 1312.0 in self.dev.domain_by_label("H").reported_core_mhz
-        assert 1312.0 in self.dev.domain_by_label("l").reported_core_mhz
-
-    def test_sampler_spreads_budget_across_both_high_domains(self):
-        from repro.core.config import sample_training_settings
-
-        settings = sample_training_settings(self.dev, total=40)
-        assert len(settings) == 40
-        by_mem = {mem: 0 for mem in self.dev.mem_clocks_mhz}
-        for _core, mem in settings:
-            by_mem[mem] += 1
-        assert by_mem[405.0] == 6  # the whole undersized domain
-        assert by_mem[810.0] >= 16 and by_mem[877.0] >= 16
-
-    def test_mem_l_heuristic_point(self):
-        from repro.core.config import mem_l_heuristic_config
-
-        assert mem_l_heuristic_config(self.dev) == (405.0, 405.0)
-
-
-class TestGTX1080Ti:
-    def setup_method(self):
-        self.dev = make_gtx_1080_ti()
-
-    def test_single_memory_domain(self):
-        # Consumer Pascal: one tunable GDDR5X clock, like the P100's HBM2.
-        assert self.dev.mem_clocks_mhz == (5505.0,)
-        assert [d.label for d in self.dev.domains] == ["M"]
-
-    def test_titan_x_class_core_menu(self):
-        domain = self.dev.domains[0]
-        assert len(domain.reported_core_mhz) == 71
-        assert min(domain.reported_core_mhz) == 139.0
-        assert max(domain.reported_core_mhz) == 1911.0
-
-    def test_no_clamping(self):
-        domain = self.dev.domains[0]
-        assert domain.real_core_mhz == domain.reported_core_mhz
-
-    def test_default_config_is_settable(self):
-        assert self.dev.default_config == (1481.0, 5505.0)
-        assert 1481.0 in self.dev.domains[0].reported_core_mhz
-
-    def test_no_mem_l_heuristic_point(self):
-        from repro.core.config import mem_l_heuristic_config
-
-        # No undersized domain → the §4.5 heuristic has nothing to add.
-        assert mem_l_heuristic_config(self.dev) is None
-
     def test_sampler_budget(self):
         from repro.core.config import sample_training_settings
 
-        settings = sample_training_settings(self.dev, total=40)
+        settings = sample_training_settings(make_tesla_p100(), total=40)
         assert len(settings) == 40
-        assert all(mem == 5505.0 for _core, mem in settings)
+        assert all(mem == 715.0 for _core, mem in settings)
 
 
 class TestRegistry:
@@ -187,21 +118,22 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_device("NVIDIA Imaginary 9000")
 
-    def test_v100_registered_with_aliases(self):
-        assert resolve_device("v100").name == "NVIDIA Tesla V100"
-        assert resolve_device("tesla-v100").compute_capability == "7.0"
+    def test_p100_registered_with_aliases(self):
+        assert resolve_device("p100").name == "NVIDIA Tesla P100"
+        assert resolve_device("tesla-p100").compute_capability == "6.0"
+        assert resolve_device("p100") is resolve_device("NVIDIA Tesla P100")
 
-    def test_1080_ti_registered_with_aliases(self):
-        assert resolve_device("1080-ti").name == "NVIDIA GTX 1080 Ti"
-        assert resolve_device("gtx-1080-ti").compute_capability == "6.1"
-        assert resolve_device("1080ti") is resolve_device("NVIDIA GTX 1080 Ti")
+    def test_only_the_paper_devices_are_registered(self):
+        from repro.gpusim.device import DEVICE_REGISTRY
+
+        assert sorted(DEVICE_REGISTRY) == ["NVIDIA GTX Titan X", "NVIDIA Tesla P100"]
 
     def test_device_slug_is_alias_stable(self):
         assert device_slug("titan-x") == device_slug("NVIDIA GTX Titan X")
-        assert device_slug("v100") == "nvidia-tesla-v100"
+        assert device_slug("p100") == "nvidia-tesla-p100"
 
     def test_device_aliases_listing(self):
-        assert device_aliases("NVIDIA Tesla V100") == ["tesla-v100", "v100"]
+        assert device_aliases("NVIDIA Tesla P100") == ["p100", "tesla-p100"]
         assert "titan-x" in device_aliases("titanx")
 
 

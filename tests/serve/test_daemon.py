@@ -229,6 +229,25 @@ class TestEndpoints:
         )[0] == 400
         assert request(daemon, "POST", "/predict-batch", {"requests": []})[0] == 400
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("device", 5), ("name", 7), ("kernel_name", ["saxpy"])],
+        ids=["device", "name", "kernel_name"],
+    )
+    def test_non_string_field_400(self, daemon, field, value):
+        item = {"device": "titan-x", "source": SAXPY, field: value}
+        status, _, body = request(daemon, "POST", "/predict", item)
+        assert status == 400
+        assert json.loads(body)["error"] == f"'{field}' must be a string"
+        good = {"device": "p100", "source": SAXPY, "name": "saxpy"}
+        status, _, body = request(
+            daemon, "POST", "/predict-batch", {"requests": [item, good]}
+        )
+        assert status == 200
+        bad, ok = json.loads(body)["results"]
+        assert bad == {"error": f"'{field}' must be a string", "status": 400}
+        assert ok["kernel"] == "saxpy"
+
     def test_too_deeply_nested_kernel_400(self, daemon):
         depth = 400
         source = "__kernel void deep(__global float* a) { a[0] = %s1%s; }" % (

@@ -136,11 +136,20 @@ class TestRouting:
         assert TITAN in str(err.value)
         assert P100 in str(err.value)
 
-    def test_registered_but_unmodeled_device_error_lists_fleet(self, fleet):
-        # The V100 exists in the device registry but ran in no campaign leg.
+    def test_registered_but_unmodeled_device_error_lists_fleet(
+        self, store, tmp_path
+    ):
+        # A Titan-X-only store: the P100 is a registered device, but no
+        # bundle for it was published here.
+        bundle = ModelRegistry(store / MODELS_SUBDIR).path_for(
+            ModelKey(device=TITAN, recipe="quick")
+        )
+        (tmp_path / MODELS_SUBDIR).mkdir()
+        shutil.copy(bundle, tmp_path / MODELS_SUBDIR / bundle.name)
+        titan_only = FleetService.from_campaign_store(tmp_path)
         with pytest.raises(FleetError, match="no model for device") as err:
-            fleet.predict(SAXPY, device="v100")
-        assert "V100" in str(err.value)
+            titan_only.predict(SAXPY, device="p100")
+        assert P100 in str(err.value)
         assert TITAN in str(err.value)
 
     def test_routed_prediction_is_byte_identical_to_direct_service(

@@ -140,3 +140,74 @@ class TestKernelSpec:
         sim = GPUSimulator()
         record = sim.run_default(self.make_spec().profile())
         assert record.time_ms > 0
+
+
+def _one_error_line(capsys) -> str:
+    """The command's stderr, asserted to be exactly one ``error:`` line."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    return err
+
+
+class TestInputReadingErrors:
+    """Every kernel source and --requests file is read one way: an
+    unreadable or undecodable input is one ``error: <path>: ...`` line
+    with exit status 2, never a traceback."""
+
+    COMMANDS = [["features"], ["predict", "--quick"], ["predict-batch", "--quick"]]
+
+    @pytest.fixture()
+    def not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.cl"
+        path.write_bytes(KERNEL.replace("demo", "d\xe9mo").encode("latin-1"))
+        return path
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_directory_is_a_usage_error(self, tmp_path, capsys, command):
+        assert main([*command, str(tmp_path)]) == 2
+        assert _one_error_line(capsys) == f"error: {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_non_utf8_source_is_a_usage_error(self, not_utf8, capsys, command):
+        assert main([*command, str(not_utf8)]) == 2
+        err = _one_error_line(capsys)
+        assert err.startswith(f"error: {not_utf8}: ")
+        assert "UTF-8" in err
+
+    def test_requests_file_is_read_the_same_way(self, tmp_path, not_utf8, capsys):
+        for path in (tmp_path, not_utf8):
+            argv = ["predict-batch", "--quick", "--requests", str(path)]
+            assert main(argv) == 2
+            assert _one_error_line(capsys).startswith(f"error: {path}: ")
+
+    def test_requests_kernel_is_read_the_same_way(self, tmp_path, not_utf8, capsys):
+        requests = tmp_path / "requests.jsonl"
+        for kernel in (tmp_path, not_utf8):
+            requests.write_text(f'{{"kernel": "{kernel}"}}\n')
+            argv = ["predict-batch", "--quick", "--requests", str(requests)]
+            assert main(argv) == 2
+            assert _one_error_line(capsys).startswith(
+                f"error: {requests}:1: {kernel}: "
+            )
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ('{"kernel": 1}', "kernel"),
+            ('{"source": 1}', "source"),
+            ('{"source": "__kernel void k() {}", "device": 5}', "device"),
+            ('{"source": "__kernel void k() {}", "name": 7}', "name"),
+        ],
+        ids=["kernel", "source", "device", "name"],
+    )
+    def test_requests_non_string_field_is_a_usage_error(
+        self, tmp_path, capsys, line, field
+    ):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text("# header\n" + line + "\n")
+        argv = ["predict-batch", "--quick", "--requests", str(requests)]
+        assert main(argv) == 2
+        assert _one_error_line(capsys) == (
+            f"error: {requests}:2: '{field}' must be a string\n"
+        )

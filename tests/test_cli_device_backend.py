@@ -154,7 +154,7 @@ def test_devices_lists_aliases_and_grids(capsys):
     assert main(["devices"]) == 0
     out = capsys.readouterr().out
     assert "aliases: gtx-titan-x, titan-x, titanx" in out
-    assert "NVIDIA Tesla V100" in out
+    assert "NVIDIA Tesla P100" in out
     assert "219 reported / 177 real configurations" in out
 
 
