@@ -16,8 +16,15 @@ that same core (RBF ``exp`` over 171 candidates × the support vectors,
 and a 171 × 171 dominance test), which no batch can share.  Batching
 saves only the fixed cost of a call, so ``batch_speedup`` is recorded
 (1.1–1.3× on a 2-core host) but not asserted.
+
+The frontend split records what a never-seen kernel costs before any model
+runs: lex, parse and lower microseconds per token over a seeded mix of
+unique ``render_mix`` kernels sized like the serve-unique workload's (4 to
+96 ops over 2 to 4 op classes).  It is a record, not a floor.
 """
 
+import math
+import random
 import time
 
 from _common import latency_summary, write_artifact
@@ -27,10 +34,17 @@ from repro.harness.context import quick_context
 from repro.harness.report import format_heading, format_table
 from repro.pareto.algorithms import pareto_front_masks
 from repro.serve.cache import KernelFeatureCache
-from repro.synthetic import generate_micro_benchmarks
+from repro.synthetic import MixRecipe, generate_micro_benchmarks, render_mix
 
 N_KERNELS = 50
 REPEATS = 3
+
+#: Kernels in the frontend split's seeded serve-unique-like mix.
+N_MIX_KERNELS = 96
+_MIX_CLASSES = (
+    "int_add", "int_mul", "int_div", "int_bw", "float_add",
+    "float_mul", "float_div", "sf", "gl_access", "loc_access",
+)
 
 
 def _specs():
@@ -151,10 +165,48 @@ def measure_latency_percentiles() -> dict:
     }
 
 
+def _unique_mix_sources() -> list[str]:
+    """Seeded never-seen mix kernels, log-uniform in 4..96 ops."""
+    rng = random.Random(23)
+    sources = []
+    for i in range(N_MIX_KERNELS):
+        total = math.exp(rng.uniform(math.log(4), math.log(96)))
+        classes = rng.sample(_MIX_CLASSES, rng.randint(2, 4))
+        weights = [rng.random() + 0.2 for _ in classes]
+        ops = {c: max(1, round(w * total / sum(weights))) for c, w in zip(classes, weights)}
+        sources.append(render_mix(MixRecipe(name=f"unique-mix-{i}", ops=ops)))
+    return sources
+
+
+def measure_frontend_per_token() -> dict:
+    """Lex, parse and lower microseconds per token over the unique mix,
+    each stage timed alone (best of ``REPEATS``) on the previous stage's
+    output."""
+    from repro.clkernel.lexer import tokenize
+    from repro.clkernel.lowering import Lowerer
+    from repro.clkernel.parser import Parser
+
+    sources = _unique_mix_sources()
+    t_lex, streams = _best_of(lambda: [tokenize(src) for src in sources])
+    t_parse, units = _best_of(lambda: [Parser(toks).parse_unit() for toks in streams])
+    t_lower, _ = _best_of(
+        lambda: [Lowerer(unit).lower_kernel(unit.kernels()[0]) for unit in units]
+    )
+    tokens = sum(len(toks) - 1 for toks in streams)  # EOF is not a token
+    return {
+        "kernels": len(sources),
+        "tokens": tokens,
+        "lex_us_per_token": t_lex / tokens * 1e6,
+        "parse_us_per_token": t_parse / tokens * 1e6,
+        "lower_us_per_token": t_lower / tokens * 1e6,
+    }
+
+
 def regenerate_throughput() -> tuple[str, dict]:
     t_cold, t_warm = measure_feature_cache()
     t_seq, t_bat, t_core = measure_inference()
     percentiles = measure_latency_percentiles()
+    frontend = measure_frontend_per_token()
     rows = [
         ("feature extraction, cold cache", f"{t_cold * 1e3:8.2f}",
          f"{N_KERNELS / t_cold:10.0f}", "1.0x"),
@@ -170,6 +222,11 @@ def regenerate_throughput() -> tuple[str, dict]:
     table = format_table(
         ["stage", "ms / 50 kernels", "kernels/sec", "speedup"], rows
     )
+    table += "\n\n" + format_table(
+        ["frontend stage", "us / token"],
+        [(stage, f"{frontend[f'{stage}_us_per_token']:.3f}")
+         for stage in ("lex", "parse", "lower")],
+    ) + f"\n({frontend['tokens']} tokens in {frontend['kernels']} unique mix kernels)"
     data = {
         "n_kernels": N_KERNELS,
         "repeats": REPEATS,
@@ -186,6 +243,7 @@ def regenerate_throughput() -> tuple[str, dict]:
             "batched_over_core": t_bat / t_core,
         },
         "latency_s": percentiles,
+        "frontend": frontend,
         "asserted": {
             "warm_cache_speedup_min": 10.0,
             "batched_over_core_max": BATCHED_OVER_CORE_MAX,

@@ -127,21 +127,23 @@ def _resolve_setup(args):
             raise CLIUsageError("pass either --trace PATH or --trace-key KEY, not both")
         if cached is not None and cached < 1:
             raise CLIUsageError("--max-cached-kernels must be >= 1")
-        if trace:
-            backend = ReplayBackend(trace, device=device, max_cached_kernels=cached)
-        elif trace_key:
+        if trace_key:
             from .campaign.engine import TRACES_SUBDIR
 
-            registry = TraceRegistry(_store_root(args) / TRACES_SUBDIR)
             # Resolve to the file and construct directly so an explicit
             # --device gets the same mismatch check as --trace PATH.
-            backend = ReplayBackend(
-                registry.resolve(trace_key), device=device, max_cached_kernels=cached
-            )
-        else:
+            trace = TraceRegistry(_store_root(args) / TRACES_SUBDIR).resolve(trace_key)
+        elif not trace:
             raise CLIUsageError(
                 "--backend replay requires --trace PATH or --trace-key KEY"
             )
+        try:
+            backend = ReplayBackend(trace, device=device, max_cached_kernels=cached)
+        except FileNotFoundError:
+            raise
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+            raise CLIUsageError(f"{trace}: {reason or exc}") from None
         device = backend.device
     else:
         stray = _replay_flags(args)
@@ -244,7 +246,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import lint_paths, lint_store
+    from .analysis.lint import lint_sources, lint_store
 
     if args.store and args.sources:
         raise CLIUsageError(
@@ -256,7 +258,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         except FileNotFoundError as exc:
             raise CLIUsageError(str(exc)) from None
     elif args.sources:
-        report = lint_paths(args.sources)
+        paths = [pathlib.Path(source).expanduser() for source in args.sources]
+        report = lint_sources((str(path), _read_text(path)) for path in paths)
     else:
         raise CLIUsageError("pass kernel source paths or --store DIR")
     for line in report.render_lines(args.min_severity):
@@ -277,6 +280,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     from .core.pipeline import save_models
 
     features = _feature_recipe(args)
+    if pathlib.Path(args.save).expanduser().is_dir():
+        raise CLIUsageError(f"{args.save}: Is a directory")
     ctx, recorder = _context_for(args)
     meta = {
         "device": ctx.device.name,

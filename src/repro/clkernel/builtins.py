@@ -105,16 +105,6 @@ def classify_builtin(name: str) -> BuiltinInfo | None:
     return BUILTIN_TABLE.get(name)
 
 
-def is_special_function(name: str) -> bool:
-    info = BUILTIN_TABLE.get(name)
-    return info is not None and info.category == "special"
-
-
-def is_workitem_function(name: str) -> bool:
-    info = BUILTIN_TABLE.get(name)
-    return info is not None and info.category == "workitem"
-
-
 def returns_float(name: str) -> bool:
     """Heuristic result-type query used by the lowering type inference."""
     info = BUILTIN_TABLE.get(name)

@@ -92,10 +92,6 @@ class WalkFrame:
     def in_loop(self) -> bool:
         return self.loop_depth > 0
 
-    @property
-    def in_branch(self) -> bool:
-        return self.branch_depth > 0
-
 
 class RegionVisitor:
     """Hook interface for :meth:`IRRegion.walk` / :meth:`KernelIR.accept`.

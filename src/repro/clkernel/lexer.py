@@ -133,35 +133,35 @@ class Token(NamedTuple):
     line: int
     col: int
 
-    def is_punct(self, text: str) -> bool:
-        return self.kind is TokKind.PUNCT and self.text == text
 
-    def is_keyword(self, text: str) -> bool:
-        return self.kind is TokKind.KEYWORD and self.text == text
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.kind.name}, {self.text!r}, {self.line}:{self.col})"
-
+#: Most tokens one source may have (the largest corpus kernel has 3,157):
+#: :func:`tokenize` refuses the first token past it.
+MAX_TOKENS = 65_536
 
 #: One alternation, tried in order after any spaces and tabs, which every
-#: match skips so a token needs one match, not two.  Number literals are
-#: ASCII-only.  ``[^\W\d]\w*`` admits every word that starts with a letter
-#: or underscore and continues with ``str.isalnum()`` characters; it also
-#: admits a start like ``²`` (a digit that is not decimal), which
+#: match skips.  :func:`tokenize` scans it once with ``finditer``; ``bad``
+#: takes any character the others refuse, so the matches tile the source.
+#: ``newline`` is one line break plus the next line's indentation; block
+#: comments are the only other trivia that span lines.  Number literals
+#: are ASCII-only.  ``[^\W\d]\w*`` admits every word that starts with a
+#: letter or underscore and continues with ``str.isalnum()`` characters;
+#: it also admits a start like ``²`` (a digit that is not decimal), which
 #: :func:`tokenize` rejects.  A hex head must be followed by an alphanumeric.
 _MASTER = re.compile(
     r"[ \t]*(?:"
-    r"(?P<trivia>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)"
+    r"(?P<word>[^\W\d]\w*)"
+    r"|(?P<newline>\n[ \t\r]*)"
+    r"|(?P<trivia>(?:[ \t\r]+|//[^\n]*|/\*.*?\*/)+)"
     r"|(?P<open_comment>/\*)"
     r"|(?P<bad_hex>0[xX](?![^\W_]))"
     r"|(?P<hex>0[xX][0-9a-fA-F]*[uUlL]*)"
     r"|(?P<decimal>(?:[0-9]+(?:\.(?!\.)[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?:[fF]|[uUlL]*))"
-    r"|(?P<word>[^\W\d]\w*)"
     r"|(?P<punct>"
     + "|".join(re.escape(p) for p in _PUNCT3 + _PUNCT2)
     + "|["
     + re.escape(_PUNCT1)
-    + "]))",
+    + "])"
+    r"|(?P<bad>.))",
     re.S,
 )
 
@@ -171,44 +171,46 @@ def tokenize(source: str) -> list[Token]:
 
     The trailing ``EOF`` token keeps the parser free of bounds checks.
     """
-    match = _MASTER.match
     tokens: list[Token] = []
     append = tokens.append
-    pos, end = 0, len(source)
+    new = tuple.__new__  # Token(...) without its Python-level __new__
+    # Enum members read off their class cost a lookup each; bind them once.
+    ident, keyword, punct, int_lit = TokKind.IDENT, TokKind.KEYWORD, TokKind.PUNCT, TokKind.INT_LIT
     line, bol = 1, 0  # bol: offset of the first character of ``line``
-    while pos < end:
-        # Spaces before a character no group accepts are returned as
-        # trivia first, so ``None`` means ``source[pos]`` itself is bad.
-        m = match(source, pos)
-        if m is None:
-            raise CLLexError(f"unexpected character {source[pos]!r}", line, pos - bol + 1)
+    for m in _MASTER.finditer(source):
         group = m.lastgroup
-        assert group is not None  # the alternation always matches one group
-        text = m.group(group)
-        pos = m.end()
-        if group == "trivia":
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                bol = pos - len(text) + text.rindex("\n") + 1
-            continue
-        col = pos - len(text) - bol + 1
+        text = m[group]
+        start = m.start(group)
         if group == "word":
-            if not text[0].isalpha() and text[0] != "_":
-                raise CLLexError(f"unexpected character {text[0]!r}", line, col)
-            kind = TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT
-            append(Token(kind, text, line, col))
+            # Every ASCII start the pattern admits is a letter or "_".
+            if text[0] > "z" and not text[0].isalpha():
+                raise CLLexError(f"unexpected character {text[0]!r}", line, start - bol + 1)
+            kind = keyword if text in KEYWORDS else ident
         elif group == "punct":
-            append(Token(TokKind.PUNCT, text, line, col))
+            kind = punct
+        elif group == "newline":
+            line += 1
+            bol = start + 1
+            continue
+        elif group == "trivia":
+            if "\n" in text:
+                line += text.count("\n")
+                bol = start + text.rindex("\n") + 1
+            continue
         elif group == "decimal":
             # A fraction, exponent or f suffix makes it a float.
-            kind = TokKind.INT_LIT if text.rstrip("uUlL").isdigit() else TokKind.FLOAT_LIT
-            append(Token(kind, text, line, col))
+            kind = int_lit if text.rstrip("uUlL").isdigit() else TokKind.FLOAT_LIT
         elif group == "hex":
-            append(Token(TokKind.INT_LIT, text, line, col))
+            kind = int_lit
         elif group == "bad_hex":
-            raise CLLexError("malformed hex literal", line, col + 2)
+            raise CLLexError("malformed hex literal", line, start - bol + 3)
+        elif group == "open_comment":
+            raise CLLexError("unterminated block comment", line, start - bol + 1)
         else:
-            raise CLLexError("unterminated block comment", line, col)
-    append(Token(TokKind.EOF, "", line, end - bol + 1))
+            raise CLLexError(f"unexpected character {text!r}", line, start - bol + 1)
+        col = start - bol + 1
+        if len(tokens) == MAX_TOKENS:
+            raise CLLexError(f"source exceeds {MAX_TOKENS} tokens", line, col)
+        append(new(Token, (kind, text, line, col)))
+    append(Token(TokKind.EOF, "", line, len(source) - bol + 1))
     return tokens

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.clkernel.errors import CLLexError
-from repro.clkernel.lexer import TokKind, tokenize
+from repro.clkernel.lexer import MAX_TOKENS, TokKind, tokenize
 
 
 def kinds(source):
@@ -203,6 +203,23 @@ class TestPositions:
         assert toks[1].col == 1
 
 
+class TestTokenBudget:
+    def test_a_source_at_the_budget_lexes(self):
+        toks = tokenize("a\n" * MAX_TOKENS)
+        assert len(toks) == MAX_TOKENS + 1  # with EOF
+
+    def test_the_first_token_past_the_budget_raises_at_its_position(self):
+        with pytest.raises(CLLexError) as info:
+            tokenize("a\n" * MAX_TOKENS + "  b c")
+        assert info.value.message == f"source exceeds {MAX_TOKENS} tokens"
+        assert (info.value.line, info.value.col) == (MAX_TOKENS + 1, 3)
+
+    def test_one_long_line_is_refused_at_the_same_token(self):
+        with pytest.raises(CLLexError) as info:
+            tokenize("a " * (MAX_TOKENS + 100))
+        assert (info.value.line, info.value.col) == (1, 2 * MAX_TOKENS + 1)
+
+
 class TestRealKernel:
     def test_full_kernel_tokenizes(self):
         source = """
@@ -219,9 +236,3 @@ class TestRealKernel:
         tok = tokenize("a")[0]
         with pytest.raises(AttributeError):
             tok.text = "b"
-
-    def test_token_helpers(self):
-        toks = tokenize("for (")
-        assert toks[0].is_keyword("for")
-        assert not toks[0].is_punct("for")
-        assert toks[1].is_punct("(")

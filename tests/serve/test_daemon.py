@@ -260,6 +260,23 @@ class TestEndpoints:
         assert status == 400
         assert "nesting deeper than" in json.loads(body)["error"]
 
+    def test_kernel_past_the_token_budget_400_for_that_item_only(self, daemon):
+        from repro.clkernel.lexer import MAX_TOKENS
+
+        source = "__kernel void huge(__global float* a) { a[0] = 0%s; }" % (
+            " + 0" * MAX_TOKENS
+        )
+        huge = {"device": "titan-x", "source": source}
+        good = {"device": "titan-x", "source": SAXPY}
+        status, _, body = request(
+            daemon, "POST", "/predict-batch", {"requests": [huge, good]}
+        )
+        assert status == 200
+        bad, ok = json.loads(body)["results"]
+        assert bad["status"] == 400
+        assert bad["error"].startswith(f"source exceeds {MAX_TOKENS} tokens at 1:")
+        assert ok["kernel"] == "saxpy"
+
     @pytest.mark.parametrize("length", ["-1", "abc"])
     def test_invalid_content_length_400_without_reading(self, daemon, length):
         """A bad length is refused up front; the open connection must not

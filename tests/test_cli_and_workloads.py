@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.clkernel.lexer import MAX_TOKENS
 from repro.cli import build_parser, main
 from repro.gpusim.profile import DynamicTraits
 from repro.workloads import KernelSpec
@@ -180,6 +181,45 @@ class TestInputReadingErrors:
             argv = ["predict-batch", "--quick", "--requests", str(path)]
             assert main(argv) == 2
             assert _one_error_line(capsys).startswith(f"error: {path}: ")
+
+    def test_lint_reads_sources_the_same_way(self, tmp_path, not_utf8, capsys):
+        assert main(["lint", str(tmp_path)]) == 2
+        assert _one_error_line(capsys) == f"error: {tmp_path}: Is a directory\n"
+        assert main(["lint", str(not_utf8)]) == 2
+        err = _one_error_line(capsys)
+        assert err.startswith(f"error: {not_utf8}: ") and "UTF-8" in err
+        assert main(["lint", str(tmp_path / "absent.cl")]) == 2
+        assert "absent.cl" in _one_error_line(capsys)
+
+    def test_replay_trace_directory_is_a_usage_error(self, tmp_path, capsys):
+        argv = ["characterize", "MT", "--quick", "--backend", "replay"]
+        assert main([*argv, "--trace", str(tmp_path)]) == 2
+        assert _one_error_line(capsys) == f"error: {tmp_path}: Is a directory\n"
+
+    def test_replay_trace_not_utf8_is_a_usage_error(self, not_utf8, capsys):
+        argv = ["characterize", "MT", "--quick", "--backend", "replay"]
+        assert main([*argv, "--trace", str(not_utf8)]) == 2
+        assert _one_error_line(capsys) == f"error: {not_utf8}: not UTF-8 text\n"
+
+    def test_train_save_to_a_directory_trains_nothing(self, tmp_path, capsys, monkeypatch):
+        import repro.cli
+
+        def no_training(args):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(repro.cli, "_context_for", no_training)
+        assert main(["train", "--quick", "--save", str(tmp_path)]) == 2
+        assert _one_error_line(capsys) == f"error: {tmp_path}: Is a directory\n"
+
+    def test_source_past_the_token_budget_is_a_frontend_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.cl"
+        path.write_text(
+            "__kernel void k(__global float* a) { a[0] = 0" + " + 0" * MAX_TOKENS + "; }"
+        )
+        assert main(["features", str(path)]) == 2
+        assert _one_error_line(capsys).startswith(
+            f"error: source exceeds {MAX_TOKENS} tokens at 1:"
+        )
 
     def test_requests_kernel_is_read_the_same_way(self, tmp_path, not_utf8, capsys):
         requests = tmp_path / "requests.jsonl"
