@@ -18,33 +18,28 @@ saves only the fixed cost of a call, so ``batch_speedup`` is recorded
 (1.1–1.3× on a 2-core host) but not asserted.
 
 The frontend split records what a never-seen kernel costs before any model
-runs: lex, parse and lower microseconds per token over a seeded mix of
-unique ``render_mix`` kernels sized like the serve-unique workload's (4 to
-96 ops over 2 to 4 op classes).  It is a record, not a floor.
+runs: lex, parse and lower microseconds per token over the serve-unique
+workload's own never-seen mix kernels (``perfbench/inputs.unique_kernels``,
+seed 1).  It is a record, not a floor.
 """
 
-import math
-import random
+import sys
 import time
 
-from _common import latency_summary, write_artifact
+from _common import REPO_ROOT, latency_summary, write_artifact
 
 from repro.core.predictor import ParetoPredictor
 from repro.harness.context import quick_context
 from repro.harness.report import format_heading, format_table
 from repro.pareto.algorithms import pareto_front_masks
 from repro.serve.cache import KernelFeatureCache
-from repro.synthetic import MixRecipe, generate_micro_benchmarks, render_mix
+from repro.synthetic import generate_micro_benchmarks
 
 N_KERNELS = 50
 REPEATS = 3
 
-#: Kernels in the frontend split's seeded serve-unique-like mix.
+#: Serve-unique kernels in the frontend split (twelve of its 8-size blocks).
 N_MIX_KERNELS = 96
-_MIX_CLASSES = (
-    "int_add", "int_mul", "int_div", "int_bw", "float_add",
-    "float_mul", "float_div", "sf", "gl_access", "loc_access",
-)
 
 
 def _specs():
@@ -166,20 +161,19 @@ def measure_latency_percentiles() -> dict:
 
 
 def _unique_mix_sources() -> list[str]:
-    """Seeded never-seen mix kernels, log-uniform in 4..96 ops."""
-    rng = random.Random(23)
-    sources = []
-    for i in range(N_MIX_KERNELS):
-        total = math.exp(rng.uniform(math.log(4), math.log(96)))
-        classes = rng.sample(_MIX_CLASSES, rng.randint(2, 4))
-        weights = [rng.random() + 0.2 for _ in classes]
-        ops = {c: max(1, round(w * total / sum(weights))) for c, w in zip(classes, weights)}
-        sources.append(render_mix(MixRecipe(name=f"unique-mix-{i}", ops=ops)))
-    return sources
+    """The first serve-unique kernels of seed 1, from that workload's own
+    generator."""
+    perfbench = str(REPO_ROOT / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        from inputs import unique_kernels
+    finally:
+        sys.path.remove(perfbench)
+    return [kernel.source for kernel in unique_kernels(1, N_MIX_KERNELS)]
 
 
 def measure_frontend_per_token() -> dict:
-    """Lex, parse and lower microseconds per token over the unique mix,
+    """Lex, parse and lower microseconds per token over the serve-unique mix,
     each stage timed alone (best of ``REPEATS``) on the previous stage's
     output."""
     from repro.clkernel.lexer import tokenize
@@ -226,7 +220,7 @@ def regenerate_throughput() -> tuple[str, dict]:
         ["frontend stage", "us / token"],
         [(stage, f"{frontend[f'{stage}_us_per_token']:.3f}")
          for stage in ("lex", "parse", "lower")],
-    ) + f"\n({frontend['tokens']} tokens in {frontend['kernels']} unique mix kernels)"
+    ) + f"\n({frontend['tokens']} tokens in {frontend['kernels']} serve-unique kernels)"
     data = {
         "n_kernels": N_KERNELS,
         "repeats": REPEATS,

@@ -18,8 +18,7 @@ Two collection modes mirror the CLI:
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass
 
 from ..clkernel.errors import CLFrontendError
 from ..clkernel.lowering import Lowerer
@@ -161,31 +160,29 @@ def _frontend_finding(
 def lint_paths(
     paths: "list[str | pathlib.Path]", config: AnalysisConfig | None = None
 ) -> LintReport:
-    """Lint kernel source files (one translation unit per file); a file
+    """Lint kernel source files (one translation unit per file); a path
     that cannot be read as UTF-8 text is listed in ``unresolved``."""
-    sources: list[tuple[str, str]] = []
+    findings: list[LintFinding] = []
     unresolved: list[str] = []
+    checked = 0
     for raw in paths:
         path = pathlib.Path(raw).expanduser()
         try:
-            sources.append((str(path), path.read_text(encoding="utf-8")))
-        except (OSError, UnicodeDecodeError) as exc:
-            unresolved.append(f"{path}: {getattr(exc, 'strerror', None) or exc}")
-    report = lint_sources(sources, config)
-    return replace(report, unresolved=tuple(unresolved))
-
-
-def lint_sources(
-    sources: Iterable[tuple[str, str]], config: AnalysisConfig | None = None
-) -> LintReport:
-    """Lint ``(label, source)`` pairs, one translation unit each."""
-    findings: list[LintFinding] = []
-    checked = 0
-    for label, source in sources:
-        file_findings, file_checked = lint_source(source, label, config)
+            source = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            unresolved.append(f"{path}: {exc.strerror or exc}")
+            continue
+        except UnicodeDecodeError:
+            unresolved.append(f"{path}: not UTF-8 text")
+            continue
+        file_findings, file_checked = lint_source(source, str(path), config)
         findings.extend(file_findings)
         checked += file_checked
-    return LintReport(findings=tuple(findings), kernels_checked=checked)
+    return LintReport(
+        findings=tuple(findings),
+        unresolved=tuple(unresolved),
+        kernels_checked=checked,
+    )
 
 
 def _known_specs() -> dict[str, object]:

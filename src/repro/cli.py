@@ -130,8 +130,6 @@ def _resolve_setup(args):
         if trace_key:
             from .campaign.engine import TRACES_SUBDIR
 
-            # Resolve to the file and construct directly so an explicit
-            # --device gets the same mismatch check as --trace PATH.
             trace = TraceRegistry(_store_root(args) / TRACES_SUBDIR).resolve(trace_key)
         elif not trace:
             raise CLIUsageError(
@@ -246,7 +244,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis.lint import lint_sources, lint_store
+    from .analysis import lint_paths, lint_store
 
     if args.store and args.sources:
         raise CLIUsageError(
@@ -258,8 +256,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         except FileNotFoundError as exc:
             raise CLIUsageError(str(exc)) from None
     elif args.sources:
-        paths = [pathlib.Path(source).expanduser() for source in args.sources]
-        report = lint_sources((str(path), _read_text(path)) for path in paths)
+        report = lint_paths(args.sources)
+        if report.unresolved:  # a path, not a kernel, is at fault
+            raise CLIUsageError(report.unresolved[0])
     else:
         raise CLIUsageError("pass kernel source paths or --store DIR")
     for line in report.render_lines(args.min_severity):

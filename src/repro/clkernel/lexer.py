@@ -133,6 +133,12 @@ class Token(NamedTuple):
     line: int
     col: int
 
+    def is_punct(self, text: str) -> bool:
+        return self.kind is TokKind.PUNCT and self.text == text
+
+    def is_keyword(self, text: str) -> bool:
+        return self.kind is TokKind.KEYWORD and self.text == text
+
 
 #: Most tokens one source may have (the largest corpus kernel has 3,157):
 #: :func:`tokenize` refuses the first token past it.

@@ -102,6 +102,16 @@ class TestLintPaths:
         assert report.unresolved
         assert not report.has_errors
 
+    def test_directory_and_non_utf8_file_are_unresolved(self, tmp_path):
+        latin1 = tmp_path / "latin1.cl"
+        latin1.write_bytes(b"// caf\xe9\n")
+        report = lint_paths([tmp_path, latin1])
+        assert report.kernels_checked == 0
+        assert report.unresolved == (
+            f"{tmp_path}: Is a directory",
+            f"{latin1}: not UTF-8 text",
+        )
+
     def test_min_severity_filter(self, tmp_path):
         src = tmp_path / "branchy.cl"
         src.write_text(

@@ -236,3 +236,9 @@ class TestRealKernel:
         tok = tokenize("a")[0]
         with pytest.raises(AttributeError):
             tok.text = "b"
+
+    def test_token_helpers(self):
+        toks = tokenize("for (")
+        assert toks[0].is_keyword("for")
+        assert not toks[0].is_punct("for")
+        assert toks[1].is_punct("(")

@@ -182,7 +182,7 @@ class TestInputReadingErrors:
             assert main(argv) == 2
             assert _one_error_line(capsys).startswith(f"error: {path}: ")
 
-    def test_lint_reads_sources_the_same_way(self, tmp_path, not_utf8, capsys):
+    def test_lint_unreadable_path_is_a_usage_error(self, tmp_path, not_utf8, capsys):
         assert main(["lint", str(tmp_path)]) == 2
         assert _one_error_line(capsys) == f"error: {tmp_path}: Is a directory\n"
         assert main(["lint", str(not_utf8)]) == 2
