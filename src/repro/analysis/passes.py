@@ -4,15 +4,15 @@ The paper extracts its features "with an LLVM pass running on the
 intermediate representation of the kernel" (§3.2).  This module is that
 pass layer for our IR: small, registered analyses that each fold one view
 out of a :class:`~repro.clkernel.ir.KernelIR` region tree, run through a
-:class:`PassManager` that caches results per ``(kernel IR, pass)`` so a
-recipe composed of many blocks never re-walks the tree.
+:class:`PassManager` that keeps one IR's results so a recipe composed of
+many blocks never re-walks the tree.
 
 Pass contract
 -------------
 A pass is a stateless object with a unique ``name`` and a
 ``run(ir, config, manager)`` method returning an immutable result.  Passes
 may request other passes' results through the manager (``memory-mix`` and
-``diagnostics`` both build on ``opcode-histogram``); the manager's cache
+``diagnostics`` both build on ``opcode-histogram``); the manager's memo
 makes such composition free.  Register with :func:`register_pass`.
 
 Built-in passes
@@ -34,7 +34,6 @@ Built-in passes
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -121,56 +120,30 @@ def registered_passes() -> tuple[str, ...]:
     return tuple(sorted(_PASS_REGISTRY))
 
 
-@dataclass
-class PassManagerStats:
-    """Cache counters of one :class:`PassManager`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    def as_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
-
-
 class PassManager:
-    """Runs registered passes over kernel IRs with per-(IR, pass) caching.
+    """Runs registered passes over kernel IRs, memoizing for one IR at a time.
 
-    The cache key is the IR's object identity: lowering is memoized
-    (:func:`repro.clkernel.lowering.lower_source`), so the same source
-    yields the same object and repeated extraction hits.  Each entry pins
-    the IR it was computed for, which both keeps ``id()`` stable for the
-    entry's lifetime and guards against identity reuse after collection.
-    Not thread-safe; the serving layers own locking at the cache above.
+    A recipe's blocks ask for the same passes of the IR they are
+    extracting (``memory-mix`` and ``diagnostics`` both build on
+    ``opcode-histogram``), so results are kept until a different IR comes
+    in.  Repeats across kernels are the feature cache's job, not this
+    one's.  Not thread-safe; the serving layers own locking at the cache
+    above.
     """
 
-    def __init__(
-        self, config: AnalysisConfig | None = None, cache_capacity: int = 256
-    ) -> None:
-        if cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1")
+    def __init__(self, config: AnalysisConfig | None = None) -> None:
         self.config = config or AnalysisConfig()
-        self.cache_capacity = cache_capacity
-        self.stats = PassManagerStats()
-        self._cache: OrderedDict[tuple[int, str], tuple[KernelIR, object]] = (
-            OrderedDict()
-        )
+        self._ir: KernelIR | None = None
+        self._results: dict[str, object] = {}
 
     def run(self, ir: KernelIR, name: str) -> object:
-        """Run (or recall) one pass over ``ir``; results are cached."""
-        key = (id(ir), name)
-        entry = self._cache.get(key)
-        if entry is not None and entry[0] is ir:
-            self._cache.move_to_end(key)
-            self.stats.hits += 1
-            return entry[1]
-        self.stats.misses += 1
-        result = get_pass(name).run(ir, self.config, self)
-        self._cache[key] = (ir, result)
-        if len(self._cache) > self.cache_capacity:
-            self._cache.popitem(last=False)
-            self.stats.evictions += 1
-        return result
+        """Run (or recall) one pass over ``ir``."""
+        if ir is not self._ir:
+            self._ir = ir
+            self._results = {}
+        if name not in self._results:
+            self._results[name] = get_pass(name).run(ir, self.config, self)
+        return self._results[name]
 
     def run_all(self, ir: KernelIR) -> dict[str, object]:
         """Every registered pass over one IR, keyed by pass name."""

@@ -511,7 +511,7 @@ def _cmd_predict_batch(args: argparse.Namespace) -> int:
     if args.stats:
         print(f"-- {kind} stats")
         _print_stats(server.stats_summary())
-    _save_metrics_out(server.stats.registry.snapshot(), args)
+    _save_metrics_out(server.metrics.snapshot(), args)
     return 0
 
 
@@ -560,10 +560,10 @@ def _cmd_serve_daemon(args: argparse.Namespace) -> int:
     signal.signal(signal.SIGINT, _on_signal)
     stop.wait()
     daemon.close()
+    routed = daemon.fleet.stats_summary()["routing"]["requests_routed"]
     print(
         f"serve-daemon shut down cleanly: {daemon.request_count()} HTTP "
-        f"request(s), {daemon.fleet.stats.requests_routed} prediction(s) "
-        f"served",
+        f"request(s), {routed} prediction(s) served",
         flush=True,
     )
     return 0

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from ..features.extractor import ExtractorConfig, FeatureExtractor
 from ..features.vector import StaticFeatures
@@ -42,118 +41,75 @@ def source_fingerprint(
     two knob settings) can never share an entry, even for identical
     source text.
     """
-    cfg = config or ExtractorConfig()
+    return _keyed(source, kernel_name, (config or ExtractorConfig()).fingerprint())
+
+
+def _keyed(source: str, kernel_name: str | None, config_print: str) -> str:
     hasher = hashlib.sha256()
-    for part in (kernel_name or "", cfg.fingerprint(), source):
+    for part in (kernel_name or "", config_print, source):
         hasher.update(part.encode("utf-8"))
         hasher.update(b"\x00")
     return hasher.hexdigest()
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters of one :class:`KernelFeatureCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-
 class KernelFeatureCache:
     """LRU map from source fingerprints to extracted features.
 
+    Hits, misses and evictions are counted in ``metrics``, the registry
+    the cache is built with (a private one when none is given); a serving
+    facade reads its cache numbers from there.  The extractor config's
+    fingerprint is computed once, here: configs are frozen, and rehashing
+    it on every lookup cost more than a third of a warm ``get``.
+
     Thread-safe: the serve daemon's per-device lanes share one instance
-    across worker threads, so lookups, LRU bookkeeping and the stats
-    counters are serialized under a lock.  Extraction runs inside the
-    lock too — it is pure, and a concurrent miss on the same source would
-    otherwise extract twice and race the insert.
+    across worker threads, so lookups and LRU bookkeeping are serialized
+    under a lock.  Extraction runs inside the lock too — it is pure, and a
+    concurrent miss on the same source would otherwise extract twice and
+    race the insert.
     """
 
     def __init__(
         self,
         extractor: FeatureExtractor | None = None,
         capacity: int = 512,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.extractor = extractor or FeatureExtractor()
         self.capacity = capacity
-        self.stats = CacheStats()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        declare_cache_metrics(self.metrics)
+        self._requests = self.metrics.get(FEATURE_CACHE_REQUESTS_TOTAL)
+        self._evictions = self.metrics.get(FEATURE_CACHE_EVICTIONS_TOTAL)
+        self._config_print = self.extractor.config.fingerprint()
         self._entries: OrderedDict[str, StaticFeatures] = OrderedDict()
-        self._metrics: MetricsRegistry | None = None
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def bind_metrics(self, registry: MetricsRegistry) -> None:
-        """Mirror the cache counters into a ``repro.obs`` registry.
-
-        The plain-int :class:`CacheStats` stays the source of truth (and
-        the hot-path cost: one integer add); this mirrors each event into
-        the registry's labeled counters so exporters see them.  Counts
-        accumulated before binding are backfilled, and the *first* bind
-        wins — a fleet's shared cache reports into the fleet's registry
-        even when standalone services with private registries join later.
-        """
-        if self._metrics is not None:
-            return
-        declare_cache_metrics(registry)
-        self._metrics = registry
-        requests = registry.get(FEATURE_CACHE_REQUESTS_TOTAL)
-        evictions = registry.get(FEATURE_CACHE_EVICTIONS_TOTAL)
-        assert requests is not None and evictions is not None
-        if self.stats.hits:
-            requests.inc(float(self.stats.hits), result="hit")
-        if self.stats.misses:
-            requests.inc(float(self.stats.misses), result="miss")
-        if self.stats.evictions:
-            evictions.inc(float(self.stats.evictions))
-
-    def _mirror(self, name: str, **labels: str) -> None:
-        if self._metrics is not None:
-            self._metrics.get(name).inc(1.0, **labels)  # type: ignore[union-attr]
-
     def get(self, source: str, kernel_name: str | None = None) -> StaticFeatures:
         """Return features for ``source``, extracting only on a miss."""
-        key = source_fingerprint(source, kernel_name, self.extractor.config)
+        key = _keyed(source, kernel_name, self._config_print)
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
                 self._entries.move_to_end(key)
-                self.stats.hits += 1
-                self._mirror(FEATURE_CACHE_REQUESTS_TOTAL, result="hit")
+                self._requests.inc(1.0, result="hit")
                 return cached
-            self.stats.misses += 1
-            self._mirror(FEATURE_CACHE_REQUESTS_TOTAL, result="miss")
+            self._requests.inc(1.0, result="miss")
             features = self.extractor.extract(source, kernel_name)
             self._entries[key] = features
             if len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                self._mirror(FEATURE_CACHE_EVICTIONS_TOTAL)
+                self._evictions.inc(1.0)
             return features
 
     def peek(self, source: str, kernel_name: str | None = None) -> StaticFeatures | None:
         """Non-mutating lookup (no extraction, no LRU/statistics update)."""
-        key = source_fingerprint(source, kernel_name, self.extractor.config)
+        key = _keyed(source, kernel_name, self._config_print)
         with self._lock:
             return self._entries.get(key)
 

@@ -6,7 +6,7 @@ module wraps it in a persistent stdlib-HTTP daemon whose core is a
 **micro-batching engine**: requests land in a bounded per-device queue, a
 batching loop drains up to ``max_batch`` of them within a
 ``batch_window_ms`` window into *one* vectorized
-:meth:`~repro.serve.service.PredictionService.predict_batch` pass, and
+:meth:`~repro.serve.service.PredictionService.predict_features` pass, and
 futures fan the results back in request order.  Duplicate requests in a
 batch (same source and kernel — the common case when an autotuner fleet
 hammers hot kernels) are **coalesced**: one prediction, shared across
@@ -56,6 +56,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from ..clkernel.errors import CLFrontendError
+from ..features.vector import StaticFeatures
 from ..harness.report import format_front
 from ..obs import declare_daemon_metrics, save_snapshot, to_json, to_prometheus
 from ..obs.instruments import (
@@ -149,7 +150,7 @@ class DeviceLane:
 
     The worker blocks on the queue, then drains up to ``max_batch``
     requests arriving within ``batch_window_ms`` into one grouped
-    ``predict_batch`` pass, coalescing duplicate (source, kernel)
+    ``predict_features`` pass, coalescing duplicate (source, kernel)
     requests into a single shared prediction.  The service is resolved
     once per batch (under the daemon's fleet lock) — the in-flight half
     of the hot-reload invariant.
@@ -239,33 +240,30 @@ class DeviceLane:
                 request.future.set_exception(exc)
             self._settle(len(batch))
             return
-        # Per-item feature validation: one bad kernel source must fail
-        # only its own request, never the whole coalesced batch.  The
-        # extraction lands in the shared cache, so the grouped pass below
-        # re-uses it — validation costs the batch nothing extra.
-        good: list[_QueuedRequest] = []
-        for request in batch:
-            try:
-                service.features_for(request.source, request.kernel_name)
-            except Exception as exc:
-                request.future.set_exception(exc)
-            else:
-                good.append(request)
-        # Coalesce duplicates: concurrent requests for the same kernel
+        # Extract each request once: one bad kernel source fails only its
+        # own request, never the whole coalesced batch, and the model pass
+        # below runs on these features without a second cache lookup.
+        # Duplicates coalesce: concurrent requests for the same kernel
         # collapse to one prediction whose result object is shared across
         # their futures — identical responses by construction, and the
         # model pass only pays for unique kernels.
         unique: dict[tuple[str, str | None], list[_QueuedRequest]] = {}
-        for request in good:
-            unique.setdefault((request.source, request.kernel_name), []).append(
-                request
-            )
+        features: dict[tuple[str, str | None], StaticFeatures] = {}
+        for request in batch:
+            key = (request.source, request.kernel_name)
+            try:
+                features[key] = service.features_for(*key)
+            except Exception as exc:
+                request.future.set_exception(exc)
+            else:
+                unique.setdefault(key, []).append(request)
         if unique:
             try:
-                results = service.predict_batch(list(unique))
+                results = service.predict_features([features[key] for key in unique])
             except Exception as exc:
-                for request in good:
-                    request.future.set_exception(exc)
+                for holders in unique.values():
+                    for request in holders:
+                        request.future.set_exception(exc)
             else:
                 for holders, result in zip(unique.values(), results):
                     for request in holders:
@@ -478,8 +476,8 @@ class ServeDaemon:
             self.metrics.get(DAEMON_COALESCED_TOTAL).inc(
                 float(requests - unique), device=slug
             )
-        self.fleet.stats.inc(FLEET_BATCHES_ROUTED_TOTAL)
-        self.fleet.stats.inc(FLEET_REQUESTS_ROUTED_TOTAL, float(requests))
+        self.metrics.get(FLEET_BATCHES_ROUTED_TOTAL).inc(1.0)
+        self.metrics.get(FLEET_REQUESTS_ROUTED_TOTAL).inc(float(requests))
 
     def observe_request(self, endpoint: str, status: int, seconds: float) -> None:
         self.metrics.get(DAEMON_REQUESTS_TOTAL).inc(

@@ -27,30 +27,25 @@ from __future__ import annotations
 import pathlib
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..core.predictor import PredictedParetoSet
 from ..gpusim.device import device_slug, resolve_device
-from ..obs import (
-    MetricsRegistry,
-    MetricsSnapshot,
-    declare_cache_metrics,
-    declare_fleet_metrics,
-    declare_serve_metrics,
-)
+from ..obs import MetricsSnapshot, declare_fleet_metrics, declare_serve_metrics
 from ..obs.instruments import (
     FLEET_BATCHES_ROUTED_TOTAL,
     FLEET_REQUESTS_ROUTED_TOTAL,
     FLEET_SERVICE_EVICTIONS_TOTAL,
     FLEET_SERVICE_HITS_TOTAL,
     FLEET_SERVICE_LOADS_TOTAL,
+    SERVE_KERNELS_TOTAL,
 )
 from ..store import ArtifactError
 from ..store.layout import MODELS_SUBDIR
 from .cache import KernelFeatureCache
 from .registry import ModelKey, ModelRegistry, StoreMiss
-from .service import PredictionService, ServiceError, ServiceStats
+from .service import PredictionService, ServiceError, cache_summary, serve_summary
 
 
 class FleetError(ServiceError):
@@ -132,54 +127,6 @@ def _normalize_request(request) -> tuple[str, str, str | None]:
     return device, source, kernel_name
 
 
-@dataclass
-class FleetStats:
-    """Routing-layer counters (per-device serving counters live in the
-    per-device :class:`~repro.serve.service.ServiceStats`).
-
-    Registry-backed: the attribute reads are live views of the
-    ``repro_fleet_*`` counters, so ``repro stats`` and this object can
-    never disagree.
-    """
-
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-
-    def __post_init__(self) -> None:
-        declare_fleet_metrics(self.registry)
-
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        self.registry.get(name).inc(amount)  # type: ignore[union-attr]
-
-    @property
-    def requests_routed(self) -> int:
-        return int(self.registry.value(FLEET_REQUESTS_ROUTED_TOTAL))
-
-    @property
-    def batches_routed(self) -> int:
-        return int(self.registry.value(FLEET_BATCHES_ROUTED_TOTAL))
-
-    @property
-    def service_loads(self) -> int:
-        return int(self.registry.value(FLEET_SERVICE_LOADS_TOTAL))
-
-    @property
-    def service_hits(self) -> int:
-        return int(self.registry.value(FLEET_SERVICE_HITS_TOTAL))
-
-    @property
-    def service_evictions(self) -> int:
-        return int(self.registry.value(FLEET_SERVICE_EVICTIONS_TOTAL))
-
-    def as_dict(self) -> dict:
-        return {
-            "requests_routed": self.requests_routed,
-            "batches_routed": self.batches_routed,
-            "service_loads": self.service_loads,
-            "service_hits": self.service_hits,
-            "service_evictions": self.service_evictions,
-        }
-
-
 class FleetService:
     """Multi-device prediction front door over one model registry.
 
@@ -200,7 +147,8 @@ class FleetService:
     cache:
         The fleet-wide :class:`KernelFeatureCache`.  Every per-device
         service shares this one instance — the invariant that makes a
-        kernel extracted for one device a warm hit on every other.
+        kernel extracted for one device a warm hit on every other.  Its
+        metrics registry becomes the fleet's :attr:`metrics`.
     """
 
     def __init__(
@@ -217,19 +165,23 @@ class FleetService:
         self.max_services = max_services
         self.feature_cache = cache or KernelFeatureCache()
         self.clock = clock
-        #: One registry for the whole fleet: routing counters, every
-        #: device's serving series, and the shared cache's mirror all land
-        #: here, so one snapshot is the complete serving picture.
-        self.metrics = MetricsRegistry()
+        #: One registry for the whole fleet — the shared cache's: routing
+        #: counters, every device's serving series and every cache's
+        #: counters land here, so one snapshot is the complete serving
+        #: picture, and a device's counts outlive its evicted service.
+        self.metrics = self.feature_cache.metrics
         declare_serve_metrics(self.metrics)
-        declare_cache_metrics(self.metrics)
-        self.feature_cache.bind_metrics(self.metrics)
+        declare_fleet_metrics(self.metrics)
+        self._routed = self.metrics.get(FLEET_REQUESTS_ROUTED_TOTAL)
+        self._batches = self.metrics.get(FLEET_BATCHES_ROUTED_TOTAL)
+        self._service_loads = self.metrics.get(FLEET_SERVICE_LOADS_TOTAL)
+        self._service_hits = self.metrics.get(FLEET_SERVICE_HITS_TOTAL)
+        self._service_evictions = self.metrics.get(FLEET_SERVICE_EVICTIONS_TOTAL)
         #: Extra shared caches, one per non-default feature recipe: vectors
         #: from different recipes have different widths/meanings, so each
         #: recipe's routes share a cache among themselves only.  The
         #: default `feature_cache` keeps serving every paper10 route.
         self._recipe_caches: dict[str, KernelFeatureCache] = {}
-        self.stats = FleetStats(registry=self.metrics)
         self._keys: dict[str, ModelKey] = {}
         for key in keys:
             slug = device_slug(key.device)
@@ -244,8 +196,6 @@ class FleetService:
             raise FleetError("a fleet needs at least one model key")
         #: slug → live service, most recently used last.
         self._services: OrderedDict[str, PredictionService] = OrderedDict()
-        #: slug → cumulative serving counters; survives service eviction.
-        self._device_stats: dict[str, ServiceStats] = {}
         #: Discovery filters when built by from_campaign_store (enables
         #: refresh_from_store); None for hand-assembled fleets.
         self._discovery: tuple[str | None, str | None] | None = None
@@ -334,9 +284,9 @@ class FleetService:
             from ..features.extractor import ExtractorConfig, FeatureExtractor
 
             cache = KernelFeatureCache(
-                FeatureExtractor(ExtractorConfig(recipe=feature_recipe))
+                FeatureExtractor(ExtractorConfig(recipe=feature_recipe)),
+                metrics=self.metrics,
             )
-            cache.bind_metrics(self.metrics)
             self._recipe_caches[feature_recipe] = cache
         return cache
 
@@ -344,7 +294,7 @@ class FleetService:
         service = self._services.get(slug)
         if service is not None:
             self._services.move_to_end(slug)
-            self.stats.inc(FLEET_SERVICE_HITS_TOTAL)
+            self._service_hits.inc()
             return service
         key = self._keys[slug]
         try:
@@ -366,16 +316,13 @@ class FleetService:
             device=key.device_spec(),
             cache=self._cache_for(models.feature_recipe),
             clock=self.clock,
-            stats=self._device_stats.setdefault(
-                slug, ServiceStats(registry=self.metrics, device=slug)
-            ),
         )
         self._services[slug] = service
-        self.stats.inc(FLEET_SERVICE_LOADS_TOTAL)
+        self._service_loads.inc()
         if self.max_services is not None:
             while len(self._services) > self.max_services:
                 self._services.popitem(last=False)
-                self.stats.inc(FLEET_SERVICE_EVICTIONS_TOTAL)
+                self._service_evictions.inc()
         return service
 
     def service_for(self, device: str) -> PredictionService:
@@ -489,8 +436,8 @@ class FleetService:
             for i, result in zip(indices, service._predict(batch, mode)):
                 results[i] = result
         if mode == "batch":
-            self.stats.inc(FLEET_BATCHES_ROUTED_TOTAL)
-        self.stats.inc(FLEET_REQUESTS_ROUTED_TOTAL, float(len(requests)))
+            self._batches.inc()
+        self._routed.inc(float(len(requests)))
         return results  # type: ignore[return-value]
 
     # -- telemetry --------------------------------------------------------------
@@ -503,21 +450,28 @@ class FleetService:
     def stats_summary(self) -> dict:
         """Per-device counters, the merged fleet view, and routing stats.
 
-        The shared feature cache appears exactly once (top level): every
+        Every device loaded at least once has a ``per_device`` entry (its
+        counts outlive eviction and reload); ``merged`` sums them.  The
+        shared feature cache appears exactly once (top level): every
         per-device service points at the same cache, so repeating it per
         device would multiple-count one set of counters.
         """
-        per_device = {}
-        for slug, stats in sorted(self._device_stats.items()):
-            entry = stats.as_dict()
-            entry.pop("feature_cache", None)
-            per_device[slug] = entry
-        merged = ServiceStats.merged(list(self._device_stats.values()))
+        snapshot = self.metrics.snapshot()
+        slugs = [key[0] for key in snapshot.label_values(SERVE_KERNELS_TOTAL)]
+        routing = {
+            "requests_routed": FLEET_REQUESTS_ROUTED_TOTAL,
+            "batches_routed": FLEET_BATCHES_ROUTED_TOTAL,
+            "service_loads": FLEET_SERVICE_LOADS_TOTAL,
+            "service_hits": FLEET_SERVICE_HITS_TOTAL,
+            "service_evictions": FLEET_SERVICE_EVICTIONS_TOTAL,
+        }
         return {
             "devices": self.devices(),
             "loaded": self.loaded_devices(),
-            "routing": self.stats.as_dict(),
-            "per_device": per_device,
-            "merged": merged.as_dict(),
-            "feature_cache": self.feature_cache.stats.as_dict(),
+            "routing": {
+                key: int(snapshot.value(name)) for key, name in routing.items()
+            },
+            "per_device": {slug: serve_summary(snapshot, [slug]) for slug in slugs},
+            "merged": serve_summary(snapshot, slugs),
+            "feature_cache": cache_summary(snapshot),
         }

@@ -20,14 +20,21 @@ from ..core.pipeline import TrainedModels, load_models
 from ..core.predictor import ParetoPredictor, PredictedParetoSet
 from ..features.vector import StaticFeatures
 from ..gpusim.device import DeviceSpec, _alias_slug
-from ..obs import HistogramValue, MetricsRegistry, declare_serve_metrics
+from ..obs import (
+    HistogramValue,
+    MetricsRegistry,
+    MetricsSnapshot,
+    declare_serve_metrics,
+)
 from ..obs.instruments import (
+    FEATURE_CACHE_EVICTIONS_TOTAL,
+    FEATURE_CACHE_REQUESTS_TOTAL,
     SERVE_EXTRACT_SECONDS,
     SERVE_KERNELS_TOTAL,
     SERVE_PREDICT_SECONDS,
     SERVE_REQUESTS_TOTAL,
 )
-from .cache import CacheStats, KernelFeatureCache
+from .cache import KernelFeatureCache
 
 
 class ServiceError(RuntimeError):
@@ -41,126 +48,50 @@ def _normalize(request) -> tuple[str, str | None]:
     return source, kernel_name
 
 
-@dataclass
-class ServiceStats:
-    """Registry-backed request counters and stage-latency histograms.
+def serve_summary(snapshot: MetricsSnapshot, devices: Sequence[str]) -> dict:
+    """The ``--stats`` serving keys, summed over ``devices``' series.
 
-    Since the ``repro.obs`` rebase this is a *view* over serve metrics in
-    a :class:`~repro.obs.MetricsRegistry` — ``single_requests`` reads
-    ``repro_serve_requests_total{mode="single"}``, ``extract_seconds`` is
-    the extraction histogram's sum, and :meth:`as_dict` additionally
-    reports real latency percentiles (p50/p95/p99) interpolated from the
-    histogram buckets.  The flat key names predate the rebase and are the
-    CLI's stable interface (``repro predict-batch --stats``).
-
-    ``device`` is the metric label this view reads/writes (a device slug
-    in a fleet, ``""`` for a standalone service).  ``feature_cache`` is
-    wired to the service's live :class:`~repro.serve.cache.CacheStats` so
-    one ``as_dict()`` carries the whole telemetry picture — without the
-    cache's hit/miss counters an operator cannot see the warm-cache
-    effect that dominates serving latency (a hit skips the entire
-    clkernel frontend).
+    The one reader behind every ``stats_summary()``: a service passes its
+    own device slug, a fleet each loaded slug and then all of them (the
+    merged view).  Histograms merge bucket-wise, so a merged view has
+    honest percentiles, not averages of averages.
     """
 
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-    device: str = ""
-    feature_cache: CacheStats | None = None
+    def total(name: str, **labels: str) -> int:
+        return int(sum(snapshot.value(name, device=d, **labels) for d in devices))
 
-    def __post_init__(self) -> None:
-        declare_serve_metrics(self.registry)
-
-    # -- registry plumbing -------------------------------------------------------
-
-    def _hist(self, name: str) -> HistogramValue:
-        metric = self.registry.get(name)
-        assert metric is not None
-        return metric.child(device=self.device)
-
-    def _requests(self, mode: str) -> int:
-        return int(
-            self.registry.value(SERVE_REQUESTS_TOTAL, device=self.device, mode=mode)
-        )
-
-    # -- recorders (the service's event feed) ------------------------------------
-
-    def observe_extract(self, seconds: float) -> None:
-        """One kernel's feature extraction finished (cache hits included)."""
-        self.registry.get(SERVE_EXTRACT_SECONDS).observe(  # type: ignore[union-attr]
-            seconds, device=self.device
-        )
-
-    def observe_predict(self, seconds: float, kernels: int, mode: str) -> None:
-        """One request's model pass finished (a batch is one sample)."""
-        self.registry.get(SERVE_PREDICT_SECONDS).observe(  # type: ignore[union-attr]
-            seconds, device=self.device
-        )
-        self.registry.get(SERVE_REQUESTS_TOTAL).inc(  # type: ignore[union-attr]
-            1.0, device=self.device, mode=mode
-        )
-        self.registry.get(SERVE_KERNELS_TOTAL).inc(  # type: ignore[union-attr]
-            float(kernels), device=self.device
-        )
-
-    # -- the stable counter views ------------------------------------------------
-
-    @property
-    def single_requests(self) -> int:
-        return self._requests("single")
-
-    @property
-    def batch_requests(self) -> int:
-        return self._requests("batch")
-
-    @property
-    def kernels_served(self) -> int:
-        return int(self.registry.value(SERVE_KERNELS_TOTAL, device=self.device))
-
-    @property
-    def extract_seconds(self) -> float:
-        return self._hist(SERVE_EXTRACT_SECONDS).sum
-
-    @property
-    def predict_seconds(self) -> float:
-        return self._hist(SERVE_PREDICT_SECONDS).sum
-
-    @classmethod
-    def merged(cls, parts: "Sequence[ServiceStats]") -> "ServiceStats":
-        """Fold request counters and latency histograms across services.
-
-        Histograms merge bucket-wise, so the fleet view has honest
-        percentiles, not averages of averages.  ``feature_cache`` is
-        deliberately left ``None``: in a fleet every service shares one
-        cache, so summing the per-service views would multiple-count the
-        same counters — the fleet reports the shared cache once, at the
-        top level.
-        """
-        out = cls()
-        requests = out.registry.get(SERVE_REQUESTS_TOTAL)
-        kernels = out.registry.get(SERVE_KERNELS_TOTAL)
-        assert requests is not None and kernels is not None
-        for part in parts:
-            requests.inc(float(part.single_requests), device="", mode="single")
-            requests.inc(float(part.batch_requests), device="", mode="batch")
-            kernels.inc(float(part.kernels_served), device="")
-            for name in (SERVE_EXTRACT_SECONDS, SERVE_PREDICT_SECONDS):
-                out._hist(name).merge(part._hist(name))
+    def merged(name: str) -> HistogramValue:
+        family = snapshot.families[name]
+        out = HistogramValue(family.buckets or ())
+        for device in devices:
+            part = snapshot.histogram(name, device=device)
+            if part is not None:
+                out.merge(part)
         return out
 
-    def as_dict(self) -> dict:
-        extract = self._hist(SERVE_EXTRACT_SECONDS)
-        predict = self._hist(SERVE_PREDICT_SECONDS)
-        stats = {
-            "single_requests": self.single_requests,
-            "batch_requests": self.batch_requests,
-            "kernels_served": self.kernels_served,
-            "extract_seconds": extract.sum,
-            "predict_seconds": predict.sum,
-            "extract_latency": extract.percentiles(),
-            "predict_latency": predict.percentiles(),
-        }
-        if self.feature_cache is not None:
-            stats["feature_cache"] = self.feature_cache.as_dict()
-        return stats
+    extract = merged(SERVE_EXTRACT_SECONDS)
+    predict = merged(SERVE_PREDICT_SECONDS)
+    return {
+        "single_requests": total(SERVE_REQUESTS_TOTAL, mode="single"),
+        "batch_requests": total(SERVE_REQUESTS_TOTAL, mode="batch"),
+        "kernels_served": total(SERVE_KERNELS_TOTAL),
+        "extract_seconds": extract.sum,
+        "predict_seconds": predict.sum,
+        "extract_latency": extract.percentiles(),
+        "predict_latency": predict.percentiles(),
+    }
+
+
+def cache_summary(snapshot: MetricsSnapshot) -> dict:
+    """The feature-cache keys of ``--stats`` (every cache in the registry)."""
+    hits = int(snapshot.value(FEATURE_CACHE_REQUESTS_TOTAL, result="hit"))
+    misses = int(snapshot.value(FEATURE_CACHE_REQUESTS_TOTAL, result="miss"))
+    return {
+        "hits": hits,
+        "misses": misses,
+        "evictions": int(snapshot.value(FEATURE_CACHE_EVICTIONS_TOTAL)),
+        "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+    }
 
 
 @dataclass
@@ -176,7 +107,10 @@ class PredictionService:
     use_mem_l_heuristic: bool = True
     candidates: list[tuple[float, float]] | None = None
     clock: Callable[[], float] = time.perf_counter
-    stats: ServiceStats = field(default_factory=ServiceStats)
+    #: The registry this service records into: its feature cache's, so
+    #: services sharing a cache (a fleet's) share one registry and tell
+    #: their series apart by the ``device`` label.
+    metrics: MetricsRegistry = field(init=False)
 
     def __post_init__(self) -> None:
         recipe = self.models.feature_recipe
@@ -194,14 +128,6 @@ class PredictionService:
                     f"feature cache extracts recipe {cached!r} but the model "
                     f"bundle was trained with {recipe!r}"
                 )
-        # One telemetry object: the cache's counters ride along in every
-        # ServiceStats.as_dict() (see `repro predict-batch --stats`).
-        self.stats.feature_cache = self.cache.stats
-        if not self.stats.device:
-            self.stats.device = _alias_slug(self.device.name)
-        # Mirror cache counters into the stats registry (first bind wins,
-        # so a fleet's shared registry is not re-bound per service).
-        self.cache.bind_metrics(self.stats.registry)
         if self.candidates is None and self.models.settings:
             # Predict over the modeled subset of the settings the bundle
             # was trained on — the paper_context convention.
@@ -218,6 +144,15 @@ class PredictionService:
             use_mem_l_heuristic=self.use_mem_l_heuristic,
             candidates=self.candidates or None,
         )
+        self.metrics = self.cache.metrics
+        self.slug = _alias_slug(self.device.name)
+        declare_serve_metrics(self.metrics)
+        self._requests = self.metrics.get(SERVE_REQUESTS_TOTAL)
+        self._extract_seconds = self.metrics.get(SERVE_EXTRACT_SECONDS)
+        self._predict_seconds = self.metrics.get(SERVE_PREDICT_SECONDS)
+        # Touched so a loaded but idle device still lists (at zero) in a
+        # fleet's per-device stats.
+        self._kernels = self.metrics.get(SERVE_KERNELS_TOTAL).touch(device=self.slug)
 
     # -- constructors -----------------------------------------------------------
 
@@ -265,7 +200,7 @@ class PredictionService:
         """Cached feature extraction with latency accounting."""
         start = self.clock()
         features = self.cache.get(source, kernel_name)
-        self.stats.observe_extract(self.clock() - start)
+        self._extract_seconds.observe(self.clock() - start, device=self.slug)
         return features
 
     def predict(self, source: str, kernel_name: str | None = None) -> PredictedParetoSet:
@@ -283,19 +218,32 @@ class PredictionService:
     def _predict(
         self, pairs: list[tuple[str, str | None]], mode: str
     ) -> list[PredictedParetoSet]:
-        """The one prediction body; ``mode`` labels the request counter."""
+        """Extract each request, then one model pass over them all."""
         features = [self.features_for(src, name) for src, name in pairs]
+        return self.predict_features(features, mode)
+
+    def predict_features(
+        self, features: Sequence[StaticFeatures], mode: str = "batch"
+    ) -> list[PredictedParetoSet]:
+        """One model pass over already-extracted kernels.
+
+        The one prediction body; ``mode`` labels the request counter.  The
+        daemon calls it directly with the features it extracted request
+        by request, so no request is looked up twice.
+        """
         start = self.clock()
         results = self.predictor.predict_batch(features)
-        self.stats.observe_predict(
-            self.clock() - start, kernels=len(results), mode=mode
-        )
+        self._predict_seconds.observe(self.clock() - start, device=self.slug)
+        self._requests.inc(1.0, device=self.slug, mode=mode)
+        self._kernels.inc(float(len(results)), device=self.slug)
         return results
 
     # -- telemetry --------------------------------------------------------------
 
     def stats_summary(self) -> dict:
         """Service counters (cache counters included) plus predictor facts."""
-        summary = self.stats.as_dict()
+        snapshot = self.metrics.snapshot()
+        summary = serve_summary(snapshot, [self.slug])
+        summary["feature_cache"] = cache_summary(snapshot)
         summary["candidates"] = len(self.predictor.candidates)
         return summary

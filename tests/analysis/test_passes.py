@@ -1,4 +1,4 @@
-"""The pass manager: registry, per-(IR, pass) caching, pass results."""
+"""The pass manager: registry, one-IR memo, pass results."""
 
 import pytest
 
@@ -44,8 +44,6 @@ class TestCaching:
         first = manager.run(ir, "opcode-histogram")
         second = manager.run(ir, "opcode-histogram")
         assert first is second
-        assert manager.stats.hits == 1
-        assert manager.stats.misses == 1
 
     def test_different_irs_do_not_share_entries(self):
         ir_a = lower("x[0] = x[1] + 1.0f;")
@@ -54,7 +52,10 @@ class TestCaching:
         a = manager.run(ir_a, "opcode-histogram")
         b = manager.run(ir_b, "opcode-histogram")
         assert a is not b
-        assert manager.stats.misses == 2
+        # One IR at a time: returning to the first recomputes an equal result.
+        again = manager.run(ir_a, "opcode-histogram")
+        assert again is not a
+        assert again == a
 
     def test_run_all_covers_every_registered_pass(self):
         ir = lower("for (int i = 0; i < 8; i++) { x[i] = 1.0f; }")

@@ -1,7 +1,13 @@
 """Kernel-feature cache: identity on hit, invalidation, LRU, stats."""
 
 from repro.features.extractor import ExtractorConfig, FeatureExtractor
+from repro.obs import MetricsRegistry
+from repro.obs.instruments import (
+    FEATURE_CACHE_EVICTIONS_TOTAL,
+    FEATURE_CACHE_REQUESTS_TOTAL,
+)
 from repro.serve.cache import KernelFeatureCache, source_fingerprint
+from repro.serve.service import cache_summary
 
 SAXPY = """
 __kernel void saxpy(__global float* x, __global float* y, float a) {
@@ -11,6 +17,14 @@ __kernel void saxpy(__global float* x, __global float* y, float a) {
 """
 
 SAXPY_EDITED = SAXPY.replace("a * x[i] + y[i]", "a * x[i] - y[i]")
+
+TINY = "__kernel void k(__global float* x) { x[0] = 1.0f; }\n"
+
+
+def lookups(cache: KernelFeatureCache, result: str) -> float:
+    """The cache's hit or miss count, read from its metrics registry."""
+    return cache.metrics.value(FEATURE_CACHE_REQUESTS_TOTAL, result=result)
+
 
 TWO_KERNELS = """
 __kernel void first(__global float* x) {
@@ -41,6 +55,28 @@ class TestFingerprint:
             SAXPY, config=ExtractorConfig(default_trip_count=7)
         )
 
+    def test_digests_are_pinned(self):
+        # Cache keys are part of the serving contract: these digests must
+        # not move when the hashing code is reorganized.
+        assert source_fingerprint(TINY) == (
+            "2150a9da81f3fb6757100e7294037180427b6ef478efe5c8bebb1a466e2e93cf"
+        )
+        assert source_fingerprint(TINY, "k") == (
+            "07400c8e51eb4bf2c6e4ec84daaa2cb549b10015957839e0b545f4d5cf0d04c8"
+        )
+        assert source_fingerprint(TINY, config=ExtractorConfig(default_trip_count=7)) == (
+            "58356fdb95dca12f91f4e18e1baf9c13fcfea5547adf8bfcd1426b54580e1b63"
+        )
+        assert source_fingerprint(TINY, "k", ExtractorConfig(recipe="paper10+loops")) == (
+            "f208816429de42d2d9144fe46747e9a912af7b80df4a21f6a75a316b36737673"
+        )
+
+    def test_cache_keys_entries_by_source_fingerprint(self):
+        config = ExtractorConfig(recipe="paper10+loops")
+        cache = KernelFeatureCache(FeatureExtractor(config))
+        cache.get(TINY, "k")
+        assert list(cache._entries) == [source_fingerprint(TINY, "k", config)]
+
 
 class TestCacheBehaviour:
     def test_hit_returns_identical_object(self):
@@ -48,7 +84,7 @@ class TestCacheBehaviour:
         first = cache.get(SAXPY)
         second = cache.get(SAXPY)
         assert second is first
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        assert lookups(cache, "hit") == 1 and lookups(cache, "miss") == 1
 
     def test_matches_direct_extraction(self):
         cache = KernelFeatureCache()
@@ -62,7 +98,7 @@ class TestCacheBehaviour:
         original = cache.get(SAXPY)
         edited = cache.get(SAXPY_EDITED)
         assert edited is not original
-        assert cache.stats.misses == 2
+        assert lookups(cache, "miss") == 2
 
     def test_kernel_name_selects_entry(self):
         cache = KernelFeatureCache()
@@ -78,17 +114,17 @@ class TestCacheBehaviour:
         cache.get(SAXPY_EDITED)
         cache.get(SAXPY)  # refresh a: now SAXPY_EDITED is least recent
         cache.get(TWO_KERNELS, "first")  # evicts SAXPY_EDITED
-        assert cache.stats.evictions == 1
+        assert cache.metrics.value(FEATURE_CACHE_EVICTIONS_TOTAL) == 1
         assert cache.get(SAXPY) is a  # still cached
         assert cache.peek(SAXPY_EDITED) is None
 
     def test_peek_does_not_mutate(self):
         cache = KernelFeatureCache()
         assert cache.peek(SAXPY) is None
-        assert cache.stats.requests == 0
+        assert lookups(cache, "hit") + lookups(cache, "miss") == 0
         cached = cache.get(SAXPY)
         assert cache.peek(SAXPY) is cached
-        assert cache.stats.requests == 1
+        assert lookups(cache, "hit") + lookups(cache, "miss") == 1
 
     def test_clear(self):
         cache = KernelFeatureCache()
@@ -98,9 +134,13 @@ class TestCacheBehaviour:
         assert cache.peek(SAXPY) is None
 
     def test_stats_hit_rate(self):
-        cache = KernelFeatureCache()
+        registry = MetricsRegistry()
+        cache = KernelFeatureCache(metrics=registry)
         cache.get(SAXPY)
         cache.get(SAXPY)
         cache.get(SAXPY)
-        assert cache.stats.hit_rate == 2 / 3
-        assert cache.stats.as_dict()["hits"] == 2
+        # The cache counts into the registry it was built with.
+        assert cache.metrics is registry
+        summary = cache_summary(registry.snapshot())
+        assert summary["hit_rate"] == 2 / 3
+        assert summary["hits"] == 2

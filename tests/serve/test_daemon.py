@@ -30,6 +30,8 @@ from repro.obs.instruments import (
     DAEMON_COALESCED_TOTAL,
     DAEMON_RELOADS_TOTAL,
     DAEMON_SHED_TOTAL,
+    FEATURE_CACHE_REQUESTS_TOTAL,
+    SERVE_EXTRACT_SECONDS,
 )
 from repro.serve.daemon import (
     MAX_REQUEST_BYTES,
@@ -382,6 +384,38 @@ class TestMicroBatching:
         finally:
             daemon.close()
 
+    def test_each_request_is_extracted_once(self, store):
+        # N never-seen kernels are N misses and N extractions, no hits; a
+        # duplicate coalesced into one batch is one hit on the shared cache.
+        daemon = make_daemon(store, batch_window_ms=500.0, max_batch=4)
+        try:
+            slug = daemon.fleet.slug_for("titan-x")
+            metrics = daemon.metrics
+
+            def counts():
+                extract = metrics.get(SERVE_EXTRACT_SECONDS).child(device=slug)
+                return (
+                    metrics.value(FEATURE_CACHE_REQUESTS_TOTAL, result="miss"),
+                    metrics.value(FEATURE_CACHE_REQUESTS_TOTAL, result="hit"),
+                    extract.count,
+                )
+
+            unique = [
+                (SAXPY.replace("saxpy", f"saxpy_{i}"), f"saxpy_{i}") for i in range(4)
+            ]
+            futures = [daemon.submit("titan-x", src, name) for src, name in unique]
+            assert [f.result(timeout=30).kernel for f in futures] == [
+                name for _src, name in unique
+            ]
+            assert counts() == (4, 0, 4)
+            pair = [daemon.submit("titan-x", SCALE, "scale") for _ in range(2)]
+            first, second = (f.result(timeout=30) for f in pair)
+            assert first is second
+            assert metrics.value(DAEMON_COALESCED_TOTAL, device=slug) == 1
+            assert counts() == (5, 1, 6)
+        finally:
+            daemon.close()
+
     def test_batched_answers_match_direct_fleet(self, store, oracle):
         daemon = make_daemon(store, batch_window_ms=200.0, max_batch=4)
         try:
@@ -424,18 +458,18 @@ class TestMicroBatching:
 
 class TestAdmissionControl:
     def _block_service(self, daemon, device):
-        """Patch the device's service so predict_batch blocks until released."""
+        """Patch the device's service so its model pass blocks until released."""
         slug = daemon.fleet.slug_for(device)
         service = daemon.service_for_slug(slug)
         entered, release = threading.Event(), threading.Event()
-        original = service.predict_batch
+        original = service.predict_features
 
-        def blocked(requests):
+        def blocked(features):
             entered.set()
             assert release.wait(timeout=30), "test never released the service"
-            return original(requests)
+            return original(features)
 
-        service.predict_batch = blocked
+        service.predict_features = blocked
         return slug, entered, release
 
     def test_full_lane_sheds_with_overloaded(self, store):
@@ -545,14 +579,14 @@ class TestHotReload:
             slug = daemon.fleet.slug_for("titan-x")
             old_service = daemon.service_for_slug(slug)
             entered, release = threading.Event(), threading.Event()
-            original = old_service.predict_batch
+            original = old_service.predict_features
 
-            def blocked(requests):
+            def blocked(features):
                 entered.set()
                 assert release.wait(timeout=30)
-                return original(requests)
+                return original(features)
 
-            old_service.predict_batch = blocked
+            old_service.predict_features = blocked
             in_flight = daemon.submit("titan-x", SAXPY, "saxpy")
             assert entered.wait(timeout=30)
             key = self._publish_paper_titan(store)

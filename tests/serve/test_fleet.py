@@ -127,8 +127,9 @@ class TestRouting:
         by_alias = fleet.service_for("titan-x")
         assert fleet.service_for(TITAN) is by_alias
         assert fleet.service_for("titanx") is by_alias
-        assert fleet.stats.service_loads == 1
-        assert fleet.stats.service_hits == 2
+        routing = fleet.stats_summary()["routing"]
+        assert routing["service_loads"] == 1
+        assert routing["service_hits"] == 2
 
     def test_unknown_device_error_lists_fleet(self, fleet):
         with pytest.raises(FleetError, match="unknown device") as err:
@@ -200,9 +201,9 @@ class TestBatch:
 
     def test_batch_groups_by_device(self, fleet):
         fleet.predict_batch([("titan-x", SAXPY), ("titanx", SAXPY)])
-        titan_stats = fleet.service_for("titan-x").stats
-        assert titan_stats.batch_requests == 1
-        assert titan_stats.kernels_served == 2
+        titan_stats = fleet.stats_summary()["per_device"]["nvidia-gtx-titan-x"]
+        assert titan_stats["batch_requests"] == 1
+        assert titan_stats["kernels_served"] == 2
 
     def test_bare_string_requests_rejected(self, fleet):
         with pytest.raises(FleetError, match="must name a device"):
@@ -232,9 +233,7 @@ class TestBatch:
         # feature extraction pollutes the shared cache.
         fleet = FleetService.from_campaign_store(store)
         fleet.predict(SAXPY, device="titan-x")  # warm one service
-        served_before = fleet.stats_summary()["merged"]["kernels_served"]
-        misses_before = fleet.feature_cache.stats.misses
-        routed_before = fleet.stats.requests_routed
+        before = fleet.stats_summary()
         fresh_kernel = SAXPY.replace("saxpy", "saxpy_unseen")
         with pytest.raises(FleetError, match="no-such-gpu"):
             fleet.predict_batch(
@@ -244,9 +243,10 @@ class TestBatch:
                     ("p100", fresh_kernel, "saxpy_unseen"),
                 ]
             )
-        assert fleet.stats_summary()["merged"]["kernels_served"] == served_before
-        assert fleet.feature_cache.stats.misses == misses_before
-        assert fleet.stats.requests_routed == routed_before
+        after = fleet.stats_summary()
+        assert after["merged"]["kernels_served"] == before["merged"]["kernels_served"]
+        assert after["feature_cache"]["misses"] == before["feature_cache"]["misses"]
+        assert after["routing"]["requests_routed"] == before["routing"]["requests_routed"]
 
     def test_eviction_racing_a_batch_still_answers_correctly(self, store):
         # With max_services=1, a cross-device batch forces an eviction
@@ -261,7 +261,7 @@ class TestBatch:
                 ("p100", SCALE, "scale"),
             ]
         )
-        assert fleet.stats.service_evictions >= 1
+        assert fleet.stats_summary()["routing"]["service_evictions"] >= 1
         assert len(fleet.loaded_devices()) == 1
         oracle = FleetService.from_campaign_store(store)
         for (device, source, name), result in zip(
@@ -282,10 +282,11 @@ class TestSharedFeatureCache:
         # Acceptance criterion: static features are device-independent, so
         # a kernel extracted for titan-x must hit the cache on p100.
         fleet.predict(SAXPY, device="titan-x")
-        hits_before = fleet.feature_cache.stats.hits
+        hits_before = fleet.stats_summary()["feature_cache"]["hits"]
         fleet.predict(SAXPY, device="p100")
-        assert fleet.feature_cache.stats.hits == hits_before + 1
-        assert fleet.feature_cache.stats.misses == 1
+        cache = fleet.stats_summary()["feature_cache"]
+        assert cache["hits"] == hits_before + 1
+        assert cache["misses"] == 1
 
     def test_same_features_object_served_to_both_devices(self, fleet):
         titan_features = fleet.service_for("titan-x").features_for(SAXPY)
@@ -300,7 +301,7 @@ class TestLRU:
         titan_models = weakref.ref(fleet.service_for("titan-x").models)
         fleet.predict(SAXPY, device="p100")
         assert fleet.loaded_devices() == [P100]
-        assert fleet.stats.service_evictions == 1
+        assert fleet.stats_summary()["routing"]["service_evictions"] == 1
         # Nothing but the evicted service held the bundle, so the bound
         # actually caps memory.
         gc.collect()
@@ -311,7 +312,7 @@ class TestLRU:
         fleet.predict(SAXPY, device="titan-x")
         fleet.predict(SAXPY, device="p100")  # evicts titan-x
         fleet.predict(SAXPY, device="titan-x")  # reloads from disk
-        assert fleet.stats.service_loads == 3
+        assert fleet.stats_summary()["routing"]["service_loads"] == 3
         per_device = fleet.stats_summary()["per_device"]
         assert per_device["nvidia-gtx-titan-x"]["kernels_served"] == 2
         assert per_device["nvidia-tesla-p100"]["kernels_served"] == 1
@@ -418,10 +419,10 @@ class TestUndecodableBundle:
 class TestWarmAndStats:
     def test_warm_preloads_every_device(self, fleet):
         assert fleet.warm() == [TITAN, P100]
-        loads = fleet.stats.service_loads
+        loads = fleet.stats_summary()["routing"]["service_loads"]
         fleet.predict(SAXPY, device="titan-x")
         fleet.predict(SAXPY, device="p100")
-        assert fleet.stats.service_loads == loads
+        assert fleet.stats_summary()["routing"]["service_loads"] == loads
 
     def test_warm_selected_devices(self, fleet):
         assert fleet.warm(["p100"]) == [P100]
@@ -437,6 +438,35 @@ class TestWarmAndStats:
         ) == 3
         assert summary["routing"]["requests_routed"] == 3
         assert summary["routing"]["batches_routed"] == 1
+
+    def test_warmed_idle_device_lists_at_zero(self, fleet):
+        fleet.warm(["p100"])
+        per_device = fleet.stats_summary()["per_device"]
+        assert list(per_device) == ["nvidia-tesla-p100"]
+        assert per_device["nvidia-tesla-p100"]["kernels_served"] == 0
+        assert per_device["nvidia-tesla-p100"]["extract_latency"]["p50"] == 0.0
+
+    def test_summary_keys_are_stable(self, fleet):
+        # `repro predict-batch --stats` prints these keys in this order.
+        fleet.predict(SAXPY, device="titan-x")
+        summary = fleet.stats_summary()
+        serving = [
+            "single_requests", "batch_requests", "kernels_served",
+            "extract_seconds", "predict_seconds",
+            "extract_latency", "predict_latency",
+        ]
+        assert list(summary) == [
+            "devices", "loaded", "routing", "per_device", "merged", "feature_cache",
+        ]
+        assert list(summary["routing"]) == [
+            "requests_routed", "batches_routed",
+            "service_loads", "service_hits", "service_evictions",
+        ]
+        assert list(summary["per_device"]["nvidia-gtx-titan-x"]) == serving
+        assert list(summary["merged"]) == serving
+        assert list(summary["feature_cache"]) == ["hits", "misses", "evictions", "hit_rate"]
+        service = fleet.service_for("titan-x").stats_summary()
+        assert list(service) == serving + ["feature_cache", "candidates"]
 
     def test_shared_cache_reported_once_at_top_level(self, fleet):
         fleet.predict(SAXPY, device="titan-x")
