@@ -1,12 +1,13 @@
-"""Measurement-engine throughput: scalar loop vs vectorized vs campaign.
+"""Measurement-engine throughput: per-point loop vs vectorized vs campaign.
 
 The paper's experimental backbone is "run every code at every sampled
 (core, mem) setting" — 106 codes × 40 settings = 4240 measurements per
 training pass.  Two engine generations are measured here:
 
 * **vectorized** — :meth:`GPUSimulator.sweep_batch` behind
-  :class:`SimulatorBackend` turns each per-point scalar loop into one
-  numpy pass (≥10× over the scalar ``run_at`` loop, bit-identical);
+  :class:`SimulatorBackend` measures each kernel's settings in one numpy
+  pass (≥10× over the scalar baseline — one batch of one per point —
+  and bit-identical to it);
 * **campaign mode** — :class:`DevicePool` fans the kernel sweeps across
   worker processes on top of the vectorized engine (features extracted
   worker-side) and a :class:`DatasetAssembler` folds them in task order,
@@ -83,10 +84,11 @@ def _workload():
 
 
 def scalar_build_training_dataset(sim, specs, settings) -> TrainingDataset:
-    """The pre-vectorization assembly: one ``run_at`` call per point.
+    """The per-point assembly: one M=1 ``sweep_batch`` call per point.
 
     Kept here as the benchmark baseline (and as an executable spec of what
-    ``sweep_batch`` must reproduce bit-for-bit).
+    one batch per kernel must reproduce bit-for-bit: a row never depends
+    on its batch-mates).
     """
     blocks, speedups, energies, groups, feats = [], [], [], [], {}
     for spec in specs:
@@ -96,7 +98,7 @@ def scalar_build_training_dataset(sim, specs, settings) -> TrainingDataset:
         baseline = sim.run_default(profile)
         blocks.append(build_design_matrix(static, settings))
         for core, mem in settings:
-            record = sim.run_at(profile, core, mem)
+            record = sim.sweep_batch(profile, [(core, mem)]).record(0)
             speedups.append(baseline.time_ms / record.time_ms)
             energies.append(record.energy_j / baseline.energy_j)
             groups.append(spec.name)
@@ -300,7 +302,7 @@ def regenerate_throughput() -> tuple[str, dict]:
         f"{os.cpu_count() or 1} cores)"
     )
     rows = [
-        ("scalar run_at loop", f"{t_scalar * 1e3:9.1f}",
+        ("per-point batch-of-one loop", f"{t_scalar * 1e3:9.1f}",
          f"{n_points / t_scalar:12.0f}", "1.0x"),
         ("vectorized sweep_batch backend", f"{t_vector * 1e3:9.1f}",
          f"{n_points / t_vector:12.0f}", f"{t_scalar / t_vector:.1f}x"),

@@ -197,18 +197,15 @@ def test_training_cost():
 
 
 def test_sampled_sweep_simulated(benchmark):
-    """Benchmark the simulated 40-setting sweep of one micro-benchmark."""
+    """Benchmark the simulated 40-setting sweep of one micro-benchmark:
+    one ``sweep_batch`` call, which is what ``SimulatorBackend`` runs."""
     device = make_titan_x()
     sim = GPUSimulator(device)
     spec = generate_micro_benchmarks()[0]
     profile = spec.profile()
     settings = sample_training_settings(device)
-
-    def sweep():
-        return [sim.run_at(profile, c, m) for c, m in settings]
-
-    records = benchmark(sweep)
-    assert len(records) == 40
+    batch = benchmark(sim.sweep_batch, profile, settings)
+    assert len(batch) == 40
 
 
 def test_exhaustive_sweep_simulated(benchmark):
@@ -217,12 +214,8 @@ def test_exhaustive_sweep_simulated(benchmark):
     spec = generate_micro_benchmarks()[0]
     profile = spec.profile()
     settings = exhaustive_settings(device)
-
-    def sweep():
-        return [sim.run_at(profile, c, m) for c, m in settings]
-
-    records = benchmark(sweep)
-    assert len(records) == len(settings)
+    batch = benchmark(sim.sweep_batch, profile, settings)
+    assert len(batch) == len(settings)
 
 
 def test_exhaustive_costs_more_than_sampled():

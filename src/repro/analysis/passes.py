@@ -29,11 +29,13 @@ Built-in passes
     Branch density and the weighted feature mass under conditional regions.
 ``diagnostics``
     Extraction-fidelity findings (unknown trip counts, zero-weight regions,
-    kernels lowering to zero feature ops) — the engine behind ``repro lint``.
+    kernels lowering to zero feature ops, weighted counts that overflow)
+    — the engine behind ``repro lint``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -153,6 +155,12 @@ class PassManager:
 # ---------------------------------------------------------------------------
 # opcode-histogram
 
+#: Why a kernel whose weighted counts are not finite has no feature vector.
+NON_FINITE_WEIGHT = (
+    "weighted instruction count is not finite: the product of its static "
+    "loop trip counts overflows a float"
+)
+
 
 @dataclass(frozen=True)
 class OpcodeHistogram:
@@ -174,6 +182,11 @@ class OpcodeHistogram:
     @property
     def aux_total(self) -> float:
         return sum(self.weighted[op] for op in AUX_OPS)
+
+    @property
+    def finite(self) -> bool:
+        """Whether every weighted count is a finite number."""
+        return all(math.isfinite(w) for w in self.weighted.values())
 
 
 @register_pass
@@ -523,7 +536,8 @@ class DiagnosticsPass(AnalysisPass):
     Severities (see DESIGN.md "Analysis passes & feature recipes"):
 
     * ``error`` — the vector rests on a guess that can be arbitrarily wrong
-      (unknown trip count) or is degenerate (zero feature ops);
+      (unknown trip count), is degenerate (zero feature ops) or does not
+      exist (non-finite weighted counts: extraction refuses the kernel);
     * ``warning`` — a region provably contributes nothing (zero weight);
     * ``info`` — a documented default was applied (branch probability).
     """
@@ -538,6 +552,16 @@ class DiagnosticsPass(AnalysisPass):
         findings = list(visitor.findings)
         hist = manager.run(ir, "opcode-histogram")
         assert isinstance(hist, OpcodeHistogram)
+        if not hist.finite:
+            findings.append(
+                Finding(
+                    severity="error",
+                    code="non-finite-weight",
+                    message=NON_FINITE_WEIGHT,
+                    line=ir.root.line,
+                    kernel=ir.name,
+                )
+            )
         if hist.feature_total == 0.0:
             findings.append(
                 Finding(

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
+from ..clkernel.errors import CLFrontendError
 from ..clkernel.ir import KernelIR
 from ..features.vector import STATIC_FEATURE_NAMES, StaticFeatures
 from .passes import (
+    NON_FINITE_WEIGHT,
     Divergence,
     LoopStructure,
     MemoryMix,
@@ -149,9 +151,13 @@ class FeatureRecipe:
         The base ten columns go through the exact arithmetic the legacy
         extractor used (:meth:`StaticFeatures.from_counts` over the
         histogram pass, which delegates to the canonical IR fold), so the
-        default recipe is bit-identical to pre-recipe vectors.
+        default recipe is bit-identical to pre-recipe vectors.  A kernel
+        whose weighted counts are not finite has no feature vector: it
+        raises :class:`CLFrontendError`.
         """
         hist = manager.run(ir, "opcode-histogram")
+        if not hist.finite:
+            raise CLFrontendError(f"kernel {ir.name!r}: {NON_FINITE_WEIGHT}")
         base = StaticFeatures.from_counts(hist.feature_counts, kernel_name=ir.name)
         values = base.values if self.normalize else base.raw_counts
         if not self.blocks:

@@ -4,8 +4,9 @@ See DESIGN.md §2 for the substitution argument.  Public surface:
 
 * :func:`make_titan_x` / :func:`make_tesla_p100` — device specs with the
   paper's frequency menus (Fig. 4);
-* :class:`GPUSimulator` — set clocks, run kernels, get (time, power, energy)
-  through the 62.5 Hz measurement pipeline;
+* :class:`GPUSimulator` — measure a kernel at a batch of clocks (one
+  configuration is a batch of one) and get (time, power, energy) through
+  the 62.5 Hz measurement pipeline;
 * :class:`WorkloadProfile` / :class:`DynamicTraits` — what a kernel asks of
   the GPU, including the dynamic behaviour static features cannot see.
 """
@@ -30,10 +31,10 @@ from .executor import (
     GPUSimulator,
 )
 from .noise import MeasurementNoise, NoiseConfig
-from .perf_model import PerformanceModel, PhaseBreakdown
-from .power_model import PowerBreakdown, PowerModel
+from .perf_model import PerformanceModel
+from .power_model import PowerModel
 from .profile import DynamicTraits, WorkloadProfile
-from .sampler import NVML_SAMPLING_HZ, PowerSampler, PowerTrace
+from .sampler import NVML_SAMPLING_HZ, PowerSampler
 
 __all__ = [
     "ArchParams",
@@ -49,12 +50,9 @@ __all__ = [
     "NVML_SAMPLING_HZ",
     "NoiseConfig",
     "PerformanceModel",
-    "PhaseBreakdown",
-    "PowerBreakdown",
     "PowerModel",
     "PowerParams",
     "PowerSampler",
-    "PowerTrace",
     "TITAN_X_CORE_CLAMP_MHZ",
     "VoltageCurve",
     "WorkloadProfile",

@@ -157,11 +157,6 @@ class VoltageCurve:
             self.v_min + rise * (linear + quad),
         )
 
-    def voltage(self, core_mhz: float) -> float:
-        if core_mhz <= self.flat_until_mhz:
-            return self.v_min
-        return float(self.voltage_array(np.asarray([core_mhz], dtype=np.float64))[0])
-
 
 @dataclass(frozen=True)
 class DeviceSpec:

@@ -11,13 +11,13 @@ the semantics of a real DVFS-managed GPU:
 * energy is produced by the paper's measurement protocol — repeat the kernel
   until the window holds enough 62.5 Hz samples, then mean-power × time.
 
-The measurement engine is **vectorized**: :meth:`GPUSimulator.sweep_batch`
-evaluates one workload against an ``(M,)`` vector of configurations in a
+:meth:`GPUSimulator.sweep_batch` is the simulator's only execution path.
+It evaluates one workload against an ``(M,)`` vector of configurations in a
 single numpy pass over the performance model, power model, noise source and
-sampling pipeline, returning a columnar :class:`SweepBatch`.  The scalar
-:meth:`GPUSimulator.run_at` is a thin M=1 wrapper over the same code path,
-so a Python loop of ``run_at`` calls and one ``sweep_batch`` call are
-bit-identical by construction (and asserted so by the equivalence tests).
+sampling pipeline, returning a columnar :class:`SweepBatch`.  One
+configuration is a batch of one, and a row never depends on its batch-mates:
+row ``i`` of any batch equals the single row of that configuration's batch
+of one, bit for bit (asserted by the row-independence tests).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import numpy as np
 
 from .device import DeviceSpec, make_titan_x
 from .noise import MeasurementNoise, NoiseConfig
-from .perf_model import PerformanceModel, PhaseBreakdown, PhaseBreakdownBatch
-from .power_model import PowerBreakdown, PowerBreakdownBatch, PowerModel
+from .perf_model import PerformanceModel, PhaseBreakdownBatch
+from .power_model import PowerBreakdownBatch, PowerModel
 from .profile import WorkloadProfile
 from .sampler import PowerSampler
 
@@ -46,10 +46,10 @@ IDLE_POWER_W = 15.0
 class ExecutionRecord:
     """One measured kernel execution at one frequency configuration.
 
-    ``phases`` / ``power_parts`` carry the simulator's internal breakdowns;
-    they are ``None`` for records reconstructed from a recorded trace
-    (:class:`repro.measure.replay.ReplayBackend`), where only the externally
-    observable measurements were persisted.
+    Only the externally observable measurements: the simulator's internal
+    phase and power breakdowns stay on :class:`SweepBatch`, so a record
+    from the simulator and one reconstructed from a recorded trace
+    (:class:`repro.measure.replay.ReplayBackend`) carry the same fields.
     """
 
     kernel: str
@@ -61,8 +61,6 @@ class ExecutionRecord:
     energy_j: float
     repeats: int = 1
     n_power_samples: int = 0
-    phases: PhaseBreakdown | None = None
-    power_parts: PowerBreakdown | None = None
 
     @property
     def config(self) -> tuple[float, float]:
@@ -75,8 +73,7 @@ class SweepBatch:
     """Columnar measurements of one kernel over ``(M,)`` configurations.
 
     All array fields share the batch length and configuration order;
-    :meth:`record` recovers the scalar :class:`ExecutionRecord` of one
-    configuration bit-for-bit.
+    :meth:`record` reads one configuration's :class:`ExecutionRecord`.
     """
 
     kernel: str
@@ -100,7 +97,7 @@ class SweepBatch:
         return list(zip(self.requested_core_mhz.tolist(), self.mem_mhz.tolist()))
 
     def record(self, i: int) -> ExecutionRecord:
-        """The scalar record of configuration ``i``."""
+        """The measurements of configuration ``i`` as one record."""
         return ExecutionRecord(
             kernel=self.kernel,
             requested_core_mhz=float(self.requested_core_mhz[i]),
@@ -111,12 +108,7 @@ class SweepBatch:
             energy_j=float(self.energy_j[i]),
             repeats=int(self.repeats[i]),
             n_power_samples=int(self.n_power_samples[i]),
-            phases=self.phases.row(i),
-            power_parts=self.power_parts.row(i),
         )
-
-    def records(self) -> list[ExecutionRecord]:
-        return [self.record(i) for i in range(len(self))]
 
 
 class ClockError(ValueError):
@@ -138,15 +130,6 @@ class GPUSimulator:
         self.sampler = PowerSampler()
 
     # -- execution ---------------------------------------------------------------
-
-    def run_at(
-        self, profile: WorkloadProfile, core_mhz: float, mem_mhz: float
-    ) -> ExecutionRecord:
-        """Run a kernel at one explicit configuration (must be reported).
-
-        Thin M=1 wrapper over :meth:`sweep_batch` — identical arithmetic.
-        """
-        return self.sweep_batch(profile, [(core_mhz, mem_mhz)]).record(0)
 
     def _effective_cores(
         self, configs: list[tuple[float, float]]
@@ -212,8 +195,8 @@ class GPUSimulator:
             true_power_w, n_samples, jitter, idle_power_w=IDLE_POWER_W
         )
         energy_per_run_j = (mean_power_w * window_s) / repeats
-        # Windows too short for even one sample report a single idle reading
-        # (the scalar protocol's fallback trace of length 1).
+        # A window too short for even one sample reports one reading: the
+        # idle value mean_power_array fell back to.
         n_reported = np.where(n_samples > 0, n_samples, 1)
 
         return SweepBatch(
@@ -230,17 +213,6 @@ class GPUSimulator:
             power_parts=parts,
         )
 
-    # -- sweeps ------------------------------------------------------------------
-
-    def sweep(
-        self,
-        profile: WorkloadProfile,
-        configs: list[tuple[float, float]] | None = None,
-    ) -> list[ExecutionRecord]:
-        """Run ``profile`` at every configuration (default: all reported)."""
-        return self.sweep_batch(profile, configs).records()
-
     def run_default(self, profile: WorkloadProfile) -> ExecutionRecord:
         """Run at the device's default configuration (the paper's baseline)."""
-        core, mem = self.device.default_config
-        return self.run_at(profile, core, mem)
+        return self.sweep_batch(profile, [self.device.default_config]).record(0)

@@ -13,8 +13,8 @@ blake2b call) together with the configuration's clock-pair bit patterns
 through a splitmix64-style integer mixer, and mapping the resulting
 uniforms through Box–Muller.  Every step is an elementwise numpy operation,
 so an ``(M,)`` vector of configurations is perturbed in one vectorized pass
-and — because elementwise ufuncs are length-independent — the batch path is
-bit-identical to M calls of the scalar path.  This is what lets
+and — because elementwise ufuncs are length-independent — a configuration
+draws the same bits in any batch, a batch of one included.  This is what lets
 :meth:`GPUSimulator.sweep_batch <repro.gpusim.executor.GPUSimulator.sweep_batch>`
 keep the simulator's noise semantics without a per-configuration Python
 RNG.
@@ -72,7 +72,7 @@ def _standard_normals(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Elementwise only — ``exp``/``log``/``sqrt``/``cos``/``sin`` produce the
     same bits for a length-1 array as for any batch, which the
-    scalar↔batch equivalence tests rely on.
+    row-independence tests rely on.
     """
     u1 = _uniforms(_mix64(keys + _GOLDEN))
     u2 = _uniforms(_mix64(keys + _GOLDEN_2))
@@ -122,8 +122,6 @@ class MeasurementNoise:
         scale = np.where(mem_relative < 0.30, self.config.mem_low_extra, scale)
         return np.where(mem_relative < 0.18, self.config.mem_l_extra, scale)
 
-    # -- array entry points -----------------------------------------------------
-
     def factors_array(
         self,
         device: str,
@@ -165,8 +163,8 @@ class MeasurementNoise:
         Returns an ``(M, max(n_samples))`` matrix whose row ``i`` holds the
         jitter stream of configuration ``i``; entries beyond ``n_samples[i]``
         are 1.0 (unused by the masked trace averaging).  Row contents depend
-        only on the row's configuration, never on the batch, so slicing row
-        ``i`` to its sample count reproduces the scalar call exactly.
+        only on the row's configuration, never on the batch, so row ``i``
+        equals the single row of that configuration's batch of one.
         """
         core_mhz = np.asarray(core_mhz, dtype=np.float64)
         mem_mhz = np.asarray(mem_mhz, dtype=np.float64)
@@ -183,43 +181,3 @@ class MeasurementNoise:
         jitter = np.exp(self.config.sample_sigma * z)
         mask = np.arange(n_max)[None, :] < n_samples[:, None]
         return np.where(mask, jitter, 1.0)
-
-    # -- scalar wrappers (M = 1) ------------------------------------------------
-
-    def factors(
-        self,
-        device: str,
-        kernel: str,
-        core_mhz: float,
-        mem_mhz: float,
-        mem_relative: float,
-    ) -> tuple[float, float]:
-        """Return (time factor, power factor) for one configuration."""
-        t, p = self.factors_array(
-            device,
-            kernel,
-            np.asarray([core_mhz]),
-            np.asarray([mem_mhz]),
-            np.asarray([mem_relative]),
-        )
-        return (float(t[0]), float(p[0]))
-
-    def sample_jitter(
-        self,
-        device: str,
-        kernel: str,
-        core_mhz: float,
-        mem_mhz: float,
-        n_samples: int,
-    ) -> np.ndarray:
-        """Per-sample power-sensor jitter for the 62.5 Hz sampling stream."""
-        if n_samples <= 0:
-            return np.ones(max(n_samples, 0))
-        matrix = self.sample_jitter_matrix(
-            device,
-            kernel,
-            np.asarray([core_mhz]),
-            np.asarray([mem_mhz]),
-            np.asarray([n_samples]),
-        )
-        return matrix[0]

@@ -43,28 +43,11 @@ _COMPUTE_OPS = (
 
 
 @dataclass(frozen=True)
-class PhaseBreakdown:
-    """Per-phase timing of one simulated kernel execution (seconds)."""
-
-    t_compute_s: float
-    t_dram_s: float
-    t_l2_s: float
-    t_total_s: float
-    compute_utilization: float
-    memory_utilization: float
-
-    @property
-    def bound(self) -> str:
-        """Which resource dominates: 'compute' or 'memory'."""
-        return "compute" if self.t_compute_s >= self.t_dram_s else "memory"
-
-
-@dataclass(frozen=True)
 class PhaseBreakdownBatch:
-    """Columnar :class:`PhaseBreakdown` for an ``(M,)`` configuration vector.
+    """Per-phase timing (seconds) of one launch per configuration.
 
-    Every field is a float64 array of the batch length; ``row(i)`` recovers
-    the scalar breakdown of configuration ``i`` bit-for-bit.
+    Every field is a float64 array over the ``(M,)`` configuration vector;
+    entry ``i`` depends only on configuration ``i``.
     """
 
     t_compute_s: np.ndarray
@@ -76,16 +59,6 @@ class PhaseBreakdownBatch:
 
     def __len__(self) -> int:
         return int(self.t_total_s.size)
-
-    def row(self, i: int) -> PhaseBreakdown:
-        return PhaseBreakdown(
-            t_compute_s=float(self.t_compute_s[i]),
-            t_dram_s=float(self.t_dram_s[i]),
-            t_l2_s=float(self.t_l2_s[i]),
-            t_total_s=float(self.t_total_s[i]),
-            compute_utilization=float(self.compute_utilization[i]),
-            memory_utilization=float(self.memory_utilization[i]),
-        )
 
 
 class PerformanceModel:
@@ -122,24 +95,12 @@ class PerformanceModel:
         total_cycles = cycles_per_item * profile.work_items / arch.num_sms
         return total_cycles / (core_mhz * 1e6)
 
-    def compute_time_s(self, profile: WorkloadProfile, core_mhz: float) -> float:
-        """Time for the compute phase at ``core_mhz``."""
-        return float(
-            self.compute_time_s_array(profile, np.asarray([core_mhz], dtype=np.float64))[0]
-        )
-
     def dram_time_s_array(
         self, profile: WorkloadProfile, mem_mhz: np.ndarray
     ) -> np.ndarray:
         """Time for the DRAM phase at an ``(M,)`` vector of memory clocks."""
         bandwidth = self.dram_bandwidth_bytes_per_s_array(mem_mhz)
         return profile.dram_bytes / bandwidth
-
-    def dram_time_s(self, profile: WorkloadProfile, mem_mhz: float) -> float:
-        """Time for the DRAM phase at ``mem_mhz``."""
-        return float(
-            self.dram_time_s_array(profile, np.asarray([mem_mhz], dtype=np.float64))[0]
-        )
 
     def l2_time_s_array(
         self, profile: WorkloadProfile, core_mhz: np.ndarray
@@ -148,12 +109,6 @@ class PerformanceModel:
         arch = self.device.arch
         bw = arch.l2_bytes_per_cycle * core_mhz * 1e6
         return profile.l2_bytes / bw
-
-    def l2_time_s(self, profile: WorkloadProfile, core_mhz: float) -> float:
-        """Time for L2-served traffic (core-clock domain)."""
-        return float(
-            self.l2_time_s_array(profile, np.asarray([core_mhz], dtype=np.float64))[0]
-        )
 
     def dram_bandwidth_bytes_per_s_array(self, mem_mhz: np.ndarray) -> np.ndarray:
         """Effective DRAM bandwidth at an ``(M,)`` vector of memory clocks.
@@ -176,14 +131,6 @@ class PerformanceModel:
             arch.dram_efficiency,
         )
         return arch.bus_bytes * 2.0 * mem_mhz * 1e6 * efficiency
-
-    def dram_bandwidth_bytes_per_s(self, mem_mhz: float) -> float:
-        """Effective DRAM bandwidth at a memory clock (scalar wrapper)."""
-        return float(
-            self.dram_bandwidth_bytes_per_s_array(
-                np.asarray([mem_mhz], dtype=np.float64)
-            )[0]
-        )
 
     # -- combination ------------------------------------------------------------
 
@@ -228,14 +175,3 @@ class PerformanceModel:
             compute_utilization=np.minimum(compute_util, 1.0),
             memory_utilization=np.minimum(memory_util, 1.0),
         )
-
-    def execute(
-        self, profile: WorkloadProfile, core_mhz: float, mem_mhz: float
-    ) -> PhaseBreakdown:
-        """Simulate one launch; thin M=1 wrapper over :meth:`execute_batch`."""
-        batch = self.execute_batch(
-            profile,
-            np.asarray([core_mhz], dtype=np.float64),
-            np.asarray([mem_mhz], dtype=np.float64),
-        )
-        return batch.row(0)

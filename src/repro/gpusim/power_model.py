@@ -22,34 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import DeviceSpec
-from .perf_model import PhaseBreakdown, PhaseBreakdownBatch
+from .perf_model import PhaseBreakdownBatch
 from .profile import WorkloadProfile
 
 
 @dataclass(frozen=True)
-class PowerBreakdown:
-    """Per-component average power over one kernel execution (watts)."""
-
-    p_board_w: float
-    p_core_static_w: float
-    p_core_dynamic_w: float
-    p_mem_static_w: float
-    p_mem_dynamic_w: float
-
-    @property
-    def total_w(self) -> float:
-        return (
-            self.p_board_w
-            + self.p_core_static_w
-            + self.p_core_dynamic_w
-            + self.p_mem_static_w
-            + self.p_mem_dynamic_w
-        )
-
-
-@dataclass(frozen=True)
 class PowerBreakdownBatch:
-    """Columnar :class:`PowerBreakdown` for an ``(M,)`` configuration vector."""
+    """Per-component average power (watts) of one launch per configuration.
+
+    Every field is a float64 array over the ``(M,)`` configuration vector.
+    """
 
     p_board_w: np.ndarray
     p_core_static_w: np.ndarray
@@ -70,15 +52,6 @@ class PowerBreakdownBatch:
     def __len__(self) -> int:
         return int(self.p_core_dynamic_w.size)
 
-    def row(self, i: int) -> PowerBreakdown:
-        return PowerBreakdown(
-            p_board_w=float(self.p_board_w[i]),
-            p_core_static_w=float(self.p_core_static_w[i]),
-            p_core_dynamic_w=float(self.p_core_dynamic_w[i]),
-            p_mem_static_w=float(self.p_mem_static_w[i]),
-            p_mem_dynamic_w=float(self.p_mem_dynamic_w[i]),
-        )
-
 
 class PowerModel:
     """Maps (profile, clocks, timing breakdown) → average board power."""
@@ -88,9 +61,6 @@ class PowerModel:
 
     def core_voltage_array(self, core_mhz: np.ndarray) -> np.ndarray:
         return self.device.vf_curve.voltage_array(core_mhz)
-
-    def core_voltage(self, core_mhz: float) -> float:
-        return self.device.vf_curve.voltage(core_mhz)
 
     def compute_activity_array(
         self,
@@ -118,21 +88,9 @@ class PowerModel:
         issue = issue + params.mem_issue_activity * phases.memory_utilization * mem_rel
         return np.minimum(1.0, floor + (1.0 - floor) * np.minimum(issue, 1.0))
 
-    def compute_activity(
-        self, profile: WorkloadProfile, phases: PhaseBreakdown, mem_rel: float = 1.0
-    ) -> float:
-        return float(
-            self.compute_activity_array(
-                profile, _phase_batch_of_one(phases), np.asarray([mem_rel])
-            )[0]
-        )
-
     def memory_activity_array(self, phases: PhaseBreakdownBatch) -> np.ndarray:
         floor = self.device.power.activity_floor
         return np.minimum(1.0, floor + (1.0 - floor) * phases.memory_utilization)
-
-    def memory_activity(self, phases: PhaseBreakdown) -> float:
-        return float(self.memory_activity_array(_phase_batch_of_one(phases))[0])
 
     def power_batch(
         self,
@@ -167,31 +125,3 @@ class PowerModel:
             p_mem_static_w=p_mem_static,
             p_mem_dynamic_w=p_mem_dyn,
         )
-
-    def power(
-        self,
-        profile: WorkloadProfile,
-        core_mhz: float,
-        mem_mhz: float,
-        phases: PhaseBreakdown,
-    ) -> PowerBreakdown:
-        """Scalar wrapper: one configuration through :meth:`power_batch`."""
-        batch = self.power_batch(
-            profile,
-            np.asarray([core_mhz], dtype=np.float64),
-            np.asarray([mem_mhz], dtype=np.float64),
-            _phase_batch_of_one(phases),
-        )
-        return batch.row(0)
-
-
-def _phase_batch_of_one(phases: PhaseBreakdown) -> PhaseBreakdownBatch:
-    """Lift a scalar breakdown into an M=1 batch (for the scalar wrappers)."""
-    return PhaseBreakdownBatch(
-        t_compute_s=np.asarray([phases.t_compute_s]),
-        t_dram_s=np.asarray([phases.t_dram_s]),
-        t_l2_s=np.asarray([phases.t_l2_s]),
-        t_total_s=np.asarray([phases.t_total_s]),
-        compute_utilization=np.asarray([phases.compute_utilization]),
-        memory_utilization=np.asarray([phases.memory_utilization]),
-    )

@@ -14,36 +14,10 @@ averages — the same failure mode the paper engineered around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 #: NVML power-sampling frequency on the paper's platform.
 NVML_SAMPLING_HZ = 62.5
-
-
-@dataclass(frozen=True)
-class PowerTrace:
-    """A synthesized stream of power samples over one measured window."""
-
-    samples_w: np.ndarray
-    duration_s: float
-    sampling_hz: float = NVML_SAMPLING_HZ
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.samples_w.size)
-
-    @property
-    def mean_power_w(self) -> float:
-        if self.samples_w.size == 0:
-            return float("nan")
-        return float(np.mean(self.samples_w))
-
-    @property
-    def energy_j(self) -> float:
-        """Energy the paper's protocol would report: mean power × time."""
-        return self.mean_power_w * self.duration_s
 
 
 class PowerSampler:
@@ -61,55 +35,14 @@ class PowerSampler:
             np.floor(duration_s * self.sampling_hz).astype(np.int64), 0
         )
 
-    def sample_count(self, duration_s: float) -> int:
-        """Number of poller readings falling inside a window of ``duration_s``."""
-        return max(int(np.floor(duration_s * self.sampling_hz)), 0)
-
-    def trace(
-        self,
-        true_power_w: float,
-        duration_s: float,
-        jitter: np.ndarray | None = None,
-        idle_power_w: float | None = None,
-    ) -> PowerTrace:
-        """Build the sample stream for a window of ``duration_s`` seconds.
-
-        ``jitter`` is per-sample multiplicative sensor noise (len must cover
-        the sample count; extra entries are ignored).  If the window is too
-        short for even one sample, NVML returns the last idle reading —
-        ``idle_power_w`` — which is precisely why the paper repeats short
-        kernels until the window is long enough.
-        """
-        n = self.sample_count(duration_s)
-        if n == 0:
-            fallback = idle_power_w if idle_power_w is not None else true_power_w
-            return PowerTrace(
-                samples_w=np.asarray([fallback], dtype=np.float64),
-                duration_s=duration_s,
-                sampling_hz=self.sampling_hz,
-            )
-        base = np.full(n, true_power_w, dtype=np.float64)
-        if jitter is not None:
-            usable = np.asarray(jitter, dtype=np.float64)[:n]
-            if usable.size < n:
-                usable = np.pad(usable, (0, n - usable.size), constant_values=1.0)
-            base = base * usable
-        return PowerTrace(samples_w=base, duration_s=duration_s, sampling_hz=self.sampling_hz)
-
-    def repeats_for_min_samples(self, single_run_s: float, min_samples: int = 20) -> int:
-        """How many back-to-back runs give at least ``min_samples`` readings.
-
-        Mirrors the paper's repeat-until-statistically-consistent protocol.
-        """
-        if single_run_s <= 0:
-            raise ValueError("single_run_s must be positive")
-        needed_s = min_samples / self.sampling_hz
-        return max(int(np.ceil(needed_s / single_run_s)), 1)
-
     def repeats_for_min_samples_array(
         self, single_run_s: np.ndarray, min_samples: int = 20
     ) -> np.ndarray:
-        """Vectorized :meth:`repeats_for_min_samples` over run-time vectors."""
+        """How many back-to-back runs give at least ``min_samples`` readings.
+
+        One entry per single-run time of an ``(M,)`` vector.  Mirrors the
+        paper's repeat-until-statistically-consistent protocol.
+        """
         single_run_s = np.asarray(single_run_s, dtype=np.float64)
         if np.any(single_run_s <= 0):
             raise ValueError("single_run_s must be positive")
@@ -128,18 +61,19 @@ class PowerSampler:
         ``jitter`` is the ``(M, n_max)`` matrix from
         :meth:`MeasurementNoise.sample_jitter_matrix
         <repro.gpusim.noise.MeasurementNoise.sample_jitter_matrix>`; row
-        ``i`` contributes only its first ``n_samples[i]`` entries.  Windows
-        too short for even one sample fall back to the idle reading, exactly
-        like :meth:`trace`.
+        ``i`` contributes only its first ``n_samples[i]`` entries.  A window
+        too short for even one sample reports the last idle reading,
+        ``idle_power_w`` — which is precisely why the paper repeats short
+        kernels until the window is long enough.
 
         Rows are reduced **grouped by sample count**, never zero-padded:
         numpy's pairwise summation adds the ``n % 8`` tail elements after
         combining its unrolled accumulators, so padding a row to a longer
         length regroups the sum and changes the low bits.  Reducing an
         exact-width contiguous ``(k, n)`` block per distinct ``n`` runs the
-        same pairwise reduction as the scalar path's 1-D ``np.mean``,
-        keeping the batch bit-identical to the ``run_at`` loop even when
-        sample counts vary across the sweep.
+        same pairwise reduction whatever else is in the batch, so a row's
+        mean equals that configuration's batch-of-one mean bit for bit even
+        when sample counts vary across the sweep.
         """
         true_power_w = np.asarray(true_power_w, dtype=np.float64)
         n_samples = np.asarray(n_samples, dtype=np.int64)
@@ -151,9 +85,9 @@ class PowerSampler:
             if n <= 0:
                 continue
             rows = np.flatnonzero(n_samples == n)
-            # Fresh ufunc output → C-contiguous (k, n) block; the scalar
-            # path multiplies then means the same n values in the same
-            # order.
+            # Fresh ufunc output → C-contiguous (k, n) block: each row
+            # multiplies then means its n values in the same order as a
+            # batch of one does.
             block = true_power_w[rows, None] * jitter[rows][:, :n]
             means[rows] = block.mean(axis=1)
         return means

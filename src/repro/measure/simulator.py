@@ -16,9 +16,10 @@ from ..workloads import KernelSpec
 class SimulatorBackend:
     """Measures through :meth:`GPUSimulator.sweep_batch` — one numpy pass.
 
-    The baseline (default-configuration) run and the configuration sweep
-    both go through the batch engine, so a backend sweep is bit-identical
-    to the equivalent scalar ``run_at`` loop.
+    The baseline run is the default configuration as a batch of one; the
+    configuration sweep is one batch.  A row never depends on its
+    batch-mates, so each measured point equals that configuration's batch
+    of one, bit for bit.
     """
 
     kind = "simulator"

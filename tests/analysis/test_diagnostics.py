@@ -16,6 +16,23 @@ def codes(report: DiagnosticsReport) -> list[str]:
     return [f.code for f in report.findings]
 
 
+def nested_loops(depth: int, trips: int = 1_000_000_000) -> str:
+    """A kernel nesting ``depth`` static loops of ``trips`` trips each."""
+    opens = "".join(
+        f"for (int j{d} = 0; j{d} < {trips}; j{d}++) {{ " for d in range(depth)
+    )
+    return (
+        "__kernel void k(__global float* x) {\n"
+        f"  {opens}x[0] = x[0] + 1.0f; {'}' * depth}\n"
+        "}\n"
+    )
+
+
+#: 40 nested loops of 1e9 trips: the weight product (1e360) overflows a
+#: float to inf, and inf times a zero count is nan.
+OVERFLOW = nested_loops(40)
+
+
 class TestUnknownTripCounts:
     def test_nested_unknown_bound_loops_flag_each_level(self):
         src = """
@@ -119,6 +136,19 @@ class TestAuxOnlyKernels:
     def test_normal_kernel_has_feature_ops(self):
         src = "__kernel void f(__global float* x) { x[0] = x[1] + 1.0f; }"
         assert "no-feature-ops" not in codes(diagnose(src))
+
+
+class TestNonFiniteWeights:
+    def test_overflowing_trip_product_is_an_error(self):
+        report = diagnose(OVERFLOW)
+        errors = [f for f in report.errors if f.code == "non-finite-weight"]
+        assert len(errors) == 1
+        assert errors[0].line == 1
+        assert errors[0].kernel == "k"
+
+    def test_large_finite_trip_product_is_not_flagged(self):
+        # 1e90 weighted ops: huge, but a float holds it.
+        assert "non-finite-weight" not in codes(diagnose(nested_loops(10)))
 
 
 class TestReportShape:

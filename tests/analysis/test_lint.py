@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis import lint_paths, lint_source, lint_store
 from repro.cli import main
+from tests.analysis.test_diagnostics import OVERFLOW
 
 CLEAN = """
 __kernel void scale(__global float* x) {
@@ -158,6 +159,15 @@ class TestLintCLI:
         out = capsys.readouterr().out
         assert f"{path}:" in out
         assert "unknown-trip-count" in out
+
+    def test_overflowing_trip_product_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "overflow.cl"
+        path.write_text(OVERFLOW)
+        assert main(["lint", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"{path}:1: error: " in out
+        assert "(non-finite-weight) [k]" in out
+        assert "1 kernel(s) checked: 1 error" in out
 
     def test_exit_reflects_errors_even_when_hidden(self, tmp_path, capsys):
         path = tmp_path / "spin.cl"

@@ -9,9 +9,11 @@ from repro.analysis import (
     registered_recipes,
     resolve_recipe,
 )
+from repro.clkernel.errors import CLFrontendError
 from repro.features.extractor import ExtractorConfig, FeatureExtractor
 from repro.features.vector import STATIC_FEATURE_NAMES
 from repro.serve.cache import KernelFeatureCache, source_fingerprint
+from tests.analysis.test_diagnostics import OVERFLOW
 
 SOURCE = """
 __kernel void mix(__global float* g, __local float* l, int n) {
@@ -98,6 +100,16 @@ class TestExtendedExtraction:
         assert wide.names[: len(base.names)] == base.names
         # Every appended column has a fresh name.
         assert len(set(wide.names)) == len(wide.names)
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize(
+        "recipe", ["paper10", "paper10-raw", "paper10+loops+memmix+divergence"]
+    )
+    def test_overflowing_kernel_has_no_feature_vector(self, recipe):
+        extractor = FeatureExtractor(ExtractorConfig(recipe=recipe))
+        with pytest.raises(CLFrontendError, match="not finite"):
+            extractor.extract(OVERFLOW)
 
 
 class TestCacheKeys:

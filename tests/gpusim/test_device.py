@@ -1,5 +1,6 @@
 """Tests for device tables: frequency menus, clamping, V/f curve (Fig. 4)."""
 
+import numpy as np
 import pytest
 
 from repro.gpusim.device import (
@@ -140,24 +141,24 @@ class TestRegistry:
 class TestVoltageCurve:
     def test_flat_region(self):
         vf = VoltageCurve()
-        assert vf.voltage(135.0) == vf.v_min
-        assert vf.voltage(vf.flat_until_mhz) == vf.v_min
+        volts = vf.voltage_array(np.asarray([135.0, vf.flat_until_mhz]))
+        assert volts.tolist() == [vf.v_min, vf.v_min]
 
     def test_monotone_rising(self):
         vf = VoltageCurve()
-        freqs = [200.0, 600.0, 800.0, 1000.0, 1200.0, 1392.0]
-        volts = [vf.voltage(f) for f in freqs]
-        assert volts == sorted(volts)
+        freqs = np.asarray([200.0, 600.0, 800.0, 1000.0, 1200.0, 1392.0])
+        assert np.all(np.diff(vf.voltage_array(freqs)) >= 0.0)
 
     def test_max_voltage_at_max_frequency(self):
         vf = VoltageCurve()
-        assert vf.voltage(vf.max_mhz) == pytest.approx(vf.v_max)
+        assert vf.voltage_array(np.asarray([vf.max_mhz]))[0] == pytest.approx(vf.v_max)
 
     def test_superlinear_at_top(self):
         # The marginal volt per MHz must grow toward the top of the range.
         vf = VoltageCurve()
-        low_slope = vf.voltage(800.0) - vf.voltage(700.0)
-        high_slope = vf.voltage(1392.0) - vf.voltage(1292.0)
+        v = vf.voltage_array(np.asarray([700.0, 800.0, 1292.0, 1392.0]))
+        low_slope = v[1] - v[0]
+        high_slope = v[3] - v[2]
         assert high_slope > low_slope
 
 

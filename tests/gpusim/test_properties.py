@@ -1,5 +1,10 @@
-"""Property-based tests (hypothesis) for the GPU simulator invariants."""
+"""Property-based tests (hypothesis) for the GPU simulator invariants.
 
+Each drawn profile is evaluated over the whole real-configuration grid in
+one batch, and the invariants are asserted over the resulting arrays.
+"""
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +16,11 @@ from repro.gpusim.profile import DynamicTraits, WorkloadProfile
 DEVICE = make_titan_x()
 PERF = PerformanceModel(DEVICE)
 POWER = PowerModel(DEVICE)
+#: Every real (core, mem) pair, as paired float64 clock arrays.
+CORES, MEMS = (
+    np.asarray(column, dtype=np.float64)
+    for column in zip(*DEVICE.real_configurations())
+)
 
 op_counts = st.fixed_dictionaries(
     {
@@ -41,86 +51,95 @@ profiles = st.builds(
     traits=traits_strategy,
 )
 
-core_clocks = st.sampled_from(DEVICE.domain_by_label("l").real_core_mhz)
-mem_clocks = st.sampled_from(DEVICE.mem_clocks_mhz)
+
+def sweep(profile, cores=CORES, mems=MEMS):
+    return PERF.execute_batch(profile, cores, mems)
 
 
-@given(profile=profiles, core=core_clocks, mem=mem_clocks)
+def board_power(profile):
+    """Total board power over the real grid."""
+    return POWER.power_batch(profile, CORES, MEMS, sweep(profile)).total_w
+
+
+@given(profile=profiles)
 @settings(max_examples=120, deadline=None)
-def test_time_positive_and_finite(profile, core, mem):
-    phases = PERF.execute(profile, core, mem)
-    assert phases.t_total_s > 0.0
-    assert phases.t_total_s < 1e6
+def test_time_positive_and_finite(profile):
+    t = sweep(profile).t_total_s
+    assert np.all(t > 0.0)
+    assert np.all(t < 1e6)
 
 
-@given(profile=profiles, mem=mem_clocks)
+@given(profile=profiles)
 @settings(max_examples=80, deadline=None)
-def test_time_monotone_nonincreasing_in_core(profile, mem):
+def test_time_monotone_nonincreasing_in_core(profile):
     """Raising only the core clock can never slow a kernel down."""
-    menu = sorted(DEVICE.domain(mem).real_core_mhz)
-    times = [PERF.execute(profile, c, mem).t_total_s for c in menu[::10]]
-    for slower, faster in zip(times, times[1:]):
-        assert faster <= slower * (1.0 + 1e-9)
+    t = sweep(profile).t_total_s
+    for mem in DEVICE.mem_clocks_mhz:
+        rows = MEMS == mem
+        times = t[rows][np.argsort(CORES[rows])]
+        assert np.all(times[1:] <= times[:-1] * (1.0 + 1e-9))
 
 
-@given(profile=profiles, core=st.sampled_from(DEVICE.domain_by_label("L").real_core_mhz))
+@given(profile=profiles)
 @settings(max_examples=60, deadline=None)
-def test_time_monotone_nonincreasing_in_mem(profile, core):
+def test_time_monotone_nonincreasing_in_mem(profile):
     """Raising only the memory clock can never slow a kernel down.
 
     The compared clocks skip the boosted idle P-state (405 MHz reports a
     controller clock, not the data clock), where monotonicity in the
-    *reported* number is not a physical requirement.
+    *reported* number is not a physical requirement.  Every mem-L core
+    clock is checked at once.
     """
-    t_810 = PERF.execute(profile, core, 810.0).t_total_s
-    t_3304 = PERF.execute(profile, core, 3304.0).t_total_s
-    t_3505 = PERF.execute(profile, core, 3505.0).t_total_s
-    assert t_3304 <= t_810 * (1.0 + 1e-9)
-    assert t_3505 <= t_3304 * (1.0 + 1e-9)
+    menu = np.asarray(DEVICE.domain_by_label("L").real_core_mhz)
+    times = np.stack(
+        [
+            sweep(profile, menu, np.full_like(menu, mem)).t_total_s
+            for mem in (810.0, 3304.0, 3505.0)
+        ]
+    )
+    assert np.all(times[1:] <= times[:-1] * (1.0 + 1e-9))
 
 
-@given(profile=profiles, core=core_clocks, mem=mem_clocks)
+@given(profile=profiles)
 @settings(max_examples=120, deadline=None)
-def test_power_within_physical_bounds(profile, core, mem):
-    phases = PERF.execute(profile, core, mem)
-    total = POWER.power(profile, core, mem, phases).total_w
-    assert 10.0 < total < 350.0
+def test_power_within_physical_bounds(profile):
+    total = board_power(profile)
+    assert np.all((10.0 < total) & (total < 350.0))
 
 
-@given(profile=profiles, mem=mem_clocks)
+@given(profile=profiles)
 @settings(max_examples=60, deadline=None)
-def test_power_monotone_in_core(profile, mem):
-    menu = sorted(DEVICE.domain(mem).real_core_mhz)
-    watts = []
-    for core in (menu[0], menu[-1]):
-        phases = PERF.execute(profile, core, mem)
-        watts.append(POWER.power(profile, core, mem, phases).total_w)
-    assert watts[1] >= watts[0] - 1e-9
+def test_power_monotone_in_core(profile):
+    total = board_power(profile)
+    for mem in DEVICE.mem_clocks_mhz:
+        rows = MEMS == mem
+        watts = total[rows][np.argsort(CORES[rows])]
+        assert watts[-1] >= watts[0] - 1e-9
 
 
-@given(profile=profiles, core=core_clocks, mem=mem_clocks)
+@given(profile=profiles)
 @settings(max_examples=80, deadline=None)
-def test_utilizations_bounded(profile, core, mem):
-    phases = PERF.execute(profile, core, mem)
-    assert 0.0 <= phases.compute_utilization <= 1.0
-    assert 0.0 <= phases.memory_utilization <= 1.0
+def test_utilizations_bounded(profile):
+    phases = sweep(profile)
+    for util in (phases.compute_utilization, phases.memory_utilization):
+        assert np.all((0.0 <= util) & (util <= 1.0))
 
 
 @given(profile=profiles)
 @settings(max_examples=60, deadline=None)
 def test_blend_between_max_and_sum(profile):
     """Total time lies between perfect overlap and full serialization."""
-    phases = PERF.execute(profile, 1001.0, 3505.0)
+    phases = sweep(profile)
     t_c, t_d = phases.t_compute_s, phases.t_dram_s
     overhead = DEVICE.arch.launch_overhead_s
-    assert phases.t_total_s >= max(t_c, t_d) + overhead - 1e-12
-    assert phases.t_total_s <= t_c + t_d + overhead + 1e-12
+    assert np.all(phases.t_total_s >= np.maximum(t_c, t_d) + overhead - 1e-12)
+    assert np.all(phases.t_total_s <= t_c + t_d + overhead + 1e-12)
 
 
-@given(profile=profiles, core=core_clocks, mem=mem_clocks)
+@given(profile=profiles)
 @settings(max_examples=60, deadline=None)
-def test_scaling_in_work_items(profile, core, mem):
+def test_scaling_in_work_items(profile):
     """Twice the work can never take less time."""
-    t1 = PERF.execute(profile, core, mem).t_total_s
-    t2 = PERF.execute(profile.scaled(profile.work_items * 2), core, mem).t_total_s
-    assert t2 >= t1 - 1e-12
+    t1 = sweep(profile).t_total_s
+    t2 = sweep(profile.scaled(profile.work_items * 2)).t_total_s
+    assert np.all(t2 >= t1 - 1e-12)

@@ -1,13 +1,17 @@
-"""Scalar ↔ vectorized equivalence of the measurement engine.
+"""Row independence of the measurement engine.
 
-The contract: ``GPUSimulator.sweep_batch`` over an ``(M,)`` configuration
-vector is **bit-identical** to a Python loop of scalar ``run_at`` calls —
-across the full 219-configuration Titan X reported grid and the P100 menu,
-for compute-bound, memory-bound and divergent workloads.
+``GPUSimulator.sweep_batch`` is the simulator's only execution path, and one
+configuration is a batch of one.  The contract: a row never depends on its
+batch-mates — every column of row ``i`` of any batch equals that
+configuration's M=1 ``sweep_batch`` row **bit for bit**, whatever subset
+and order of the reported menu the batch holds, for compute-bound,
+memory-bound and divergent workloads on both paper GPUs.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpusim.device import make_tesla_p100, make_titan_x
 from repro.gpusim.executor import ClockError, GPUSimulator
@@ -34,8 +38,14 @@ DIVERGENT = WorkloadProfile(
     traits=DynamicTraits(divergence=0.6, ilp=1.2, occupancy=0.4),
 )
 PROFILES = [COMPUTE_BOUND, MEMORY_BOUND, DIVERGENT]
+#: Runs long enough that sample counts vary across the Titan X grid.
+LONG_RUNNING = WorkloadProfile(
+    name="long-running",
+    ops_per_item={"float_add": 200.0, "float_mul": 200.0, "gl_access": 4.0},
+    work_items=(1 << 20) * 3000,
+)
 
-SCALAR_FIELDS = (
+RECORD_FIELDS = (
     "time_ms",
     "power_w",
     "energy_j",
@@ -62,33 +72,55 @@ POWER_FIELDS = (
 )
 
 
-def _assert_batch_matches_scalar_loop(sim, profile, configs):
+SIMULATORS = (GPUSimulator(make_titan_x()), GPUSimulator(make_tesla_p100()))
+
+
+def _assert_rows_match_batches_of_one(sim, profile, configs):
     batch = sim.sweep_batch(profile, configs)
     assert len(batch) == len(configs)
-    for i, (core, mem) in enumerate(configs):
-        record = sim.run_at(profile, core, mem)
-        for name in SCALAR_FIELDS:
-            assert getattr(record, name) == getattr(batch, name)[i], (name, core, mem)
+    for i, config in enumerate(configs):
+        one = sim.sweep_batch(profile, [config])
+        for name in RECORD_FIELDS:
+            assert getattr(batch, name)[i] == getattr(one, name)[0], (name, config)
         for name in PHASE_FIELDS:
-            assert getattr(record.phases, name) == getattr(batch.phases, name)[i]
+            assert getattr(batch.phases, name)[i] == getattr(one.phases, name)[0]
         for name in POWER_FIELDS:
-            assert getattr(record.power_parts, name) == getattr(batch.power_parts, name)[i]
+            assert (
+                getattr(batch.power_parts, name)[i]
+                == getattr(one.power_parts, name)[0]
+            )
+
+
+@st.composite
+def menu_subsets(draw):
+    """A simulator plus a non-empty subset of its reported menu, shuffled."""
+    sim = draw(st.sampled_from(SIMULATORS))
+    configs = draw(st.permutations(sim.device.reported_configurations()))
+    size = draw(st.integers(1, len(configs)))
+    return sim, configs[:size]
 
 
 class TestBitIdentity:
+    @given(case=menu_subsets(), profile=st.sampled_from(PROFILES + [LONG_RUNNING]))
+    @settings(max_examples=40, deadline=None)
+    def test_any_subset_in_any_order(self, case, profile):
+        """Each row equals its configuration's batch of one, bit for bit."""
+        sim, configs = case
+        _assert_rows_match_batches_of_one(sim, profile, configs)
+
     @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
     def test_full_titan_x_reported_grid(self, profile):
         """All 219 reported Titan X configurations, bit-for-bit."""
         sim = GPUSimulator(make_titan_x())
         configs = sim.device.reported_configurations()
         assert len(configs) == 219
-        _assert_batch_matches_scalar_loop(sim, profile, configs)
+        _assert_rows_match_batches_of_one(sim, profile, configs)
 
     @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
     def test_full_p100_menu(self, profile):
         sim = GPUSimulator(make_tesla_p100())
         configs = sim.device.reported_configurations()
-        _assert_batch_matches_scalar_loop(sim, profile, configs)
+        _assert_rows_match_batches_of_one(sim, profile, configs)
 
     def test_varying_sample_counts_stay_bit_identical(self):
         """Long runs → per-config sample counts differ across the sweep.
@@ -99,32 +131,29 @@ class TestBitIdentity:
         mean power.  The engine must reduce exact-width groups instead.
         """
         sim = GPUSimulator(make_titan_x())
-        long_profile = WorkloadProfile(
-            name="long-running",
-            ops_per_item={"float_add": 200.0, "float_mul": 200.0, "gl_access": 4.0},
-            work_items=(1 << 20) * 3000,
-        )
         configs = sim.device.reported_configurations()
-        batch = sim.sweep_batch(long_profile, configs)
+        batch = sim.sweep_batch(LONG_RUNNING, configs)
         counts = set(batch.n_power_samples.tolist())
         assert len(counts) > 1, "profile too short to vary sample counts"
         assert any(n % 8 for n in counts), "need a non-multiple-of-8 count"
-        _assert_batch_matches_scalar_loop(sim, long_profile, configs)
+        _assert_rows_match_batches_of_one(sim, LONG_RUNNING, configs)
 
-    def test_records_match_run_at(self):
-        """SweepBatch.record(i) reconstructs the scalar ExecutionRecord."""
+    def test_record_reads_its_row(self):
+        """SweepBatch.record(i) is row i, and the M=1 record(0) of its config."""
         sim = GPUSimulator()
         configs = sim.device.real_configurations()[:20]
         batch = sim.sweep_batch(COMPUTE_BOUND, configs)
-        for i, (core, mem) in enumerate(configs):
-            assert batch.record(i) == sim.run_at(COMPUTE_BOUND, core, mem)
+        for i, config in enumerate(configs):
+            record = batch.record(i)
+            assert record == sim.sweep_batch(COMPUTE_BOUND, [config]).record(0)
+            for name in RECORD_FIELDS:
+                assert getattr(record, name) == getattr(batch, name)[i]
 
-    def test_sweep_equals_batch_records(self):
+    def test_run_default_is_the_default_batch_of_one(self):
         sim = GPUSimulator()
-        configs = sim.device.real_configurations()[:10]
-        assert sim.sweep(COMPUTE_BOUND, configs) == sim.sweep_batch(
-            COMPUTE_BOUND, configs
-        ).records()
+        assert sim.run_default(DIVERGENT) == sim.sweep_batch(
+            DIVERGENT, [sim.device.default_config]
+        ).record(0)
 
 
 class TestBatchValidation:
@@ -142,7 +171,8 @@ class TestBatchValidation:
         sim = GPUSimulator()
         batch = sim.sweep_batch(COMPUTE_BOUND, [])
         assert len(batch) == 0
-        assert batch.records() == []
+        assert batch.configs == []
+        assert batch.energy_j.shape == (0,)
 
     def test_configs_property_round_trips(self):
         sim = GPUSimulator()
@@ -151,18 +181,20 @@ class TestBatchValidation:
 
 
 class TestNoiseArrayEntryPoints:
-    def test_factors_array_matches_scalar(self):
+    def test_factors_rows_match_batches_of_one(self):
         noise = MeasurementNoise()
         cores = np.asarray([135.0, 405.0, 810.0, 1001.0, 1202.0])
         mems = np.asarray([405.0, 405.0, 810.0, 3505.0, 3505.0])
         rel = mems / 3505.0
         t_arr, p_arr = noise.factors_array("dev", "kern", cores, mems, rel)
         for i in range(cores.size):
-            t, p = noise.factors("dev", "kern", cores[i], mems[i], rel[i])
-            assert t == t_arr[i]
-            assert p == p_arr[i]
+            t, p = noise.factors_array(
+                "dev", "kern", cores[i : i + 1], mems[i : i + 1], rel[i : i + 1]
+            )
+            assert t[0] == t_arr[i]
+            assert p[0] == p_arr[i]
 
-    def test_jitter_matrix_matches_scalar(self):
+    def test_jitter_rows_match_batches_of_one(self):
         noise = MeasurementNoise()
         cores = np.asarray([500.0, 1001.0, 1202.0])
         mems = np.asarray([3505.0, 3505.0, 810.0])
@@ -170,7 +202,10 @@ class TestNoiseArrayEntryPoints:
         matrix = noise.sample_jitter_matrix("dev", "kern", cores, mems, counts)
         assert matrix.shape == (3, 31)
         for i in range(3):
-            row = noise.sample_jitter("dev", "kern", cores[i], mems[i], int(counts[i]))
-            assert np.array_equal(matrix[i, : counts[i]], row[: counts[i]])
+            row = noise.sample_jitter_matrix(
+                "dev", "kern", cores[i : i + 1], mems[i : i + 1], counts[i : i + 1]
+            )
+            assert row.shape == (1, counts[i])
+            assert np.array_equal(matrix[i, : counts[i]], row[0])
         # Padding beyond a row's sample count is inert (exact 1.0).
         assert np.all(matrix[0, 24:] == 1.0)

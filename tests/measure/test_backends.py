@@ -163,14 +163,6 @@ class TestReplay:
         with pytest.raises(ReplayError):
             ReplayBackend(path)
 
-    def test_replay_baseline_has_no_breakdowns(self, tmp_path, spec):
-        rec = RecordingBackend(SimulatorBackend())
-        rec.measure(spec, SETTINGS[:1])
-        rep = ReplayBackend(rec.save(tmp_path / "t.json"))
-        m = rep.measure(spec, SETTINGS[:1])
-        assert m.baseline.phases is None
-        assert m.baseline.power_parts is None
-
 
 class TestDeviceAliases:
     def test_full_name_and_aliases_resolve(self):

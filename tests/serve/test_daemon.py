@@ -43,6 +43,7 @@ from repro.serve.daemon import (
 from repro.serve.fleet import FleetService
 from repro.serve.registry import ModelKey, ModelRegistry
 from repro.store.layout import DAEMON_METRICS_FILENAME, METRICS_SUBDIR, MODELS_SUBDIR
+from tests.analysis.test_diagnostics import OVERFLOW
 
 TITAN = "NVIDIA GTX Titan X"
 P100 = "NVIDIA Tesla P100"
@@ -261,6 +262,20 @@ class TestEndpoints:
         )
         assert status == 400
         assert "nesting deeper than" in json.loads(body)["error"]
+
+    def test_overflowing_trip_product_400(self, daemon):
+        item = {"device": "titan-x", "source": OVERFLOW}
+        status, _, body = request(daemon, "POST", "/predict", item)
+        assert status == 400
+        assert "not finite" in json.loads(body)["error"]
+        good = {"device": "titan-x", "source": SAXPY}
+        status, _, body = request(
+            daemon, "POST", "/predict-batch", {"requests": [item, good]}
+        )
+        assert status == 200
+        bad, ok = json.loads(body)["results"]
+        assert bad["status"] == 400
+        assert ok["kernel"] == "saxpy"
 
     def test_kernel_past_the_token_budget_400_for_that_item_only(self, daemon):
         from repro.clkernel.lexer import MAX_TOKENS

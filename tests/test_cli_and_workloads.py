@@ -6,6 +6,7 @@ from repro.clkernel.lexer import MAX_TOKENS
 from repro.cli import build_parser, main
 from repro.gpusim.profile import DynamicTraits
 from repro.workloads import KernelSpec
+from tests.analysis.test_diagnostics import OVERFLOW
 
 KERNEL = """
 __kernel void demo(__global const float* x, __global float* y, const int n) {
@@ -220,6 +221,19 @@ class TestInputReadingErrors:
         assert _one_error_line(capsys).startswith(
             f"error: source exceeds {MAX_TOKENS} tokens at 1:"
         )
+
+    @pytest.mark.parametrize(
+        "argv", [["features"], ["predict", "--quick"]], ids=["features", "predict"]
+    )
+    def test_overflowing_trip_product_is_a_frontend_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "overflow.cl"
+        path.write_text(OVERFLOW)
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert _one_error_line(capsys) == (
+            "error: kernel 'k': weighted instruction count is not finite: the "
+            "product of its static loop trip counts overflows a float\n"
+        )
+        assert capsys.readouterr().out == ""
 
     def test_requests_kernel_is_read_the_same_way(self, tmp_path, not_utf8, capsys):
         requests = tmp_path / "requests.jsonl"
