@@ -44,15 +44,15 @@ def _test_speedup_rmse(sim, models, settings) -> float:
     return float(np.sqrt(total / n))
 
 
-def _suite_mape(sim, models, settings, extractor_config) -> tuple[float, float]:
+def _suite_mape(sim, models, settings) -> tuple[float, float]:
     """(speedup MAPE %, energy MAPE %) on the held-out suite.
 
-    Static vectors are re-extracted with the recipe's own config so the
+    Static vectors are extracted with the bundle's own recipe so the
     design-matrix width matches what the models were trained on.
     """
     pred_s, pred_e, true_s, true_e = [], [], [], []
     for spec in test_benchmarks():
-        static = spec.static_features(extractor_config)
+        static = spec.static_features(models.feature_recipe)
         measured = measure_configs(sim, spec, settings)
         predicted = models.predict_objectives(static, settings)
         for config, (speedup, energy) in zip(settings, predicted):
@@ -98,8 +98,7 @@ def sweep_recipes() -> dict:
     for name in registered_recipes():
         sim = GPUSimulator(ctx.device)
         models, _ = train_from_specs(sim, micro, ctx.settings, feature_recipe=name)
-        config = None if name == "paper10" else ExtractorConfig(recipe=name)
-        speedup_mape, energy_mape = _suite_mape(sim, models, ctx.settings, config)
+        speedup_mape, energy_mape = _suite_mape(sim, models, ctx.settings)
         recipes[name] = {
             "speedup_mape_pct": speedup_mape,
             "energy_mape_pct": energy_mape,

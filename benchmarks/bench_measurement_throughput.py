@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 from _common import write_artifact
 
+from repro.analysis.recipes import DEFAULT_RECIPE
 from repro.campaign import CampaignPlan, run_campaign
 from repro.core.config import sample_training_settings
 from repro.core.dataset import (
@@ -140,7 +141,7 @@ def pooled_training_dataset(pool, specs, settings) -> TrainingDataset:
     """The scheduler's shape: one sweep task per kernel on the pool, folded
     in task order by a :class:`DatasetAssembler`."""
     device_name = GPUSimulator().device.name
-    tasks = [(device_name, spec, settings, True) for spec in specs]
+    tasks = [(device_name, spec, settings, DEFAULT_RECIPE) for spec in specs]
     assembler = DatasetAssembler(settings)
     for spec, (measurements, static, _seconds) in zip(
         specs, pool.imap_sweeps(tasks)

@@ -32,6 +32,7 @@ import http.client
 import json
 import math
 import os
+import statistics
 import tempfile
 import threading
 import time
@@ -71,6 +72,10 @@ MAX_BATCH = 256
 #: passes plus coalescing clear this with headroom; 3x also absorbs
 #: loaded CI machines.
 MIN_BATCH_SPEEDUP = 3.0
+#: Load runs per configuration.  The two configurations run alternately,
+#: one pair at a time, so a stretch of host load lands on both alike, and
+#: the gate reads the median of the per-pair QPS ratios.
+PAIRS = 1 if QUICK else 5
 
 
 def _build_store(root) -> None:
@@ -282,14 +287,18 @@ def regenerate_serve_daemon() -> tuple[str, dict]:
         requests = _requests()
         expected, fronts = _oracle(root, requests)
         bursts = _bursts(requests, expected)
-        single = _run_load(
-            root, requests, bursts, expected, fronts, max_batch=1
-        )
-        batched = _run_load(
-            root, requests, bursts, expected, fronts, max_batch=MAX_BATCH
-        )
+        pairs = [
+            tuple(
+                _run_load(root, requests, bursts, expected, fronts, max_batch=m)
+                for m in (1, MAX_BATCH)
+            )
+            for _ in range(PAIRS)
+        ]
 
-    speedup = batched["qps"] / single["qps"]
+    ratios = [batched["qps"] / single["qps"] for single, batched in pairs]
+    speedup = statistics.median(ratios)
+    # The table shows the pair whose ratio is the median one.
+    single, batched = pairs[ratios.index(sorted(ratios)[len(ratios) // 2])]
     n = N_CLIENTS * BURSTS_PER_CLIENT * BURST
     rows = [
         ("singleton (max_batch=1)", f"{single['qps']:8.0f}",
@@ -312,6 +321,8 @@ def regenerate_serve_daemon() -> tuple[str, dict]:
         + f"kernels = {n} predictions, {RECIPE}-recipe models, "
         + f"{len(ALIASES)} devices, {N_KERNELS} kernels; every response "
         + "asserted byte-identical to direct predictions)"
+        + f"\nQPS ratio: median {speedup:.2f}x over {PAIRS} alternating "
+        + f"pair(s): {', '.join(f'{r:.2f}x' for r in ratios)}"
         + f"\ncold first request {batched['first_request_s'] * 1e3:.1f} ms, "
         + f"warm {batched['warm_request_s'] * 1e3:.1f} ms"
     )
@@ -330,7 +341,7 @@ def regenerate_serve_daemon() -> tuple[str, dict]:
             "cold_first_request": batched["first_request_s"],
             "warm_first_request": batched["warm_request_s"],
         },
-        "ratios": {"batch_qps_speedup": speedup},
+        "ratios": {"batch_qps_speedup": speedup, "batch_qps_speedup_pairs": ratios},
         "asserted": {
             "byte_identity": True,
             "batch_qps_speedup_min": MIN_BATCH_SPEEDUP,
@@ -350,8 +361,9 @@ def test_serve_daemon_throughput():
     text, data = regenerate_serve_daemon()
     write_artifact("serve_daemon", text, data=data)
     speedup = data["ratios"]["batch_qps_speedup"]
+    ratios = data["ratios"]["batch_qps_speedup_pairs"]
     if not QUICK:
         assert speedup >= MIN_BATCH_SPEEDUP, (
-            f"micro-batching bought only {speedup:.2f}x QPS "
-            f"(needs >= {MIN_BATCH_SPEEDUP}x)"
+            f"micro-batching bought only {speedup:.2f}x QPS in the median "
+            f"of {PAIRS} pairs {ratios} (needs >= {MIN_BATCH_SPEEDUP}x)"
         )

@@ -4,9 +4,10 @@ The reproduction's analog of the paper's LLVM feature-extraction pass
 (§3.2), generalized: :mod:`repro.analysis.passes` runs registered,
 individually-cacheable analyses over the counted kernel IR;
 :mod:`repro.analysis.recipes` composes their outputs into named feature
-column sets (``paper10``, ``paper10+loops``, …) selectable end to end via
-``--features``; :mod:`repro.analysis.lint` turns the ``diagnostics`` pass
-into the ``repro lint`` CLI.
+column sets (the default ten-share layout, its extensions with
+``+loops``, …) selectable end to end via ``--features``;
+:mod:`repro.analysis.lint` turns the ``diagnostics`` pass into the
+``repro lint`` CLI.
 """
 
 from .lint import LintFinding, LintReport, lint_paths, lint_source, lint_store

@@ -452,10 +452,6 @@ class DiagnosticsReport:
         return tuple(f for f in self.findings if f.severity == "error")
 
     @property
-    def warnings(self) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.severity == "warning")
-
-    @property
     def max_severity(self) -> str | None:
         if not self.findings:
             return None

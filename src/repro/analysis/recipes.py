@@ -123,10 +123,6 @@ class FeatureRecipe:
     def width(self) -> int:
         return len(self.column_names)
 
-    @property
-    def is_default(self) -> bool:
-        return self.name == DEFAULT_RECIPE
-
     def fingerprint(self) -> str:
         """Stable identity of the *layout* (what cache keys hash in).
 

@@ -252,7 +252,6 @@ def _execute(
                 (
                     leg.training_dataset(),
                     leg.settings,
-                    plan.interactions,
                     leg.device.name,
                     plan.features,
                 ),

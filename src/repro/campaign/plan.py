@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..analysis.recipes import DEFAULT_RECIPE, RecipeError, resolve_recipe
 from ..core.config import TRAINING_RECIPES, sample_training_settings
 from ..gpusim.device import DeviceSpec, resolve_device
 from ..measure.trace_registry import TraceKey
-from ..serve.registry import ModelKey
+from ..serve.registry import ModelKey, features_for_recipe
 from ..synthetic.generator import generate_micro_benchmarks
 from ..workloads import KernelSpec
 
@@ -36,11 +37,9 @@ class CampaignPlan:
     recipe: str = "paper"
     repeats: int = 1
     workers: int = 1
-    interactions: bool = True
-    suite: str | None = None  # trace suite label override
-    #: Static feature recipe the campaign trains with
-    #: (:mod:`repro.analysis.recipes`); ``paper10`` is the paper layout.
-    features: str = "paper10"
+    #: Static feature recipe the campaign extracts and trains with
+    #: (:mod:`repro.analysis.recipes`).
+    features: str = DEFAULT_RECIPE
 
     def __post_init__(self) -> None:
         if not self.devices:
@@ -53,17 +52,10 @@ class CampaignPlan:
             raise ValueError("repeats must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        from ..analysis.recipes import RecipeError, resolve_recipe
-
         try:
             resolve_recipe(self.features)
         except RecipeError as exc:
             raise ValueError(f"unknown feature recipe: {exc}") from None
-        if self.features != "paper10" and not self.interactions:
-            raise ValueError(
-                "the concat (no-interactions) ablation is only defined for "
-                "the default 'paper10' feature recipe"
-            )
         seen: dict[str, str] = {}
         for name in self.devices:
             # Fail fast on typos, before any sweep runs — and on two
@@ -81,7 +73,7 @@ class CampaignPlan:
 
     @property
     def suite_label(self) -> str:
-        return self.suite if self.suite is not None else RECIPE_SUITES[self.recipe]
+        return RECIPE_SUITES[self.recipe]
 
     def device_specs(self) -> list[DeviceSpec]:
         return [resolve_device(name) for name in self.devices]
@@ -124,32 +116,18 @@ class CampaignPlan:
                 spec=spec,
                 settings=settings,
                 final=p == self.repeats - 1,
-                # Workers extract with the default recipe only; non-default
-                # plans extract parent-side with the plan's config instead.
-                extract_features=self.features == "paper10",
+                feature_recipe=self.features,
             )
             for p in range(self.repeats)
             for k, spec in enumerate(specs)
         ]
 
     def model_key(self, device: DeviceSpec) -> ModelKey:
-        if self.features != "paper10":
-            # Recipe-named keys always train with interactions (validated
-            # in __post_init__); the legacy spellings cover the paper10
-            # ablation pair.
-            features = self.features
-        else:
-            features = "interactions" if self.interactions else "concat"
-        return ModelKey(device=device.name, recipe=self.recipe, features=features)
-
-    def extractor_config(self):
-        """The :class:`~repro.features.extractor.ExtractorConfig` for this
-        plan's feature recipe, or ``None`` for the default (``paper10``)."""
-        if self.features == "paper10":
-            return None
-        from ..features.extractor import ExtractorConfig
-
-        return ExtractorConfig(recipe=self.features)
+        return ModelKey(
+            device=device.name,
+            recipe=self.recipe,
+            features=features_for_recipe(self.features),
+        )
 
     def describe(self) -> str:
         stride, budget = TRAINING_RECIPES[self.recipe]

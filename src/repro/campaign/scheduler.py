@@ -51,6 +51,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
+from ..analysis.recipes import DEFAULT_RECIPE
 from ..core.dataset import DatasetAssembler, TrainingDataset
 from ..core.pipeline import TrainedModels, train_models
 from ..gpusim.device import DeviceSpec
@@ -63,7 +64,6 @@ from ..workloads import KernelSpec
 from .progress import CampaignProgress, ProgressCallback, _metric_device_slug
 
 if TYPE_CHECKING:
-    from ..features.extractor import ExtractorConfig
     from .plan import CampaignPlan
 
 
@@ -72,7 +72,8 @@ class SweepTask:
     """One unit of campaign work: sweep one kernel on one device, once.
 
     ``final`` marks the last measurement pass — the one whose results feed
-    the training dataset (and whose features are extracted in the worker).
+    the training dataset, and whose static features the worker extracts
+    with ``feature_recipe``.
     """
 
     device: str
@@ -81,11 +82,7 @@ class SweepTask:
     spec: KernelSpec
     settings: tuple[tuple[float, float], ...]
     final: bool
-    #: Whether the pool worker should extract static features alongside the
-    #: final pass.  Workers extract with the *default* recipe, so legs
-    #: training a non-default feature recipe turn this off and extract
-    #: parent-side with the right extractor config instead.
-    extract_features: bool = True
+    feature_recipe: str = DEFAULT_RECIPE
 
     def payload(self) -> DeviceSweepTask:
         """The picklable form a :class:`DevicePool` worker executes."""
@@ -93,7 +90,7 @@ class SweepTask:
             self.device,
             self.spec,
             list(self.settings),
-            self.final and self.extract_features,
+            self.feature_recipe if self.final else None,
         )
 
 
@@ -131,9 +128,6 @@ class LegRun:
     models: TrainedModels | None = None
     trained: bool = True
     trace_sha256: str | None = None
-    #: Non-None when the plan trains a non-default feature recipe: the
-    #: extractor config every parent-side feature extraction must use.
-    extractor_config: "ExtractorConfig | None" = None
     #: Final-pass records recovered on resume, in task order, not yet
     #: folded into the assembler.
     recovered: list[tuple[SweepTask, KernelTrace]] = field(default_factory=list)
@@ -149,8 +143,6 @@ class LegRun:
         self.measured += 1
         if task.final:
             self._fold_recovered()
-            if static is None:
-                static = task.spec.static_features(self.extractor_config)
             self.assembler.add(task.spec, static, measurements)
 
     def _fold_recovered(self) -> None:
@@ -160,7 +152,7 @@ class LegRun:
         for task, kernel in self.recovered:
             self.assembler.add(
                 task.spec,
-                task.spec.static_features(self.extractor_config),
+                task.spec.static_features(task.feature_recipe),
                 replay_measurements(task.spec, kernel, self.settings),
             )
         self.recovered = []
@@ -264,11 +256,10 @@ def prepare_leg(
         settings=settings,
         total_tasks=len(all_tasks),
         tasks=all_tasks[reused:],
-        assembler=DatasetAssembler(settings, interactions=plan.interactions),
+        assembler=DatasetAssembler(settings),
         writer=writer,
         reused=reused,
         resumed_from=resumed_from,
-        extractor_config=plan.extractor_config(),
     )
 
     # Recovered final-pass records wait on the leg until its dataset is
@@ -283,28 +274,21 @@ def prepare_leg(
 
 
 def train_leg_task(
-    payload: tuple[TrainingDataset, list[tuple[float, float]], bool, str | None],
+    payload: tuple[TrainingDataset, list[tuple[float, float]], str, str],
 ) -> TrainedModels:
     """Picklable training stage: runs on a pool worker (or inline).
 
+    ``payload`` is ``(dataset, settings, device name, feature recipe)``.
     Training is a deterministic function of the dataset, and numpy arrays
     survive the pickle round-trip bit for bit, so pool-side training is
-    byte-identical to training in the parent.  The optional trailing
-    device name feeds the training-duration metrics (recorded strictly
-    after the training — timing never feeds back into the models).
+    byte-identical to training in the parent.  The device name feeds the
+    training-duration metrics (recorded strictly after the training —
+    timing never feeds back into the models).
     """
-    dataset, settings, interactions = payload[:3]
-    device = payload[3] if len(payload) > 3 else None
-    feature_recipe = payload[4] if len(payload) > 4 else "paper10"
+    dataset, settings, device, feature_recipe = payload
     start = time.perf_counter()
-    models = train_models(
-        dataset,
-        settings=settings,
-        interactions=interactions,
-        feature_recipe=feature_recipe,
-    )
-    if device is not None:
-        observe_training(_metric_device_slug(device), time.perf_counter() - start)
+    models = train_models(dataset, settings=settings, feature_recipe=feature_recipe)
+    observe_training(_metric_device_slug(device), time.perf_counter() - start)
     return models
 
 

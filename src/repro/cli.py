@@ -173,6 +173,7 @@ def _training_recipe(args) -> str:
 
 def _context_for(args):
     """Build (or fetch cached) training context for the CLI flags."""
+    from .analysis.recipes import DEFAULT_RECIPE
     from .harness.context import build_context, paper_context, quick_context
     from .measure import SimulatorBackend
 
@@ -182,7 +183,7 @@ def _context_for(args):
     if (
         recorder is None
         and isinstance(backend, SimulatorBackend)
-        and features == "paper10"
+        and features == DEFAULT_RECIPE
     ):
         maker = quick_context if recipe == "quick" else paper_context
         return maker(device=device.name), None
@@ -196,8 +197,9 @@ def _context_for(args):
 
 def _feature_recipe(args) -> str:
     """Validate and return --features (default recipe when absent)."""
-    name = getattr(args, "features", None) or "paper10"
-    from .analysis.recipes import RecipeError, resolve_recipe
+    from .analysis.recipes import DEFAULT_RECIPE, RecipeError, resolve_recipe
+
+    name = getattr(args, "features", None) or DEFAULT_RECIPE
 
     try:
         resolve_recipe(name)
@@ -277,6 +279,7 @@ def _print_front(result) -> None:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     from .core.pipeline import save_models
+    from .serve.registry import features_for_recipe
 
     features = _feature_recipe(args)
     if pathlib.Path(args.save).expanduser().is_dir():
@@ -285,9 +288,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     meta = {
         "device": ctx.device.name,
         "recipe": _training_recipe(args),
-        # The default recipe keeps the pre-recipe meta spelling so its
-        # artifacts stay byte-identical; named recipes record their name.
-        "features": "interactions" if features == "paper10" else features,
+        "features": features_for_recipe(features),
         "backend": ctx.backend.kind,
     }
     path = save_models(args.save, ctx.models, meta=meta)
@@ -400,9 +401,11 @@ def _predict_entries(args, entries, label_devices: bool = False):
     """Predict ``(device, source, name, label)`` entries in one batch.
 
     Returns ``(kind, server, fronts)`` with ``fronts`` a list of
-    ``(label, result)`` in entry order.  On a fleet, entries without a
-    device go to ``--device`` (or the store's only device), and
-    ``label_devices`` appends the routed device to each label.
+    ``(label, outcome)`` in entry order: the predicted set, or the
+    frontend error of a kernel that does not extract.  On a fleet,
+    entries without a device go to ``--device`` (or the store's only
+    device), and ``label_devices`` appends the routed device to each
+    label.
     """
     kind, server = _prediction_server(args)
     if kind == "fleet":
@@ -429,11 +432,13 @@ def _predict_entries(args, entries, label_devices: bool = False):
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from .serve.service import answered
+
     source = _read_text(args.kernel)
-    _, _, [(_, result)] = _predict_entries(
+    _, _, [(_, outcome)] = _predict_entries(
         args, [(None, source, args.name, args.kernel)]
     )
-    _print_front(result)
+    _print_front(answered(outcome))
     return 0
 
 
@@ -490,6 +495,8 @@ def _load_request_lines(
 
 
 def _cmd_predict_batch(args: argparse.Namespace) -> int:
+    from .clkernel.errors import CLFrontendError
+
     if args.requests and args.kernels:
         raise CLIUsageError(
             "pass kernel file paths or --requests FILE.jsonl, not both"
@@ -505,14 +512,21 @@ def _cmd_predict_batch(args: argparse.Namespace) -> int:
     kind, server, fronts = _predict_entries(
         args, entries, label_devices=bool(args.requests)
     )
-    for label, result in fronts:
+    failed = 0
+    for label, outcome in fronts:
+        # Answered per item, as the daemon does: a kernel that does not
+        # extract is one error line and costs the others nothing.
+        if isinstance(outcome, CLFrontendError):
+            print(f"error: {label}: {outcome}", file=sys.stderr)
+            failed += 1
+            continue
         print(f"== {label}")
-        _print_front(result)
+        _print_front(outcome)
     if args.stats:
         print(f"-- {kind} stats")
         _print_stats(server.stats_summary())
     _save_metrics_out(server.metrics.snapshot(), args)
-    return 0
+    return 2 if failed else 0
 
 
 def _cmd_serve_daemon(args: argparse.Namespace) -> int:
@@ -894,11 +908,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     features = argparse.ArgumentParser(add_help=False)
     features.add_argument(
-        "--features", metavar="RECIPE", default="paper10",
-        help="static feature recipe: paper10 (the default; the paper's "
-             "exact ten-share layout), paper10-raw (unnormalized counts), "
-             "or an extension like paper10+loops, paper10+memmix, "
-             "paper10+divergence (blocks compose: paper10+loops+memmix)",
+        "--features", metavar="RECIPE", default=None,
+        help="static feature recipe: a base layout (by default the "
+             "paper's exact ten-share layout, or its '-raw' variant of "
+             "unnormalized counts) extended by +loops, +memmix and/or "
+             "+divergence column blocks (an unknown name lists the bases)",
     )
     # The measurement-selection flags (with --store, where --trace-key
     # resolves) of every command that trains or sweeps.

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from ..analysis.recipes import DEFAULT_RECIPE
 from ..features.vector import StaticFeatures, build_design_matrix
 from ..gpusim.executor import ExecutionRecord, SweepBatch
 from ..workloads import KernelSpec
@@ -155,10 +156,6 @@ class KernelMeasurements:
     def objective_points(self) -> list[tuple[float, float]]:
         return list(zip(self.speedup.tolist(), self.norm_energy.tolist()))
 
-    def objective_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (speedup, normalized energy) columns — the training targets."""
-        return (self.speedup, self.norm_energy)
-
 
 def measure_kernel(
     backend,
@@ -209,7 +206,7 @@ def iter_kernel_measurements(
     backend,
     specs: "Iterable[KernelSpec]",
     settings: list[tuple[float, float]],
-    extractor_config=None,
+    feature_recipe: str = DEFAULT_RECIPE,
 ) -> "Iterator[tuple[KernelSpec, StaticFeatures, KernelMeasurements]]":
     """Stream ``(spec, static features, measurements)`` per kernel.
 
@@ -217,10 +214,8 @@ def iter_kernel_measurements(
     trace recording) never holds more than the kernel in flight.
     Process-parallel sweeps go through
     :class:`~repro.measure.parallel.DevicePool` instead (the campaign
-    scheduler's path), with bit-identical results.
-
-    ``extractor_config`` (an :class:`~repro.features.extractor.ExtractorConfig`)
-    selects a non-default feature recipe/knob set.
+    scheduler's path), with bit-identical results.  Static vectors are
+    extracted with ``feature_recipe`` (:mod:`repro.analysis.recipes`).
     """
     from ..measure.backend import as_backend
 
@@ -228,7 +223,7 @@ def iter_kernel_measurements(
     for spec in specs:
         yield (
             spec,
-            spec.static_features(extractor_config),
+            spec.static_features(feature_recipe),
             backend.measure(spec, settings),
         )
 
@@ -316,7 +311,7 @@ def build_training_dataset(
     specs: list[KernelSpec],
     settings: list[tuple[float, float]],
     interactions: bool = True,
-    extractor_config=None,
+    feature_recipe: str = DEFAULT_RECIPE,
 ) -> TrainingDataset:
     """Measure every spec at every setting and assemble the matrices.
 
@@ -332,9 +327,7 @@ def build_training_dataset(
     if not settings:
         raise ValueError("need at least one frequency setting")
     return assemble_training_dataset(
-        iter_kernel_measurements(
-            backend, specs, settings, extractor_config=extractor_config
-        ),
+        iter_kernel_measurements(backend, specs, settings, feature_recipe),
         settings,
         interactions=interactions,
     )

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..analysis.recipes import DEFAULT_RECIPE
 from ..features.vector import StaticFeatures, build_batch_design_matrix
 from ..ml import regressor_from_state, scaler_from_state
 from ..ml.model_select import Regressor
@@ -43,7 +44,7 @@ class TrainedModels:
     #: Named feature recipe the static vectors were extracted with
     #: (:mod:`repro.analysis.recipes`); prediction must extract with the
     #: same recipe or the design-matrix widths (and meanings) diverge.
-    feature_recipe: str = "paper10"
+    feature_recipe: str = DEFAULT_RECIPE
 
     def predict_speedup(self, x: np.ndarray) -> np.ndarray:
         return self.speedup_model.predict(self.scaler.transform(x))
@@ -88,9 +89,10 @@ class TrainedModels:
         """JSON-safe snapshot of the full trained bundle.
 
         ``feature_recipe`` is serialized **only when non-default**: every
-        pre-recipe artifact was (implicitly) trained with ``paper10``, and
-        omitting the default keeps default-recipe artifacts byte-identical
-        to those — the serve/replay layers' standing guarantee.
+        pre-recipe artifact was (implicitly) trained with the default
+        recipe, and omitting it keeps default-recipe artifacts
+        byte-identical to those — the serve/replay layers' standing
+        guarantee.
         """
         state = {
             "kind": "trained_models",
@@ -101,7 +103,7 @@ class TrainedModels:
             "n_training_samples": self.n_training_samples,
             "interactions": self.interactions,
         }
-        if self.feature_recipe != "paper10":
+        if self.feature_recipe != DEFAULT_RECIPE:
             state["feature_recipe"] = self.feature_recipe
         return state
 
@@ -114,7 +116,7 @@ class TrainedModels:
             settings=[tuple(s) for s in state["settings"]],
             n_training_samples=int(state["n_training_samples"]),
             interactions=bool(state["interactions"]),
-            feature_recipe=str(state.get("feature_recipe", "paper10")),
+            feature_recipe=str(state.get("feature_recipe", DEFAULT_RECIPE)),
         )
 
 
@@ -155,7 +157,7 @@ def train_models(
     make_energy: Callable[[], Regressor] | None = None,
     settings: list[tuple[float, float]] | None = None,
     interactions: bool = True,
-    feature_recipe: str = "paper10",
+    feature_recipe: str = DEFAULT_RECIPE,
 ) -> TrainedModels:
     """Fit both models on an assembled dataset (Fig. 2 steps 5–6).
 
@@ -190,7 +192,7 @@ def train_from_specs(
     make_speedup: Callable[[], Regressor] | None = None,
     make_energy: Callable[[], Regressor] | None = None,
     interactions: bool = True,
-    feature_recipe: str = "paper10",
+    feature_recipe: str = DEFAULT_RECIPE,
 ) -> tuple[TrainedModels, TrainingDataset]:
     """End-to-end training phase: measure, assemble, fit.
 
@@ -198,9 +200,7 @@ def train_from_specs(
     a bare :class:`GPUSimulator`, wrapped on the fly).  With paper-default
     arguments this is: 106 micro-benchmarks × 40 sampled settings = 4240
     training samples, linear-SVR speedup model and RBF-SVR energy model.
-    A non-default ``feature_recipe`` re-extracts static vectors with that
-    recipe's extractor config (the default path is left untouched so its
-    artifacts stay byte-identical).
+    Static vectors are extracted with ``feature_recipe``.
     """
     from ..measure.backend import as_backend
 
@@ -208,17 +208,12 @@ def train_from_specs(
     chosen = (
         settings if settings is not None else sample_training_settings(backend.device)
     )
-    extractor_config = None
-    if feature_recipe != "paper10":
-        from ..features.extractor import ExtractorConfig
-
-        extractor_config = ExtractorConfig(recipe=feature_recipe)
     dataset = build_training_dataset(
         backend,
         specs,
         chosen,
         interactions=interactions,
-        extractor_config=extractor_config,
+        feature_recipe=feature_recipe,
     )
     models = train_models(
         dataset,

@@ -134,7 +134,7 @@ class ParetoPredictor:
         return self.predict_batch([self._extractor.extract(source, kernel_name)])[0]
 
     def predict_for_spec(self, spec: KernelSpec) -> PredictedParetoSet:
-        return self.predict_batch([spec.static_features(self._extractor.config)])[0]
+        return self.predict_batch([spec.static_features(self.models.feature_recipe)])[0]
 
     # -- the prediction phase ---------------------------------------------------
 

@@ -9,13 +9,13 @@ Since the analysis-pass rebase the extractor is a thin binding of a
 :class:`~repro.analysis.passes.PassManager`: lowering still happens here,
 but the counting/composition runs through the registered passes.  The
 default config reproduces the paper's ten-share vector bit-for-bit; the
-``paper10-raw`` recipe is the raw-count ablation of §3.2's normalization.
+raw-count recipe is the ablation of §3.2's normalization.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..clkernel.ir import KernelIR
@@ -31,6 +31,12 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from ..analysis.recipes import FeatureRecipe
 
 
+def _default_recipe() -> str:
+    from ..analysis.recipes import DEFAULT_RECIPE
+
+    return DEFAULT_RECIPE
+
+
 @dataclass(frozen=True)
 class ExtractorConfig:
     """Tunable knobs of the extraction pass (each is ablated in DESIGN.md).
@@ -43,13 +49,13 @@ class ExtractorConfig:
         Static probability assigned to conditionally executed regions.
     recipe:
         Named feature recipe (see :mod:`repro.analysis.recipes`) deciding
-        the static column set.  The default ``paper10`` is the paper's
-        exact ten-share layout.
+        the static column set.  The default is the paper's exact ten-share
+        layout.
     """
 
     default_trip_count: int = DEFAULT_UNKNOWN_TRIP_COUNT
     branch_probability: float = DEFAULT_BRANCH_PROBABILITY
-    recipe: str = "paper10"
+    recipe: str = field(default_factory=_default_recipe)
 
     def resolved_recipe(self) -> "FeatureRecipe":
         """Resolve (and validate) the recipe."""

@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ..analysis.recipes import DEFAULT_RECIPE
 from ..core.config import TRAINING_RECIPES
 from ..core.config import modeled_subset as _modeled_subset
 from ..core.config import sample_training_settings
@@ -59,7 +60,7 @@ def build_context(
     device: DeviceSpec | str | None = None,
     recipe: str = "paper",
     backend: MeasurementBackend | None = None,
-    feature_recipe: str = "paper10",
+    feature_recipe: str = DEFAULT_RECIPE,
 ) -> PaperContext:
     """Train the full setup for one device/backend/recipe (uncached).
 

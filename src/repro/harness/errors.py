@@ -44,13 +44,6 @@ class ErrorAnalysis:
     reports: dict[str, GroupedErrorReport]  # keyed by domain label
     excluded: int = 0  # near-zero-truth points dropped from the analysis
 
-    def overall_rmse(self) -> float:
-        pooled: list[float] = []
-        for report in self.reports.values():
-            for stats in report.per_key.values():
-                pooled.append(stats.mean)
-        return float(np.sqrt(np.mean(np.square(pooled)))) if pooled else float("nan")
-
 
 def prediction_errors(
     sim: GPUSimulator,
@@ -81,7 +74,8 @@ def prediction_errors(
     excluded = 0
 
     for spec in specs:
-        static = spec.static_features()
+        # The bundle's recipe decides the static layout, as at prediction.
+        static = spec.static_features(models.feature_recipe)
         measured = measure_configs(sim, spec, settings)
         x = build_design_matrix(static, settings, interactions=models.interactions)
         if objective == "speedup":

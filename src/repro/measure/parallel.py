@@ -11,9 +11,10 @@ pool serves sweep tasks for *every* device of a campaign.  Tasks are
 tagged with a device name; each worker builds the backend for a device the
 first time it sees a task for it and caches it, so a worker that
 alternates between devices pays construction once per device, not per
-task.  Tasks can also extract each kernel's static features, moving the
-clkernel frontend — the dominant per-kernel cost of dataset assembly — off
-the parent's critical path.
+task.  Tasks can also extract each kernel's static features, with the
+feature recipe the task names, moving the clkernel frontend — the
+dominant per-kernel cost of dataset assembly — off the parent's critical
+path.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ def _cached_device_backend(
     return backend
 
 
-#: One pool task: (device name, spec, configs, extract features?).
-DeviceSweepTask = tuple[str, KernelSpec, Sequence[tuple[float, float]], bool]
+#: One pool task: (device name, spec, configs, feature recipe to extract
+#: static features with, or None to extract none).
+DeviceSweepTask = tuple[str, KernelSpec, Sequence[tuple[float, float]], str | None]
 #: Its result: (measurements, features or None, worker-side seconds).
 DeviceSweepResult = tuple["KernelMeasurements", StaticFeatures | None, float]
 
@@ -77,11 +79,11 @@ def _run_sweep_task(
     cache: dict[str, MeasurementBackend],
     factory: Callable[[str], MeasurementBackend],
 ) -> DeviceSweepResult:
-    device_name, spec, configs, with_features = task
+    device_name, spec, configs, feature_recipe = task
     start = time.perf_counter()
     backend = _cached_device_backend(device_name, cache, factory)
     measurements = backend.measure(spec, configs)
-    static = spec.static_features() if with_features else None
+    static = None if feature_recipe is None else spec.static_features(feature_recipe)
     return measurements, static, time.perf_counter() - start
 
 

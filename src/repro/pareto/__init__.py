@@ -7,7 +7,6 @@ from .algorithms import (
     pareto_set_simple,
 )
 from .dominance import (
-    ObjectivePoint,
     dominates,
     incomparable,
     is_pareto_optimal,
@@ -32,7 +31,6 @@ __all__ = [
     "ConfigPoint",
     "ExtremaDistance",
     "ExtremePoints",
-    "ObjectivePoint",
     "PAPER_REFERENCE_POINT",
     "coverage_difference",
     "dominates",

@@ -11,23 +11,6 @@ i.e. strictly better in at least one objective, not worse in the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generic, TypeVar
-
-T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class ObjectivePoint(Generic[T]):
-    """A bi-objective point with an optional payload (the configuration)."""
-
-    speedup: float
-    energy: float
-    payload: T | None = None
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.speedup, self.energy)
-
 
 def dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
     """True iff ``a ≺ b`` under the paper's definition (a dominates b)."""

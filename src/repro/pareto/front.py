@@ -49,10 +49,6 @@ class ConfigFront:
         front = [self.points[i] for i in idx]
         return sorted(front, key=lambda p: (p.speedup, p.energy))
 
-    def dominated_by_front(self, candidate: ConfigPoint) -> bool:
-        """Is ``candidate`` dominated by any stored point?"""
-        return any(dominates(p.objectives, candidate.objectives) for p in self.points)
-
     def dominant_over_default(
         self, default: ConfigPoint
     ) -> list[ConfigPoint]:

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..core.predictor import PredictedParetoSet
+from ..features.extractor import ExtractorConfig, FeatureExtractor
 from ..gpusim.device import device_slug, resolve_device
-from ..obs import MetricsSnapshot, declare_fleet_metrics, declare_serve_metrics
+from ..obs import declare_fleet_metrics, declare_serve_metrics
 from ..obs.instruments import (
     FLEET_BATCHES_ROUTED_TOTAL,
     FLEET_REQUESTS_ROUTED_TOTAL,
@@ -45,7 +46,14 @@ from ..store import ArtifactError
 from ..store.layout import MODELS_SUBDIR
 from .cache import KernelFeatureCache
 from .registry import ModelKey, ModelRegistry, StoreMiss
-from .service import PredictionService, ServiceError, cache_summary, serve_summary
+from .service import (
+    Outcome,
+    PredictionService,
+    ServiceError,
+    answered,
+    cache_summary,
+    serve_summary,
+)
 
 
 class FleetError(ServiceError):
@@ -177,11 +185,13 @@ class FleetService:
         self._service_loads = self.metrics.get(FLEET_SERVICE_LOADS_TOTAL)
         self._service_hits = self.metrics.get(FLEET_SERVICE_HITS_TOTAL)
         self._service_evictions = self.metrics.get(FLEET_SERVICE_EVICTIONS_TOTAL)
-        #: Extra shared caches, one per non-default feature recipe: vectors
-        #: from different recipes have different widths/meanings, so each
-        #: recipe's routes share a cache among themselves only.  The
-        #: default `feature_cache` keeps serving every paper10 route.
-        self._recipe_caches: dict[str, KernelFeatureCache] = {}
+        #: One shared cache per feature recipe: vectors from different
+        #: recipes have different widths/meanings, so each recipe's routes
+        #: share a cache among themselves only.  `feature_cache` serves the
+        #: routes of the recipe it extracts.
+        self._recipe_caches: dict[str, KernelFeatureCache] = {
+            self.feature_cache.extractor.config.recipe: self.feature_cache
+        }
         self._keys: dict[str, ModelKey] = {}
         for key in keys:
             slug = device_slug(key.device)
@@ -277,12 +287,8 @@ class FleetService:
 
     def _cache_for(self, feature_recipe: str) -> KernelFeatureCache:
         """The fleet-shared feature cache for one feature recipe."""
-        if feature_recipe == "paper10":
-            return self.feature_cache
         cache = self._recipe_caches.get(feature_recipe)
         if cache is None:
-            from ..features.extractor import ExtractorConfig, FeatureExtractor
-
             cache = KernelFeatureCache(
                 FeatureExtractor(ExtractorConfig(recipe=feature_recipe)),
                 metrics=self.metrics,
@@ -410,13 +416,16 @@ class FleetService:
         self, source: str, kernel_name: str | None = None, *, device: str
     ) -> PredictedParetoSet:
         """One kernel on one device — a routed batch of one."""
-        return self._route([(device, source, kernel_name)], mode="single")[0]
+        return answered(
+            self._route([(device, source, kernel_name)], mode="single")[0]
+        )
 
-    def predict_batch(self, requests: Sequence) -> list[PredictedParetoSet]:
+    def predict_batch(self, requests: Sequence) -> list[Outcome]:
         """Cross-device batch: items are ``(device, source[, kernel_name])``.
 
         Requests are grouped by device so each device's service runs one
-        vectorized model pass; results come back in request order.
+        vectorized model pass; answers come back per request, in request
+        order (see :meth:`PredictionService.predict_batch`).
         """
         return self._route(
             [_normalize_request(r) for r in requests], mode="batch"
@@ -424,12 +433,12 @@ class FleetService:
 
     def _route(
         self, requests: list[tuple[str, str, str | None]], mode: str
-    ) -> list[PredictedParetoSet]:
+    ) -> list[Outcome]:
         """The one routing body; a ``single`` request is not a routed batch."""
         groups: OrderedDict[str, list[int]] = OrderedDict()
         for index, (device, _source, _name) in enumerate(requests):
             groups.setdefault(self.slug_for(device), []).append(index)
-        results: list[PredictedParetoSet | None] = [None] * len(requests)
+        results: list[Outcome | None] = [None] * len(requests)
         for slug, indices in groups.items():
             service = self._service_for_slug(slug)
             batch = [(requests[i][1], requests[i][2]) for i in indices]
@@ -441,11 +450,6 @@ class FleetService:
         return results  # type: ignore[return-value]
 
     # -- telemetry --------------------------------------------------------------
-
-    def metrics_snapshot(self) -> MetricsSnapshot:
-        """The fleet's full metric state (routing + per-device + cache),
-        ready for :func:`repro.obs.to_prometheus` or persistence."""
-        return self.metrics.snapshot()
 
     def stats_summary(self) -> dict:
         """Per-device counters, the merged fleet view, and routing stats.

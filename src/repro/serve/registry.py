@@ -17,6 +17,7 @@ import pathlib
 import re
 from dataclasses import dataclass
 
+from ..analysis.recipes import DEFAULT_RECIPE, is_recipe
 from ..core.pipeline import TrainedModels, load_models, save_models
 from ..gpusim.device import DeviceSpec, resolve_device
 from ..store.envelope import ArtifactError, read_artifact_meta
@@ -26,23 +27,35 @@ class StoreMiss(KeyError):
     """Raised by :meth:`ModelRegistry.get` when a key has no artifact."""
 
 
+#: The pre-recipe ``features`` spellings, in model keys and artifact meta,
+#: of the default feature recipe (``concat``: without interaction columns).
+#: Default bundles keep them so their slugs and bytes never change.
+LEGACY_FEATURES = ("interactions", "concat")
+
+
+def features_for_recipe(feature_recipe: str) -> str:
+    """The key/meta ``features`` spelling of a feature recipe."""
+    return "interactions" if feature_recipe == DEFAULT_RECIPE else feature_recipe
+
+
+def recipe_for_features(features: str) -> str:
+    """The feature recipe a key/meta ``features`` spelling names."""
+    return DEFAULT_RECIPE if features in LEGACY_FEATURES else features
+
+
 @dataclass(frozen=True)
 class ModelKey:
     """Identity of one trained bundle: (device, recipe, feature config)."""
 
     device: str = "NVIDIA GTX Titan X"
     recipe: str = "paper"
-    #: "interactions" / "concat" (legacy design-matrix spellings, implying
-    #: the paper10 feature recipe), or any registered feature-recipe name
-    #: from :mod:`repro.analysis.recipes` (always with interactions).
+    #: One of :data:`LEGACY_FEATURES` (the default feature recipe), or any
+    #: registered feature-recipe name from :mod:`repro.analysis.recipes`
+    #: (always with interactions).
     features: str = "interactions"
 
     def __post_init__(self) -> None:
-        if self.features in ("interactions", "concat"):
-            return
-        from ..analysis.recipes import is_recipe
-
-        if not is_recipe(self.features):
+        if self.features not in LEGACY_FEATURES and not is_recipe(self.features):
             raise ValueError(
                 "features must be 'interactions', 'concat', or a registered "
                 f"feature recipe, got {self.features!r}"
@@ -60,9 +73,7 @@ class ModelKey:
     @property
     def feature_recipe(self) -> str:
         """The static feature recipe this key trains/predicts with."""
-        if self.features in ("interactions", "concat"):
-            return "paper10"
-        return self.features
+        return recipe_for_features(self.features)
 
     @property
     def slug(self) -> str:

@@ -15,9 +15,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from ..clkernel.errors import CLFrontendError
 from ..core.config import modeled_subset
 from ..core.pipeline import TrainedModels, load_models
 from ..core.predictor import ParetoPredictor, PredictedParetoSet
+from ..features.extractor import ExtractorConfig, FeatureExtractor
 from ..features.vector import StaticFeatures
 from ..gpusim.device import DeviceSpec, _alias_slug
 from ..obs import (
@@ -35,10 +37,23 @@ from ..obs.instruments import (
     SERVE_REQUESTS_TOTAL,
 )
 from .cache import KernelFeatureCache
+from .registry import recipe_for_features
 
 
 class ServiceError(RuntimeError):
     """Raised when a service is assembled from mismatched parts."""
+
+
+#: One request's answer: its predicted set, or the frontend's error when
+#: its kernel does not extract.
+Outcome = PredictedParetoSet | CLFrontendError
+
+
+def answered(outcome: Outcome) -> PredictedParetoSet:
+    """The predicted set of an outcome; a failed request raises its error."""
+    if isinstance(outcome, CLFrontendError):
+        raise outcome
+    return outcome
 
 
 def _normalize(request) -> tuple[str, str | None]:
@@ -115,12 +130,9 @@ class PredictionService:
     def __post_init__(self) -> None:
         recipe = self.models.feature_recipe
         if self.cache is None:
-            extractor = None
-            if recipe != "paper10":
-                from ..features.extractor import ExtractorConfig, FeatureExtractor
-
-                extractor = FeatureExtractor(ExtractorConfig(recipe=recipe))
-            self.cache = KernelFeatureCache(extractor=extractor)
+            self.cache = KernelFeatureCache(
+                FeatureExtractor(ExtractorConfig(recipe=recipe))
+            )
         else:
             cached = self.cache.extractor.config.recipe
             if cached != recipe:
@@ -181,11 +193,7 @@ class PredictionService:
                 )
         meta_features = meta.get("features")
         if meta_features is not None:
-            meta_recipe = (
-                "paper10"
-                if meta_features in ("interactions", "concat")
-                else meta_features
-            )
+            meta_recipe = recipe_for_features(meta_features)
             if meta_recipe != models.feature_recipe:
                 raise ServiceError(
                     f"artifact {path} meta declares feature recipe "
@@ -204,23 +212,37 @@ class PredictionService:
         return features
 
     def predict(self, source: str, kernel_name: str | None = None) -> PredictedParetoSet:
-        """One kernel → its predicted Pareto set (a batch of one)."""
-        return self._predict([(source, kernel_name)], mode="single")[0]
+        """One kernel → its predicted Pareto set (a batch of one).
 
-    def predict_batch(self, requests: Sequence) -> list[PredictedParetoSet]:
+        Raises :class:`CLFrontendError` when the kernel does not extract.
+        """
+        return answered(self._predict([(source, kernel_name)], mode="single")[0])
+
+    def predict_batch(self, requests: Sequence) -> list[Outcome]:
         """Many kernels → their Pareto sets via one vectorized model pass.
 
         ``requests`` items are source strings or ``(source, kernel_name)``
-        pairs.  Results are in request order.
+        pairs.  Answers are per request, in request order: a kernel the
+        frontend rejects gets its :class:`CLFrontendError` in its slot
+        and costs the other requests nothing, as in the daemon.
         """
         return self._predict([_normalize(r) for r in requests], mode="batch")
 
     def _predict(
         self, pairs: list[tuple[str, str | None]], mode: str
-    ) -> list[PredictedParetoSet]:
-        """Extract each request, then one model pass over them all."""
-        features = [self.features_for(src, name) for src, name in pairs]
-        return self.predict_features(features, mode)
+    ) -> list[Outcome]:
+        """Extract each request, then one model pass over those extracted."""
+        outcomes: list[Outcome | StaticFeatures] = []
+        for source, name in pairs:
+            try:
+                outcomes.append(self.features_for(source, name))
+            except CLFrontendError as exc:
+                outcomes.append(exc)
+        features = [o for o in outcomes if isinstance(o, StaticFeatures)]
+        results = iter(self.predict_features(features, mode) if features else ())
+        return [
+            next(results) if isinstance(o, StaticFeatures) else o for o in outcomes
+        ]
 
     def predict_features(
         self, features: Sequence[StaticFeatures], mode: str = "batch"

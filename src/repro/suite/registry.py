@@ -225,6 +225,10 @@ def test_benchmarks() -> list[KernelSpec]:
     return [_REGISTRY[name] for name in TEST_BENCHMARK_NAMES]
 
 
+# Its name starts with "test": modules importing it must not run it as one.
+test_benchmarks.__test__ = False  # type: ignore[attr-defined]
+
+
 def get_benchmark(name: str) -> KernelSpec:
     try:
         return _REGISTRY[name]

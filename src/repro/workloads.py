@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .analysis.recipes import DEFAULT_RECIPE
 from .clkernel.ir import KernelIR
 from .clkernel.lowering import lower_source
 from .features.extractor import ExtractorConfig, FeatureExtractor
@@ -44,8 +45,8 @@ class KernelSpec:
     def lower(self) -> KernelIR:
         return lower_source(self.source, kernel_name=self.kernel_name)
 
-    def static_features(self, config: ExtractorConfig | None = None) -> StaticFeatures:
-        extractor = FeatureExtractor(config)
+    def static_features(self, feature_recipe: str = DEFAULT_RECIPE) -> StaticFeatures:
+        extractor = FeatureExtractor(ExtractorConfig(recipe=feature_recipe))
         feats = extractor.extract(self.source, kernel_name=self.kernel_name)
         # Re-label with the spec name (kernel function names may repeat).
         return StaticFeatures(

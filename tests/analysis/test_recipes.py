@@ -32,7 +32,6 @@ __kernel void mix(__global float* g, __local float* l, int n) {
 class TestResolution:
     def test_default_recipe_resolves(self):
         recipe = resolve_recipe(DEFAULT_RECIPE)
-        assert recipe.is_default
         assert recipe.width == len(STATIC_FEATURE_NAMES)
         assert recipe.column_names == STATIC_FEATURE_NAMES
 

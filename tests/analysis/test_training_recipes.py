@@ -61,6 +61,23 @@ class TestRecipeTraining:
         result = predictor.predict_from_source(KERNEL)
         assert result.front
 
+    def test_prediction_errors_score_a_recipe_bundle(self):
+        import math
+
+        from repro.harness import prediction_errors
+        from repro.harness.context import build_context
+        from repro.suite import test_benchmarks
+
+        ctx = build_context(recipe="quick", feature_recipe="paper10+memmix")
+        for objective in ("speedup", "energy"):
+            analysis = prediction_errors(
+                ctx.sim, ctx.models, test_benchmarks(), ctx.settings,
+                objective=objective,
+            )
+            assert sorted(analysis.reports) == ["H", "L", "h", "l"]
+            for report in analysis.reports.values():
+                assert math.isfinite(report.rmse_pct)
+
     def test_recipe_survives_artifact_round_trip(self, setup, tmp_path):
         models = train(setup, feature_recipe="paper10+memmix")
         path = save_models(tmp_path / "wide.json", models)
@@ -140,15 +157,15 @@ class TestCampaignPlanRecipes:
         plan = CampaignPlan(
             devices=("titan-x",), recipe="quick", features="paper10+loops"
         )
-        key = plan.model_key(plan.device_specs()[0])
-        assert key.features == "paper10+loops"
-        assert plan.extractor_config().recipe == "paper10+loops"
+        device = plan.device_specs()[0]
+        assert plan.model_key(device).features == "paper10+loops"
+        # Workers extract the final pass with the plan's recipe.
+        assert {t.payload()[3] for t in plan.leg_tasks(device)} == {"paper10+loops"}
 
-    def test_default_plan_has_no_extractor_config(self):
+    def test_default_plan_keeps_the_legacy_key_spelling(self):
         from repro.campaign import CampaignPlan
 
         plan = CampaignPlan(devices=("titan-x",), recipe="quick")
-        assert plan.extractor_config() is None
         assert plan.model_key(plan.device_specs()[0]).features == "interactions"
 
     def test_plan_rejects_unknown_recipe(self):

@@ -35,8 +35,6 @@ class TestPlan:
     def test_recipe_drives_suite_label(self):
         assert CampaignPlan(devices=("titan-x",)).suite_label == "default"
         assert CampaignPlan(devices=("titan-x",), recipe="quick").suite_label == "quick"
-        custom = CampaignPlan(devices=("titan-x",), suite="nightly")
-        assert custom.suite_label == "nightly"
 
     def test_keys_follow_device_and_recipe(self):
         plan = CampaignPlan(devices=("titan-x",), recipe="quick")

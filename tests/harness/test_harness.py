@@ -205,6 +205,7 @@ class TestNearZeroTruthExclusion:
 
         class FakeModels:
             interactions = True
+            feature_recipe = "paper10"
 
             def predict_speedup(self, x):
                 return np.ones(len(x))

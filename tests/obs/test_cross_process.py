@@ -39,7 +39,7 @@ def _pool_snapshot(workers: int):
     device = make_titan_x()
     settings = sample_training_settings(device, total=N_SETTINGS)
     tasks = [
-        (device.name, spec, settings, False)
+        (device.name, spec, settings, None)
         for spec in generate_micro_benchmarks()[:N_SPECS]
     ]
     registry = MetricsRegistry()

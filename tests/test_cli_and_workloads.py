@@ -235,6 +235,20 @@ class TestInputReadingErrors:
         )
         assert capsys.readouterr().out == ""
 
+    def test_predict_batch_answers_each_kernel(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.cl", tmp_path / "overflow.cl"
+        good.write_text(KERNEL)
+        bad.write_text(OVERFLOW)
+        assert main(["predict-batch", "--quick", str(good), str(bad), str(good)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {bad}: kernel 'k': weighted instruction count is not "
+            "finite: the product of its static loop trip counts overflows a float\n"
+        )
+        labels = [line for line in captured.out.splitlines() if line.startswith("==")]
+        assert labels == [f"== {good}", f"== {good}"]
+        assert "predicted Pareto set for 'demo'" in captured.out
+
     def test_requests_kernel_is_read_the_same_way(self, tmp_path, not_utf8, capsys):
         requests = tmp_path / "requests.jsonl"
         for kernel in (tmp_path, not_utf8):

@@ -28,7 +28,7 @@ MODEL = {"--model": ("model", None, False, None, None, None)}
 METRICS_OUT = {"--metrics-out": ("metrics_out", None, False, None, None, None)}
 KERNEL = {"kernel": ("kernel", None, True, None, None, None)}
 RECORD = {"--record-trace": ("record_trace", None, False, None, None, None)}
-FEATURES = {"--features": ("features", "paper10", False, None, None, None)}
+FEATURES = {"--features": ("features", None, False, None, None, None)}
 
 SURFACE = {
     "features": ("_cmd_features", {**KERNEL, **NAME}),
@@ -101,7 +101,7 @@ PARSED = {
     ("features", "k.cl"): {"kernel": "k.cl", "name": None},
     ("lint",): {"sources": [], "store": None, "min_severity": "info"},
     ("train", "--save", "m.json"): {
-        "save": "m.json", "quick": False, "features": "paper10",
+        "save": "m.json", "quick": False, "features": None,
         "device": None, "backend": "simulator", "trace": None,
         "trace_key": None, "max_cached_kernels": None, "store": None,
         "record_trace": None,
@@ -131,7 +131,7 @@ PARSED = {
     ("campaign", "--devices", "titan-x"): {
         "devices": "titan-x", "workers": 1, "repeats": 1, "quick": False,
         "store": None, "resume": False, "metrics_out": None,
-        "progress": None, "features": "paper10",
+        "progress": None, "features": None,
     },
     ("characterize", "MT"): {
         "benchmark": "MT", "quick": False, "device": None,

@@ -62,10 +62,10 @@ def test_pooled_sweep_and_train_load_no_scipy():
         "    train_leg_task(payload)\n"
         "    return 'scipy' in sys.modules\n"
         "with DevicePool(workers=2) as pool:\n"
-        "    tasks = [(device.name, spec, settings, True) for spec in specs]\n"
+        "    tasks = [(device.name, spec, settings, 'paper10') for spec in specs]\n"
         "    swept = len(list(pool.imap_sweeps(tasks)))\n"
         "    in_worker = pool.apply_async(\n"
-        "        train_then_check, (dataset, settings, True)\n"
+        "        train_then_check, (dataset, settings, device.name, 'paper10')\n"
         "    ).get()\n"
         "print(swept, in_worker, 'scipy' in sys.modules)\n"
     )
