@@ -42,7 +42,12 @@ def render(analysis) -> str:
 
 def test_fig6_speedup_error(benchmark):
     analysis = benchmark.pedantic(regenerate_fig6, rounds=1, iterations=1)
-    write_artifact("fig6_speedup_error", render(analysis))
+    measured = {label: analysis.reports[label].rmse_pct for label in PAPER_RMSE}
+    write_artifact(
+        "fig6_speedup_error",
+        render(analysis),
+        data={"paper": PAPER_RMSE, "measured": measured},
+    )
     assert set(analysis.reports) == {"H", "h", "l", "L"}
 
 

@@ -41,7 +41,12 @@ def render(analysis) -> str:
 
 def test_fig7_energy_error(benchmark):
     analysis = benchmark.pedantic(regenerate_fig7, rounds=1, iterations=1)
-    write_artifact("fig7_energy_error", render(analysis))
+    measured = {label: analysis.reports[label].rmse_pct for label in PAPER_RMSE}
+    write_artifact(
+        "fig7_energy_error",
+        render(analysis),
+        data={"paper": PAPER_RMSE, "measured": measured},
+    )
     assert set(analysis.reports) == {"H", "h", "l", "L"}
 
 

@@ -2,7 +2,6 @@
 
 from .algorithms import (
     pareto_points,
-    pareto_set_brute,
     pareto_set_numpy,
     pareto_set_simple,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "incomparable",
     "is_pareto_optimal",
     "pareto_points",
-    "pareto_set_brute",
     "pareto_set_numpy",
     "pareto_set_simple",
     "relative_coverage",

@@ -1,6 +1,6 @@
 """Pareto-set extraction algorithms.
 
-One production extractor and two test oracles:
+One production extractor and the paper's algorithm as its test oracle:
 
 * :func:`pareto_set_numpy` — the O(n²) dominance test as one broadcasted
   numpy expression, used everywhere a front is computed;
@@ -8,10 +8,10 @@ One production extractor and two test oracles:
   serving path;
 * :func:`pareto_set_simple` — the paper's Algorithm 1 verbatim (pop a
   candidate, compare against the rest, classify), the oracle the
-  production extractor is property-tested against;
-* :func:`pareto_set_brute` — O(n²) reference oracle, kept for testing.
+  production extractor is property-tested against (the tests also keep
+  an O(n²) brute-force oracle, ``tests/pareto/oracle_pareto.py``).
 
-All three return *indices* into the input list, sorted ascending, so callers
+Both return *indices* into the input list, sorted ascending, so callers
 can map back to configurations.  Duplicate points are kept (all copies are
 on the front if one is), matching Algorithm 1's behaviour.
 """
@@ -21,15 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from .dominance import dominates
-
-
-def pareto_set_brute(points: list[tuple[float, float]]) -> list[int]:
-    """O(n²) oracle: index i survives iff nothing dominates points[i]."""
-    return [
-        i
-        for i, candidate in enumerate(points)
-        if not any(dominates(other, candidate) for j, other in enumerate(points) if j != i)
-    ]
 
 
 def pareto_set_simple(points: list[tuple[float, float]]) -> list[int]:

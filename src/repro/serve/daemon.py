@@ -5,14 +5,15 @@ pays per-request Python overhead, and nothing bounds concurrency.  This
 module wraps it in a persistent stdlib-HTTP daemon whose core is a
 **micro-batching engine**: requests land in a bounded per-device queue, a
 batching loop drains up to ``max_batch`` of them within a
-``batch_window_ms`` window into *one* vectorized
-:meth:`~repro.serve.service.PredictionService.predict_features` pass, and
-futures fan the results back in request order.  Duplicate requests in a
-batch (same source and kernel — the common case when an autotuner fleet
-hammers hot kernels) are **coalesced**: one prediction, shared across
-their futures.  Fixed per-pass costs amortize across the batch and
-coalesced duplicates are nearly free, which is where the throughput
-headroom lives (``BENCH_serve_daemon.json`` tracks it).
+``batch_window_ms`` window into *one*
+:meth:`~repro.serve.service.PredictionService.predict_batch` call — the
+call ``repro predict-batch`` makes — and futures fan the answers back in
+request order.  Duplicate requests in a batch (same source and kernel —
+the common case when an autotuner fleet hammers hot kernels) are
+**coalesced** before that call: one prediction (or one frontend error),
+shared across their futures.  Fixed per-pass costs amortize across the
+batch and coalesced duplicates are nearly free, which is where the
+throughput headroom lives (``BENCH_serve_daemon.json`` tracks it).
 
 Three contracts the tests pin down:
 
@@ -56,7 +57,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from ..clkernel.errors import CLFrontendError
-from ..features.vector import StaticFeatures
+from ..gpusim.device import resolve_device
 from ..harness.report import format_front
 from ..obs import declare_daemon_metrics, save_snapshot, to_json, to_prometheus
 from ..obs.instruments import (
@@ -74,7 +75,7 @@ from ..obs.instruments import (
 )
 from ..store.layout import DAEMON_METRICS_FILENAME, METRICS_SUBDIR
 from .fleet import FleetError, FleetService
-from .service import PredictionService, ServiceError
+from .service import ServiceError
 
 
 #: Largest request body the daemon reads.  Prediction bursts run to tens
@@ -149,11 +150,11 @@ class DeviceLane:
     """One device's bounded queue plus its micro-batching worker thread.
 
     The worker blocks on the queue, then drains up to ``max_batch``
-    requests arriving within ``batch_window_ms`` into one grouped
-    ``predict_features`` pass, coalescing duplicate (source, kernel)
-    requests into a single shared prediction.  The service is resolved
-    once per batch (under the daemon's fleet lock) — the in-flight half
-    of the hot-reload invariant.
+    requests arriving within ``batch_window_ms``, coalesces duplicate
+    (source, kernel) requests, and answers the unique ones with one
+    ``PredictionService.predict_batch`` call.  The service is resolved
+    once per batch, through the fleet — the in-flight half of the
+    hot-reload invariant.
     """
 
     def __init__(self, daemon: "ServeDaemon", slug: str) -> None:
@@ -209,21 +210,20 @@ class DeviceLane:
                 return
             batch = [item]
             stopping = False
-            if config.max_batch > 1:
-                deadline = self.daemon.clock() + window
-                while len(batch) < config.max_batch:
-                    remaining = deadline - self.daemon.clock()
-                    try:
-                        if remaining > 0:
-                            nxt = self.queue.get(timeout=min(remaining, idle_gap))
-                        else:
-                            nxt = self.queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if nxt is None:
-                        stopping = True
-                        break
-                    batch.append(nxt)
+            deadline = self.daemon.clock() + window
+            while len(batch) < config.max_batch:
+                remaining = deadline - self.daemon.clock()
+                try:
+                    if remaining > 0:
+                        nxt = self.queue.get(timeout=min(remaining, idle_gap))
+                    else:
+                        nxt = self.queue.get_nowait()
+                except queue.Empty:
+                    break
+                if nxt is None:
+                    stopping = True
+                    break
+                batch.append(nxt)
             self._serve(batch)
             if stopping:
                 return
@@ -231,43 +231,27 @@ class DeviceLane:
     def _serve(self, batch: list[_QueuedRequest]) -> None:
         daemon = self.daemon
         now = daemon.clock()
+        # Duplicates coalesce: concurrent requests for the same kernel
+        # collapse to one slot of the batch, whose answer object (the
+        # prediction, or the frontend's error for a kernel that does not
+        # extract) is shared across their futures.  Identical responses by
+        # construction, and extraction and the model pass only pay for
+        # unique kernels.
+        unique: dict[tuple[str, str | None], list[_QueuedRequest]] = {}
         for request in batch:
             daemon.observe_queue_wait(self.slug, now - request.enqueued_at)
+            unique.setdefault((request.source, request.kernel_name), []).append(request)
         try:
-            service = daemon.service_for_slug(self.slug)
-        except Exception as exc:  # route vanished mid-reload, load failure
-            for request in batch:
-                request.future.set_exception(exc)
-            self._settle(len(batch))
-            return
-        # Extract each request once: one bad kernel source fails only its
-        # own request, never the whole coalesced batch, and the model pass
-        # below runs on these features without a second cache lookup.
-        # Duplicates coalesce: concurrent requests for the same kernel
-        # collapse to one prediction whose result object is shared across
-        # their futures — identical responses by construction, and the
-        # model pass only pays for unique kernels.
-        unique: dict[tuple[str, str | None], list[_QueuedRequest]] = {}
-        features: dict[tuple[str, str | None], StaticFeatures] = {}
-        for request in batch:
-            key = (request.source, request.kernel_name)
-            try:
-                features[key] = service.features_for(*key)
-            except Exception as exc:
-                request.future.set_exception(exc)
-            else:
-                unique.setdefault(key, []).append(request)
-        if unique:
-            try:
-                results = service.predict_features([features[key] for key in unique])
-            except Exception as exc:
-                for holders in unique.values():
-                    for request in holders:
-                        request.future.set_exception(exc)
-            else:
-                for holders, result in zip(unique.values(), results):
-                    for request in holders:
-                        request.future.set_result(result)
+            service = daemon.fleet.service_for(self.slug)
+            outcomes: list = service.predict_batch(list(unique))
+        except Exception as exc:  # route vanished mid-reload, load failure, a bug
+            outcomes = [exc] * len(unique)
+        for holders, outcome in zip(unique.values(), outcomes):
+            for request in holders:
+                if isinstance(outcome, Exception):
+                    request.future.set_exception(outcome)
+                else:
+                    request.future.set_result(outcome)
         daemon.observe_batch(self.slug, requests=len(batch), unique=len(unique))
         self._settle(len(batch))
 
@@ -276,10 +260,10 @@ class ServeDaemon:
     """The long-lived HTTP front door over a :class:`FleetService`.
 
     Owns one lane per requested device, the hot-reload poller, and the
-    HTTP server.  All fleet access (routing, service resolution, reload,
-    stats) is serialized under one lock — ``FleetService`` itself is not
-    thread-safe; the lanes only hold the lock to *resolve* a service,
-    never across a model pass, so devices still predict concurrently.
+    HTTP server.  It is a client of the fleet like any other: the fleet
+    serializes its own routing table and service LRU, and a lane holds a
+    resolved service (never a lock) across its model pass, so devices
+    still predict concurrently.
     """
 
     def __init__(
@@ -298,7 +282,6 @@ class ServeDaemon:
         #: snapshot is the complete serving picture (/stats serves it).
         self.metrics = fleet.metrics
         declare_daemon_metrics(self.metrics)
-        self._fleet_lock = threading.RLock()
         self._lanes: dict[str, DeviceLane] = {}
         self._lanes_lock = threading.Lock()
         self._stop = threading.Event()
@@ -379,9 +362,7 @@ class ServeDaemon:
 
     def submit(self, device: str, source: str, kernel_name: str | None = None) -> Future:
         """Enqueue one prediction; the future resolves to its Pareto set."""
-        with self._fleet_lock:
-            slug = self.fleet.slug_for(device)
-        return self._lane_for(slug).submit(source, kernel_name)
+        return self._lane_for(self.fleet.slug_for(device)).submit(source, kernel_name)
 
     def predict(self, device: str, source: str, kernel_name: str | None = None):
         """Blocking single prediction through the micro-batching path."""
@@ -397,20 +378,6 @@ class ServeDaemon:
                 lane.start()
                 self._lanes[slug] = lane
             return lane
-
-    def service_for_slug(self, slug: str) -> PredictionService:
-        """Resolve a lane's service under the fleet lock (batch start)."""
-        with self._fleet_lock:
-            if slug not in self.fleet._keys:
-                raise FleetError(
-                    f"device route {slug!r} disappeared during a reload"
-                )
-            return self.fleet._service_for_slug(slug)
-
-    def canonical_device(self, device: str) -> str:
-        with self._fleet_lock:
-            slug = self.fleet.slug_for(device)
-            return self.fleet._keys[slug].device_spec().name
 
     # -- hot reload -------------------------------------------------------------
 
@@ -436,8 +403,7 @@ class ServeDaemon:
         fingerprint = self._store_fingerprint()
         if fingerprint == self._store_print:
             return False
-        with self._fleet_lock:
-            report = self.fleet.refresh_from_store()
+        report = self.fleet.refresh_from_store()
         self._store_print = fingerprint
         result = "changed" if report.changed else "unchanged"
         self.metrics.get(DAEMON_RELOADS_TOTAL).inc(1.0, result=result)
@@ -487,9 +453,8 @@ class ServeDaemon:
 
     def request_count(self) -> int:
         """Total HTTP requests handled (all endpoints and statuses)."""
-        metric = self.metrics.get(DAEMON_REQUESTS_TOTAL)
-        with self.metrics._lock:
-            return int(sum(metric._data.series.values()))  # type: ignore[union-attr]
+        family = self.metrics.snapshot().families[DAEMON_REQUESTS_TOTAL]
+        return int(sum(family.series.values()))
 
     def persist_metrics(self) -> None:
         """Drop a snapshot beside the store (metrics/serve-daemon.json)."""
@@ -504,14 +469,11 @@ class ServeDaemon:
             pass  # a read-only store still serves
 
     def health(self) -> dict:
-        with self._fleet_lock:
-            devices = self.fleet.devices()
-            loaded = self.fleet.loaded_devices()
         uptime = self.clock() - self._started_at if self._started_at else 0.0
         return {
             "status": "ok",
-            "devices": devices,
-            "loaded": loaded,
+            "devices": self.fleet.devices(),
+            "loaded": self.fleet.loaded_devices(),
             "uptime_s": uptime,
             "config": asdict(self.config),
         }
@@ -564,10 +526,7 @@ def _text_body(result) -> bytes:
     body = getattr(result, "_daemon_text", None)
     if body is None:
         body = (format_front(result) + "\n").encode("utf-8")
-        try:
-            result._daemon_text = body
-        except AttributeError:
-            pass  # slotted/foreign result objects just re-render
+        result._daemon_text = body
     return body
 
 
@@ -577,10 +536,7 @@ def _json_body(result, device: str) -> bytes:
     if cached is not None and cached[0] == device:
         return cached[1]
     body = (json.dumps(_front_payload(result, device)) + "\n").encode("utf-8")
-    try:
-        result._daemon_json = (device, body)
-    except AttributeError:
-        pass
+    result._daemon_json = (device, body)
     return body
 
 
@@ -763,8 +719,7 @@ class _DaemonHandler(BaseHTTPRequestHandler):
             self._respond(200, _text_body(result),
                           content_type="text/plain; charset=utf-8")
         else:
-            canonical = self.daemon.canonical_device(device)
-            self._respond(200, _json_body(result, canonical))
+            self._respond(200, _json_body(result, resolve_device(device).name))
         return 200
 
     def _handle_predict_batch(self, query: dict) -> int:
@@ -805,7 +760,7 @@ class _DaemonHandler(BaseHTTPRequestHandler):
                 texts.append(_text_body(outcome))
             else:
                 results.append(
-                    _front_payload(outcome, self.daemon.canonical_device(device))
+                    _front_payload(outcome, resolve_device(device).name)
                 )
         if as_text:
             # Item renderings (each via the same ``format_front`` as the

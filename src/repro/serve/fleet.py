@@ -25,6 +25,7 @@ Two invariants the tests pin down:
 from __future__ import annotations
 
 import pathlib
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -157,6 +158,15 @@ class FleetService:
         service shares this one instance — the invariant that makes a
         kernel extracted for one device a warm hit on every other.  Its
         metrics registry becomes the fleet's :attr:`metrics`.
+
+    Thread-safe: one lock serializes the routing table and the service
+    LRU (resolving a service, :meth:`refresh_from_store`,
+    :meth:`loaded_devices`), so the serve daemon's lanes, handlers and
+    reload poller share one fleet without a lock of their own.  The lock
+    is never held across a model pass: callers resolve a service with
+    :meth:`service_for` and predict on it outside the lock, so devices
+    predict concurrently and a reload never changes a prediction already
+    running on the service it replaced.
     """
 
     def __init__(
@@ -212,6 +222,7 @@ class FleetService:
         #: slug → (key, mtime_ns, size) of the bundle file each route was
         #: resolved against; lets a reload tell re-published from unchanged.
         self._route_prints: dict[str, tuple] = self._fingerprint_routes()
+        self._lock = threading.Lock()
 
     # -- constructors -----------------------------------------------------------
 
@@ -267,7 +278,8 @@ class FleetService:
 
     def loaded_devices(self) -> list[str]:
         """Devices with a live in-memory service right now (LRU order)."""
-        return [self._keys[slug].device_spec().name for slug in self._services]
+        with self._lock:
+            return [self._keys[slug].device_spec().name for slug in self._services]
 
     def slug_for(self, device: str) -> str:
         """The routing slug for a device name/alias; FleetError if unrouted."""
@@ -297,39 +309,42 @@ class FleetService:
         return cache
 
     def _service_for_slug(self, slug: str) -> PredictionService:
-        service = self._services.get(slug)
-        if service is not None:
-            self._services.move_to_end(slug)
-            self._service_hits.inc()
+        with self._lock:
+            service = self._services.get(slug)
+            if service is not None:
+                self._services.move_to_end(slug)
+                self._service_hits.inc()
+                return service
+            key = self._keys.get(slug)
+            if key is None:
+                raise FleetError(f"device route {slug!r} disappeared during a reload")
+            try:
+                models = self.registry.get(key)
+            except StoreMiss:
+                # Serving only loads: a bundle gone since discovery is an
+                # unroutable request, never a reason to train one in-line.
+                raise FleetError(
+                    f"model bundle for device {key.device_spec().name!r} is "
+                    f"missing: no artifact at {self.registry.path_for(key)}"
+                ) from None
+            except ArtifactError as exc:
+                raise FleetError(
+                    f"model bundle for device {key.device_spec().name!r} is "
+                    f"unloadable: {exc}"
+                ) from None
+            service = PredictionService(
+                models=models,
+                device=key.device_spec(),
+                cache=self._cache_for(models.feature_recipe),
+                clock=self.clock,
+            )
+            self._services[slug] = service
+            self._service_loads.inc()
+            if self.max_services is not None:
+                while len(self._services) > self.max_services:
+                    self._services.popitem(last=False)
+                    self._service_evictions.inc()
             return service
-        key = self._keys[slug]
-        try:
-            models = self.registry.get(key)
-        except StoreMiss:
-            # Serving only loads: a bundle gone since discovery is an
-            # unroutable request, never a reason to train one in-line.
-            raise FleetError(
-                f"model bundle for device {key.device_spec().name!r} is "
-                f"missing: no artifact at {self.registry.path_for(key)}"
-            ) from None
-        except ArtifactError as exc:
-            raise FleetError(
-                f"model bundle for device {key.device_spec().name!r} is "
-                f"unloadable: {exc}"
-            ) from None
-        service = PredictionService(
-            models=models,
-            device=key.device_spec(),
-            cache=self._cache_for(models.feature_recipe),
-            clock=self.clock,
-        )
-        self._services[slug] = service
-        self._service_loads.inc()
-        if self.max_services is not None:
-            while len(self._services) > self.max_services:
-                self._services.popitem(last=False)
-                self._service_evictions.inc()
-        return service
 
     def service_for(self, device: str) -> PredictionService:
         """The (lazily loaded, LRU-tracked) service for one device.
@@ -393,21 +408,22 @@ class FleetService:
         chosen = _discover_routes(self.registry, recipe=recipe, features=features)
         if not chosen:
             return FleetReload()
-        added = tuple(sorted(slug for slug in chosen if slug not in self._keys))
-        removed = tuple(sorted(slug for slug in self._keys if slug not in chosen))
-        self._keys = chosen
-        new_prints = self._fingerprint_routes()
-        updated = tuple(
-            sorted(
-                slug
-                for slug in chosen
-                if slug not in added
-                and new_prints[slug] != self._route_prints.get(slug)
+        with self._lock:
+            added = tuple(sorted(slug for slug in chosen if slug not in self._keys))
+            removed = tuple(sorted(slug for slug in self._keys if slug not in chosen))
+            self._keys = chosen
+            new_prints = self._fingerprint_routes()
+            updated = tuple(
+                sorted(
+                    slug
+                    for slug in chosen
+                    if slug not in added
+                    and new_prints[slug] != self._route_prints.get(slug)
+                )
             )
-        )
-        for slug in removed + updated:
-            self._services.pop(slug, None)
-        self._route_prints = new_prints
+            for slug in removed + updated:
+                self._services.pop(slug, None)
+            self._route_prints = new_prints
         return FleetReload(added=added, removed=removed, updated=updated)
 
     # -- serving ----------------------------------------------------------------

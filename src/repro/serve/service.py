@@ -224,14 +224,20 @@ class PredictionService:
         ``requests`` items are source strings or ``(source, kernel_name)``
         pairs.  Answers are per request, in request order: a kernel the
         frontend rejects gets its :class:`CLFrontendError` in its slot
-        and costs the other requests nothing, as in the daemon.
+        and costs the other requests nothing.  The serve daemon answers
+        each micro-batch through this call too.
         """
         return self._predict([_normalize(r) for r in requests], mode="batch")
 
     def _predict(
         self, pairs: list[tuple[str, str | None]], mode: str
     ) -> list[Outcome]:
-        """Extract each request, then one model pass over those extracted."""
+        """The one prediction body: extract each request, then one model
+        pass over those extracted; ``mode`` labels the request counter.
+
+        Only a :class:`CLFrontendError` is a per-request answer; any other
+        exception is a bug and propagates out of the whole call.
+        """
         outcomes: list[Outcome | StaticFeatures] = []
         for source, name in pairs:
             try:
@@ -239,26 +245,16 @@ class PredictionService:
             except CLFrontendError as exc:
                 outcomes.append(exc)
         features = [o for o in outcomes if isinstance(o, StaticFeatures)]
-        results = iter(self.predict_features(features, mode) if features else ())
+        if not features:
+            return outcomes  # type: ignore[return-value]
+        start = self.clock()
+        results = iter(self.predictor.predict_batch(features))
+        self._predict_seconds.observe(self.clock() - start, device=self.slug)
+        self._requests.inc(1.0, device=self.slug, mode=mode)
+        self._kernels.inc(float(len(features)), device=self.slug)
         return [
             next(results) if isinstance(o, StaticFeatures) else o for o in outcomes
         ]
-
-    def predict_features(
-        self, features: Sequence[StaticFeatures], mode: str = "batch"
-    ) -> list[PredictedParetoSet]:
-        """One model pass over already-extracted kernels.
-
-        The one prediction body; ``mode`` labels the request counter.  The
-        daemon calls it directly with the features it extracted request
-        by request, so no request is looked up twice.
-        """
-        start = self.clock()
-        results = self.predictor.predict_batch(features)
-        self._predict_seconds.observe(self.clock() - start, device=self.slug)
-        self._requests.inc(1.0, device=self.slug, mode=mode)
-        self._kernels.inc(float(len(results)), device=self.slug)
-        return results
 
     # -- telemetry --------------------------------------------------------------
 

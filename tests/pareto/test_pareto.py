@@ -4,7 +4,6 @@ import pytest
 
 from repro.pareto.algorithms import (
     pareto_points,
-    pareto_set_brute,
     pareto_set_numpy,
     pareto_set_simple,
 )
@@ -22,6 +21,8 @@ from repro.pareto.hypervolume import (
     hypervolume,
     relative_coverage,
 )
+
+from .oracle_pareto import pareto_set_brute
 
 # Objectives: (speedup, energy) — maximize speedup, minimize energy.
 

@@ -12,11 +12,11 @@ from repro.features import extract_features
 from repro.harness.context import quick_context
 from repro.pareto.algorithms import (
     pareto_front_masks,
-    pareto_set_brute,
     pareto_set_numpy,
     pareto_set_simple,
 )
 from repro.suite import test_benchmarks as suite_benchmarks
+from tests.pareto.oracle_pareto import pareto_set_brute
 from repro.synthetic import MixRecipe, generate_micro_benchmarks, render_mix
 
 #: Batched model predictions may differ from a batch of one by BLAS sum

@@ -22,6 +22,7 @@ import time
 import pytest
 
 import repro
+from repro.clkernel.errors import CLFrontendError
 from repro.harness.context import quick_context
 from repro.harness.report import format_front
 from repro.obs.instruments import (
@@ -401,7 +402,7 @@ class TestMicroBatching:
 
     def test_each_request_is_extracted_once(self, store):
         # N never-seen kernels are N misses and N extractions, no hits; a
-        # duplicate coalesced into one batch is one hit on the shared cache.
+        # duplicate coalesced into one batch is never looked up at all.
         daemon = make_daemon(store, batch_window_ms=500.0, max_batch=4)
         try:
             slug = daemon.fleet.slug_for("titan-x")
@@ -427,7 +428,7 @@ class TestMicroBatching:
             first, second = (f.result(timeout=30) for f in pair)
             assert first is second
             assert metrics.value(DAEMON_COALESCED_TOTAL, device=slug) == 1
-            assert counts() == (5, 1, 6)
+            assert counts() == (5, 0, 5)
         finally:
             daemon.close()
 
@@ -465,26 +466,55 @@ class TestMicroBatching:
             good2 = daemon.submit("titan-x", SCALE, "scale")
             assert good1.result(timeout=30).kernel == "saxpy"
             assert good2.result(timeout=30).kernel == "scale"
-            with pytest.raises(Exception):
+            with pytest.raises(CLFrontendError):
                 bad.result(timeout=30)
         finally:
             daemon.close()
+
+    def test_mixed_batch_answers_as_predict_batch_does(self, store, oracle):
+        # The daemon and `repro predict-batch` share one answer path: a
+        # mixed batch gets the same rendered fronts and the same frontend
+        # errors as PredictionService.predict_batch on the same items.
+        items = [
+            (SAXPY, "saxpy"),
+            ("this is not OpenCL", "nope"),
+            (SAXPY, "saxpy"),
+            ("this is not OpenCL", "nope"),
+        ]
+        expected = oracle.service_for("titan-x").predict_batch(items)
+        daemon = make_daemon(store, batch_window_ms=500.0, max_batch=len(items))
+        try:
+            futures = [daemon.submit("titan-x", src, name) for src, name in items]
+            answers = [f.exception(timeout=30) or f.result() for f in futures]
+            slug = daemon.fleet.slug_for("titan-x")
+            assert daemon.metrics.value(DAEMON_BATCHES_TOTAL, device=slug) == 1
+        finally:
+            daemon.close()
+        for answer, want in zip(answers, expected):
+            if isinstance(want, CLFrontendError):
+                assert type(answer) is type(want)
+                assert str(answer) == str(want)
+            else:
+                assert format_front(answer) == format_front(want)
+        # Duplicates share one answer object, result or error.
+        assert answers[0] is answers[2]
+        assert answers[1] is answers[3]
 
 
 class TestAdmissionControl:
     def _block_service(self, daemon, device):
         """Patch the device's service so its model pass blocks until released."""
         slug = daemon.fleet.slug_for(device)
-        service = daemon.service_for_slug(slug)
+        service = daemon.fleet.service_for(slug)
         entered, release = threading.Event(), threading.Event()
-        original = service.predict_features
+        original = service.predictor.predict_batch
 
         def blocked(features):
             entered.set()
             assert release.wait(timeout=30), "test never released the service"
             return original(features)
 
-        service.predict_features = blocked
+        service.predictor.predict_batch = blocked
         return slug, entered, release
 
     def test_full_lane_sheds_with_overloaded(self, store):
@@ -592,16 +622,16 @@ class TestHotReload:
         try:
             oracle_old = front_bytes(daemon.predict("titan-x", SAXPY, "saxpy"))
             slug = daemon.fleet.slug_for("titan-x")
-            old_service = daemon.service_for_slug(slug)
+            old_service = daemon.fleet.service_for(slug)
             entered, release = threading.Event(), threading.Event()
-            original = old_service.predict_features
+            original = old_service.predictor.predict_batch
 
             def blocked(features):
                 entered.set()
                 assert release.wait(timeout=30)
                 return original(features)
 
-            old_service.predict_features = blocked
+            old_service.predictor.predict_batch = blocked
             in_flight = daemon.submit("titan-x", SAXPY, "saxpy")
             assert entered.wait(timeout=30)
             key = self._publish_paper_titan(store)
@@ -614,7 +644,7 @@ class TestHotReload:
                 assert front_bytes(in_flight.result(timeout=30)) == oracle_old
                 # New requests resolve a freshly built service: the lane
                 # re-resolves per batch, so the swap needs no restart.
-                assert daemon.service_for_slug(slug) is not old_service
+                assert daemon.fleet.service_for(slug) is not old_service
             finally:
                 release.set()
                 ModelRegistry(store / MODELS_SUBDIR).path_for(key).unlink()

@@ -10,6 +10,8 @@ import http.client
 import json
 import re
 import shutil
+import sys
+import threading
 import time
 import weakref
 
@@ -322,6 +324,53 @@ class TestLRU:
         before = front_bytes(fleet.predict(SAXPY, device="titan-x"))
         fleet.predict(SAXPY, device="p100")  # evict
         assert front_bytes(fleet.predict(SAXPY, device="titan-x")) == before
+
+    def test_concurrent_resolution_loads_each_device_once(self, store):
+        # The fleet serializes its own LRU: threads racing to resolve the
+        # same cold device share one load, and listing the loaded devices
+        # or reloading routes meanwhile never trips over a mutation.
+        fleet = FleetService.from_campaign_store(store)
+        devices = ("titan-x", "p100")
+        workers, rounds = 8, 25
+        seen: dict[str, set] = {device: set() for device in devices}
+        errors: list[BaseException] = []
+        start = threading.Barrier(workers + 1)
+
+        def resolve(index: int) -> None:
+            try:
+                start.wait(timeout=30)
+                for _ in range(rounds):
+                    device = devices[index % 2]
+                    seen[device].add(id(fleet.service_for(device)))
+                    fleet.loaded_devices()
+            except BaseException as exc:
+                errors.append(exc)
+
+        def reload() -> None:
+            try:
+                start.wait(timeout=30)
+                for _ in range(rounds):
+                    fleet.refresh_from_store()
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=resolve, args=(i,)) for i in range(workers)]
+        threads.append(threading.Thread(target=reload))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(len(ids) == 1 for ids in seen.values())
+        routing = fleet.stats_summary()["routing"]
+        assert routing["service_loads"] == len(devices)
+        assert routing["service_hits"] == workers * rounds - len(devices)
 
 
 def models_snapshot(root):
