@@ -10,6 +10,10 @@ solver's own record: the energy solver's rounds, remaining KKT violation,
 convergence, kernel rows computed and fit time alone, and the speedup
 solver's L-BFGS iterations, convergence and fit time alone.  The timing key keeps
 its historical name, ``exact_dense_fit``, though no Gram matrix is built.
+Beside the fit, ``energy_predict`` records the serving-side model pass:
+the energy model over the 12 suite kernels × the modeled candidates (one
+``predict`` call, median ms), with the rows per block its support-vector
+count gives and the slab budget (a record, not a floor).
 
 Quick mode (``REPRO_BENCH_QUICK=1`` or ``REPRO_QUICK=1``) shrinks the
 workload so CI's smoke step stays fast.
@@ -22,14 +26,19 @@ import numpy as np
 import pytest
 from _common import write_artifact
 
-from repro.core.config import exhaustive_settings, sample_training_settings
+from repro.core.config import (
+    exhaustive_settings,
+    modeled_subset,
+    sample_training_settings,
+)
 from repro.core.dataset import build_training_dataset
-from repro.core.pipeline import train_models
+from repro.core.pipeline import build_batch_design_matrix, train_models
 from repro.gpusim.device import make_titan_x
 from repro.gpusim.executor import GPUSimulator
 from repro.harness.report import format_heading, format_table
 from repro.measure import SimulatorBackend
-from repro.ml.svr import make_energy_svr, make_speedup_svr
+from repro.ml.svr import GRAM_BLOCK_ENTRIES, make_energy_svr, make_speedup_svr
+from repro.suite import test_benchmarks as suite_kernels
 from repro.synthetic import generate_micro_benchmarks
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK") or os.environ.get("REPRO_QUICK"))
@@ -39,6 +48,8 @@ N_SETTINGS = 16 if QUICK else 40
 #: Hardware wall-clock per frequency setting implied by §3.3 (20 minutes
 #: for 40 settings): clock switching, settling, repeats and verification.
 SECONDS_PER_SETTING = 20.0 * 60.0 / 40.0
+#: Timed repeats of the energy model pass (after one warm-up call).
+PREDICT_REPEATS = 50
 
 
 def campaign_minutes(n_settings: int) -> float:
@@ -80,6 +91,29 @@ def regenerate_campaign_cost_table() -> tuple[str, dict]:
 
 def _mape(pred: np.ndarray, actual: np.ndarray) -> float:
     return float(np.mean(np.abs((pred - actual) / actual)))
+
+
+def time_energy_predict(models, device) -> dict:
+    """The energy model pass of serving: the suite kernels × the modeled
+    candidates as one design matrix, timed as the median of repeats."""
+    candidates = modeled_subset(device, models.settings)
+    statics = [spec.static_features(models.feature_recipe) for spec in suite_kernels()]
+    x = build_batch_design_matrix(statics, candidates, interactions=models.interactions)
+    energy = models.energy_model
+    energy.predict(x)
+    times = []
+    for _ in range(PREDICT_REPEATS):
+        start = time.perf_counter()
+        energy.predict(x)
+        times.append(time.perf_counter() - start)
+    return {
+        "kernels": len(statics),
+        "candidates": len(candidates),
+        "rows": x.shape[0],
+        "ms": float(np.median(times)) * 1e3,
+        "block_rows": energy.block_rows,
+        "slab_entries": GRAM_BLOCK_ENTRIES,
+    }
 
 
 _CACHE: dict = {}
@@ -137,6 +171,7 @@ def measure_training_cost() -> dict:
             "converged": speedup.converged_,
             "fit_s": t_speedup,
         },
+        "energy_predict": time_energy_predict(models, device),
         "model_error": {
             "exact_energy_mape": _mape(
                 models.predict_energy(dataset.x), dataset.y_energy
@@ -164,6 +199,7 @@ def regenerate_training_cost() -> tuple[str, dict]:
     )
     solver = m["energy_solver"]
     speedup = m["speedup_solver"]
+    predict = m["energy_predict"]
     text = (
         cost_text
         + "\n\n"
@@ -180,6 +216,11 @@ def regenerate_training_cost() -> tuple[str, dict]:
         + f"{solver['fit_s'] * 1e3:.1f} ms"
         + f"\nspeedup solver: {speedup['iterations']} L-BFGS iterations "
         + f"(converged: {speedup['converged']}), {speedup['fit_s'] * 1e3:.1f} ms"
+        + f"\nenergy predict: {predict['kernels']} kernels x "
+        + f"{predict['candidates']} candidates, {predict['ms']:.2f} ms "
+        + f"({predict['block_rows']} rows per block against "
+        + f"{solver['n_support']} support vectors, "
+        + f"{predict['slab_entries']}-entry slabs)"
     )
     data = {"quick": QUICK, "campaign_cost": cost_data, **m}
     return text, data

@@ -9,7 +9,10 @@ The paper uses two kernels:
 
 A polynomial kernel is included for the model-selection ablation.
 All functions are fully vectorized: inputs are ``(n, d)`` and ``(m, d)``
-matrices, output is the ``(n, m)`` Gram matrix.
+matrices, output is the ``(n, m)`` Gram matrix.  A right-hand side used
+many times (an SVR's support vectors, or its training matrix while it
+fits) is prepared once as a :class:`GramOperand` and evaluated against
+with :meth:`Kernel.gram`; calling a kernel prepares its ``b`` on the spot.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ class Kernel(Protocol):
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray: ...
 
+    def gram(self, a: np.ndarray, b: "GramOperand") -> np.ndarray:
+        """``K(a, b.rows)`` against an operand prepared once."""
+        ...
+
     def diag(self, x: np.ndarray) -> np.ndarray:
         """``K(x_i, x_i)`` for every row: the Gram diagonal, without the Gram."""
         ...
@@ -43,6 +50,26 @@ def _as_2d(x: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _sq_norms(x2d: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x2d, x2d)
+
+
+@dataclass(frozen=True, eq=False)
+class GramOperand:
+    """The right-hand side of Gram matrices, prepared once: its ``(m, d)``
+    rows and their squared norms (the RBF distance expansion's ``||b||²``).
+    Build one with :func:`prepare`."""
+
+    rows: np.ndarray
+    sq_norms: np.ndarray
+
+
+def prepare(b: np.ndarray) -> GramOperand:
+    """``b`` as a :class:`GramOperand`: made 2-D, its row norms computed."""
+    rows = _as_2d(b)
+    return GramOperand(rows, _sq_norms(rows))
+
+
 @dataclass(frozen=True)
 class LinearKernel:
     """``K(a, b) = a · b`` (paper's speedup model kernel)."""
@@ -52,9 +79,11 @@ class LinearKernel:
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _as_2d(a) @ _as_2d(b).T
 
+    def gram(self, a: np.ndarray, b: GramOperand) -> np.ndarray:
+        return self(a, b.rows)
+
     def diag(self, x: np.ndarray) -> np.ndarray:
-        x2d = _as_2d(x)
-        return np.einsum("ij,ij->i", x2d, x2d)
+        return _sq_norms(_as_2d(x))
 
     def to_state(self) -> dict:
         return {"kind": "linear"}
@@ -72,15 +101,16 @@ class RBFKernel:
             raise ValueError("gamma must be positive")
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a2d, b2d = _as_2d(a), _as_2d(b)
+        return self.gram(a, prepare(b))
+
+    def gram(self, a: np.ndarray, b: GramOperand) -> np.ndarray:
+        a2d = _as_2d(a)
         # ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a·b, computed without n*m*d
-        # blowup.  The updates run in place (same operands, same order, so
-        # bit-identical results) to avoid five (n, m) temporaries — on the
-        # batched serving path this Gram matrix is millions of entries.
-        a_sq = np.einsum("ij,ij->i", a2d, a2d)[:, None]
-        b_sq = np.einsum("ij,ij->i", b2d, b2d)[None, :]
-        out = a_sq + b_sq
-        cross = a2d @ b2d.T
+        # blowup; ||b||^2 comes prepared.  The updates run in place (same
+        # operands, same order, so bit-identical results) to avoid five
+        # (n, m) temporaries.
+        out = _sq_norms(a2d)[:, None] + b.sq_norms[None, :]
+        cross = a2d @ b.rows.T
         cross *= 2.0
         out -= cross
         np.maximum(out, 0.0, out=out)
@@ -113,9 +143,11 @@ class PolynomialKernel:
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (self.gamma * (_as_2d(a) @ _as_2d(b).T) + self.coef0) ** self.degree
 
+    def gram(self, a: np.ndarray, b: GramOperand) -> np.ndarray:
+        return self(a, b.rows)
+
     def diag(self, x: np.ndarray) -> np.ndarray:
-        x2d = _as_2d(x)
-        return (self.gamma * np.einsum("ij,ij->i", x2d, x2d) + self.coef0) ** self.degree
+        return (self.gamma * _sq_norms(_as_2d(x)) + self.coef0) ** self.degree
 
     def to_state(self) -> dict:
         return {

@@ -163,10 +163,12 @@ class FleetService:
     LRU (resolving a service, :meth:`refresh_from_store`,
     :meth:`loaded_devices`), so the serve daemon's lanes, handlers and
     reload poller share one fleet without a lock of their own.  The lock
-    is never held across a model pass: callers resolve a service with
-    :meth:`service_for` and predict on it outside the lock, so devices
-    predict concurrently and a reload never changes a prediction already
-    running on the service it replaced.
+    is never held across a bundle load or a model pass: a cold device's
+    bundle is read with the lock released and inserted under it again
+    (the first of two racing loads wins), and callers predict on a
+    resolved service outside the lock, so devices load and predict
+    concurrently and a reload never changes a prediction already running
+    on the service it replaced.
     """
 
     def __init__(
@@ -299,52 +301,78 @@ class FleetService:
 
     def _cache_for(self, feature_recipe: str) -> KernelFeatureCache:
         """The fleet-shared feature cache for one feature recipe."""
-        cache = self._recipe_caches.get(feature_recipe)
-        if cache is None:
-            cache = KernelFeatureCache(
-                FeatureExtractor(ExtractorConfig(recipe=feature_recipe)),
-                metrics=self.metrics,
-            )
-            self._recipe_caches[feature_recipe] = cache
-        return cache
+        with self._lock:
+            cache = self._recipe_caches.get(feature_recipe)
+            if cache is None:
+                cache = KernelFeatureCache(
+                    FeatureExtractor(ExtractorConfig(recipe=feature_recipe)),
+                    metrics=self.metrics,
+                )
+                self._recipe_caches[feature_recipe] = cache
+            return cache
+
+    def _load_service(self, key: ModelKey) -> PredictionService:
+        """Read one route's bundle from disk and build its service."""
+        try:
+            models = self.registry.get(key)
+        except StoreMiss:
+            # Serving only loads: a bundle gone since discovery is an
+            # unroutable request, never a reason to train one in-line.
+            raise FleetError(
+                f"model bundle for device {key.device_spec().name!r} is "
+                f"missing: no artifact at {self.registry.path_for(key)}"
+            ) from None
+        except ArtifactError as exc:
+            raise FleetError(
+                f"model bundle for device {key.device_spec().name!r} is "
+                f"unloadable: {exc}"
+            ) from None
+        return PredictionService(
+            models=models,
+            device=key.device_spec(),
+            cache=self._cache_for(models.feature_recipe),
+            clock=self.clock,
+        )
+
+    def _live_service(self, slug: str) -> PredictionService | None:
+        """The loaded service for ``slug``, counted as a hit; lock held."""
+        service = self._services.get(slug)
+        if service is not None:
+            self._services.move_to_end(slug)
+            self._service_hits.inc()
+        return service
 
     def _service_for_slug(self, slug: str) -> PredictionService:
         with self._lock:
-            service = self._services.get(slug)
+            service = self._live_service(slug)
             if service is not None:
-                self._services.move_to_end(slug)
-                self._service_hits.inc()
                 return service
             key = self._keys.get(slug)
-            if key is None:
+            route = self._route_prints.get(slug)
+        if key is None:
+            raise FleetError(f"device route {slug!r} disappeared during a reload")
+        # A cold load runs with the lock released, so it never delays
+        # another device's resolution, warm hits included.
+        loaded = self._load_service(key)
+        with self._lock:
+            if self._keys.get(slug) != key:
                 raise FleetError(f"device route {slug!r} disappeared during a reload")
-            try:
-                models = self.registry.get(key)
-            except StoreMiss:
-                # Serving only loads: a bundle gone since discovery is an
-                # unroutable request, never a reason to train one in-line.
-                raise FleetError(
-                    f"model bundle for device {key.device_spec().name!r} is "
-                    f"missing: no artifact at {self.registry.path_for(key)}"
-                ) from None
-            except ArtifactError as exc:
-                raise FleetError(
-                    f"model bundle for device {key.device_spec().name!r} is "
-                    f"unloadable: {exc}"
-                ) from None
-            service = PredictionService(
-                models=models,
-                device=key.device_spec(),
-                cache=self._cache_for(models.feature_recipe),
-                clock=self.clock,
-            )
-            self._services[slug] = service
+            if self._route_prints.get(slug) != route:
+                # Re-published while this load read it: answer with what
+                # was read, but cache nothing that may be the old bundle.
+                return loaded
+            # Two threads that raced on one cold device: the first to
+            # insert wins, and every caller shares its instance.
+            service = self._live_service(slug)
+            if service is not None:
+                return service
+            self._services[slug] = loaded
             self._service_loads.inc()
             if self.max_services is not None:
                 while len(self._services) > self.max_services:
                     self._services.popitem(last=False)
                     self._service_evictions.inc()
-            return service
+            return loaded
 
     def service_for(self, device: str) -> PredictionService:
         """The (lazily loaded, LRU-tracked) service for one device.

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.ml.kernels import LinearKernel, PolynomialKernel, RBFKernel, make_kernel
+from repro.ml.kernels import (
+    LinearKernel,
+    PolynomialKernel,
+    RBFKernel,
+    make_kernel,
+    prepare,
+)
 from repro.ml.scaling import IdentityScaler, MinMaxScaler, StandardScaler
 
 
@@ -23,6 +29,37 @@ class TestLinearKernel:
         out = LinearKernel()(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         assert out.shape == (1, 1)
         assert out[0, 0] == pytest.approx(11.0)
+
+
+class TestPreparedOperand:
+    @pytest.mark.parametrize(
+        "kernel",
+        [LinearKernel(), RBFKernel(gamma=0.1), PolynomialKernel(degree=2, gamma=0.5)],
+        ids=["linear", "rbf", "poly"],
+    )
+    def test_gram_against_a_prepared_operand_is_the_call(self, kernel):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(7, 4)), rng.normal(size=(9, 4))
+        operand = prepare(b)
+        assert np.array_equal(operand.sq_norms, np.einsum("ij,ij->i", b, b))
+        assert np.array_equal(kernel.gram(a, operand), kernel(a, b))
+        # A block of rows gives those rows of the whole Gram matrix.
+        assert np.allclose(kernel.gram(a[2:5], operand), kernel(a, b)[2:5], rtol=1e-14)
+
+    def test_rbf_keeps_its_elementwise_arithmetic(self):
+        # ||a||² + ||b||² − 2·(a·bᵀ), clamped at 0, times −γ, exp: the
+        # formula every fitted bundle's predictions were computed with.
+        rng = np.random.default_rng(6)
+        a, b = rng.normal(size=(6, 5)), rng.normal(size=(8, 5))
+        a_sq = np.einsum("ij,ij->i", a, a)[:, None]
+        b_sq = np.einsum("ij,ij->i", b, b)[None, :]
+        expected = np.exp(np.maximum(a_sq + b_sq - 2.0 * (a @ b.T), 0.0) * -0.3)
+        assert np.array_equal(RBFKernel(gamma=0.3).gram(a, prepare(b)), expected)
+
+    def test_1d_operand_is_one_row(self):
+        operand = prepare(np.array([3.0, 4.0]))
+        assert operand.rows.shape == (1, 2)
+        assert operand.sq_norms.tolist() == [25.0]
 
 
 class TestRBFKernel:

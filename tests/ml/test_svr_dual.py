@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.ml.kernels import PolynomialKernel, RBFKernel
-from repro.ml.svr import SVR
+from repro.ml.kernels import PolynomialKernel, RBFKernel, prepare
+from repro.ml.svr import GRAM_BLOCK_ENTRIES, SVR
 
 
 def smooth_data(n, d=3, noise=0.05, seed=0):
@@ -85,9 +85,10 @@ class TestNoGram:
 
     def test_no_full_gram_in_fit_or_dual_objective(self):
         class Recording(RBFKernel):
-            def __call__(self, a, b):
-                shapes.append((np.shape(a)[0], np.shape(b)[0]))
-                return super().__call__(a, b)
+            # Every RBF evaluation, called or against a prepared operand.
+            def gram(self, a, b):
+                shapes.append((np.shape(a)[0], b.rows.shape[0]))
+                return super().gram(a, b)
 
         shapes = []
         x, y = smooth_data(400)
@@ -96,6 +97,100 @@ class TestNoGram:
         assert model.n_support_ < 400
         assert (400, 400) not in shapes
         assert max(a * b for a, b in shapes) <= 400 * model.n_support_
+
+
+class TestPreparedOperand:
+    def test_fit_matches_per_row_kernel_calls_bitwise(self):
+        # The fit evaluates each kernel row against the training matrix
+        # prepared once; preparing it afresh for every row, as a plain
+        # kernel(xa[j:j+1], xa) call does, must give the same β bit for bit.
+        class PerRow(RBFKernel):
+            def gram(self, a, b):
+                return super().gram(a, prepare(b.rows))
+
+        x, y = smooth_data(300, noise=0.3, seed=9)
+        prepared = SVR(kernel=RBFKernel(gamma=0.5), C=1.0).fit(x, y)
+        per_row = SVR(kernel=PerRow(gamma=0.5), C=1.0).fit(x, y)
+        assert prepared.rows_computed_ == per_row.rows_computed_ > 0
+        assert np.array_equal(prepared.beta_, per_row.beta_)
+
+
+def support_model(n_sv, d=32, seed=0):
+    """A dual-path RBF model with ``n_sv`` random support vectors."""
+    rng = np.random.default_rng(seed)
+    return SVR.from_state(
+        {
+            "kind": "svr",
+            "kernel": {"kind": "rbf", "gamma": 0.1},
+            "C": 1.0,
+            "epsilon": 0.1,
+            "tol": 1e-3,
+            "bias": 0.7,
+            "beta": rng.uniform(-1.0, 1.0, n_sv).tolist(),
+            "coef": None,
+            "sv_mask": None,
+            "x_train": rng.normal(size=(n_sv, d)).tolist(),
+        }
+    )
+
+
+class TestBlockedExpansion:
+    """predict evaluates the kernel expansion in blocks of rows whose Gram
+    slab stays within GRAM_BLOCK_ENTRIES; the blocks change no answer
+    beyond BLAS summation order."""
+
+    N_SV = 700
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return support_model(self.N_SV)
+
+    def test_block_rows_follow_the_support_count(self, model):
+        assert model.block_rows == GRAM_BLOCK_ENTRIES // self.N_SV
+        assert model.block_rows * self.N_SV <= GRAM_BLOCK_ENTRIES
+        assert support_model(GRAM_BLOCK_ENTRIES + 1, d=2).block_rows == 1
+
+    @pytest.mark.parametrize(
+        "blocks, extra",
+        [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (5, 3)],
+        ids=["0", "1", "B-1", "B", "B+1", "5B+3"],
+    )
+    def test_agrees_with_the_one_shot_expansion(self, model, blocks, extra):
+        n = blocks * model.block_rows + extra
+        x = np.random.default_rng(n).normal(size=(n, 32))
+        sv = model.x_train_[model.beta_ != 0.0]
+        one_shot = model.kernel(x, sv) @ model.beta_[model.beta_ != 0.0] + model.bias_
+        predicted = model.predict(x)
+        assert predicted.shape == (n,)
+        np.testing.assert_allclose(predicted, one_shot, rtol=1e-12, atol=0.0)
+
+    def test_single_row_input_returns_a_scalar(self, model):
+        x = np.random.default_rng(1).normal(size=32)
+        assert model.predict(x) == model.predict(x[None, :])[0]
+
+    def test_no_support_vectors_predicts_the_bias(self):
+        x, y = smooth_data(50)
+        model = SVR(kernel=RBFKernel(gamma=0.5), epsilon=100.0).fit(x, y)
+        assert model.n_support_ == 0
+        reloaded = SVR.from_state(json.loads(json.dumps(model.to_state())))
+        for m in (model, reloaded):
+            assert np.array_equal(m.predict(x), np.full(len(x), model.bias_))
+            assert m.predict(x[0]) == model.bias_
+            assert m.predict(x[:0]).shape == (0,)
+
+    def test_predict_allocates_block_sized_slabs(self, model):
+        # 918 rows (27 kernels × 34 candidates) against 700 support
+        # vectors: one 918-row Gram slab and its temporary would be
+        # 10 MB; 512-row blocks were 5.7 MB.
+        x = np.random.default_rng(2).normal(size=(918, 32))
+        model.predict(x)
+        tracemalloc.start()
+        try:
+            model.predict(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestDeterminism:

@@ -19,7 +19,7 @@ import pytest
 
 from repro.campaign import MODELS_SUBDIR, CampaignPlan, run_campaign
 from repro.cli import main as cli_main
-from repro.gpusim.device import resolve_device
+from repro.gpusim.device import device_slug, resolve_device
 from repro.serve.daemon import DaemonConfig, ServeDaemon
 from repro.serve.fleet import FleetError, FleetService
 from repro.serve.registry import ModelKey, ModelRegistry
@@ -371,6 +371,125 @@ class TestLRU:
         routing = fleet.stats_summary()["routing"]
         assert routing["service_loads"] == len(devices)
         assert routing["service_hits"] == workers * rounds - len(devices)
+
+
+class Resolver(threading.Thread):
+    """``fleet.service_for(device)`` on its own thread, keeping the outcome."""
+
+    def __init__(self, fleet, device):
+        super().__init__(daemon=True)
+        self.fleet, self.device = fleet, device
+        self.service = self.error = None
+
+    def run(self):
+        try:
+            self.service = self.fleet.service_for(self.device)
+        except BaseException as exc:
+            self.error = exc
+
+
+class TestColdLoadOutsideTheLock:
+    """A cold bundle is read with the fleet lock released, then inserted
+    under it again after checking that its route still stands."""
+
+    @pytest.fixture
+    def root(self, store, tmp_path):
+        shutil.copytree(store, tmp_path / "store")
+        return tmp_path / "store"
+
+    @staticmethod
+    def hold_titan_loads(fleet, parties=1):
+        """Make ``registry.get`` read the Titan X bundle, then wait until
+        ``parties`` loads have read it and the returned event is set."""
+        real_get = fleet.registry.get
+        titan = device_slug("titan-x")
+        arrived = threading.Barrier(parties + 1)
+        release = threading.Event()
+
+        def get(key):
+            models = real_get(key)
+            if device_slug(key.device) == titan:
+                arrived.wait(timeout=30)
+                assert release.wait(timeout=30)
+            return models
+
+        fleet.registry.get = get
+        return arrived, release
+
+    def test_warm_device_resolves_while_another_loads(self, store):
+        fleet = FleetService.from_campaign_store(store)
+        p100 = fleet.service_for("p100")
+        arrived, release = self.hold_titan_loads(fleet)
+        cold = Resolver(fleet, "titan-x")
+        cold.start()
+        try:
+            arrived.wait(timeout=30)  # the Titan X load is under way
+            warm = Resolver(fleet, "p100")
+            warm.start()
+            warm.join(timeout=5)
+            assert not warm.is_alive(), "a cold load blocked a warm device"
+            assert warm.service is p100
+            assert fleet.loaded_devices() == [P100]
+        finally:
+            release.set()
+            cold.join(timeout=30)
+        assert not cold.is_alive() and cold.error is None
+        assert fleet.loaded_devices() == [P100, TITAN]
+
+    def test_racing_loads_share_the_first_insert(self, store):
+        fleet = FleetService.from_campaign_store(store)
+        arrived, release = self.hold_titan_loads(fleet, parties=2)
+        racers = [Resolver(fleet, "titan-x") for _ in range(2)]
+        for racer in racers:
+            racer.start()
+        # Both loads read the bundle concurrently before either inserts.
+        arrived.wait(timeout=30)
+        release.set()
+        for racer in racers:
+            racer.join(timeout=30)
+        assert not any(racer.is_alive() for racer in racers)
+        assert [racer.error for racer in racers] == [None, None]
+        assert racers[0].service is racers[1].service
+        assert fleet.service_for("titan-x") is racers[0].service
+        routing = fleet.stats_summary()["routing"]
+        assert (routing["service_loads"], routing["service_hits"]) == (1, 2)
+
+    def test_route_removed_during_the_load_is_a_fleet_error(self, root):
+        fleet = FleetService.from_campaign_store(root)
+        arrived, release = self.hold_titan_loads(fleet)
+        cold = Resolver(fleet, "titan-x")
+        cold.start()
+        try:
+            arrived.wait(timeout=30)
+            fleet.registry.path_for(ModelKey(device=TITAN, recipe="quick")).unlink()
+            assert fleet.refresh_from_store().removed == (device_slug("titan-x"),)
+        finally:
+            release.set()
+            cold.join(timeout=30)
+        assert not cold.is_alive()
+        assert isinstance(cold.error, FleetError)
+        assert "disappeared during a reload" in str(cold.error)
+        assert fleet.loaded_devices() == []
+
+    def test_bundle_republished_during_the_load_is_not_cached(self, root):
+        fleet = FleetService.from_campaign_store(root)
+        arrived, release = self.hold_titan_loads(fleet)
+        cold = Resolver(fleet, "titan-x")
+        cold.start()
+        try:
+            arrived.wait(timeout=30)
+            path = fleet.registry.path_for(ModelKey(device=TITAN, recipe="quick"))
+            path.write_bytes(path.read_bytes() + b"\n")
+            assert fleet.refresh_from_store().updated == (device_slug("titan-x"),)
+        finally:
+            release.set()
+            cold.join(timeout=30)
+        assert not cold.is_alive() and cold.error is None
+        assert cold.service.predict(SAXPY).front
+        # The answer came from the bundle it read; the next request loads
+        # the re-published one.
+        assert fleet.loaded_devices() == []
+        assert fleet.stats_summary()["routing"]["service_loads"] == 0
 
 
 def models_snapshot(root):
