@@ -243,10 +243,9 @@ def measure_replay_columnar():
         )
     with tempfile.TemporaryDirectory(prefix="repro-bench-replay-") as tmp:
         trace_path = Path(tmp) / "bench.jsonl"
-        recorder = RecordingBackend(SimulatorBackend())
-        for spec in specs:
-            recorder.measure(spec, settings)
-        recorder.save(trace_path)
+        with RecordingBackend(SimulatorBackend(), stream=trace_path) as recorder:
+            for spec in specs:
+                recorder.measure(spec, settings)
 
         def passes(prefer: bool):
             def cold():

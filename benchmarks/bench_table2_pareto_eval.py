@@ -71,9 +71,26 @@ def render(evaluations) -> str:
     return format_heading("Table 2 — evaluation of predicted Pareto fronts") + "\n" + table
 
 
+def table2_data(evaluations) -> dict:
+    """Per-benchmark D and front sizes, measured beside the paper's."""
+
+    def row(d, predicted, true):
+        return {"D": d, "predicted_size": predicted, "true_size": true}
+
+    return {
+        "paper": {name: row(*values) for name, values in PAPER_TABLE2.items()},
+        "measured": {
+            ev.benchmark: row(ev.coverage_diff, ev.predicted_size, ev.true_size)
+            for ev in evaluations
+        },
+    }
+
+
 def test_table2(benchmark):
     evaluations = benchmark.pedantic(regenerate_table2, rounds=1, iterations=1)
-    write_artifact("table2_pareto_eval", render(evaluations))
+    write_artifact(
+        "table2_pareto_eval", render(evaluations), data=table2_data(evaluations)
+    )
     assert len(evaluations) == 12
 
 

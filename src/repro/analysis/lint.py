@@ -200,7 +200,7 @@ def _known_specs() -> dict[str, object]:
 
 def _store_kernel_names(root: pathlib.Path) -> list[str]:
     """Kernel names recorded in any trace under a campaign store."""
-    from ..measure.trace import ReplayError, load_trace, scan_trace_offsets
+    from ..measure.trace import ReplayError, scan_trace_offsets
     from ..measure.trace_registry import TraceRegistry
     from ..store.layout import TRACES_SUBDIR
 
@@ -209,15 +209,9 @@ def _store_kernel_names(root: pathlib.Path) -> list[str]:
     for path in map(registry.path_for_slug, registry.entries()):
         try:
             _header, offsets = scan_trace_offsets(path)
-            found = list(offsets)
-        except ReplayError:
-            try:
-                found = list(load_trace(path).kernels)
-            except (ReplayError, OSError, ValueError):
-                continue
-        except OSError:
+        except (ReplayError, OSError, ValueError):
             continue
-        for name in found:
+        for name in offsets:
             names.setdefault(name)
     return list(names)
 

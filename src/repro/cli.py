@@ -54,8 +54,8 @@ Subcommands:
 are device- and backend-parameterized: ``--device`` picks any registered
 GPU by name or alias (``titan-x``, ``tesla-p100``), ``--backend`` selects
 the measurement engine (``simulator``, or ``replay`` with ``--trace`` or
-``--trace-key``), and ``--record-trace`` captures every sweep into a
-versioned JSON trace for later replay.  Cross-device workflows are one command each::
+``--trace-key``), and ``--record-trace`` streams every sweep into a
+JSONL trace for later replay.  Cross-device workflows are one command each::
 
     repro-dvfs train --device tesla-p100 --save p100.json
     repro-dvfs predict kernel.cl --model p100.json
@@ -70,6 +70,7 @@ or, once a campaign store exists, zero-file fleet serving::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import pathlib
 import sys
@@ -154,7 +155,13 @@ def _resolve_setup(args):
 
     recorder = None
     if record:
-        backend = recorder = RecordingBackend(backend)
+        # Opened before anything is measured, so a bad path costs nothing.
+        try:
+            backend = recorder = RecordingBackend(backend, stream=record)
+        except FileNotFoundError:
+            raise
+        except OSError as exc:
+            raise CLIUsageError(f"{record}: {exc.strerror or exc}") from None
     return device, backend, recorder
 
 
@@ -171,13 +178,17 @@ def _training_recipe(args) -> str:
     return "quick" if args.quick or os.environ.get("REPRO_QUICK") else "paper"
 
 
-def _context_for(args):
-    """Build (or fetch cached) training context for the CLI flags."""
+def _context_for(args, setup=None):
+    """Build (or fetch cached) training context for the CLI flags.
+
+    ``setup`` is a ``(device, backend, recorder)`` triple the caller has
+    already resolved; by default the flags are resolved here.
+    """
     from .analysis.recipes import DEFAULT_RECIPE
     from .harness.context import build_context, paper_context, quick_context
     from .measure import SimulatorBackend
 
-    device, backend, recorder = _resolve_setup(args)
+    device, backend, recorder = setup or _resolve_setup(args)
     recipe = _training_recipe(args)
     features = _feature_recipe(args)
     if (
@@ -186,12 +197,9 @@ def _context_for(args):
         and features == DEFAULT_RECIPE
     ):
         maker = quick_context if recipe == "quick" else paper_context
-        return maker(device=device.name), None
-    return (
-        build_context(
-            device=device, recipe=recipe, backend=backend, feature_recipe=features
-        ),
-        recorder,
+        return maker(device=device.name)
+    return build_context(
+        device=device, recipe=recipe, backend=backend, feature_recipe=features
     )
 
 
@@ -208,10 +216,9 @@ def _feature_recipe(args) -> str:
     return name
 
 
-def _save_recorded(recorder, args) -> None:
+def _report_recorded(recorder) -> None:
     if recorder is not None:
-        path = recorder.save(args.record_trace)
-        print(f"recorded measurement trace to {path}")
+        print(f"recorded measurement trace to {recorder.stream_path}")
 
 
 def _read_text(path, where: str = "") -> str:
@@ -284,21 +291,24 @@ def _cmd_train(args: argparse.Namespace) -> int:
     features = _feature_recipe(args)
     if pathlib.Path(args.save).expanduser().is_dir():
         raise CLIUsageError(f"{args.save}: Is a directory")
-    ctx, recorder = _context_for(args)
-    meta = {
-        "device": ctx.device.name,
-        "recipe": _training_recipe(args),
-        "features": features_for_recipe(features),
-        "backend": ctx.backend.kind,
-    }
-    path = save_models(args.save, ctx.models, meta=meta)
+    setup = _resolve_setup(args)
+    recorder = setup[2]
+    with recorder or contextlib.nullcontext():
+        ctx = _context_for(args, setup)
+        meta = {
+            "device": ctx.device.name,
+            "recipe": _training_recipe(args),
+            "features": features_for_recipe(features),
+            "backend": ctx.backend.kind,
+        }
+        path = save_models(args.save, ctx.models, meta=meta)
     print(
         f"trained on {ctx.models.n_training_samples} samples "
         f"({ctx.dataset.n_kernels} codes x {len(ctx.settings)} settings) "
         f"for {ctx.device.name}"
     )
     print(f"saved model artifact to {path} ({path.stat().st_size} bytes)")
-    _save_recorded(recorder, args)
+    _report_recorded(recorder)
     return 0
 
 
@@ -393,7 +403,7 @@ def _prediction_server(args):
         _reject_backend_flags_with_model(args)
         device = _resolve_device_cli(args.device) if args.device else None
         return "service", PredictionService.from_artifact(args.model, device=device)
-    ctx, _ = _context_for(args)
+    ctx = _context_for(args)
     return "service", PredictionService(models=ctx.models, device=ctx.device)
 
 
@@ -830,7 +840,8 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     device, backend, recorder = _resolve_setup(args)
     _, budget = TRAINING_RECIPES[_training_recipe(args)]
     settings = sample_training_settings(device, total=budget)
-    ch = characterize_kernel(backend, spec, settings)
+    with recorder or contextlib.nullcontext():
+        ch = characterize_kernel(backend, spec, settings)
     print(f"{spec.name} on {device.name}: {ch.classify()}-dominated "
           f"(memory sensitivity {ch.mem_sensitivity():.2f})")
     for label in sorted(ch.series, key=lambda l: -ch.series[l].mem_mhz):
@@ -839,7 +850,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         for core, speedup, energy in series.rows():
             print(f"  core {core:6.0f} MHz  speedup {speedup:6.3f}  "
                   f"norm energy {energy:6.3f}")
-    _save_recorded(recorder, args)
+    _report_recorded(recorder)
     return 0
 
 
@@ -848,7 +859,7 @@ def _cmd_table2(args: argparse.Namespace) -> int:
     from .harness.report import format_table
     from .suite import test_benchmarks
 
-    ctx, _ = _context_for(args)
+    ctx = _context_for(args)
     evals = evaluate_suite(ctx.backend, ctx.predictor, test_benchmarks(), ctx.settings)
     rows = [ev.table_row() for ev in evals]
     print(
@@ -944,7 +955,8 @@ def build_parser() -> argparse.ArgumentParser:
     record = argparse.ArgumentParser(add_help=False)
     record.add_argument(
         "--record-trace", metavar="PATH", dest="record_trace",
-        help="record every sweep into a JSON trace for later replay",
+        help="stream every sweep into a JSONL trace for later replay (the "
+             "file appears only when the command succeeds)",
     )
 
     p_feat = sub.add_parser(

@@ -25,7 +25,6 @@ from .errors import (
     CLLexError,
     CLLoweringError,
     CLParseError,
-    CLTypeError,
 )
 from .ir import (
     ALL_OPS,
@@ -55,7 +54,6 @@ __all__ = [
     "CLLoweringError",
     "CLParseError",
     "CLType",
-    "CLTypeError",
     "DEFAULT_BRANCH_PROBABILITY",
     "DEFAULT_UNKNOWN_TRIP_COUNT",
     "FEATURE_OPS",

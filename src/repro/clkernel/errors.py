@@ -39,6 +39,3 @@ class CLParseError(CLFrontendError):
 class CLLoweringError(CLFrontendError):
     """Raised during AST → IR lowering (e.g. unknown builtin, bad address space)."""
 
-
-class CLTypeError(CLFrontendError):
-    """Raised when an expression mixes types in a way the subset cannot resolve."""

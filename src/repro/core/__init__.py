@@ -15,7 +15,6 @@ from .dataset import (
     MeasuredPoint,
     TrainingDataset,
     build_training_dataset,
-    measure_kernel,
 )
 from .pipeline import TrainedModels, train_from_specs, train_models
 from .predictor import ParetoPredictor, PredictedParetoSet, PredictedPoint
@@ -34,7 +33,6 @@ __all__ = [
     "build_training_dataset",
     "exhaustive_settings",
     "make_sampling_plans",
-    "measure_kernel",
     "mem_l_heuristic_config",
     "prediction_candidates",
     "sample_training_settings",

@@ -157,22 +157,6 @@ class KernelMeasurements:
         return list(zip(self.speedup.tolist(), self.norm_energy.tolist()))
 
 
-def measure_kernel(
-    backend,
-    spec: KernelSpec,
-    settings: list[tuple[float, float]],
-) -> KernelMeasurements:
-    """Run ``spec`` at the default config (baseline) and every setting.
-
-    ``backend`` is a :class:`~repro.measure.backend.MeasurementBackend` or,
-    for backward compatibility, a bare :class:`GPUSimulator` (wrapped in a
-    :class:`~repro.measure.simulator.SimulatorBackend` on the fly).
-    """
-    from ..measure.backend import as_backend
-
-    return as_backend(backend).measure(spec, settings)
-
-
 @dataclass
 class TrainingDataset:
     """Design matrix + targets + group labels for the two regressors."""

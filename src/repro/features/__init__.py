@@ -7,15 +7,12 @@ from .vector import (
     FULL_FEATURE_NAMES,
     MEM_FREQ_INTERVAL,
     STATIC_FEATURE_NAMES,
-    ExecutionFeatures,
     StaticFeatures,
     build_design_matrix,
-    normalize_frequency,
 )
 
 __all__ = [
     "CORE_FREQ_INTERVAL",
-    "ExecutionFeatures",
     "ExtractorConfig",
     "FeatureExtractor",
     "FREQUENCY_FEATURE_NAMES",
@@ -25,5 +22,4 @@ __all__ = [
     "StaticFeatures",
     "build_design_matrix",
     "extract_features",
-    "normalize_frequency",
 ]

@@ -127,43 +127,6 @@ class StaticFeatures:
         return f"{name}: " + ", ".join(parts)
 
 
-def normalize_frequency(
-    f_core: float,
-    f_mem: float,
-    core_interval: tuple[float, float] = CORE_FREQ_INTERVAL,
-    mem_interval: tuple[float, float] = MEM_FREQ_INTERVAL,
-) -> tuple[float, float]:
-    """Linearly map a frequency pair (MHz) into [0, 1]² (paper §3.2)."""
-    core_lo, core_hi = core_interval
-    mem_lo, mem_hi = mem_interval
-    if core_hi <= core_lo or mem_hi <= mem_lo:
-        raise ValueError("frequency intervals must be non-degenerate")
-    fc = (f_core - core_lo) / (core_hi - core_lo)
-    fm = (f_mem - mem_lo) / (mem_hi - mem_lo)
-    return (fc, fm)
-
-
-@dataclass(frozen=True)
-class ExecutionFeatures:
-    """``w = (k, f)`` — a kernel paired with one frequency setting."""
-
-    static: StaticFeatures
-    f_core_mhz: float
-    f_mem_mhz: float
-    core_interval: tuple[float, float] = CORE_FREQ_INTERVAL
-    mem_interval: tuple[float, float] = MEM_FREQ_INTERVAL
-    interactions: bool = True
-
-    def as_array(self) -> np.ndarray:
-        return build_design_matrix(
-            self.static,
-            [(self.f_core_mhz, self.f_mem_mhz)],
-            self.core_interval,
-            self.mem_interval,
-            interactions=self.interactions,
-        )[0]
-
-
 def build_design_matrix(
     static: StaticFeatures,
     settings: list[tuple[float, float]],

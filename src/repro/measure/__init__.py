@@ -7,12 +7,12 @@ instead of a concrete simulator.  Implementations:
 * :class:`~repro.measure.simulator.SimulatorBackend` — the vectorized
   :class:`~repro.gpusim.executor.GPUSimulator` (one numpy pass per sweep);
 * :class:`~repro.measure.replay.ReplayBackend` — serves recorded sweeps
-  from versioned traces (out-of-core for JSONL streams), with
-  :class:`~repro.measure.replay.RecordingBackend` producing the traces
-  (incrementally, when given a ``stream``).
+  out-of-core from a trace stream's byte-offset index, with
+  :class:`~repro.measure.replay.RecordingBackend` streaming the traces
+  as it measures.
 
-Trace persistence is :mod:`repro.measure.trace` (append-only JSONL v2,
-v1-JSON read compatibility) and :mod:`repro.measure.trace_registry` keys
+Trace persistence is :mod:`repro.measure.trace` (append-only JSONL
+streams, version 2 only) and :mod:`repro.measure.trace_registry` keys
 recorded traces the way :class:`repro.serve.registry.ModelRegistry` keys
 model bundles (device × suite × noise-settings hash).
 
@@ -38,16 +38,10 @@ from .simulator import SimulatorBackend
 from .trace import (
     TRACE_FORMAT,
     TRACE_VERSION,
-    TRACE_VERSION_V1,
     KernelTrace,
     ReplayError,
     ScannedRecord,
-    SweepTrace,
     TraceWriter,
-    iter_trace,
-    load_trace,
-    read_trace_header,
-    save_trace,
     scan_stream_records,
 )
 from .trace_registry import (
@@ -71,10 +65,8 @@ __all__ = [
     "ReplayError",
     "ScannedRecord",
     "SimulatorBackend",
-    "SweepTrace",
     "TRACE_FORMAT",
     "TRACE_VERSION",
-    "TRACE_VERSION_V1",
     "TraceKey",
     "TraceRegistry",
     "TraceResumeState",
@@ -82,12 +74,8 @@ __all__ = [
     "as_backend",
     "backend_for_device",
     "compact_trace",
-    "iter_trace",
-    "load_trace",
     "noise_settings_hash",
-    "read_trace_header",
     "replay_measurements",
-    "save_trace",
     "scan_stream_records",
     "sidecar_path",
 ]

@@ -1,20 +1,18 @@
-"""Record/replay measurement backends over versioned trace files.
+"""Record/replay measurement backends over JSONL trace streams.
 
 Recording a sweep once and replaying it later gives deterministic CI runs,
 offline experiments without a simulator (or hardware), and a shareable
-measurement-dataset format.  The trace format itself (JSONL streams, v1
-JSON read compatibility) lives in :mod:`repro.measure.trace`; this module
-provides the two backends:
+measurement-dataset format.  The trace format itself (version-2 JSONL
+streams) lives in :mod:`repro.measure.trace`; this module provides the
+two backends:
 
-* :class:`ReplayBackend` — serves recorded sweeps.  Given a *path* to a
-  JSONL trace it works **out-of-core**: one scan builds a byte-offset
-  index per kernel, and each requested kernel's records are parsed on
-  demand (and cached in a small LRU), so a long campaign trace is never
-  fully materialized.
-* :class:`RecordingBackend` — wraps any backend and captures everything it
-  measures.  With ``stream=`` it appends each sweep to a
-  :class:`~repro.measure.trace.TraceWriter` the moment it completes, so a
-  crash mid-campaign loses at most the sweep in flight.
+* :class:`ReplayBackend` — serves recorded sweeps from a trace *path*,
+  always **out-of-core**: one scan builds a byte-offset index per kernel,
+  and each requested kernel's records are parsed on demand (and cached
+  in a small LRU), so a long campaign trace is never fully materialized.
+* :class:`RecordingBackend` — wraps any backend and streams each sweep
+  it measures into a :class:`~repro.measure.trace.TraceWriter` the moment
+  it completes; nothing is accumulated in memory.
 """
 
 from __future__ import annotations
@@ -41,11 +39,8 @@ from .columnar import ColumnarRecord, ColumnarTrace
 from .trace import (
     KernelTrace,
     ReplayError,
-    SweepTrace,
     TraceWriter,
-    load_trace,
     read_kernels_at,
-    save_trace,
     scan_trace_offsets,
 )
 
@@ -69,8 +64,7 @@ class _StreamedTrace:
 
     Materialized kernels (merged across repeats in file order) live in a
     bounded LRU, so memory stays O(index + cached kernels) regardless of
-    trace size.  v1 (whole-file JSON) traces cannot be indexed and are
-    materialized eagerly instead — see :class:`ReplayBackend`.
+    trace size.
     """
 
     def __init__(
@@ -157,19 +151,20 @@ class _StreamedTrace:
 class ReplayBackend:
     """Serves recorded sweeps; refuses anything that was not recorded.
 
-    Given a trace *path*, replay is out-of-core and columnar-first: a
-    fresh v3 sidecar serves kernels as zero-copy ``np.memmap`` slices
+    Replay reads a trace *path*, out-of-core and columnar-first: a fresh
+    v3 sidecar serves kernels as zero-copy ``np.memmap`` slices
     (``prefer_columnar=False`` opts out), falling back transparently —
-    and bit-identically — to the JSONL stream when the sidecar is
+    and bit-identically — to the indexed JSONL stream when the sidecar is
     missing, stale, or torn.  ``max_cached_kernels`` bounds the
-    materialized-kernel LRU.
+    materialized-kernel LRU.  A file that is not a version-2 stream is a
+    :class:`ReplayError`.
     """
 
     kind = "replay"
 
     def __init__(
         self,
-        trace: SweepTrace | str | pathlib.Path,
+        trace: str | pathlib.Path,
         device: DeviceSpec | None = None,
         *,
         max_cached_kernels: int | None = None,
@@ -177,22 +172,12 @@ class ReplayBackend:
     ) -> None:
         if max_cached_kernels is None:
             max_cached_kernels = DEFAULT_REPLAY_CACHE_KERNELS
-        self._stream: _StreamedTrace | None = None
-        self.trace: SweepTrace | None = None
-        if isinstance(trace, SweepTrace):
-            self.trace = trace
-            trace_device = trace.device
-        else:
-            path = pathlib.Path(trace).expanduser()
-            try:
-                self._stream = _StreamedTrace(
-                    path, max_cached_kernels, prefer_columnar=prefer_columnar
-                )
-                trace_device = self._stream.device
-            except ReplayError:
-                # Not a JSONL stream — a v1 JSON trace; materialize it.
-                self.trace = load_trace(path)
-                trace_device = self.trace.device
+        self._stream = _StreamedTrace(
+            pathlib.Path(trace).expanduser(),
+            max_cached_kernels,
+            prefer_columnar=prefer_columnar,
+        )
+        trace_device = self._stream.device
 
         if device is None:
             device = DEVICE_REGISTRY.get(trace_device)
@@ -231,16 +216,7 @@ class ReplayBackend:
         return self._device
 
     def kernels(self) -> list[str]:
-        if self._stream is not None:
-            return self._stream.kernel_names()
-        assert self.trace is not None
-        return sorted(self.trace.kernels)
-
-    def _kernel(self, name: str) -> KernelTrace | None:
-        if self._stream is not None:
-            return self._stream.kernel(name)
-        assert self.trace is not None
-        return self.trace.kernels.get(name)
+        return self._stream.kernel_names()
 
     def _recorders(self, reg) -> tuple:
         recs = self._obs_recorders.get(reg)
@@ -268,7 +244,6 @@ class ReplayBackend:
         Returns ``None`` otherwise; the caller takes the general path,
         whose output is bit-identical.
         """
-        assert self._stream is not None
         prepared = self._mmap_prepared.get(spec.name)
         if prepared is None:
             record = self._stream.mmap_record(spec.name)
@@ -333,10 +308,10 @@ class ReplayBackend:
         start = time.perf_counter()
         record_sweep, record_mmap_source = self._recorders(get_registry())
         result: KernelMeasurements | None = None
-        if self._stream is not None and self._stream.columnar is not None:
+        if self._stream.columnar is not None:
             result = self._measure_mmap(spec, configs, record_mmap_source)
         if result is None:
-            kernel = self._kernel(spec.name)
+            kernel = self._stream.kernel(spec.name)
             if kernel is None:
                 raise ReplayError(
                     f"kernel {spec.name!r} is not in the trace "
@@ -393,43 +368,32 @@ def replay_measurements(
 
 
 class RecordingBackend:
-    """Wraps another backend and captures everything it measures.
+    """Wraps another backend and streams everything it measures to a trace.
 
-    Pass it anywhere a backend goes, run the workload, then :meth:`save`
-    the accumulated trace for later :class:`ReplayBackend` runs — or give
-    it a ``stream`` (path or open :class:`TraceWriter`) and every sweep is
-    appended to the JSONL file the moment it is measured, so long
-    campaigns persist incrementally instead of on a final save.
-
-    When streaming, the in-memory :attr:`trace` is **not** accumulated
-    (``keep_in_memory=True`` restores it): a campaign's recorder stays
-    O(1) in memory no matter how many kernels it sweeps, and the merged
-    view is whatever the stream file says.  :meth:`save` is therefore
-    only available when an in-memory trace exists.
+    ``stream`` is where the sweeps go: a path, which the recorder opens as
+    an atomic :class:`TraceWriter` (records land in a ``.partial``
+    sibling and the path appears only on a clean :meth:`close`), or an
+    open writer the caller owns.  Each sweep is appended the moment it is
+    measured and nothing is kept in memory, so a recorder stays O(1) no
+    matter how many kernels it sweeps.  Used as a context manager, a run
+    that raises publishes nothing at the path.
     """
 
     def __init__(
-        self,
-        inner: MeasurementBackend,
-        stream: TraceWriter | str | pathlib.Path | None = None,
-        keep_in_memory: bool | None = None,
+        self, inner: MeasurementBackend, stream: TraceWriter | str | pathlib.Path
     ) -> None:
         self.inner = inner
-        self.trace = SweepTrace(device=inner.device.name)
-        self._keep = keep_in_memory if keep_in_memory is not None else stream is None
-        self._writer: TraceWriter | None = None
-        self._owns_writer = False
-        if stream is not None:
-            if isinstance(stream, TraceWriter):
-                if stream.device != inner.device.name:
-                    raise ReplayError(
-                        f"stream writer records {stream.device!r} but the "
-                        f"backend measures {inner.device.name!r}"
-                    )
-                self._writer = stream
-            else:
-                self._writer = TraceWriter(stream, device=inner.device.name)
-                self._owns_writer = True
+        if isinstance(stream, TraceWriter):
+            if stream.device != inner.device.name:
+                raise ReplayError(
+                    f"stream writer records {stream.device!r} but the "
+                    f"backend measures {inner.device.name!r}"
+                )
+            self._writer = stream
+            self._owns_writer = False
+        else:
+            self._writer = TraceWriter(stream, device=inner.device.name, atomic=True)
+            self._owns_writer = True
 
     @property
     def device(self) -> DeviceSpec:
@@ -440,58 +404,24 @@ class RecordingBackend:
         return self.inner.kind
 
     @property
-    def stream_path(self) -> pathlib.Path | None:
-        return self._writer.path if self._writer is not None else None
-
-    def _record(self, result: KernelMeasurements) -> None:
-        if self._keep:
-            spec_name = result.spec.name
-            baseline = result.baseline
-            kernel = self.trace.kernels.get(spec_name)
-            if kernel is None:
-                kernel = KernelTrace(
-                    baseline_core_mhz=baseline.requested_core_mhz,
-                    baseline_mem_mhz=baseline.mem_mhz,
-                    baseline_time_ms=baseline.time_ms,
-                    baseline_power_w=baseline.power_w,
-                    baseline_energy_j=baseline.energy_j,
-                )
-                self.trace.kernels[spec_name] = kernel
-            for i, config in enumerate(result.configs):
-                kernel.record(
-                    config,
-                    float(result.time_ms[i]),
-                    float(result.power_w[i]),
-                    float(result.energy_j[i]),
-                )
-        if self._writer is not None:
-            self._writer.write_measurements(result)
+    def stream_path(self) -> pathlib.Path:
+        return self._writer.path
 
     def measure(
         self, spec: KernelSpec, configs: Sequence[tuple[float, float]]
     ) -> KernelMeasurements:
         result = self.inner.measure(spec, configs)
-        self._record(result)
+        self._writer.write_measurements(result)
         return result
 
-    def close(self) -> None:
-        """Close an owned stream writer (pass-through writers stay open)."""
-        if self._writer is not None and self._owns_writer:
-            self._writer.close()
+    def close(self, success: bool = True) -> None:
+        """Close an owned stream writer, publishing it only on ``success``
+        (pass-through writers stay open)."""
+        if self._owns_writer:
+            self._writer.close(success=success)
 
     def __enter__(self) -> "RecordingBackend":
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def save(self, path) -> pathlib.Path:
-        """Write the accumulated (merged) trace as a JSONL stream."""
-        if not self._keep:
-            where = self.stream_path
-            raise ReplayError(
-                "nothing to save: sweeps streamed incrementally to "
-                f"{where} and were not kept in memory "
-                "(pass keep_in_memory=True to keep both)"
-            )
-        return save_trace(path, self.trace)
+    def __exit__(self, exc_type, *exc_info) -> None:
+        self.close(success=exc_type is None)

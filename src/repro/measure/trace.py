@@ -1,4 +1,4 @@
-"""Measurement-trace format: append-only JSONL streams (v2), JSON (v1) read.
+"""Measurement-trace format: append-only JSON-Lines streams (version 2).
 
 A trace stores exactly the externally observable measurements of a sweep —
 per-configuration time/power/energy plus the baseline run — as JSON
@@ -6,8 +6,7 @@ numbers, whose ``repr``-based serialization round-trips float64
 bit-for-bit.  Replaying a trace therefore reproduces the same
 :class:`~repro.core.dataset.TrainingDataset` matrices *exactly*.
 
-Version 2 (current) is a JSON-Lines stream, built for measurement
-*campaigns*: a header line followed by one self-contained record per
+A trace is a header line followed by one self-contained record per
 recorded sweep::
 
     {"format": "repro.measurement-trace", "version": 2,
@@ -17,15 +16,20 @@ recorded sweep::
     ...
 
 Records are **append-only**: :class:`TraceWriter` flushes each sweep as it
-completes (a crash loses at most the record being written), repeated
-records for one kernel merge in order on read, and readers can stream the
-file record-by-record (:func:`iter_trace`) instead of materializing the
-whole trace — which is what lets
-:class:`~repro.measure.replay.ReplayBackend` serve long campaign traces
-out-of-core.
+completes (a crash loses at most the record being written), and repeated
+records for one kernel merge in order on read.  There are two readers:
 
-Version 1 (the original single-JSON-object format, ``kernels`` keyed by
-name) is still read transparently by every entry point here.
+* :func:`scan_trace_offsets` + :func:`read_kernels_at` — the indexed
+  reader: one name-only scan builds ``{kernel: [byte offsets]}``, and
+  records parse on demand (what lets
+  :class:`~repro.measure.replay.ReplayBackend` serve long campaign traces
+  out-of-core);
+* :func:`scan_stream_records` — the sequential reader: every intact
+  record with its end offset (campaign resume, ``repro traces``,
+  columnar compaction).
+
+Version 2 is the only version read.  Any other header — including the
+original whole-file JSON object, version 1 — is a :class:`ReplayError`.
 """
 
 from __future__ import annotations
@@ -35,13 +39,11 @@ import os
 import pathlib
 import re
 from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Sequence
 
 TRACE_FORMAT = "repro.measurement-trace"
-#: Current (JSONL) trace version.
+#: The trace stream version this build reads and writes.
 TRACE_VERSION = 2
-#: The original whole-file-JSON version, still readable.
-TRACE_VERSION_V1 = 1
 
 if TYPE_CHECKING:
     from ..core.dataset import KernelMeasurements
@@ -131,48 +133,6 @@ class KernelTrace:
             self.record(config, other.time_ms[i], other.power_w[i], other.energy_j[i])
 
 
-@dataclass
-class SweepTrace:
-    """A bundle of recorded kernel sweeps for one device (materialized)."""
-
-    device: str
-    kernels: dict[str, KernelTrace] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-
-    def to_state(self) -> dict:
-        """The v1 (whole-file JSON) representation."""
-        return {
-            "format": TRACE_FORMAT,
-            "version": TRACE_VERSION_V1,
-            "device": self.device,
-            "kernels": {name: k.to_state() for name, k in self.kernels.items()},
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "SweepTrace":
-        if state.get("format") != TRACE_FORMAT:
-            raise ReplayError(
-                f"not a measurement trace (format: {state.get('format')!r})"
-            )
-        version = state.get("version")
-        if version != TRACE_VERSION_V1:
-            raise ReplayError(
-                f"unsupported trace version {version!r} for a single-JSON "
-                f"trace (this build reads version {TRACE_VERSION_V1}, or "
-                f"version {TRACE_VERSION} JSONL streams)"
-            )
-        try:
-            return cls(
-                device=str(state["device"]),
-                kernels={
-                    name: KernelTrace.from_state(k)
-                    for name, k in state.get("kernels", {}).items()
-                },
-            )
-        except KeyError as exc:
-            raise ReplayError(f"trace is missing required key {exc.args[0]!r}") from None
-
-
 # -- JSONL stream I/O ---------------------------------------------------------
 
 
@@ -186,6 +146,7 @@ def _header_state(device: str, meta: dict | None = None) -> dict:
 
 
 def _parse_header(line: str, path: pathlib.Path) -> dict:
+    """Validate a stream header line: version 2, naming a device."""
     try:
         header = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -199,11 +160,24 @@ def _parse_header(line: str, path: pathlib.Path) -> dict:
     if version != TRACE_VERSION:
         raise ReplayError(
             f"unsupported trace stream version {version!r} "
-            f"(this build reads version {TRACE_VERSION})"
+            f"(this build reads only version {TRACE_VERSION} JSONL streams)"
         )
     if "device" not in header:
         raise ReplayError(f"trace {path} header names no device")
     return header
+
+
+def _read_header(handle: IO[bytes], path: pathlib.Path, errors: str = "strict") -> dict:
+    """Read and validate the header: the first non-blank line.
+
+    Readers skip blank lines wherever they occur.  Undecodable bytes in
+    the header raise :class:`UnicodeDecodeError` unless ``errors`` says
+    otherwise.
+    """
+    for raw in iter(handle.readline, b""):
+        if raw.strip():
+            return _parse_header(raw.decode("utf-8", errors), path)
+    raise ReplayError(f"trace {path} has no header line")
 
 
 class TraceWriter:
@@ -219,6 +193,8 @@ class TraceWriter:
     error mid-campaign leaves the previous trace untouched and the
     partial stream behind for forensics.  The default writes ``path``
     directly, so records are externally visible the moment they flush.
+    A directory is never a trace path: the constructor refuses it before
+    it creates anything.
     """
 
     def __init__(
@@ -230,6 +206,8 @@ class TraceWriter:
         atomic: bool = False,
     ) -> None:
         self.path = pathlib.Path(path).expanduser()
+        if self.path.is_dir():
+            raise ReplayError(f"{path}: Is a directory")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.device = device
         self.n_records = 0
@@ -338,91 +316,6 @@ class TraceWriter:
         self.close(success=exc_type is None)
 
 
-def _is_jsonl_trace(first_line: str) -> bool:
-    """True when the first line alone is a stream header (any version).
-
-    A whole-file v1 trace serialized onto one line also parses here, but
-    carries its ``kernels`` map inline — a stream header never does.
-    Accepting *any* stream version at the detection stage is deliberate:
-    a future-version stream must reach :func:`_parse_header` and fail
-    with "unsupported trace stream version", not fall through to the v1
-    whole-file parser and die with a misleading JSON error.
-    """
-    try:
-        header = json.loads(first_line)
-    except json.JSONDecodeError:
-        return False
-    return (
-        isinstance(header, dict)
-        and header.get("format") == TRACE_FORMAT
-        and "kernels" not in header
-        and header.get("version") != TRACE_VERSION_V1
-    )
-
-
-def read_trace_header(path: str | pathlib.Path) -> dict:
-    """The header of a trace file: ``{format, version, device, meta}``.
-
-    Works for both stream (v2) and whole-file (v1) traces; v1 headers have
-    an empty ``meta``.
-    """
-    p = pathlib.Path(path).expanduser()
-    with p.open("r") as handle:
-        first = handle.readline()
-    if _is_jsonl_trace(first):
-        return _parse_header(first, p)
-    state = _load_v1_state(p)
-    trace = SweepTrace.from_state(state)
-    return {
-        "format": TRACE_FORMAT,
-        "version": TRACE_VERSION_V1,
-        "device": trace.device,
-        "meta": {},
-    }
-
-
-def _load_v1_state(path: pathlib.Path) -> dict:
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ReplayError(f"trace {path} is not valid JSON: {exc}") from None
-
-
-def iter_trace(path: str | pathlib.Path) -> Iterator[tuple[str, KernelTrace]]:
-    """Stream ``(kernel name, record)`` pairs from a trace file.
-
-    v2 streams are read line-by-line (one record in memory at a time); a
-    kernel recorded more than once yields once per record — merge with
-    :meth:`KernelTrace.merge` if a consolidated view is needed (that is
-    what :func:`load_trace` does).  v1 files yield their kernels in file
-    order.
-    """
-    p = pathlib.Path(path).expanduser()
-    with p.open("r") as handle:
-        first = handle.readline()
-        if not _is_jsonl_trace(first):
-            trace = SweepTrace.from_state(_load_v1_state(p))
-            yield from trace.kernels.items()
-            return
-        _parse_header(first, p)
-        for lineno, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                state = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ReplayError(
-                    f"trace {p} line {lineno} is corrupt: {exc}"
-                ) from None
-            try:
-                name = state["kernel"]
-                yield str(name), KernelTrace.from_state(state)
-            except KeyError as exc:
-                raise ReplayError(
-                    f"trace {p} line {lineno} is missing key {exc.args[0]!r}"
-                ) from None
-
-
 #: Fast path for the offset scan: records written by :class:`TraceWriter`
 #: lead with the kernel name, so it can be sliced out without parsing the
 #: measurement arrays.  Any record that does not match (different key
@@ -446,8 +339,8 @@ def scan_trace_offsets(
     ``{kernel name: [record offsets]}`` (bytes into the file), never the
     measurement columns themselves — and the scan reads just each
     record's leading kernel name, not its arrays, so indexing costs
-    O(names), unlike materializing.  Raises for v1 files — callers fall
-    back to materializing those.
+    O(names), unlike materializing.  A header that is not a version-2
+    stream header raises :class:`ReplayError`.
 
     A non-zero ``start_offset`` must point at a record boundary (e.g. a
     columnar sidecar's ``prefix_bytes``); the scan then indexes only the
@@ -461,10 +354,7 @@ def scan_trace_offsets(
         if start_offset:
             handle.seek(start_offset)
         else:
-            first = handle.readline()
-            if not _is_jsonl_trace(first.decode("utf-8", errors="replace")):
-                raise ReplayError(f"trace {p} is not a v{TRACE_VERSION} JSONL stream")
-            header = _parse_header(first.decode("utf-8"), p)
+            header = _read_header(handle, p)
         position = handle.tell()
         for raw in iter(handle.readline, b""):
             line = raw.decode("utf-8")
@@ -494,21 +384,19 @@ def scan_stream_records(
 ) -> tuple[dict, list[ScannedRecord]]:
     """Parse a v2 stream's intact record prefix: ``(header, records)``.
 
-    The resume scan: unlike :func:`iter_trace` it reports each record's
-    *end byte offset*, so a caller can truncate the file after any intact
-    prefix and append from there.  With ``tolerate_truncation=True`` a
-    corrupt or half-written **final** line (what a killed campaign leaves
-    behind) silently ends the scan instead of raising; corruption with
-    intact records after it still raises, since that is damage, not a
-    crash tail.
+    The sequential reader.  Each record carries its *end byte offset*,
+    so a caller can truncate the file after any intact prefix and append
+    from there.  With ``tolerate_truncation=True`` a corrupt or
+    half-written **final** line (what a killed campaign leaves behind)
+    silently ends the scan instead of raising; corruption with intact
+    records after it still raises, since that is damage, not a crash
+    tail.  Undecodable bytes are damage too: this reader raises only
+    :class:`ReplayError`.
     """
     p = pathlib.Path(path).expanduser()
     records: list[ScannedRecord] = []
     with p.open("rb") as handle:
-        first = handle.readline()
-        if not _is_jsonl_trace(first.decode("utf-8", errors="replace")):
-            raise ReplayError(f"trace {p} is not a v{TRACE_VERSION} JSONL stream")
-        header = _parse_header(first.decode("utf-8"), p)
+        header = _read_header(handle, p, errors="replace")
         position = handle.tell()
         damage: ReplayError | None = None
         for raw in iter(handle.readline, b""):
@@ -549,19 +437,12 @@ def scan_stream_records(
     return header, records
 
 
-def read_kernel_at(path: str | pathlib.Path, offset: int) -> KernelTrace:
-    """Parse the single record starting at ``offset`` (from the scan index)."""
-    return read_kernels_at(path, (offset,))[0]
-
-
 def read_kernels_at(
     path: str | pathlib.Path, offsets: Sequence[int]
 ) -> list[KernelTrace]:
-    """Parse the records at ``offsets`` through one file handle.
-
-    The batched form of :func:`read_kernel_at`: materializing a kernel
-    with many repeat records (or a whole working set on an LRU miss)
-    opens the trace once, not once per record.
+    """Parse the records at ``offsets`` (from the scan index) through one
+    file handle: materializing a kernel with many repeat records opens
+    the trace once, not once per record.
     """
     kernels: list[KernelTrace] = []
     with pathlib.Path(path).expanduser().open("r") as handle:
@@ -575,34 +456,3 @@ def read_kernels_at(
                     f"trace {path} record at byte {offset} is corrupt: {exc}"
                 ) from None
     return kernels
-
-
-# -- whole-trace I/O ----------------------------------------------------------
-
-
-def save_trace(path: str | pathlib.Path, trace: SweepTrace) -> pathlib.Path:
-    """Write a materialized trace as a JSONL stream; float64 values
-    round-trip bit-for-bit.  Legacy v1 whole-file traces stay readable."""
-    path = pathlib.Path(path).expanduser()
-    with TraceWriter(path, device=trace.device, meta=trace.meta) as writer:
-        for name, kernel in trace.kernels.items():
-            writer.write_kernel(name, kernel)
-    return path
-
-
-def load_trace(path: str | pathlib.Path) -> SweepTrace:
-    """Materialize a whole trace (v1 or v2), merging repeated records."""
-    p = pathlib.Path(path).expanduser()
-    with p.open("r") as handle:
-        first = handle.readline()
-    if not _is_jsonl_trace(first):
-        return SweepTrace.from_state(_load_v1_state(p))
-    header = _parse_header(first, p)
-    trace = SweepTrace(device=str(header["device"]), meta=dict(header.get("meta") or {}))
-    for name, kernel in iter_trace(p):
-        existing = trace.kernels.get(name)
-        if existing is None:
-            trace.kernels[name] = kernel
-        else:
-            existing.merge(kernel)
-    return trace

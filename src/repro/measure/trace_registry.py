@@ -6,9 +6,10 @@ traces: a :class:`TraceKey` identifies one recorded campaign by **device**
 **noise-settings hash** (so traces taken under different measurement-noise
 configurations can never be confused), and :class:`TraceRegistry` maps
 each key to one JSONL trace file, ``<root>/<slug>.jsonl``, in a flat
-directory.  Readers open the file a key resolves to
-(``ReplayBackend(registry.resolve(key))``, ``load_trace``, ``iter_trace``);
-the registry itself only names files and streams campaigns into them.
+directory.  Readers open the file a key resolves to with one of the two
+stream readers — indexed (``ReplayBackend(registry.resolve(key))``) or
+sequential (``scan_stream_records``); the registry itself only names
+files, streams campaigns into them and finds what a resume can reuse.
 
 The user-facing spelling of a key is ``device/suite[/noise-hash]`` —
 ``train --backend replay --trace-key titan-x/default`` resolves a trace

@@ -142,6 +142,22 @@ class TestLintStore:
         # The synthetic corpus is built from known-clean templates.
         assert not report.has_errors
 
+    def test_unreadable_traces_are_skipped(self, tmp_path):
+        """A v1 file or undecodable record names no kernels; no crash."""
+        traces = tmp_path / "store" / "traces"
+        traces.mkdir(parents=True)
+        (traces / "v1.jsonl").write_text(
+            '{"format": "repro.measurement-trace", "version": 1, '
+            '"device": "NVIDIA GTX Titan X", "kernels": {}}\n'
+        )
+        (traces / "latin1.jsonl").write_bytes(
+            b'{"format":"repro.measurement-trace","version":2,'
+            b'"device":"NVIDIA GTX Titan X","meta":{}}\n{"kernel":"caf\xe9"}\n'
+        )
+        report = lint_store(tmp_path / "store")
+        assert report.kernels_checked == 0
+        assert not report.unresolved
+
 
 class TestLintCLI:
     def test_clean_suite_exits_zero(self, tmp_path, capsys):

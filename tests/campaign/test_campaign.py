@@ -10,7 +10,12 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.core.dataset import build_training_dataset
-from repro.measure import ReplayBackend, SimulatorBackend, TraceRegistry, load_trace
+from repro.measure import (
+    ReplayBackend,
+    SimulatorBackend,
+    TraceRegistry,
+    scan_stream_records,
+)
 from repro.serve.registry import ModelKey, ModelRegistry
 
 
@@ -109,8 +114,15 @@ class TestRepeats:
         plan = CampaignPlan(devices=("tesla-p100",), recipe="quick", repeats=2)
         report = run_campaign(plan, store_root=tmp_path)
         registry = TraceRegistry(tmp_path / TRACES_SUBDIR)
-        trace = load_trace(registry.resolve(plan.trace_key(plan.device_specs()[0])))
+        path = registry.resolve(plan.trace_key(plan.device_specs()[0]))
         settings = plan.settings_for(plan.device_specs()[0])
         # Two passes over the grid, merged: each kernel holds one copy.
-        for kernel in trace.kernels.values():
+        merged = {}
+        for record in scan_stream_records(path)[1]:
+            if record.name in merged:
+                merged[record.name].merge(record.kernel)
+            else:
+                merged[record.name] = record.kernel
+        assert len(merged) == len(plan.kernel_specs())
+        for kernel in merged.values():
             assert len(kernel.configs) == len(settings)

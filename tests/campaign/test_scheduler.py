@@ -5,7 +5,7 @@ import pytest
 
 from repro.campaign import CampaignPlan, SweepTask, interleave, run_campaign
 from repro.campaign.engine import TRACES_SUBDIR
-from repro.measure import DevicePool, TraceRegistry, iter_trace
+from repro.measure import DevicePool, TraceRegistry, scan_stream_records
 
 
 def _task(device, i, final=True):
@@ -177,7 +177,7 @@ class TestInterleavedCampaign:
         registry = TraceRegistry(tmp_path / TRACES_SUBDIR)
         for result, device in zip(report.results, plan.device_specs()):
             trace_path = registry.resolve(plan.trace_key(device))
-            names = [name for name, _ in iter_trace(trace_path)]
+            names = [r.name for r in scan_stream_records(trace_path)[1]]
             assert names == [s.name for s in plan.kernel_specs()]
             assert result.resumed_sweeps == 0
             assert result.trained

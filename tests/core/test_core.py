@@ -10,12 +10,13 @@ from repro.core.config import (
     prediction_candidates,
     sample_training_settings,
 )
-from repro.core.dataset import build_training_dataset, measure_kernel
+from repro.core.dataset import build_training_dataset
 from repro.core.pipeline import train_models
 from repro.core.predictor import ParetoPredictor
 from repro.gpusim.device import make_tesla_p100, make_titan_x
 from repro.gpusim.executor import GPUSimulator
 from repro.harness.context import quick_context
+from repro.measure import SimulatorBackend
 from repro.pareto.dominance import dominates
 from repro.suite import get_benchmark
 from repro.suite import test_benchmarks as suite_benchmarks
@@ -91,7 +92,7 @@ class TestDataset:
     def test_measure_kernel_normalizes_to_baseline(self, device):
         sim = GPUSimulator(device)
         spec = get_benchmark("K-means")
-        m = measure_kernel(sim, spec, [device.default_config])
+        m = SimulatorBackend(sim=sim).measure(spec, [device.default_config])
         point = m.points[0]
         assert point.speedup == pytest.approx(1.0, abs=0.05)
         assert point.norm_energy == pytest.approx(1.0, abs=0.05)
@@ -137,7 +138,7 @@ class TestTrainedModels:
         corrs = []
         for spec in suite_benchmarks():
             objs = ctx.models.predict_objectives(spec.static_features(), ctx.settings)
-            m = measure_kernel(ctx.sim, spec, ctx.settings)
+            m = SimulatorBackend(sim=ctx.sim).measure(spec, ctx.settings)
             predicted = np.array([o[0] for o in objs])
             measured = np.array([p.speedup for p in m.points])
             corrs.append(np.corrcoef(predicted, measured)[0, 1])

@@ -10,10 +10,8 @@ from repro.features.vector import (
     INTERACTION_FEATURE_NAMES,
     MEM_FREQ_INTERVAL,
     STATIC_FEATURE_NAMES,
-    ExecutionFeatures,
     StaticFeatures,
     build_design_matrix,
-    normalize_frequency,
 )
 
 
@@ -76,21 +74,27 @@ class TestStaticFeatures:
         assert "t:" in f.describe()
 
 
+def frequency_columns(setting, **intervals):
+    """The design matrix's two normalized frequency columns for one setting."""
+    row = build_design_matrix(make_static(int_add=1), [setting], **intervals)[0]
+    return tuple(row[10:12])
+
+
 class TestFrequencyNormalization:
     def test_interval_endpoints(self):
-        lo = normalize_frequency(CORE_FREQ_INTERVAL[0], MEM_FREQ_INTERVAL[0])
-        hi = normalize_frequency(CORE_FREQ_INTERVAL[1], MEM_FREQ_INTERVAL[1])
+        lo = frequency_columns((CORE_FREQ_INTERVAL[0], MEM_FREQ_INTERVAL[0]))
+        hi = frequency_columns((CORE_FREQ_INTERVAL[1], MEM_FREQ_INTERVAL[1]))
         assert lo == pytest.approx((0.0, 0.0))
         assert hi == pytest.approx((1.0, 1.0))
 
     def test_paper_default_config_position(self):
-        fc, fm = normalize_frequency(1001.0, 3505.0)
+        fc, fm = frequency_columns((1001.0, 3505.0))
         assert 0.8 < fc < 0.85
         assert fm == pytest.approx(1.0)
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
-            normalize_frequency(500.0, 800.0, core_interval=(100.0, 100.0))
+            frequency_columns((500.0, 800.0), core_interval=(100.0, 100.0))
 
 
 class TestDesignMatrix:
@@ -120,12 +124,6 @@ class TestDesignMatrix:
     def test_names_align_with_width(self):
         assert len(FULL_FEATURE_NAMES) == 32
         assert len(INTERACTION_FEATURE_NAMES) == 20
-
-    def test_execution_features_match_matrix(self):
-        f = make_static(float_add=2, gl_access=1)
-        row = ExecutionFeatures(static=f, f_core_mhz=900.0, f_mem_mhz=3505.0).as_array()
-        m = build_design_matrix(f, [(900.0, 3505.0)])
-        assert np.allclose(row, m[0])
 
 
 class TestExtractorIntegration:

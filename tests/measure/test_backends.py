@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.dataset import build_training_dataset, measure_kernel
+from repro.core.dataset import build_training_dataset
 from repro.gpusim.device import make_tesla_p100, make_titan_x, resolve_device
 from repro.gpusim.executor import GPUSimulator
 from repro.measure import (
@@ -13,8 +13,7 @@ from repro.measure import (
     ReplayError,
     SimulatorBackend,
     as_backend,
-    load_trace,
-    save_trace,
+    scan_stream_records,
 )
 from repro.core.config import sample_training_settings
 from repro.suite import get_benchmark
@@ -29,28 +28,35 @@ def spec():
     return get_benchmark("MT")
 
 
+def record(path, backend, spec, configs):
+    """Stream one sweep of ``spec`` into a trace at ``path``."""
+    with RecordingBackend(backend, stream=path) as rec:
+        rec.measure(spec, configs)
+    return path
+
+
 class TestProtocol:
     def test_all_backends_satisfy_protocol(self, tmp_path, spec):
         sim_b = SimulatorBackend()
-        rec = RecordingBackend(sim_b)
-        rec.measure(spec, SETTINGS)
-        path = rec.save(tmp_path / "t.json")
-        for backend in (sim_b, ReplayBackend(path), rec):
-            assert isinstance(backend, MeasurementBackend)
-            assert backend.device.name == "NVIDIA GTX Titan X"
+        path = record(tmp_path / "t.jsonl", sim_b, spec, SETTINGS)
+        with RecordingBackend(sim_b, stream=tmp_path / "r.jsonl") as rec:
+            for backend in (sim_b, ReplayBackend(path), rec):
+                assert isinstance(backend, MeasurementBackend)
+                assert backend.device.name == "NVIDIA GTX Titan X"
 
     def test_capability_kinds(self, tmp_path, spec):
         sim_b = SimulatorBackend(make_tesla_p100())
         assert sim_b.kind == "simulator"
-        rec = RecordingBackend(sim_b)
-        assert rec.kind == "simulator"
-        assert rec.device is sim_b.device
-        rec.measure(spec, [(544.0, 715.0)])
-        rep = ReplayBackend(rec.save(tmp_path / "t.json"))
+        with RecordingBackend(sim_b, stream=tmp_path / "t.jsonl") as rec:
+            assert rec.kind == "simulator"
+            assert rec.device is sim_b.device
+            rec.measure(spec, [(544.0, 715.0)])
+        rep = ReplayBackend(rec.stream_path)
         assert rep.kind == "replay"
         assert rep.device.name == "NVIDIA Tesla P100"
         # A recorder forwards whatever it wraps, replay included.
-        assert RecordingBackend(rep).kind == "replay"
+        with RecordingBackend(rep, stream=tmp_path / "r.jsonl") as rerec:
+            assert rerec.kind == "replay"
 
     def test_as_backend_wraps_simulator(self):
         sim = GPUSimulator()
@@ -68,14 +74,6 @@ class TestProtocol:
 
 
 class TestSimulatorBackend:
-    def test_matches_measure_kernel_on_bare_simulator(self, spec):
-        sim = GPUSimulator()
-        via_backend = SimulatorBackend(sim=sim).measure(spec, SETTINGS)
-        via_shim = measure_kernel(sim, spec, SETTINGS)
-        assert np.array_equal(via_backend.speedup, via_shim.speedup)
-        assert np.array_equal(via_backend.norm_energy, via_shim.norm_energy)
-        assert via_backend.baseline == via_shim.baseline
-
     def test_device_parameterized(self, spec):
         p100 = SimulatorBackend(make_tesla_p100())
         m = p100.measure(spec, [(1328.0, 715.0), (544.0, 715.0)])
@@ -96,9 +94,9 @@ class TestReplay:
     def test_round_trip_training_dataset_exact(self, tmp_path):
         """Recorded → saved → replayed training matrices are exact."""
         specs = generate_micro_benchmarks()[::20]
-        rec = RecordingBackend(SimulatorBackend())
-        direct = build_training_dataset(rec, specs, SETTINGS)
-        path = rec.save(tmp_path / "trace.json")
+        path = tmp_path / "trace.jsonl"
+        with RecordingBackend(SimulatorBackend(), stream=path) as rec:
+            direct = build_training_dataset(rec, specs, SETTINGS)
 
         replayed = build_training_dataset(ReplayBackend(path), specs, SETTINGS)
         assert np.array_equal(direct.x, replayed.x)
@@ -107,53 +105,48 @@ class TestReplay:
         assert direct.groups == replayed.groups
 
     def test_trace_json_round_trip(self, tmp_path, spec):
-        rec = RecordingBackend(SimulatorBackend())
-        rec.measure(spec, SETTINGS)
-        path = save_trace(tmp_path / "t.json", rec.trace)
-        loaded = load_trace(path)
-        assert loaded.device == rec.trace.device
-        kernel = loaded.kernels[spec.name]
+        measured = SimulatorBackend().measure(spec, SETTINGS)
+        path = record(tmp_path / "t.jsonl", SimulatorBackend(), spec, SETTINGS)
+        header, records = scan_stream_records(path)
+        assert header["device"] == "NVIDIA GTX Titan X"
+        assert [r.name for r in records] == [spec.name]
+        kernel = records[0].kernel
         assert kernel.configs == SETTINGS
-        assert kernel.time_ms == rec.trace.kernels[spec.name].time_ms
+        assert kernel.time_ms == measured.time_ms.tolist()
 
     def test_subset_and_reordered_replay(self, tmp_path, spec):
-        rec = RecordingBackend(SimulatorBackend())
-        rec.measure(spec, SETTINGS)
-        rep = ReplayBackend(rec.save(tmp_path / "t.json"))
+        path = record(tmp_path / "t.jsonl", SimulatorBackend(), spec, SETTINGS)
+        rep = ReplayBackend(path)
         subset = [SETTINGS[3], SETTINGS[0]]
         m = rep.measure(spec, subset)
         assert m.configs == subset
-        full = rec.measure(spec, SETTINGS)
+        full = SimulatorBackend().measure(spec, SETTINGS)
         assert m.time_ms[1] == full.time_ms[0]
 
     def test_unknown_kernel_rejected(self, tmp_path, spec):
-        rec = RecordingBackend(SimulatorBackend())
-        rec.measure(spec, SETTINGS)
-        rep = ReplayBackend(rec.save(tmp_path / "t.json"))
+        rep = ReplayBackend(
+            record(tmp_path / "t.jsonl", SimulatorBackend(), spec, SETTINGS)
+        )
         with pytest.raises(ReplayError):
             rep.measure(get_benchmark("k-NN"), SETTINGS)
 
     def test_unrecorded_config_rejected(self, tmp_path, spec):
-        rec = RecordingBackend(SimulatorBackend())
-        rec.measure(spec, SETTINGS[:2])
-        rep = ReplayBackend(rec.save(tmp_path / "t.json"))
+        rep = ReplayBackend(
+            record(tmp_path / "t.jsonl", SimulatorBackend(), spec, SETTINGS[:2])
+        )
         with pytest.raises(ReplayError):
             rep.measure(spec, [SETTINGS[4]])
 
     def test_bad_version_rejected(self, tmp_path, spec):
-        rec = RecordingBackend(SimulatorBackend())
-        rec.measure(spec, SETTINGS[:1])
-        state = rec.trace.to_state()
-        state["version"] = 99
-        path = tmp_path / "bad.json"
-        path.write_text(__import__("json").dumps(state))
-        with pytest.raises(ReplayError):
+        path = record(tmp_path / "t.jsonl", SimulatorBackend(), spec, SETTINGS[:1])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = lines[0].replace('"version":2', '"version":99')
+        path.write_text("".join(lines))
+        with pytest.raises(ReplayError, match="unsupported trace stream version 99"):
             ReplayBackend(path)
 
     def test_device_mismatch_rejected(self, tmp_path, spec):
-        rec = RecordingBackend(SimulatorBackend())
-        rec.measure(spec, SETTINGS[:1])
-        path = rec.save(tmp_path / "t.json")
+        path = record(tmp_path / "t.jsonl", SimulatorBackend(), spec, SETTINGS[:1])
         with pytest.raises(ReplayError, match="recorded on"):
             ReplayBackend(path, device=make_tesla_p100())
 

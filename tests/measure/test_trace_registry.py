@@ -14,9 +14,8 @@ from repro.measure import (
     SimulatorBackend,
     TraceKey,
     TraceRegistry,
-    iter_trace,
-    load_trace,
     noise_settings_hash,
+    scan_stream_records,
 )
 from repro.measure.trace_registry import DEFAULT_NOISE_HASH
 from repro.synthetic.generator import generate_micro_benchmarks
@@ -83,7 +82,8 @@ class TestRegistry:
         assert key in registry
         assert registry.path_for(key) == tmp_path / f"{key.slug}.jsonl"
         assert registry.entries() == [key.slug]
-        assert load_trace(registry.resolve(key)).meta["suite"] == "stream"
+        header, _records = scan_stream_records(registry.resolve(key))
+        assert header["meta"]["suite"] == "stream"
 
         replayed = build_training_dataset(
             ReplayBackend(registry.resolve(key)), SPECS, SETTINGS
@@ -105,7 +105,7 @@ class TestRegistry:
                 raise RuntimeError("boom")
         # The registry still serves the complete pre-crash trace; the
         # partial stream is parked beside it for forensics.
-        assert len(load_trace(registry.resolve(key)).kernels) == len(SPECS)
+        assert len(ReplayBackend(registry.resolve(key)).kernels()) == len(SPECS)
         assert registry.partial_path_for(key).exists()
 
     def test_open_backend_accepts_string_keys(self, tmp_path):
@@ -118,5 +118,6 @@ class TestRegistry:
     def test_iter_kernels_streams(self, tmp_path):
         registry = TraceRegistry(tmp_path)
         seed_trace(registry, TraceKey(device="titan-x"))
-        names = [name for name, _ in iter_trace(registry.resolve("titan-x"))]
+        _header, records = scan_stream_records(registry.resolve("titan-x"))
+        names = [r.name for r in records]
         assert sorted(names) == sorted(s.name for s in SPECS)

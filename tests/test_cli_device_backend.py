@@ -143,11 +143,63 @@ def test_model_with_backend_flags_rejected(tmp_path, kernel_file, capsys):
 
 
 def test_malformed_trace_missing_key_reports_cleanly(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"format": "repro.measurement-trace", "version": 1}))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"format": "repro.measurement-trace", "version": 2}))
     assert main(["characterize", "MT", "--quick",
                  "--backend", "replay", "--trace", str(bad)]) == 2
-    assert "missing required key 'device'" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: trace {bad} header names no device\n"
+
+
+def test_v1_trace_is_one_error_line(tmp_path, capsys):
+    """The original whole-file JSON format is refused, not read."""
+    v1 = tmp_path / "v1.json"
+    v1.write_text(
+        '{"format": "repro.measurement-trace", "version": 1, '
+        '"device": "NVIDIA GTX Titan X", "kernels": {}}'
+    )
+    assert main(["train", "--quick", "--backend", "replay", "--trace", str(v1),
+                 "--save", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: unsupported trace stream version 1 "
+        "(this build reads only version 2 JSONL streams)\n"
+    )
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+def test_unwritable_record_trace_measures_nothing(tmp_path, capsys, monkeypatch, where):
+    import repro.cli
+
+    def no_training(args, setup=None):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr(repro.cli, "_context_for", no_training)
+    occupied = tmp_path / "occupied"
+    if where == "directory":
+        occupied.mkdir()
+        target = occupied
+    else:
+        occupied.write_text("")
+        target = occupied / "t.jsonl"
+    assert main(["train", "--quick", "--save", str(tmp_path / "m.json"),
+                 "--record-trace", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {target}: ") and err.count("\n") == 1
+    if where == "directory":
+        assert err == f"error: {target}: Is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["occupied"]
+
+
+def test_failed_recorded_run_publishes_no_trace(tmp_path, capsys):
+    """A replay that cannot serve the sweep leaves nothing at the record path."""
+    trace = tmp_path / "mt.jsonl"
+    assert main(["characterize", "MT", "--quick",
+                 "--record-trace", str(trace)]) == 0
+    rerecord = tmp_path / "knn.jsonl"
+    assert main(["characterize", "k-NN", "--quick", "--backend", "replay",
+                 "--trace", str(trace), "--record-trace", str(rerecord)]) == 2
+    assert "kernel 'k-NN' is not in the trace" in capsys.readouterr().err
+    assert not rerecord.exists()
 
 
 def test_devices_lists_aliases_and_grids(capsys):
