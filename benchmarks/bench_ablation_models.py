@@ -13,7 +13,8 @@ It also records the evidence behind the energy model's declared ``C``
 (:func:`repro.ml.svr.make_energy_svr`): for each C in ``ENERGY_C_SWEEP``
 at γ = 0.1, ε = 0.1, the grouped-CV RMSE, the held-out Fig. 7 RMSE per
 memory panel and Table 2's mean coverage difference D, and whether every
-fit reached the solver's KKT tolerance.
+fit reached the solver's KKT tolerance within the sweep's own round cap
+(``ENERGY_C_SWEEP_MAX_ITER``).
 """
 
 import os
@@ -54,6 +55,10 @@ ENERGY_CANDIDATES = {
 #: Energy-model C values swept at γ = 0.1, ε = 0.1: the declared C = 1
 #: and its neighbours on a rough log scale.
 ENERGY_C_SWEEP = (0.3, 1.0, 3.0, 10.0)
+#: The sweep's own round cap, so each C is compared at convergence: C = 10
+#: needs 77,602 rounds on the paper-scale Titan X set, past the default
+#: ``SVR.max_iter``.  The shipped energy model keeps the default.
+ENERGY_C_SWEEP_MAX_ITER = 100_000
 PANELS = ("H", "h", "l", "L")
 
 
@@ -84,7 +89,12 @@ def energy_c_sweep(ctx) -> dict:
     for c_box in ENERGY_C_SWEEP:
         fitted: list = []
         make = _recording(
-            lambda c_box=c_box: SVR(kernel=RBFKernel(gamma=0.1), C=c_box, epsilon=0.1),
+            lambda c_box=c_box: SVR(
+                kernel=RBFKernel(gamma=0.1),
+                C=c_box,
+                epsilon=0.1,
+                max_iter=ENERGY_C_SWEEP_MAX_ITER,
+            ),
             fitted,
         )
         cv = cross_validate(
@@ -140,13 +150,18 @@ def regenerate_model_ablation() -> tuple[str, dict]:
         }
 
     sweep = energy_c_sweep(ctx)
-    data["energy_c_sweep"] = {"gamma": 0.1, "epsilon": 0.1, "by_C": sweep}
+    data["energy_c_sweep"] = {
+        "gamma": 0.1,
+        "epsilon": 0.1,
+        "max_iter": ENERGY_C_SWEEP_MAX_ITER,
+        "by_C": sweep,
+    }
     sections.append(
         "\nenergy SVR-RBF (γ=0.1, ε=0.1) by C — grouped CV, held-out Fig. 7, Table 2:"
     )
     sections.append(
         format_table(
-            ["C", "cv rmse", "fig7 H/h/l/L (%)", "mean", "D", "converged"],
+            ["C", "cv rmse", "fig7 H/h/l/L (%)", "mean", "D", "rounds", "converged"],
             [
                 (
                     c_box,
@@ -154,6 +169,7 @@ def regenerate_model_ablation() -> tuple[str, dict]:
                     " / ".join(f"{r['fig7_energy_rmse_pct'][p]:.1f}" for p in PANELS),
                     f"{r['fig7_energy_rmse_mean_pct']:.2f}",
                     f"{r['table2_mean_d']:.4f}",
+                    str(r["iterations"]),
                     str(r["converged"]),
                 )
                 for c_box, r in sweep.items()
@@ -169,6 +185,8 @@ def test_model_ablation(benchmark):
     assert "SVR-RBF (paper)" in text
     assert data["energy_cv"]["SVR-RBF (paper)"]["converged"] is True
     assert set(data["energy_c_sweep"]["by_C"]) == {f"{c:g}" for c in ENERGY_C_SWEEP}
+    # Every C is compared at convergence, within the sweep's own cap.
+    assert all(r["converged"] for r in data["energy_c_sweep"]["by_C"].values())
 
 
 def test_rbf_svr_best_for_energy():

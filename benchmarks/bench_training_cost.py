@@ -163,6 +163,8 @@ def measure_training_cost() -> dict:
             "kkt_violation": energy.kkt_violation_,
             "converged": energy.converged_,
             "rows_computed": energy.rows_computed_,
+            "active_size": energy.active_size_,
+            "full_checks": energy.full_checks_,
             "n_support": energy.n_support_,
             "fit_s": t_energy,
         },
@@ -213,6 +215,8 @@ def regenerate_training_cost() -> tuple[str, dict]:
         + f"\nenergy solver: {solver['iterations']} rounds, KKT violation "
         + f"{solver['kkt_violation']:.2e} (converged: {solver['converged']}), "
         + f"{solver['rows_computed']} of {m['rows']} kernel rows, "
+        + f"{solver['active_size']} active at the end, "
+        + f"{solver['full_checks']} full-gradient checks, "
         + f"{solver['fit_s'] * 1e3:.1f} ms"
         + f"\nspeedup solver: {speedup['iterations']} L-BFGS iterations "
         + f"(converged: {speedup['converged']}), {speedup['fit_s'] * 1e3:.1f} ms"
@@ -234,6 +238,7 @@ def test_training_cost():
     assert data["model_error"]["exact_energy_mape"] > 0.0
     assert data["energy_solver"]["converged"] is True
     assert data["energy_solver"]["rows_computed"] < data["rows"]
+    assert 0 < data["energy_solver"]["active_size"] <= data["rows"]
     assert data["speedup_solver"]["converged"] is True
 
 

@@ -19,9 +19,9 @@ in the :class:`~repro.serve.registry.ModelRegistry`, and
 ``repro train --backend replay --trace-key titan-x/default`` reproduces
 the campaign's training dataset bit-for-bit.
 
-Execution is one device-interleaved work queue over a single shared
-process pool (:mod:`repro.campaign.scheduler`): device legs overlap
-instead of serializing, leg trainings ride the same workers, and
+Execution is one leg-major work queue over a single shared process pool
+(:mod:`repro.campaign.scheduler`): a leg's training rides the same
+workers while the later legs still sweep, and
 completed sweeps stream into per-device trace writers and incremental
 dataset folds as they land.  ``run_campaign(..., resume=True)`` finishes
 a crashed or interrupted campaign by reusing every already-recorded
@@ -40,7 +40,7 @@ from .engine import (
 from .maintenance import StoreCompactionReport, TraceCompaction, compact_store
 from .plan import RECIPE_SUITES, CampaignPlan
 from .progress import CampaignProgress, LegProgress, ProgressCallback
-from .scheduler import LegRun, SweepTask, interleave, prepare_leg, run_legs
+from .scheduler import LegRun, SweepTask, leg_major, prepare_leg, run_legs
 
 __all__ = [
     "CampaignPlan",
@@ -57,7 +57,7 @@ __all__ = [
     "TRACES_SUBDIR",
     "TraceCompaction",
     "compact_store",
-    "interleave",
+    "leg_major",
     "prepare_leg",
     "run_campaign",
     "run_legs",

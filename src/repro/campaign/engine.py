@@ -10,16 +10,16 @@ engine is thin orchestration over :mod:`repro.campaign.scheduler`:
    :class:`~repro.measure.trace_registry.TraceRegistry` which sweeps a
    crashed or earlier run already recorded, reusing them, and reopening
    the partial stream for append;
-2. every leg's remaining sweeps are flattened into one device-interleaved
-   task queue executed by a single shared
+2. every leg's remaining sweeps are queued leg after leg, in plan order,
+   and executed by a single shared
    :class:`~repro.measure.parallel.DevicePool` (workers cache one backend
    per device), with completed sweeps streaming straight into per-device
    :class:`~repro.measure.trace.TraceWriter`\\ s and incremental dataset
    folds;
 3. the moment a leg's trace publishes, its model training is submitted to
-   the *same* pool, so per-leg trainings run process-parallel to each
-   other rather than serializing in the parent (the pool is FIFO, so a
-   training queues behind sweeps already submitted) — unless the
+   the *same* pool, so it runs on one worker while the later legs sweep
+   on the others, rather than serializing in the parent (the pool is
+   FIFO, but only the few sweeps in flight are queued ahead) — unless the
    :class:`~repro.serve.registry.ModelRegistry` already holds a bundle
    recorded against the identical trace hash, in which case training is
    skipped outright;
@@ -32,7 +32,7 @@ The finished store is the deployment artifact:
 further training, and the report's final line says so.
 
 Because every backend is deterministic per (device, kernel, config), the
-interleaved schedule is bit-identical to serial legs, a resumed campaign
+pooled schedule is bit-identical to serial legs, a resumed campaign
 is byte-identical to an uninterrupted one, and `repro train --backend
 replay --trace-key <device>/<suite>` reproduces the campaign's dataset
 exactly.  A :class:`~repro.campaign.progress.CampaignProgress` tracker
@@ -225,15 +225,6 @@ def _execute(
             span.end()
         trace_path = trace_registry.path_for(leg.trace_key)
         leg.trace_sha256 = _file_sha256(trace_path)
-        try:
-            # Auto-compact on publish: the columnar sidecar makes every
-            # later replay/retrain of this leg mmap-fast.  Deterministic
-            # bytes keep resume-vs-one-shot stores diff-identical, and a
-            # failure here only costs the speedup — the JSONL stays
-            # authoritative, so the campaign itself must never die on it.
-            trace_registry.compact(leg.trace_key)
-        except Exception:
-            pass
         key = plan.model_key(leg.device)
         meta = model_registry.meta_for(key)
         if meta is not None and meta.get("trace_sha256") == leg.trace_sha256:
@@ -256,6 +247,16 @@ def _execute(
                     plan.features,
                 ),
             )
+        try:
+            # Auto-compact on publish, after training is on its way: the
+            # columnar sidecar makes every later replay/retrain of this
+            # leg mmap-fast.  Deterministic bytes keep resume-vs-one-shot
+            # stores diff-identical, and a failure here only costs the
+            # speedup — the JSONL stays authoritative, so the campaign
+            # itself must never die on it.
+            trace_registry.compact(leg.trace_key)
+        except Exception:
+            pass
 
     try:
         run_legs(

@@ -1,4 +1,4 @@
-"""The campaign scheduler: one device-interleaved queue over a shared pool.
+"""The campaign scheduler: one leg-major queue over a shared pool.
 
 PR 3's engine ran device legs sequentially, each leg standing up (and
 tearing down) its own worker pool and holding the parent hostage until the
@@ -6,24 +6,23 @@ leg's sweeps *and* training finished.  This module replaces that with a
 flat schedule:
 
 1. every leg's sweeps become :class:`SweepTask`\\ s — one per (device,
-   kernel, pass) — and :func:`interleave` merges the per-leg sequences
-   round-robin, so a two-device campaign advances both devices at once;
+   kernel, pass) — and :func:`leg_major` queues the legs whole, in plan
+   order, so the first leg finishes sweeping as early as it can;
 2. one :class:`~repro.measure.parallel.DevicePool` executes the whole
    queue; workers build a backend per device lazily and cache it, and
-   ordered streaming (``imap``) keeps every result's destination
-   deterministic;
+   ordered streaming (``imap_sweeps``) keeps every result's destination
+   deterministic while holding at most two sweeps per worker in flight;
 3. each completed sweep is routed straight to its leg's streaming
    :class:`~repro.measure.trace.TraceWriter` and (on the final pass)
    folded into the leg's incremental
    :class:`~repro.core.dataset.DatasetAssembler`;
 4. the moment a leg's last sweep lands, its trace publishes and the
    engine's ``on_leg_swept`` hook fires — typically submitting the leg's
-   model training onto the *same* pool, so leg trainings run on workers
-   and overlap each other instead of serializing in the parent.  (The
-   pool dispatches FIFO, so a training submitted mid-queue starts after
-   the already-enqueued sweep tasks; with the round-robin schedule legs
-   finish near-together and the trainings land side by side at the end,
-   which is where the multi-device win comes from.)
+   model training onto the *same* pool.  The pool dispatches FIFO, but
+   only the in-flight window is queued ahead of it, so the training
+   starts within a few sweeps and runs on one worker while the later
+   legs sweep on the others.  The last leg's training is the campaign's
+   only serial tail.
 
 Bit-identity with the serial path is by construction: measurement noise is
 counter-based per (device, kernel, configuration), so worker assignment
@@ -94,19 +93,15 @@ class SweepTask:
         )
 
 
-def interleave(per_leg: Sequence[Sequence[SweepTask]]) -> list[SweepTask]:
-    """Round-robin merge of per-leg task sequences.
+def leg_major(per_leg: Sequence[Sequence[SweepTask]]) -> list[SweepTask]:
+    """Every leg's tasks, leg after leg, each in its own order.
 
-    Each leg's internal order is preserved (that is what keeps its trace
-    and dataset bit-identical to a serial run); between legs, tasks
-    alternate so every device makes progress from the first pool slot on.
+    Each leg's internal order is what keeps its trace and dataset
+    bit-identical to a serial run; queuing the legs whole finishes the
+    first leg's sweeps first, so its training overlaps the later legs'
+    sweeps instead of waiting for all of them.
     """
-    merged: list[SweepTask] = []
-    for i in range(max((len(leg) for leg in per_leg), default=0)):
-        for leg in per_leg:
-            if i < len(leg):
-                merged.append(leg[i])
-    return merged
+    return [task for leg in per_leg for task in leg]
 
 
 @dataclass
@@ -301,12 +296,11 @@ def run_legs(
 ) -> None:
     """Drive every leg's remaining tasks through one shared pool.
 
-    Results stream back in submission (interleaved) order; each is routed
+    Results stream back in submission (leg-major) order; each is routed
     to its leg's writer/assembler.  ``on_leg_swept`` fires the moment a
-    leg's trace publishes — while other legs' sweeps may still be in
-    flight — which is the engine's window to hand training to the pool
-    (queued FIFO behind sweeps already submitted, parallel to the other
-    legs' trainings).
+    leg's trace publishes — while later legs' sweeps are still to come —
+    which is the engine's window to hand training to the pool (queued
+    behind only the sweeps in flight, parallel to the later legs' sweeps).
     """
     emit = on_progress if on_progress is not None else (lambda _p: None)
 
@@ -318,7 +312,7 @@ def run_legs(
                 on_leg_swept(leg)
     emit(progress)
 
-    queue = interleave([leg.tasks for leg in legs])
+    queue = leg_major([leg.tasks for leg in legs])
     if not queue:
         return
     by_device = {leg.device.name: leg for leg in legs}

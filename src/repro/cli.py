@@ -41,7 +41,7 @@ Subcommands:
   FILE`` to write their run's snapshot anywhere;
 * ``devices`` — list registered devices, aliases, and frequency grids;
 * ``campaign --devices a,b`` — run a multi-device measurement campaign:
-  device-interleaved sweeps over one shared worker pool, JSONL traces
+  leg-major sweeps over one shared worker pool, JSONL traces
   registered in the trace registry, per-device models trained and
   registered, all in one command — with live progress on stderr
   (``--progress``/``--no-progress``) and crash recovery (``--resume``

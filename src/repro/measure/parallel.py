@@ -23,6 +23,7 @@ import multiprocessing
 import multiprocessing.pool
 import os
 import time
+from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from ..features.vector import StaticFeatures
@@ -35,6 +36,12 @@ if TYPE_CHECKING:
     from ..obs import MetricsSnapshot
     from ..core.dataset import KernelMeasurements
 
+
+#: Sweep tasks :meth:`DevicePool.imap_sweeps` keeps submitted but not yet
+#: yielded, per worker: two keep every worker busy while the parent folds
+#: a result, and bound how many sweeps a training submitted mid-stream
+#: waits behind.
+SWEEPS_IN_FLIGHT_PER_WORKER = 2
 
 #: The worker process's device→backend cache and its factory (set once by
 #: the pool initializer).
@@ -194,7 +201,14 @@ class DevicePool:
     def imap_sweeps(
         self, tasks: Iterable[DeviceSweepTask]
     ) -> Iterator[DeviceSweepResult]:
-        """Run sweep tasks on the pool, yielding results in task order."""
+        """Run sweep tasks on the pool, yielding results in task order.
+
+        At most :data:`SWEEPS_IN_FLIGHT_PER_WORKER` × ``workers`` tasks
+        are submitted and not yet yielded; the next is submitted only
+        after one is yielded.  So a call the consumer submits through
+        :meth:`apply_async` between two results queues behind that
+        window, not behind every remaining sweep.
+        """
         tasks = list(tasks)
         if self.workers == 1 or len(tasks) <= 1:
             for task in tasks:
@@ -207,11 +221,21 @@ class DevicePool:
                 yield result
             return
         pool = self._ensure_pool()
-        for result, snapshot in pool.imap(_device_sweep_task, tasks, chunksize=1):
-            # Merged as yielded — i.e. in submission order — so the pooled
-            # totals equal the serial (workers=1) totals bit for bit.
-            self.metrics.merge(snapshot)
-            yield result
+        window = SWEEPS_IN_FLIGHT_PER_WORKER * self.workers
+        in_flight: deque = deque()
+        for task in tasks:
+            in_flight.append(pool.apply_async(_device_sweep_task, (task,)))
+            if len(in_flight) == window:
+                yield self._next_sweep(in_flight)
+        while in_flight:
+            yield self._next_sweep(in_flight)
+
+    def _next_sweep(self, in_flight: deque) -> DeviceSweepResult:
+        result, snapshot = in_flight.popleft().get()
+        # Merged as yielded — i.e. in submission order — so the pooled
+        # totals equal the serial (workers=1) totals bit for bit.
+        self.metrics.merge(snapshot)
+        return result
 
     def apply_async(self, fn: Callable[..., Any], *args: Any):
         """Submit one picklable call; returns an ``AsyncResult``-alike.

@@ -20,11 +20,16 @@ selection — Fan, Chen & Lin, JMLR 2005).  ``g`` is kept current with one
 kernel row per update; rows are computed on first use and cached, so the
 n × n Gram matrix is never built: only coordinates that ever move pay
 for a row (about 750 of 4240 on the paper-scale Titan X energy fit, 140
-on the P100).  The fit stops when the largest step any coordinate could
-take is at most ``tol``, or after ``max_iter`` rounds; ``iterations_``,
-``kkt_violation_`` and ``converged_`` record which, so a capped fit is
-never silent.  There is no RNG: ties go to the lowest index and two fits
-are bit-identical.
+on the P100).  Rounds work on a *shrunk* active set, LIBSVM's technique:
+every :attr:`SVR.SHRINK_EVERY` rounds a coordinate held at 0 inside the
+tube, or at ±C with its gradient pushing outward, by a margin, leaves
+it (318 of 4240 remain on the Titan X fit), and the shrunk gradients
+catch up from the cached rows of the coordinates that moved.  The fit
+stops when the largest step any coordinate could take — all n of them,
+re-admitted and checked on the full gradient — is at most ``tol``, or
+after ``max_iter`` rounds; ``iterations_``, ``kkt_violation_`` and
+``converged_`` record which, so a capped fit is never silent.  There is
+no RNG: ties go to the lowest index and two fits are bit-identical.
 
 **Linear kernel special case** — the linear Gram matrix has rank ≤ d, and
 dual CD zigzags across its flat valleys (pathologically slow convergence).
@@ -90,6 +95,15 @@ class SVR:
     #: costs about as much as a few scalar updates, so batching the best
     #: few amortizes it; 8 was fastest on the paper-scale energy fits.
     WORKING_SET = 8
+    #: Greedy rounds between shrink passes.  A pass costs a few vector ops
+    #: over the active set plus, when something shrinks, one row update
+    #: per coordinate moved since the last.  On the paper-scale Titan X
+    #: fit, 50–800 timed within noise of each other; 200 had the best
+    #: median.
+    SHRINK_EVERY = 200
+    #: A coordinate shrinks only while its gradient clears the tube's edge
+    #: or its bound by this many times the current violation.
+    SHRINK_MARGIN = 2.0
 
     def __init__(
         self,
@@ -129,8 +143,13 @@ class SVR:
         self.iterations_: int = 0
         self.kkt_violation_: float | None = None
         self.converged_: bool | None = None
-        #: Kernel rows the dual fit computed (not serialized).
+        #: Dual fit, not serialized: kernel rows computed, the active-set
+        #: size at the last re-admission (n if nothing was shrunk), and
+        #: how often the shrunk coordinates were re-admitted to test the
+        #: full gradient (once the active set met ``tol`` or at the cap).
         self.rows_computed_: int = 0
+        self.active_size_: int = 0
+        self.full_checks_: int = 0
 
     # -- training ---------------------------------------------------------------
 
@@ -164,17 +183,38 @@ class SVR:
         self._support_beta = self.beta_[sv]
 
     def _fit_dual(self, xa: np.ndarray, yc: np.ndarray) -> np.ndarray:
-        """Greedy coordinate descent on the dual; returns β.
+        """Greedy coordinate descent on the dual, with shrinking; returns β.
 
         For coordinate ``j`` with gradient ``g_j`` the 1-D subproblem
         ``min_b ½K_jj(b − β_j)² + g_j(b − β_j) + ε|b|`` on ``[−C, C]`` is
         solved by soft-thresholding ``β_j − g_j/K_jj`` at ``ε/K_jj`` and
         clipping; its objective change is
         ``d(g_j + ½K_jj d) + ε(|b| − |β_j|)`` for the step ``d = b − β_j``.
-        The row cache holds one row per coordinate that ever moved, so it
-        reaches the Gram matrix's size only if every coordinate moves.
-        Rows are evaluated against ``xa`` prepared once, so its row norms
-        are not recomputed per row.
+
+        Rounds score, select and update only the *active* coordinates,
+        held compacted (``active`` lists their indices, ascending, so ties
+        still go to the lowest index).  Every :attr:`SHRINK_EVERY` rounds
+        a coordinate that cannot move leaves the active set: β = 0 with
+        ``|g| < ε − 2m``, β = C with ``g < −ε − 2m``, or β = −C with
+        ``g > ε + 2m``, where ``m`` is the current violation.  (With a
+        margin of ``m``, a paper-scale Titan X coordinate shrunk at 0 in
+        round 2,200 became a support vector later; the fit then ended 252
+        rounds later at a different β.  At ``2m`` every paper-scale fit
+        keeps the unshrunk solver's rounds and β bit for bit.)  A shrunk
+        coordinate's gradient is brought up to date only when it is
+        needed — before more coordinates shrink, and when the active set
+        meets the stopping test — by ``g += row · Δβ`` over the cached
+        rows of the coordinates that moved since the last such sync.
+        Then all n coordinates are re-admitted and the test is re-run on
+        the full gradient, so the fit stops only when every coordinate
+        meets ``tol`` (or at ``max_iter``, reporting the full violation).
+
+        Full kernel rows are cached only for active coordinates that have
+        moved; a shrunk coordinate cannot move, so its row is dropped.
+        Each active row is also kept restricted to the active set (the
+        full row itself while every coordinate is active).  Rows are
+        evaluated against ``xa`` prepared once, so its row norms are not
+        recomputed per row.
         """
         n = xa.shape[0]
         kernel = self.kernel
@@ -189,32 +229,70 @@ class SVR:
 
         beta = np.zeros(n)
         g = -yc  # gradient Kβ − y at β = 0
+        #: Full rows by coordinate, and the same rows restricted to the
+        #: active set (one dict while every coordinate is active).
         rows: dict[int, np.ndarray] = {}
-        z, new, step, score, work = (np.empty(n) for _ in range(5))
-        rounds = 0
+        active_rows = rows
+        #: Active positions moved since the last sync -> β at that sync.
+        pending: dict[int, float] = {}
+        buffers = [np.empty(n) for _ in range(5)]
+        active = np.arange(n)
+        m = n
+        b_a, g_a, d_a, inv_a, half_a, thr_a = (
+            beta, g, diag, inv_diag, half_diag, threshold
+        )
+        z, new, step, score, work = buffers
+        rounds = full_checks = computed = 0
+        active_size = n
+
+        def sync() -> None:
+            # Shrunk gradients catch up with every active move since the
+            # last sync; active entries of g are refreshed from g_a later.
+            for j, b_old in pending.items():
+                delta = b_a.item(j) - b_old
+                if delta != 0.0:
+                    np.add(g, rows[active.item(j)] * delta, out=g)
+            pending.clear()
+
         while True:
-            # Every coordinate's exact step: z = β − g/K, soft-threshold,
-            # clip, and the largest primal-scale step as the KKT violation.
-            np.multiply(g, inv_diag, out=z)
-            np.subtract(beta, z, out=z)
+            # Every active coordinate's exact step: z = β − g/K,
+            # soft-threshold, clip, and the largest primal-scale step as
+            # the KKT violation.
+            np.multiply(g_a, inv_a, out=z)
+            np.subtract(b_a, z, out=z)
             np.abs(z, out=new)
-            new -= threshold
+            new -= thr_a
             np.maximum(new, 0.0, out=new)
             np.minimum(new, c_box, out=new)
             np.copysign(new, z, out=new)
-            np.subtract(new, beta, out=step)
+            np.subtract(new, b_a, out=step)
             np.abs(step, out=work)
-            work *= diag
-            violation = float(work.max())
+            work *= d_a
+            violation = float(work.max()) if m else 0.0
             if violation <= self.tol or rounds == self.max_iter:
-                break
+                if m == n:
+                    break
+                # The active set meets the test: re-admit everything and
+                # re-run it on the full gradient.
+                sync()
+                beta[active] = b_a
+                g[active] = g_a
+                full_checks += 1
+                active_size = m
+                active, m = np.arange(n), n
+                b_a, g_a, d_a, inv_a, half_a, thr_a = (
+                    beta, g, diag, inv_diag, half_diag, threshold
+                )
+                active_rows = rows
+                z, new, step, score, work = buffers
+                continue
             rounds += 1
             # Objective change of each step (≤ 0): the greedy score.
-            np.multiply(half_diag, step, out=score)
-            score += g
+            np.multiply(half_a, step, out=score)
+            score += g_a
             score *= step
             np.abs(new, out=work)
-            work -= np.abs(beta)
+            work -= np.abs(b_a)
             work *= eps
             score += work
             for _ in range(self.WORKING_SET):
@@ -224,24 +302,71 @@ class SVR:
                 score[j] = np.inf
                 # Re-solve j against the gradient the earlier updates of
                 # this round left, so every step is exact.
-                k_jj = diag.item(j)
-                b_j = beta.item(j)
-                z_j = b_j - g.item(j) / k_jj
+                k_jj = d_a.item(j)
+                b_j = b_a.item(j)
+                z_j = b_j - g_a.item(j) / k_jj
                 t_j = min(abs(z_j) - eps / k_jj, c_box)
                 b_new = 0.0 if t_j <= 0.0 else (t_j if z_j > 0.0 else -t_j)
                 delta = b_new - b_j
                 if delta == 0.0:
                     continue
-                row = rows.get(j)
+                i = active.item(j)
+                row = active_rows.get(i)
                 if row is None:
-                    row = rows[j] = kernel.gram(xa[j : j + 1], operand)[0]
-                beta[j] = b_new
-                g += row * delta
+                    row = rows[i] = kernel.gram(xa[i : i + 1], operand)[0]
+                    computed += 1
+                    if m < n:
+                        row = active_rows[i] = row[active]
+                if m < n and j not in pending:
+                    pending[j] = b_j
+                b_a[j] = b_new
+                g_a += row * delta
+
+            if rounds % self.SHRINK_EVERY:
+                continue
+            # Coordinates that cannot move: inside the tube at 0, or
+            # pushed against a bound, by a margin.
+            slack = self.SHRINK_MARGIN * violation
+            out = (b_a == 0.0) & (np.abs(g_a) < eps - slack)
+            out |= (b_a == c_box) & (g_a < -eps - slack)
+            out |= (b_a == -c_box) & (g_a > eps + slack)
+            if not out.any():
+                continue
+            keep = np.flatnonzero(~out)
+            dropped = np.flatnonzero(out)
+            shrunk = active[dropped]
+            if m == n:
+                # Shrinking from the full set copies each kept row
+                # restricted to the active set: it waits until the rows it
+                # drops pay for those copies.
+                kept = len(rows) - sum(i in rows for i in shrunk.tolist())
+                if kept * (n + keep.size) > len(rows) * n:
+                    continue
+            sync()
+            beta[shrunk] = b_a[dropped]
+            g[shrunk] = g_a[dropped]
+            for i in shrunk.tolist():
+                rows.pop(i, None)
+            active, m = active[keep], keep.size
+            b_a, g_a, d_a, inv_a, half_a, thr_a = (
+                a[keep] for a in (b_a, g_a, d_a, inv_a, half_a, thr_a)
+            )
+            if active_rows is rows:
+                active_rows = {i: row[keep] for i, row in rows.items()}
+            else:
+                for i in list(active_rows):
+                    if i in rows:
+                        active_rows[i] = active_rows[i][keep]
+                    else:
+                        del active_rows[i]
+            z, new, step, score, work = (a[:m] for a in buffers)
 
         self.iterations_ = rounds
         self.kkt_violation_ = violation
         self.converged_ = violation <= self.tol
-        self.rows_computed_ = len(rows)
+        self.rows_computed_ = computed
+        self.active_size_ = active_size
+        self.full_checks_ = full_checks
         return beta
 
     def _fit_linear_primal(self, xa: np.ndarray, ya: np.ndarray) -> "SVR":
@@ -538,12 +663,15 @@ def make_energy_svr() -> SVR:
     (dual objective −288 against about −8320), which regularized the fit
     without saying so.  C = 1 declares that
     regularization and is solved to ``tol``: 9.0 / 9.9 / 29.9 / 18.0%
-    and Table 2 D 0.0365 on the Titan X.  In the sweep over C ∈ {0.3, 1,
-    3, 10} (``benchmarks/bench_ablation_models.py``), C = 1 is the largest
-    value solved to ``tol`` within the ``max_iter`` cap: C = 3 and 10 score
-    2–3% better in grouped CV but stop at the cap, so their numbers would
-    again depend on it, and C = 0.3 underfits (CV RMSE 0.118 against
-    0.106).  Random-order CD run to convergence at C = 1 gives the same
-    fidelity, so the numbers depend on (C, γ, ε) and not on the solver.
+    and Table 2 D 0.0365 on the Titan X.  The sweep over C ∈ {0.3, 1,
+    3, 10} (``benchmarks/bench_ablation_models.py``) solves every C to
+    ``tol`` under its own 100,000-round cap.  C = 1 converges in 7,063
+    rounds, inside the default ``max_iter``; C = 3 and 10 need 22,843 and
+    77,602, past it.  Converged, they score 2.8% and 1.5% better in
+    grouped CV (0.1033 and 0.1047 against 0.1063), but held out they trade
+    the gain away: Fig. 7 mean 16.85 and 16.62% against 16.71%, Table 2 D
+    0.0344 and 0.0407 against 0.0365.  C = 0.3 underfits (CV 0.118).
+    Random-order CD run to convergence at C = 1 gives the same fidelity,
+    so the numbers depend on (C, γ, ε) and not on the solver.
     """
     return SVR(kernel=RBFKernel(gamma=0.1), C=1.0, epsilon=0.1)

@@ -1,11 +1,13 @@
-"""The campaign scheduler: interleaved queue, shared pool, streamed folds."""
+"""The campaign scheduler: leg-major queue, shared pool, streamed folds."""
 
 import numpy as np
 import pytest
 
-from repro.campaign import CampaignPlan, SweepTask, interleave, run_campaign
+from repro.campaign import CampaignPlan, SweepTask, leg_major, run_campaign
 from repro.campaign.engine import TRACES_SUBDIR
-from repro.measure import DevicePool, TraceRegistry, scan_stream_records
+from repro.campaign.scheduler import train_leg_task
+from repro.measure import DevicePool, TraceRegistry, parallel, scan_stream_records
+from repro.obs import MetricsRegistry
 
 
 def _task(device, i, final=True):
@@ -19,25 +21,25 @@ def _task(device, i, final=True):
     )
 
 
-class TestInterleave:
-    def test_round_robin_across_legs(self):
+class TestLegMajor:
+    def test_legs_queue_whole_in_plan_order(self):
         a = [_task("a", i) for i in range(3)]
         b = [_task("b", i) for i in range(2)]
-        merged = interleave([a, b])
+        merged = leg_major([a, b])
         assert [(t.device, t.kernel_index) for t in merged] == [
-            ("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 2),
+            ("a", 0), ("a", 1), ("a", 2), ("b", 0), ("b", 1),
         ]
 
     def test_per_leg_order_preserved(self):
         legs = [[_task(d, i) for i in range(4)] for d in ("x", "y", "z")]
-        merged = interleave(legs)
+        merged = leg_major(legs)
         for device in ("x", "y", "z"):
             ours = [t.kernel_index for t in merged if t.device == device]
             assert ours == [0, 1, 2, 3]
 
     def test_empty(self):
-        assert interleave([]) == []
-        assert interleave([[], []]) == []
+        assert leg_major([]) == []
+        assert leg_major([[], []]) == []
 
 
 class TestTaskEnumeration:
@@ -83,10 +85,12 @@ class TestDevicePool:
 
     def test_pool_results_match_inline_bitwise(self):
         plan = CampaignPlan(devices=("titan-x", "tesla-p100"), recipe="quick")
-        tasks = []
-        for device in plan.device_specs():
-            tasks.extend(t.payload() for t in plan.leg_tasks(device)[:3])
-        tasks = interleave([tasks[:3], tasks[3:]])
+        titan, p100 = (
+            [t.payload() for t in plan.leg_tasks(device)[:3]]
+            for device in plan.device_specs()
+        )
+        # Alternate devices so every worker switches between backends.
+        tasks = [task for pair in zip(titan, p100) for task in pair]
         with DevicePool(workers=1) as inline, DevicePool(workers=2) as pooled:
             serial = list(inline.imap_sweeps(tasks))
             parallel = list(pooled.imap_sweeps(tasks))
@@ -118,6 +122,117 @@ class TestDevicePool:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers"):
             DevicePool(workers=0)
+
+
+class FakeResult:
+    """An ``AsyncResult`` whose call runs only when it is read."""
+
+    def __init__(self, pool, index, fn, args):
+        self._pool, self._index = pool, index
+        self._fn, self._args = fn, args
+
+    def get(self, timeout=None):
+        self._pool.log.append(("get", self._index))
+        self._pool.in_flight -= 1
+        value = self._pool.values[self._index] = self._fn(*self._args)
+        return value
+
+
+class FakePool:
+    """Stands in for the ``multiprocessing`` pool: records every
+    submission and every read, in order, and runs nothing ahead."""
+
+    def __init__(self):
+        self.log = []
+        self.calls = []
+        self.values = {}
+        self.in_flight = self.peak_in_flight = 0
+
+    def apply_async(self, fn, args):
+        self.calls.append((fn, args))
+        self.log.append(("submit", len(self.calls) - 1))
+        self.in_flight += 1
+        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+        return FakeResult(self, len(self.calls) - 1, fn, args)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Every DevicePool's workers are one FakePool; sweep calls build
+    their backends in this process, as a worker's initializer would."""
+    fake = FakePool()
+    monkeypatch.setattr(DevicePool, "_ensure_pool", lambda self: fake)
+    monkeypatch.setattr(parallel, "_DEVICE_FACTORY", parallel.backend_for_device)
+    monkeypatch.setattr(parallel, "_DEVICE_BACKENDS", {})
+    return fake
+
+
+class RecordingRegistry(MetricsRegistry):
+    def __init__(self):
+        super().__init__()
+        self.merged = []
+
+    def merge(self, snapshot):
+        self.merged.append(snapshot)
+        super().merge(snapshot)
+
+
+class TestSweepWindow:
+    def _payloads(self, n):
+        plan = CampaignPlan(devices=("titan-x",), recipe="quick")
+        return [t.payload() for t in plan.leg_tasks(plan.device_specs()[0])[:n]]
+
+    def test_at_most_two_sweeps_per_worker_in_flight(self, fake_pool):
+        tasks = self._payloads(11)
+        with DevicePool(workers=2) as pool:
+            names = []
+            for measurements, _static, _seconds in pool.imap_sweeps(tasks):
+                # The result being consumed is read; the rest are queued.
+                assert fake_pool.in_flight <= 2 * 2 - 1
+                names.append(measurements.spec.name)
+        assert len(fake_pool.calls) == len(tasks)
+        assert fake_pool.peak_in_flight == 2 * 2
+        assert names == [task[1].name for task in tasks]
+
+    def test_results_and_merges_arrive_in_submission_order(self, fake_pool):
+        tasks = self._payloads(9)
+        registry = RecordingRegistry()
+        with DevicePool(workers=2, registry=registry) as pool:
+            for k, (measurements, _s, _t) in enumerate(pool.imap_sweeps(tasks)):
+                assert measurements.spec.name == tasks[k][1].name
+                # Merged as yielded: the k-th task's delta, and no later one.
+                assert len(registry.merged) == k + 1
+                assert registry.merged[k] is fake_pool.values[k][1]
+        reads = [i for kind, i in fake_pool.log if kind == "get"]
+        assert reads == list(range(len(tasks)))
+
+    def test_first_training_starts_before_the_last_leg_finishes(
+        self, fake_pool, tmp_path
+    ):
+        plan = CampaignPlan(
+            devices=("titan-x", "tesla-p100"), recipe="quick", workers=2
+        )
+        report = run_campaign(plan, tmp_path)
+        assert all(result.trained for result in report.results)
+        first, last = (device.name for device in plan.device_specs())
+        events = []  # (kind, device) in log order
+        for kind, index in fake_pool.log:
+            fn, args = fake_pool.calls[index]
+            if fn is parallel._device_sweep_task:
+                events.append((kind + " sweep", args[0][0]))
+            else:
+                assert args[0] is train_leg_task
+                events.append((kind + " train", args[1][2]))
+        train_first = events.index(("submit train", first))
+        last_sweep_read = max(
+            k for k, event in enumerate(events) if event == ("get sweep", last)
+        )
+        assert train_first < last_sweep_read
+        # Only the in-flight window of the last leg's sweeps is queued
+        # ahead of the first leg's training.
+        ahead = [e for e in events[:train_first] if e == ("submit sweep", last)]
+        assert len(ahead) <= 2 * plan.workers
+        assert events.count(("submit sweep", last)) == plan.tasks_per_leg
 
 
 class TestInterleavedCampaign:

@@ -1,4 +1,5 @@
-"""The dual SVR solver: KKT optimality, memory, determinism, old bundles."""
+"""The dual SVR solver: KKT optimality, shrinking, memory, determinism,
+old bundles."""
 
 import json
 import tracemalloc
@@ -8,6 +9,8 @@ import pytest
 
 from repro.ml.kernels import PolynomialKernel, RBFKernel, prepare
 from repro.ml.svr import GRAM_BLOCK_ENTRIES, SVR
+
+from .oracle_greedy_cd import UnshrunkSVR
 
 
 def smooth_data(n, d=3, noise=0.05, seed=0):
@@ -67,6 +70,104 @@ class TestKKT:
         assert model.kkt_violation_ == pytest.approx(steps.max(), rel=1e-9)
         state = json.loads(json.dumps(model.to_state()))
         assert state["converged"] is False and state["iterations"] == 5
+
+
+#: Problems on which the default solver shrinks (its active set ends far
+#: below n), as (data arguments, SVR arguments).
+SHRINKING_PROBLEMS = {
+    "rbf-C1": (dict(n=400, d=2, noise=0.3, seed=4), dict(gamma=0.5, C=1.0)),
+    "rbf-C3": (dict(n=400, d=3, noise=0.5, seed=4), dict(gamma=0.5, C=3.0)),
+}
+
+
+def shrinking_problem(name, cls=SVR, **svr_args):
+    data, args = SHRINKING_PROBLEMS[name]
+    x, y = smooth_data(**data)
+    model = cls(kernel=RBFKernel(gamma=args["gamma"]), C=args["C"], **svr_args)
+    return model, x, y
+
+
+class EagerSVR(SVR):
+    """Shrinks after every round, on no margin: shrunk coordinates are
+    often wrong, so the full-gradient check has to catch them."""
+
+    SHRINK_EVERY = 1
+    SHRINK_MARGIN = 0.0
+
+
+class TestShrinking:
+    @pytest.mark.parametrize("name", sorted(SHRINKING_PROBLEMS))
+    def test_matches_the_unshrunk_oracle(self, name):
+        model, x, y = shrinking_problem(name)
+        oracle, _, _ = shrinking_problem(name, cls=UnshrunkSVR)
+        model.fit(x, y)
+        oracle.fit(x, y)
+        assert model.active_size_ < len(x) // 4
+        assert model.full_checks_ == 1
+        assert model.converged_ is True
+        assert model.iterations_ == oracle.iterations_
+        assert model.n_support_ == oracle.n_support_
+        np.testing.assert_allclose(model.beta_, oracle.beta_, rtol=0.0, atol=1e-10)
+        again, _, _ = shrinking_problem(name)
+        again.fit(x, y)
+        assert np.array_equal(again.beta_, model.beta_)
+        assert again.to_state() == model.to_state()
+
+    def test_shrunk_fit_meets_the_dense_kkt_test(self):
+        x, y = smooth_data(120, noise=0.3, seed=4)
+        model = EagerSVR(kernel=RBFKernel(gamma=0.5), C=1.0).fit(x, y)
+        steps, _ = full_gram_kkt_steps(model, x, y)
+        assert model.active_size_ < len(x)
+        assert model.converged_ is True
+        assert steps.max() <= model.tol * (1 + 1e-9)
+        assert model.kkt_violation_ == pytest.approx(steps.max(), rel=1e-9, abs=1e-12)
+
+    def test_wrongly_shrunk_coordinate_is_readmitted_and_moves(self):
+        # With C small, round 1 puts every coordinate it moves at a bound,
+        # and the eager solver shrinks right after it: exactly those that
+        # then sit at 0 inside the tube or at a bound pushed outward.
+        x, y = smooth_data(200, noise=0.3, seed=4)
+        kernel, c_box, eps = RBFKernel(gamma=0.5), 0.05, 0.1
+        first = EagerSVR(kernel=kernel, C=c_box, epsilon=eps, max_iter=1).fit(x, y)
+        b1 = first.beta_
+        g1 = kernel(x, x) @ b1 - (y - y.mean())
+        shrunk = (b1 == 0.0) & (np.abs(g1) < eps)
+        shrunk |= (b1 == c_box) & (g1 < -eps)
+        shrunk |= (b1 == -c_box) & (g1 > eps)
+        assert first.active_size_ == len(x) - np.count_nonzero(shrunk)
+
+        model = EagerSVR(kernel=kernel, C=c_box, epsilon=eps).fit(x, y)
+        assert np.any(shrunk & (model.beta_ != b1))
+        assert model.full_checks_ >= 2
+        steps, _ = full_gram_kkt_steps(model, x, y)
+        assert model.converged_ is True
+        assert steps.max() <= model.tol * (1 + 1e-9)
+
+    def test_capped_shrunk_fit_reports_the_full_violation(self):
+        model, x, y = shrinking_problem("rbf-C1", max_iter=1000)
+        oracle, _, _ = shrinking_problem("rbf-C1", cls=UnshrunkSVR, max_iter=1000)
+        model.fit(x, y)
+        oracle.fit(x, y)
+        assert model.active_size_ < len(x)
+        assert model.iterations_ == 1000
+        assert model.converged_ is False
+        steps, _ = full_gram_kkt_steps(model, x, y)
+        assert model.kkt_violation_ == pytest.approx(steps.max(), rel=1e-9)
+        assert model.kkt_violation_ == pytest.approx(oracle.kkt_violation_, rel=1e-9)
+        assert model.kkt_violation_ > model.tol
+
+    def test_peak_memory_at_most_the_oracles(self):
+        peaks = []
+        for cls in (UnshrunkSVR, SVR):
+            model, x, y = shrinking_problem("rbf-C1", cls=cls)
+            tracemalloc.start()
+            try:
+                model.fit(x, y)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        oracle_peak, shrunk_peak = peaks
+        assert shrunk_peak <= oracle_peak
 
 
 class TestNoGram:
@@ -201,6 +302,7 @@ class TestDeterminism:
         assert np.array_equal(a.beta_, b.beta_)
         assert a.to_state() == b.to_state()
         assert np.array_equal(a.predict(x), b.predict(x))
+        assert (a.active_size_, a.full_checks_) == (b.active_size_, b.full_checks_)
 
 
 #: States written by the random-order CD solver with an epoch cap, before
