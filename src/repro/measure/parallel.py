@@ -14,7 +14,9 @@ alternates between devices pays construction once per device, not per
 task.  Tasks can also extract each kernel's static features, with the
 feature recipe the task names, moving the clkernel frontend — the
 dominant per-kernel cost of dataset assembly — off the parent's critical
-path.
+path.  Sweep results stream back in submission order with at most two
+tasks per worker in flight, so a training the campaign submits between
+two results waits behind that window, not behind every queued sweep.
 """
 
 from __future__ import annotations
