@@ -5,7 +5,10 @@ Four feature-engineering decisions are swept:
 1. **Combination columns** — our multiplicative reading of Fig. 3's
    "combined together" (``k·f_core``, ``k·f_mem``) vs the plain 12-column
    concatenation.  Without the products a linear model can express only
-   one global frequency slope.
+   one global frequency slope.  The library has one layout; the
+   concatenation row fits its own scaler and speedup SVR on the first
+   d + 2 columns (statics, ``f_core``, ``f_mem``) of the same matrix.
+   Both rows' held-out speedup RMSE land in ``data["speedup_rmse"]``.
 2. **Share normalization** (paper §3.2) vs raw weighted counts.
 3. **Unknown-loop trip-count default** in the extractor (1 vs 16 vs 64).
 4. **Named feature recipes** (``repro.analysis.recipes``) — every
@@ -23,25 +26,66 @@ from _common import write_artifact
 from repro.analysis.recipes import registered_recipes
 from repro.core.pipeline import train_from_specs
 from repro.features.extractor import ExtractorConfig, FeatureExtractor
-from repro.features.vector import build_design_matrix
+from repro.features.vector import build_batch_design_matrix
 from repro.gpusim.executor import GPUSimulator
 from repro.harness.context import paper_context
 from repro.harness.report import format_heading, format_table
 from repro.harness.runner import measure_configs
 from repro.ml.metrics import mape
+from repro.ml.scaling import StandardScaler
+from repro.ml.svr import make_speedup_svr
 from repro.suite import test_benchmarks
 
 
-def _test_speedup_rmse(sim, models, settings) -> float:
+def _test_speedup_rmse(sim, predict_speedup, settings) -> float:
+    """Held-out speedup RMSE; ``predict_speedup(static, settings)`` gives
+    one kernel's predictions in settings order."""
     total, n = 0.0, 0
     for spec in test_benchmarks():
         static = spec.static_features()
         measured = measure_configs(sim, spec, settings)
-        x = build_design_matrix(static, settings, interactions=models.interactions)
-        for config, pred in zip(settings, models.predict_speedup(x)):
+        for config, pred in zip(settings, predict_speedup(static, settings)):
             total += (pred - measured[config].speedup) ** 2
             n += 1
     return float(np.sqrt(total / n))
+
+
+def _interaction_speedup(models):
+    """The trained bundle's speedup predictor (the library's one layout)."""
+
+    def predict(static, settings):
+        return models.predict_objective_arrays([static], settings)[0][0]
+
+    return predict
+
+
+def _concat_speedup(dataset):
+    """The plain-concatenation ablation: a scaler and the paper's speedup
+    SVR fit on only the first d + 2 columns of the interaction matrix
+    (``3d + 2`` wide), i.e. ``(k, f_core, f_mem)`` without the products."""
+    width = (dataset.x.shape[1] - 2) // 3 + 2
+    x = dataset.x[:, :width]
+    scaler = StandardScaler().fit(x)
+    model = make_speedup_svr().fit(scaler.transform(x), dataset.y_speedup)
+
+    def predict(static, settings):
+        rows = build_batch_design_matrix([static], settings)[:, :width]
+        return model.predict(scaler.transform(rows))
+
+    return predict
+
+
+def layout_rmses(micro) -> dict[str, float]:
+    """Held-out speedup RMSE of both feature layouts, trained on ``micro``."""
+    ctx = paper_context()
+    sim = GPUSimulator(ctx.device)
+    models, dataset = train_from_specs(sim, micro, ctx.settings)
+    return {
+        "interactions": _test_speedup_rmse(
+            sim, _interaction_speedup(models), ctx.settings
+        ),
+        "concat": _test_speedup_rmse(sim, _concat_speedup(dataset), ctx.settings),
+    }
 
 
 def _suite_mape(sim, models, settings) -> tuple[float, float]:
@@ -130,18 +174,13 @@ def _recipe_table(data: dict) -> str:
     )
 
 
-def regenerate_feature_ablation() -> str:
+def regenerate_feature_ablation() -> tuple[str, dict]:
     ctx = paper_context()
-    micro = ctx.micro_benchmarks[::2]
-    rows = []
-    for label, interactions in (
-        ("combined k*f columns (ours)", True),
-        ("plain concatenation (k, f)", False),
-    ):
-        sim = GPUSimulator(ctx.device)
-        models, _ = train_from_specs(sim, micro, ctx.settings, interactions=interactions)
-        rmse = _test_speedup_rmse(sim, models, ctx.settings)
-        rows.append((label, f"{rmse:.4f}"))
+    layouts = layout_rmses(ctx.micro_benchmarks[::2])
+    rows = [
+        ("combined k*f columns (ours)", f"{layouts['interactions']:.4f}"),
+        ("plain concatenation (k, f)", f"{layouts['concat']:.4f}"),
+    ]
     table1 = format_table(["feature layout", "test speedup RMSE"], rows)
 
     # Trip-count default: how far do the static features move?
@@ -158,6 +197,7 @@ def regenerate_feature_ablation() -> str:
     table2 = format_table(["extractor config", "max feature shift"], shifts)
 
     data = sweep_recipes()
+    data["speedup_rmse"] = layouts
     table3 = _recipe_table(data)
 
     text = (
@@ -192,19 +232,14 @@ def test_feature_ablation(benchmark):
         assert np.isfinite(entry["energy_mape_pct"])
     assert data["paper10_matches_legacy"]["static_vectors"] is True
     assert data["paper10_matches_legacy"]["model_state"] is True
+    assert all(np.isfinite(v) for v in data["speedup_rmse"].values())
 
 
 def test_interactions_beat_concatenation():
     """The multiplicative combination must not be worse than the plain
     concatenation for the linear speedup model."""
-    ctx = paper_context()
-    micro = ctx.micro_benchmarks[::3]
-    sim = GPUSimulator(ctx.device)
-    with_int, _ = train_from_specs(sim, micro, ctx.settings, interactions=True)
-    without, _ = train_from_specs(sim, micro, ctx.settings, interactions=False)
-    rmse_with = _test_speedup_rmse(sim, with_int, ctx.settings)
-    rmse_without = _test_speedup_rmse(sim, without, ctx.settings)
-    assert rmse_with <= rmse_without * 1.05
+    rmse = layout_rmses(paper_context().micro_benchmarks[::3])
+    assert rmse["interactions"] <= rmse["concat"] * 1.05
 
 
 def test_normalized_features_scale_invariant():

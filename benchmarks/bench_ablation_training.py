@@ -11,7 +11,6 @@ from _common import write_artifact
 
 from repro.core.config import make_sampling_plans
 from repro.core.pipeline import train_from_specs
-from repro.features.vector import build_design_matrix
 from repro.gpusim.executor import GPUSimulator
 from repro.harness.context import paper_context
 from repro.harness.report import format_heading, format_table
@@ -25,9 +24,7 @@ def _test_rmse(ctx_sim, models, settings) -> tuple[float, float]:
     for spec in test_benchmarks():
         static = spec.static_features()
         measured = measure_configs(ctx_sim, spec, settings)
-        x = build_design_matrix(static, settings, interactions=models.interactions)
-        pred_s = models.predict_speedup(x)
-        pred_e = models.predict_energy(x)
+        (pred_s,), (pred_e,) = models.predict_objective_arrays([static], settings)
         for config, ps, pe in zip(settings, pred_s, pred_e):
             point = measured[config]
             speed_sq += (ps - point.speedup) ** 2

@@ -36,7 +36,7 @@ from repro.core.dataset import (
     TrainingDataset,
     build_training_dataset,
 )
-from repro.features.vector import build_design_matrix
+from repro.features.vector import build_batch_design_matrix
 from repro.gpusim.executor import GPUSimulator
 from repro.harness.report import format_heading, format_table
 from repro.measure import (
@@ -97,7 +97,7 @@ def scalar_build_training_dataset(sim, specs, settings) -> TrainingDataset:
         feats[spec.name] = static
         profile = spec.profile()
         baseline = sim.run_default(profile)
-        blocks.append(build_design_matrix(static, settings))
+        blocks.append(build_batch_design_matrix([static], settings))
         for core, mem in settings:
             record = sim.sweep_batch(profile, [(core, mem)]).record(0)
             speedups.append(baseline.time_ms / record.time_ms)

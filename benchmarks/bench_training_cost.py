@@ -98,7 +98,7 @@ def time_energy_predict(models, device) -> dict:
     candidates as one design matrix, timed as the median of repeats."""
     candidates = modeled_subset(device, models.settings)
     statics = [spec.static_features(models.feature_recipe) for spec in suite_kernels()]
-    x = build_batch_design_matrix(statics, candidates, interactions=models.interactions)
+    x = build_batch_design_matrix(statics, candidates)
     energy = models.energy_model
     energy.predict(x)
     times = []
@@ -175,11 +175,9 @@ def measure_training_cost() -> dict:
         },
         "energy_predict": time_energy_predict(models, device),
         "model_error": {
-            "exact_energy_mape": _mape(
-                models.predict_energy(dataset.x), dataset.y_energy
-            ),
+            "exact_energy_mape": _mape(energy.predict(x_scaled), dataset.y_energy),
             "exact_speedup_mape": _mape(
-                models.predict_speedup(dataset.x), dataset.y_speedup
+                speedup.predict(x_scaled), dataset.y_speedup
             ),
         },
     }

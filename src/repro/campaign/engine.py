@@ -100,7 +100,6 @@ class DeviceCampaignResult:
     n_kernels: int
     n_settings: int
     n_samples: int
-    repeats: int
     trace_key: str
     trace_path: pathlib.Path
     model_slug: str
@@ -299,9 +298,7 @@ def _execute(
                 device=leg.device.name,
                 n_kernels=len(leg.specs),
                 n_settings=len(leg.settings),
-                # The final pass holds one row per kernel per setting.
                 n_samples=len(leg.specs) * len(leg.settings),
-                repeats=plan.repeats,
                 trace_key=leg.trace_key.display(),
                 trace_path=trace_registry.path_for(leg.trace_key),
                 model_slug=key.slug,

@@ -1,8 +1,11 @@
-"""Declarative campaign plans: devices × kernels × repeats.
+"""Declarative campaign plans: devices × kernels.
 
 A plan names *what* to measure — the device list, the kernel corpus and
-settings budget (via the training recipe), how many repeat passes — and
-the execution parameters (worker processes).  The engine
+settings budget (via the training recipe) — and the execution parameters
+(worker processes).  Each kernel is swept once per device: the simulator
+already repeats a short kernel until the power sampler has enough samples
+(paper §3.3), and its noise is keyed by (device, kernel, clocks), so a
+second pass would record the same bytes again.  The engine
 (:mod:`repro.campaign.engine`) turns a plan into registered traces and
 trained model bundles; the plan itself owns no I/O.
 """
@@ -35,7 +38,6 @@ class CampaignPlan:
 
     devices: tuple[str, ...]
     recipe: str = "paper"
-    repeats: int = 1
     workers: int = 1
     #: Static feature recipe the campaign extracts and trains with
     #: (:mod:`repro.analysis.recipes`).
@@ -48,8 +50,6 @@ class CampaignPlan:
             raise ValueError(
                 f"unknown recipe {self.recipe!r}; known: {sorted(TRAINING_RECIPES)}"
             )
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         try:
@@ -91,35 +91,25 @@ class CampaignPlan:
 
     # -- task enumeration -------------------------------------------------------
 
-    @property
-    def tasks_per_leg(self) -> int:
-        """Sweep tasks one device leg flattens into (kernels × passes)."""
-        return len(self.kernel_specs()) * self.repeats
-
     def leg_tasks(self, device: DeviceSpec) -> "list[SweepTask]":
         """One device leg as its deterministic sweep-task sequence.
 
-        Pass-major kernel order — exactly the order the serial engine
-        measured and recorded, which is what makes a scheduled leg's trace
+        Kernel order — exactly the order the serial engine measured and
+        recorded, which is what makes a scheduled leg's trace
         byte-identical to a serial one and a crash's record prefix
         checkable against this sequence on ``--resume``.
         """
         from .scheduler import SweepTask
 
-        specs = self.kernel_specs()
         settings = tuple(self.settings_for(device))
         return [
             SweepTask(
                 device=device.name,
-                kernel_index=k,
-                pass_index=p,
                 spec=spec,
                 settings=settings,
-                final=p == self.repeats - 1,
                 feature_recipe=self.features,
             )
-            for p in range(self.repeats)
-            for k, spec in enumerate(specs)
+            for spec in self.kernel_specs()
         ]
 
     def model_key(self, device: DeviceSpec) -> ModelKey:
@@ -134,5 +124,5 @@ class CampaignPlan:
         return (
             f"{len(self.devices)} device(s) x "
             f"{len(self.kernel_specs())} codes x {budget} settings, "
-            f"{self.repeats} pass(es), {self.workers} worker(s)"
+            f"{self.workers} worker(s)"
         )

@@ -6,16 +6,15 @@ leg's sweeps *and* training finished.  This module replaces that with a
 flat schedule:
 
 1. every leg's sweeps become :class:`SweepTask`\\ s — one per (device,
-   kernel, pass) — and :func:`leg_major` queues the legs whole, in plan
+   kernel) — and :func:`leg_major` queues the legs whole, in plan
    order, so the first leg finishes sweeping as early as it can;
 2. one :class:`~repro.measure.parallel.DevicePool` executes the whole
    queue; workers build a backend per device lazily and cache it, and
    ordered streaming (``imap_sweeps``) keeps every result's destination
    deterministic while holding at most two sweeps per worker in flight;
 3. each completed sweep is routed straight to its leg's streaming
-   :class:`~repro.measure.trace.TraceWriter` and (on the final pass)
-   folded into the leg's incremental
-   :class:`~repro.core.dataset.DatasetAssembler`;
+   :class:`~repro.measure.trace.TraceWriter` and folded into the leg's
+   incremental :class:`~repro.core.dataset.DatasetAssembler`;
 4. the moment a leg's last sweep lands, its trace publishes and the
    engine's ``on_leg_swept`` hook fires — typically submitting the leg's
    model training onto the *same* pool.  The pool dispatches FIFO, but
@@ -33,14 +32,14 @@ deterministic function of the assembled dataset.
 Resume (:func:`prepare_leg` with ``resume=True``) asks the
 :class:`~repro.measure.trace_registry.TraceRegistry` what a leg's stream
 already holds.  The recovered records must form a prefix of the leg's
-deterministic record sequence (pass-major kernel order, validated name by
-name and setting by setting); the prefix is reused and only the remainder
-is scheduled, with the partial stream reopened in append mode.  Recovered
-final-pass records are kept on the leg and fold into the dataset via
+deterministic record sequence (kernel order, validated name by name and
+setting by setting); the prefix is reused and only the remainder is
+scheduled, with the partial stream reopened in append mode.  Recovered
+records are kept on the leg and fold into the dataset via
 :func:`~repro.measure.replay.replay_measurements` only when the dataset is
-needed — ahead of the first live final-pass sweep, or when training asks
-for it — so a leg whose registered bundle is already current never
-replays a record or extracts a feature.  A finished resume is therefore
+needed — ahead of the first live sweep, or when training asks for it —
+so a leg whose registered bundle is already current never replays a
+record or extracts a feature.  A finished resume is therefore
 byte-identical to a run that was never interrupted.
 """
 
@@ -68,29 +67,17 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class SweepTask:
-    """One unit of campaign work: sweep one kernel on one device, once.
-
-    ``final`` marks the last measurement pass — the one whose results feed
-    the training dataset, and whose static features the worker extracts
-    with ``feature_recipe``.
-    """
+    """One unit of campaign work: sweep one kernel on one device, once,
+    and extract its static features with ``feature_recipe``."""
 
     device: str
-    kernel_index: int
-    pass_index: int
     spec: KernelSpec
     settings: tuple[tuple[float, float], ...]
-    final: bool
     feature_recipe: str = DEFAULT_RECIPE
 
     def payload(self) -> DeviceSweepTask:
         """The picklable form a :class:`DevicePool` worker executes."""
-        return (
-            self.device,
-            self.spec,
-            list(self.settings),
-            self.feature_recipe if self.final else None,
-        )
+        return (self.device, self.spec, list(self.settings), self.feature_recipe)
 
 
 def leg_major(per_leg: Sequence[Sequence[SweepTask]]) -> list[SweepTask]:
@@ -123,8 +110,8 @@ class LegRun:
     models: TrainedModels | None = None
     trained: bool = True
     trace_sha256: str | None = None
-    #: Final-pass records recovered on resume, in task order, not yet
-    #: folded into the assembler.
+    #: Records recovered on resume, in task order, not yet folded into the
+    #: assembler.
     recovered: list[tuple[SweepTask, KernelTrace]] = field(default_factory=list)
 
     @property
@@ -136,9 +123,8 @@ class LegRun:
         if self.writer is not None:
             self.writer.write_measurements(measurements)
         self.measured += 1
-        if task.final:
-            self._fold_recovered()
-            self.assembler.add(task.spec, static, measurements)
+        self._fold_recovered()
+        self.assembler.add(task.spec, static, measurements)
 
     def _fold_recovered(self) -> None:
         # Recovered records precede every live one in the leg's sequence,
@@ -208,8 +194,9 @@ def prepare_leg(
         ):
             # A published file cannot be extended in place, and reusing it
             # whole requires an *exact* record-for-record match: a partial
-            # match — or surplus records, e.g. a repeats=2 store resumed
-            # under a repeats=1 plan — means a different plan wrote it.
+            # match — or surplus records, e.g. the second pass an older
+            # multi-pass (`--repeats 2`) run recorded — means a different
+            # plan wrote it.
             # Re-measure fresh (atomically, so the old trace survives
             # until clean close).  A too-long *partial* stream needs no
             # such guard: resume_writer truncates the surplus away.
@@ -257,13 +244,10 @@ def prepare_leg(
         resumed_from=resumed_from,
     )
 
-    # Recovered final-pass records wait on the leg until its dataset is
-    # needed.
+    # Recovered records wait on the leg until its dataset is needed.
     if state is not None:
-        final_start = (plan.repeats - 1) * len(specs)
         leg.recovered = [
-            (all_tasks[i], state.records[i].kernel)
-            for i in range(final_start, reused)
+            (all_tasks[i], state.records[i].kernel) for i in range(reused)
         ]
     return leg
 

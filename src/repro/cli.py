@@ -796,7 +796,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         plan = CampaignPlan(
             devices=devices,
             recipe=recipe,
-            repeats=args.repeats,
             workers=args.workers,
             features=_feature_recipe(args),
         )
@@ -1127,10 +1126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="measurement worker processes per device sweep (default: 1)",
-    )
-    p_camp.add_argument(
-        "--repeats", type=int, default=1, metavar="N",
-        help="measurement passes over the grid (default: 1)",
     )
     p_camp.add_argument(
         "--resume", action="store_true",

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..analysis.recipes import DEFAULT_RECIPE
-from ..features.vector import StaticFeatures, build_design_matrix
+from ..features.vector import StaticFeatures, build_batch_design_matrix
 from ..gpusim.executor import ExecutionRecord, SweepBatch
 from ..workloads import KernelSpec
 
@@ -224,14 +224,9 @@ class DatasetAssembler:
     bit-identical to the serial path.
     """
 
-    def __init__(
-        self,
-        settings: list[tuple[float, float]],
-        interactions: bool = True,
-    ) -> None:
+    def __init__(self, settings: list[tuple[float, float]]) -> None:
         self.settings = list(settings)
-        self.interactions = interactions
-        self._blocks: list[np.ndarray] = []
+        self._statics: list[StaticFeatures] = []
         self._speedups: list[np.ndarray] = []
         self._energies: list[np.ndarray] = []
         self._groups: list[str] = []
@@ -239,7 +234,7 @@ class DatasetAssembler:
 
     @property
     def n_kernels(self) -> int:
-        return len(self._blocks)
+        return len(self._statics)
 
     def add(
         self,
@@ -247,22 +242,19 @@ class DatasetAssembler:
         static: StaticFeatures,
         measurements: KernelMeasurements,
     ) -> None:
-        """Fold one kernel's sweep: design-matrix block + target columns."""
+        """Fold one kernel's sweep: its static features and target columns."""
         self._feats[spec.name] = static
-        block = build_design_matrix(
-            static, self.settings, interactions=self.interactions
-        )
-        self._blocks.append(block)
+        self._statics.append(static)
         self._speedups.append(measurements.speedup)
         self._energies.append(measurements.norm_energy)
         self._groups.extend([spec.name] * len(measurements))
 
     def finish(self) -> TrainingDataset:
-        """Stack everything folded so far into the training matrices."""
-        if not self._blocks:
+        """Build the design matrix and stack the targets folded so far."""
+        if not self._statics:
             raise ValueError("need at least one training spec")
         return TrainingDataset(
-            x=np.vstack(self._blocks),
+            x=build_batch_design_matrix(self._statics, self.settings),
             y_speedup=np.concatenate(self._speedups),
             y_energy=np.concatenate(self._energies),
             groups=list(self._groups),
@@ -273,18 +265,17 @@ class DatasetAssembler:
 def assemble_training_dataset(
     measured: "Iterable[tuple[KernelSpec, StaticFeatures, KernelMeasurements]]",
     settings: list[tuple[float, float]],
-    interactions: bool = True,
 ) -> TrainingDataset:
     """Fold a measurement stream into the training matrices, incrementally.
 
     Consumes any iterable of ``(spec, static, measurements)`` triples —
-    typically :func:`iter_kernel_measurements` — accumulating one
-    design-matrix block and one target column per kernel as they arrive,
-    so the source (a long sweep, a trace replay) is never
-    materialized whole.  The final stack is columnar (``np.vstack`` /
-    ``np.concatenate``); no per-point Python loop.
+    typically :func:`iter_kernel_measurements` — keeping one static vector
+    and one target column per kernel as they arrive, so the source (a long
+    sweep, a trace replay) is never materialized whole.  The design matrix
+    is built once at the end, in one vectorized call; no per-point Python
+    loop.
     """
-    assembler = DatasetAssembler(settings, interactions=interactions)
+    assembler = DatasetAssembler(settings)
     for spec, static, measurements in measured:
         assembler.add(spec, static, measurements)
     return assembler.finish()
@@ -294,7 +285,6 @@ def build_training_dataset(
     backend,
     specs: list[KernelSpec],
     settings: list[tuple[float, float]],
-    interactions: bool = True,
     feature_recipe: str = DEFAULT_RECIPE,
 ) -> TrainingDataset:
     """Measure every spec at every setting and assemble the matrices.
@@ -313,5 +303,4 @@ def build_training_dataset(
     return assemble_training_dataset(
         iter_kernel_measurements(backend, specs, settings, feature_recipe),
         settings,
-        interactions=interactions,
     )

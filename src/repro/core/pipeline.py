@@ -38,19 +38,10 @@ class TrainedModels:
     energy_model: Regressor
     settings: list[tuple[float, float]]
     n_training_samples: int
-    #: Whether the design matrix includes the multiplicative combination
-    #: columns (see :mod:`repro.features.vector`); must match training.
-    interactions: bool = True
     #: Named feature recipe the static vectors were extracted with
     #: (:mod:`repro.analysis.recipes`); prediction must extract with the
     #: same recipe or the design-matrix widths (and meanings) diverge.
     feature_recipe: str = DEFAULT_RECIPE
-
-    def predict_speedup(self, x: np.ndarray) -> np.ndarray:
-        return self.speedup_model.predict(self.scaler.transform(x))
-
-    def predict_energy(self, x: np.ndarray) -> np.ndarray:
-        return self.energy_model.predict(self.scaler.transform(x))
 
     def predict_objectives(
         self,
@@ -77,10 +68,10 @@ class TrainedModels:
         holds kernel ``i``'s predicted speedups (resp. normalized
         energies) across all configs, in config order.
         """
-        x = build_batch_design_matrix(statics, configs, interactions=self.interactions)
+        x = self.scaler.transform(build_batch_design_matrix(statics, configs))
         shape = (len(statics), len(configs))
-        speedups = self.predict_speedup(x).reshape(shape)
-        energies = self.predict_energy(x).reshape(shape)
+        speedups = self.speedup_model.predict(x).reshape(shape)
+        energies = self.energy_model.predict(x).reshape(shape)
         return speedups, energies
 
     # -- persistence ------------------------------------------------------------
@@ -92,7 +83,8 @@ class TrainedModels:
         pre-recipe artifact was (implicitly) trained with the default
         recipe, and omitting it keeps default-recipe artifacts
         byte-identical to those — the serve/replay layers' standing
-        guarantee.
+        guarantee.  ``interactions`` is always ``true``: the design matrix
+        has one layout, and the key stays so bundle bytes never change.
         """
         state = {
             "kind": "trained_models",
@@ -101,7 +93,7 @@ class TrainedModels:
             "energy_model": self.energy_model.to_state(),
             "settings": [list(s) for s in self.settings],
             "n_training_samples": self.n_training_samples,
-            "interactions": self.interactions,
+            "interactions": True,
         }
         if self.feature_recipe != DEFAULT_RECIPE:
             state["feature_recipe"] = self.feature_recipe
@@ -109,13 +101,17 @@ class TrainedModels:
 
     @classmethod
     def from_state(cls, state: dict) -> "TrainedModels":
+        if state["interactions"] is not True:
+            raise ValueError(
+                f"interactions={state['interactions']!r}: only the interaction "
+                "design matrix is supported (retrain the bundle)"
+            )
         return cls(
             scaler=scaler_from_state(state["scaler"]),
             speedup_model=regressor_from_state(state["speedup_model"]),
             energy_model=regressor_from_state(state["energy_model"]),
             settings=[tuple(s) for s in state["settings"]],
             n_training_samples=int(state["n_training_samples"]),
-            interactions=bool(state["interactions"]),
             feature_recipe=str(state.get("feature_recipe", DEFAULT_RECIPE)),
         )
 
@@ -156,7 +152,6 @@ def train_models(
     make_speedup: Callable[[], Regressor] | None = None,
     make_energy: Callable[[], Regressor] | None = None,
     settings: list[tuple[float, float]] | None = None,
-    interactions: bool = True,
     feature_recipe: str = DEFAULT_RECIPE,
 ) -> TrainedModels:
     """Fit both models on an assembled dataset (Fig. 2 steps 5–6).
@@ -180,7 +175,6 @@ def train_models(
         energy_model=energy_model,
         settings=settings or [],
         n_training_samples=dataset.n_samples,
-        interactions=interactions,
         feature_recipe=feature_recipe,
     )
 
@@ -191,7 +185,6 @@ def train_from_specs(
     settings: list[tuple[float, float]] | None = None,
     make_speedup: Callable[[], Regressor] | None = None,
     make_energy: Callable[[], Regressor] | None = None,
-    interactions: bool = True,
     feature_recipe: str = DEFAULT_RECIPE,
 ) -> tuple[TrainedModels, TrainingDataset]:
     """End-to-end training phase: measure, assemble, fit.
@@ -209,18 +202,13 @@ def train_from_specs(
         settings if settings is not None else sample_training_settings(backend.device)
     )
     dataset = build_training_dataset(
-        backend,
-        specs,
-        chosen,
-        interactions=interactions,
-        feature_recipe=feature_recipe,
+        backend, specs, chosen, feature_recipe=feature_recipe
     )
     models = train_models(
         dataset,
         make_speedup=make_speedup,
         make_energy=make_energy,
         settings=chosen,
-        interactions=interactions,
         feature_recipe=feature_recipe,
     )
     return models, dataset

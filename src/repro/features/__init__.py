@@ -8,7 +8,6 @@ from .vector import (
     MEM_FREQ_INTERVAL,
     STATIC_FEATURE_NAMES,
     StaticFeatures,
-    build_design_matrix,
 )
 
 __all__ = [
@@ -20,6 +19,5 @@ __all__ = [
     "MEM_FREQ_INTERVAL",
     "STATIC_FEATURE_NAMES",
     "StaticFeatures",
-    "build_design_matrix",
     "extract_features",
 ]

@@ -45,9 +45,6 @@ FULL_FEATURE_NAMES: tuple[str, ...] = (
     STATIC_FEATURE_NAMES + FREQUENCY_FEATURE_NAMES + INTERACTION_FEATURE_NAMES
 )
 
-#: 12-component layout for the no-interactions ablation (plain concatenation).
-CONCAT_FEATURE_NAMES: tuple[str, ...] = STATIC_FEATURE_NAMES + FREQUENCY_FEATURE_NAMES
-
 #: Paper's normalization intervals for the frequency features (Titan X, MHz).
 CORE_FREQ_INTERVAL: tuple[float, float] = (135.0, 1189.0)
 MEM_FREQ_INTERVAL: tuple[float, float] = (405.0, 3505.0)
@@ -127,57 +124,28 @@ class StaticFeatures:
         return f"{name}: " + ", ".join(parts)
 
 
-def build_design_matrix(
-    static: StaticFeatures,
-    settings: list[tuple[float, float]],
-    core_interval: tuple[float, float] = CORE_FREQ_INTERVAL,
-    mem_interval: tuple[float, float] = MEM_FREQ_INTERVAL,
-    interactions: bool = True,
-) -> np.ndarray:
-    """Stack combined feature rows for one kernel across frequency settings.
-
-    Parameters
-    ----------
-    static:
-        The kernel's static features.
-    settings:
-        Sequence of ``(f_core_mhz, f_mem_mhz)`` pairs.
-    interactions:
-        When True (default), append the multiplicative combination columns
-        ``k_i·f_core`` and ``k_i·f_mem`` (see INTERACTION_FEATURE_NAMES);
-        False gives the 12-column plain concatenation (ablation).
-
-    Returns
-    -------
-    ndarray of shape ``(len(settings), 32)`` — or ``(len(settings), 12)``
-    when ``interactions=False``.
-    """
-    return build_batch_design_matrix(
-        [static], settings, core_interval, mem_interval, interactions=interactions
-    )
-
-
 def build_batch_design_matrix(
     statics: "list[StaticFeatures]",
     settings: list[tuple[float, float]],
     core_interval: tuple[float, float] = CORE_FREQ_INTERVAL,
     mem_interval: tuple[float, float] = MEM_FREQ_INTERVAL,
-    interactions: bool = True,
 ) -> np.ndarray:
-    """Stack combined rows for **many** kernels across the same settings.
+    """Stack combined rows for many kernels across the same settings.
 
     The output has one block of ``len(settings)`` rows per kernel, in order:
-    row ``i * len(settings) + j`` is kernel ``i`` at setting ``j`` — exactly
-    the rows :func:`build_design_matrix` would produce for each kernel,
-    concatenated.  Construction is fully vectorized (no per-row Python
-    loop), which is what makes the batched inference path in
-    :mod:`repro.serve` cheap: the whole N×M block feeds a single scaler
-    transform and a single predict per model.
+    row ``i * len(settings) + j`` is kernel ``i`` at setting ``j``, laid out
+    as :data:`FULL_FEATURE_NAMES` (statics, ``f_core``, ``f_mem``, then the
+    ``k·f_core`` and ``k·f_mem`` interaction blocks).  A one-kernel matrix
+    is a batch of one.  Construction is fully vectorized (no per-row Python
+    loop), so a whole N×M block feeds a single scaler transform and a
+    single predict per model.  This is the only place the frequency map is
+    applied: training (``DatasetAssembler.finish``) and prediction
+    (``TrainedModels.predict_objective_arrays``) both call it.
     """
     n_kernels = len(statics)
     n_settings = len(settings)
     # Width follows the statics' layout: the default recipe gives the
-    # paper's 10 (→ 32/12 combined); extended recipes widen uniformly.
+    # paper's 10 (→ 32 combined); extended recipes widen uniformly.
     if statics:
         d_static = len(statics[0].values)
         for s in statics[1:]:
@@ -189,7 +157,7 @@ def build_batch_design_matrix(
                 )
     else:
         d_static = len(STATIC_FEATURE_NAMES)
-    width = 3 * d_static + 2 if interactions else d_static + 2
+    width = 3 * d_static + 2
 
     core_lo, core_hi = core_interval
     mem_lo, mem_hi = mem_interval
@@ -211,7 +179,6 @@ def build_batch_design_matrix(
     rows[:, :d_static] = static_block
     rows[:, d_static] = fc_col
     rows[:, d_static + 1] = fm_col
-    if interactions:
-        rows[:, d_static + 2 : 2 * d_static + 2] = static_block * fc_col[:, None]
-        rows[:, 2 * d_static + 2 :] = static_block * fm_col[:, None]
+    rows[:, d_static + 2 : 2 * d_static + 2] = static_block * fc_col[:, None]
+    rows[:, 2 * d_static + 2 :] = static_block * fm_col[:, None]
     return rows

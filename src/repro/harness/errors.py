@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.pipeline import TrainedModels
-from ..features.vector import build_design_matrix
 from ..gpusim.device import DeviceSpec
 from ..gpusim.executor import GPUSimulator
 from ..ml.metrics import GroupedErrorReport
@@ -77,11 +76,8 @@ def prediction_errors(
         # The bundle's recipe decides the static layout, as at prediction.
         static = spec.static_features(models.feature_recipe)
         measured = measure_configs(sim, spec, settings)
-        x = build_design_matrix(static, settings, interactions=models.interactions)
-        if objective == "speedup":
-            predicted = models.predict_speedup(x)
-        else:
-            predicted = models.predict_energy(x)
+        speedups, energies = models.predict_objective_arrays([static], settings)
+        predicted = speedups[0] if objective == "speedup" else energies[0]
         for (config, pred) in zip(settings, predicted):
             point = measured[config]
             true_value = point.speedup if objective == "speedup" else point.norm_energy

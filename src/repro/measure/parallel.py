@@ -11,7 +11,7 @@ pool serves sweep tasks for *every* device of a campaign.  Tasks are
 tagged with a device name; each worker builds the backend for a device the
 first time it sees a task for it and caches it, so a worker that
 alternates between devices pays construction once per device, not per
-task.  Tasks can also extract each kernel's static features, with the
+task.  Each task also extracts its kernel's static features, with the
 feature recipe the task names, moving the clkernel frontend — the
 dominant per-kernel cost of dataset assembly — off the parent's critical
 path.  Sweep results stream back in submission order with at most two
@@ -77,10 +77,10 @@ def _cached_device_backend(
 
 
 #: One pool task: (device name, spec, configs, feature recipe to extract
-#: static features with, or None to extract none).
-DeviceSweepTask = tuple[str, KernelSpec, Sequence[tuple[float, float]], str | None]
-#: Its result: (measurements, features or None, worker-side seconds).
-DeviceSweepResult = tuple["KernelMeasurements", StaticFeatures | None, float]
+#: static features with).
+DeviceSweepTask = tuple[str, KernelSpec, Sequence[tuple[float, float]], str]
+#: Its result: (measurements, static features, worker-side seconds).
+DeviceSweepResult = tuple["KernelMeasurements", StaticFeatures, float]
 
 
 def _run_sweep_task(
@@ -92,7 +92,7 @@ def _run_sweep_task(
     start = time.perf_counter()
     backend = _cached_device_backend(device_name, cache, factory)
     measurements = backend.measure(spec, configs)
-    static = None if feature_recipe is None else spec.static_features(feature_recipe)
+    static = spec.static_features(feature_recipe)
     return measurements, static, time.perf_counter() - start
 
 

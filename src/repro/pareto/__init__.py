@@ -5,29 +5,20 @@ from .algorithms import (
     pareto_set_numpy,
     pareto_set_simple,
 )
-from .dominance import (
-    dominates,
-    incomparable,
-    is_pareto_optimal,
-    weakly_dominates,
-)
+from .dominance import dominates
 from .extrema import (
     ExtremaDistance,
     ExtremePoints,
     extrema_distance,
     extreme_points,
 )
-from .front import ConfigFront, ConfigPoint
 from .hypervolume import (
     PAPER_REFERENCE_POINT,
     coverage_difference,
     hypervolume,
-    relative_coverage,
 )
 
 __all__ = [
-    "ConfigFront",
-    "ConfigPoint",
     "ExtremaDistance",
     "ExtremePoints",
     "PAPER_REFERENCE_POINT",
@@ -36,11 +27,7 @@ __all__ = [
     "extrema_distance",
     "extreme_points",
     "hypervolume",
-    "incomparable",
-    "is_pareto_optimal",
     "pareto_points",
     "pareto_set_numpy",
     "pareto_set_simple",
-    "relative_coverage",
-    "weakly_dominates",
 ]

@@ -18,21 +18,3 @@ def dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
     sb, eb = b
     return (sa >= sb and ea < eb) or (sa > sb and ea <= eb)
 
-
-def weakly_dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    """True iff ``a`` is at least as good as ``b`` in both objectives."""
-    sa, ea = a
-    sb, eb = b
-    return sa >= sb and ea <= eb
-
-
-def incomparable(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    """Neither dominates the other (and they are not equal)."""
-    return not dominates(a, b) and not dominates(b, a) and a != b
-
-
-def is_pareto_optimal(
-    candidate: tuple[float, float], points: list[tuple[float, float]]
-) -> bool:
-    """No point in ``points`` dominates ``candidate``."""
-    return not any(dominates(p, candidate) for p in points)

@@ -68,14 +68,3 @@ def coverage_difference(
     combined = list(true_front) + list(predicted)
     return hypervolume(combined, reference) - hypervolume(predicted, reference)
 
-
-def relative_coverage(
-    true_front: list[tuple[float, float]],
-    predicted: list[tuple[float, float]],
-    reference: tuple[float, float] = PAPER_REFERENCE_POINT,
-) -> float:
-    """Fraction of the true front's hypervolume captured by the prediction."""
-    hv_true = hypervolume(true_front, reference)
-    if hv_true == 0.0:
-        return 1.0
-    return 1.0 - coverage_difference(true_front, predicted, reference) / hv_true

@@ -62,18 +62,17 @@ class FleetError(ServiceError):
 
 
 #: When a store holds several bundles for one device, prefer recipes in
-#: this order (then lexicographic); ``interactions`` features beat the
-#: ``concat`` ablation.  Deterministic, so two processes opening the same
-#: store route identically.
+#: this order (then lexicographic, then by features).  Deterministic, so
+#: two processes opening the same store route identically.
 RECIPE_PREFERENCE = ("paper", "quick")
 
 
-def _key_rank(key: ModelKey) -> tuple[int, str, int, str]:
+def _key_rank(key: ModelKey) -> tuple[int, str, str]:
     try:
         recipe_rank = RECIPE_PREFERENCE.index(key.recipe)
     except ValueError:
         recipe_rank = len(RECIPE_PREFERENCE)
-    return (recipe_rank, key.recipe, 0 if key.interactions else 1, key.features)
+    return (recipe_rank, key.recipe, key.features)
 
 
 def _discover_routes(
@@ -242,8 +241,7 @@ class FleetService:
         ``<store_root>/models`` — no bundle is materialized until its
         device is first requested (or :meth:`warm` asks for it).
         ``recipe``/``features`` narrow the selection; without them, each
-        device gets its preferred bundle (``paper`` over ``quick``,
-        ``interactions`` over ``concat``).
+        device gets its preferred bundle (``paper`` over ``quick``).
         """
         root = pathlib.Path(store_root).expanduser()
         models_root = root / MODELS_SUBDIR

@@ -27,20 +27,20 @@ class StoreMiss(KeyError):
     """Raised by :meth:`ModelRegistry.get` when a key has no artifact."""
 
 
-#: The pre-recipe ``features`` spellings, in model keys and artifact meta,
-#: of the default feature recipe (``concat``: without interaction columns).
-#: Default bundles keep them so their slugs and bytes never change.
-LEGACY_FEATURES = ("interactions", "concat")
+#: The pre-recipe ``features`` spelling, in model keys and artifact meta,
+#: of the default feature recipe.  Default bundles keep it so their slugs
+#: and bytes never change.
+DEFAULT_FEATURES = "interactions"
 
 
 def features_for_recipe(feature_recipe: str) -> str:
     """The key/meta ``features`` spelling of a feature recipe."""
-    return "interactions" if feature_recipe == DEFAULT_RECIPE else feature_recipe
+    return DEFAULT_FEATURES if feature_recipe == DEFAULT_RECIPE else feature_recipe
 
 
 def recipe_for_features(features: str) -> str:
     """The feature recipe a key/meta ``features`` spelling names."""
-    return DEFAULT_RECIPE if features in LEGACY_FEATURES else features
+    return DEFAULT_RECIPE if features == DEFAULT_FEATURES else features
 
 
 @dataclass(frozen=True)
@@ -49,26 +49,16 @@ class ModelKey:
 
     device: str = "NVIDIA GTX Titan X"
     recipe: str = "paper"
-    #: One of :data:`LEGACY_FEATURES` (the default feature recipe), or any
-    #: registered feature-recipe name from :mod:`repro.analysis.recipes`
-    #: (always with interactions).
-    features: str = "interactions"
+    #: :data:`DEFAULT_FEATURES` (the default feature recipe), or any
+    #: registered feature-recipe name from :mod:`repro.analysis.recipes`.
+    features: str = DEFAULT_FEATURES
 
     def __post_init__(self) -> None:
-        if self.features not in LEGACY_FEATURES and not is_recipe(self.features):
+        if self.features != DEFAULT_FEATURES and not is_recipe(self.features):
             raise ValueError(
-                "features must be 'interactions', 'concat', or a registered "
+                f"features must be {DEFAULT_FEATURES!r} or a registered "
                 f"feature recipe, got {self.features!r}"
             )
-
-    @property
-    def interactions(self) -> bool:
-        """Whether the design matrix carries interaction columns.
-
-        Only the legacy ``concat`` spelling turns them off; recipe-named
-        keys always train with interactions (the paper's default).
-        """
-        return self.features != "concat"
 
     @property
     def feature_recipe(self) -> str:

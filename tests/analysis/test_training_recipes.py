@@ -136,13 +136,13 @@ class TestServeValidation:
 class TestModelKeyRecipes:
     def test_legacy_spellings_mean_paper10(self):
         assert ModelKey(features="interactions").feature_recipe == "paper10"
-        assert ModelKey(features="concat").feature_recipe == "paper10"
-        assert ModelKey(features="concat").interactions is False
+        # The no-interactions ``concat`` spelling names no servable bundle.
+        with pytest.raises(ValueError):
+            ModelKey(features="concat")
 
     def test_recipe_named_key(self):
         key = ModelKey(features="paper10+loops")
         assert key.feature_recipe == "paper10+loops"
-        assert key.interactions is True
         assert "paper10-loops" in key.slug
 
     def test_unknown_features_rejected(self):
@@ -159,7 +159,7 @@ class TestCampaignPlanRecipes:
         )
         device = plan.device_specs()[0]
         assert plan.model_key(device).features == "paper10+loops"
-        # Workers extract the final pass with the plan's recipe.
+        # Workers extract every sweep's features with the plan's recipe.
         assert {t.payload()[3] for t in plan.leg_tasks(device)} == {"paper10+loops"}
 
     def test_default_plan_keeps_the_legacy_key_spelling(self):

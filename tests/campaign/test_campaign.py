@@ -14,7 +14,6 @@ from repro.measure import (
     ReplayBackend,
     SimulatorBackend,
     TraceRegistry,
-    scan_stream_records,
 )
 from repro.serve.registry import ModelKey, ModelRegistry
 
@@ -25,8 +24,6 @@ class TestPlan:
             CampaignPlan(devices=())
         with pytest.raises(ValueError, match="unknown recipe"):
             CampaignPlan(devices=("titan-x",), recipe="exotic")
-        with pytest.raises(ValueError, match="repeats"):
-            CampaignPlan(devices=("titan-x",), repeats=0)
         with pytest.raises(KeyError, match="unknown device"):
             CampaignPlan(devices=("gtx-9999",))
 
@@ -108,21 +105,3 @@ class TestEndToEnd:
         assert "NVIDIA Tesla P100" in text
         assert str(report.store_root) in text
 
-
-class TestRepeats:
-    def test_repeat_passes_merge_identically(self, tmp_path):
-        plan = CampaignPlan(devices=("tesla-p100",), recipe="quick", repeats=2)
-        report = run_campaign(plan, store_root=tmp_path)
-        registry = TraceRegistry(tmp_path / TRACES_SUBDIR)
-        path = registry.resolve(plan.trace_key(plan.device_specs()[0]))
-        settings = plan.settings_for(plan.device_specs()[0])
-        # Two passes over the grid, merged: each kernel holds one copy.
-        merged = {}
-        for record in scan_stream_records(path)[1]:
-            if record.name in merged:
-                merged[record.name].merge(record.kernel)
-            else:
-                merged[record.name] = record.kernel
-        assert len(merged) == len(plan.kernel_specs())
-        for kernel in merged.values():
-            assert len(kernel.configs) == len(settings)

@@ -2,13 +2,14 @@
 
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.campaign import CampaignPlan, run_campaign
 from repro.campaign.engine import TRACES_SUBDIR
 from repro.cli import main as cli_main
-from repro.core.dataset import DatasetAssembler
-from repro.measure import TraceRegistry
+from repro.core.dataset import DatasetAssembler, build_training_dataset
+from repro.measure import ReplayBackend, TraceRegistry
 from repro.measure import parallel as parallel_mod
 from repro.workloads import KernelSpec
 
@@ -114,13 +115,13 @@ class TestCrashResume:
         # extracted.
         assert built == {"static_features": 0, "add": 0}
         for before, after in zip(first.results, again.results):
-            assert after.resumed_sweeps == plan.tasks_per_leg
+            assert after.resumed_sweeps == len(plan.kernel_specs())
             assert not after.trained  # model bundle proven current via hash
             assert after.n_samples == before.n_samples
             assert after.trace_path.read_bytes() == before.trace_path.read_bytes()
             assert after.model_path.read_bytes() == before.model_path.read_bytes()
         assert again.progress is not None
-        assert again.progress.skipped == 2 * plan.tasks_per_leg
+        assert again.progress.skipped == 2 * len(plan.kernel_specs())
 
     def test_missing_bundle_retrains_from_the_recovered_trace(
         self, plan, reference, tmp_path, monkeypatch
@@ -149,7 +150,7 @@ class TestCrashResume:
         report = run_campaign(plan, tmp_path, resume=False)
         assert report.results[0].resumed_sweeps == 0
         titan = plan.device_specs()[0].name
-        assert len([k for d, k in swept if d == titan]) == plan.tasks_per_leg
+        assert len([k for d, k in swept if d == titan]) == len(plan.kernel_specs())
 
     def test_foreign_partial_is_discarded(self, plan, reference, tmp_path):
         """A partial whose records do not match the plan's sequence
@@ -200,7 +201,7 @@ class TestCrashResume:
         report = run_campaign(plan, tmp_path, resume=True)
         titan = plan.device_specs()[0].name
         assert [k for d, k in swept if d == titan] == []
-        assert report.results[0].resumed_sweeps == plan.tasks_per_leg
+        assert report.results[0].resumed_sweeps == len(plan.kernel_specs())
         assert not report.results[0].trained
         assert trace_path.read_bytes() == complete.results[0].trace_path.read_bytes()
         assert not stale.exists()  # superseded debris is cleaned up
@@ -240,82 +241,69 @@ class TestCrashResume:
         assert registry.scan_resume_sources(other) == []
 
 
-class TestRepeatsResume:
-    def test_crash_mid_second_pass(self, tmp_path, monkeypatch):
-        plan = CampaignPlan(devices=("tesla-p100",), recipe="quick", repeats=2)
-        reference = run_campaign(plan, tmp_path / "oneshot")
+def doubled_trace(reference, leg_index: int) -> bytes:
+    """A leg's trace with every record written twice, pass after pass —
+    the stream an older multi-pass (``--repeats 2``) campaign recorded."""
+    lines = reference.results[leg_index].trace_path.read_bytes().splitlines(
+        keepends=True
+    )
+    return lines[0] + b"".join(lines[1:]) * 2
+
+
+class TestDoubledTrace:
+    """Stores written by older multi-pass runs stay usable."""
+
+    def test_doubled_trace_replays_bit_identically(self, plan, reference, tmp_path):
+        doubled = tmp_path / "doubled.jsonl"
+        doubled.write_bytes(doubled_trace(reference, leg_index=0))
+        device = plan.device_specs()[0]
+        specs, settings = plan.kernel_specs(), plan.settings_for(device)
+        once = build_training_dataset(
+            ReplayBackend(reference.results[0].trace_path), specs, settings
+        )
+        twice = build_training_dataset(ReplayBackend(doubled), specs, settings)
+        assert np.array_equal(once.x, twice.x)
+        assert np.array_equal(once.y_speedup, twice.y_speedup)
+        assert np.array_equal(once.y_energy, twice.y_energy)
+
+    def test_published_doubled_trace_is_remeasured_fresh(
+        self, plan, reference, tmp_path, monkeypatch
+    ):
+        """Surplus records mean another plan wrote the published file: it
+        cannot be reused whole, so the leg is measured again, atomically."""
+        run_campaign(plan, tmp_path)
+        trace_path = reference.results[0].trace_path
+        published = tmp_path / TRACES_SUBDIR / trace_path.name
+        published.write_bytes(doubled_trace(reference, leg_index=0))
+        swept = measured_kernels(monkeypatch)
+        report = run_campaign(plan, tmp_path, resume=True)
+        titan = plan.device_specs()[0].name
         n_kernels = len(plan.kernel_specs())
-        # Crash after the full first pass plus 3 records of the second.
-        crashed = tmp_path / "crashed"
-        crash_store(
-            crashed,
-            reference,
-            leg_index=0,
-            keep_records=n_kernels + 3,
-            cut=False,
-        )
-        swept = measured_kernels(monkeypatch)
-        report = run_campaign(plan, crashed, resume=True)
-        assert report.results[0].resumed_sweeps == n_kernels + 3
-        assert len(swept) == plan.tasks_per_leg - (n_kernels + 3)
-        assert (
-            report.results[0].trace_path.read_bytes()
-            == reference.results[0].trace_path.read_bytes()
-        )
-        assert (
-            report.results[0].model_path.read_bytes()
-            == reference.results[0].model_path.read_bytes()
-        )
-
-
-    def test_published_trace_with_surplus_records_not_reused(
-        self, tmp_path, monkeypatch
-    ):
-        """A repeats=2 store resumed under a repeats=1 plan must re-measure:
-        the published 2n-record trace is NOT byte-identical to a one-shot
-        repeats=1 run, even though its prefix matches perfectly."""
-        two_pass = CampaignPlan(devices=("tesla-p100",), recipe="quick", repeats=2)
-        store = tmp_path / "store"
-        run_campaign(two_pass, store)
-        one_pass = CampaignPlan(devices=("tesla-p100",), recipe="quick", repeats=1)
-        swept = measured_kernels(monkeypatch)
-        report = run_campaign(one_pass, store, resume=True)
+        assert len([k for d, k in swept if d == titan]) == n_kernels
         assert report.results[0].resumed_sweeps == 0
-        assert len(swept) == one_pass.tasks_per_leg
-        oneshot = run_campaign(one_pass, tmp_path / "oneshot")
-        assert (
-            report.results[0].trace_path.read_bytes()
-            == oneshot.results[0].trace_path.read_bytes()
-        )
-        assert (
-            report.results[0].model_path.read_bytes()
-            == oneshot.results[0].model_path.read_bytes()
-        )
+        assert report.results[1].resumed_sweeps == n_kernels
+        for got, want in zip(report.results, reference.results):
+            assert got.trace_path.read_bytes() == want.trace_path.read_bytes()
+            assert got.model_path.read_bytes() == want.model_path.read_bytes()
 
-    def test_partial_with_surplus_records_is_truncated_back(
-        self, tmp_path, monkeypatch
+    def test_partial_doubled_trace_is_truncated_back(
+        self, plan, reference, tmp_path, monkeypatch
     ):
-        """A too-long *partial* stream is healable: resume truncates the
-        surplus records away and publishes exactly the expected sequence."""
-        two_pass = CampaignPlan(devices=("tesla-p100",), recipe="quick", repeats=2)
-        reference2 = run_campaign(two_pass, tmp_path / "two")
-        one_pass = CampaignPlan(devices=("tesla-p100",), recipe="quick", repeats=1)
-        oneshot = run_campaign(one_pass, tmp_path / "one")
-        # Fabricate a partial holding the full 2-pass stream under a
-        # 1-pass plan's key (same trace key either way).
-        crashed = tmp_path / "crashed"
-        n = one_pass.tasks_per_leg
-        crash_store(
-            crashed, reference2, leg_index=0, keep_records=2 * n, cut=False
-        )
+        """A too-long partial stream heals: resume keeps the first pass,
+        truncates the surplus away and publishes the one-pass bytes."""
+        trace_path = reference.results[0].trace_path
+        partial = tmp_path / TRACES_SUBDIR / (trace_path.name + ".partial")
+        partial.parent.mkdir(parents=True, exist_ok=True)
+        partial.write_bytes(doubled_trace(reference, leg_index=0))
         swept = measured_kernels(monkeypatch)
-        report = run_campaign(one_pass, crashed, resume=True)
-        assert swept == []  # the n-record prefix covered everything
-        assert report.results[0].resumed_sweeps == n
-        assert (
-            report.results[0].trace_path.read_bytes()
-            == oneshot.results[0].trace_path.read_bytes()
-        )
+        report = run_campaign(plan, tmp_path, resume=True)
+        titan = plan.device_specs()[0].name
+        assert [k for d, k in swept if d == titan] == []
+        assert report.results[0].resumed_sweeps == len(plan.kernel_specs())
+        assert not partial.exists()
+        for got, want in zip(report.results, reference.results):
+            assert got.trace_path.read_bytes() == want.trace_path.read_bytes()
+            assert got.model_path.read_bytes() == want.model_path.read_bytes()
 
 
 class TestResumeCLI:

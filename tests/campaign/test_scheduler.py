@@ -10,15 +10,9 @@ from repro.measure import DevicePool, TraceRegistry, parallel, scan_stream_recor
 from repro.obs import MetricsRegistry
 
 
-def _task(device, i, final=True):
-    return SweepTask(
-        device=device,
-        kernel_index=i,
-        pass_index=0,
-        spec=None,
-        settings=(),
-        final=final,
-    )
+def _task(device, i):
+    # leg_major only orders tasks: the kernel's index stands in for its spec.
+    return SweepTask(device=device, spec=i, settings=())
 
 
 class TestLegMajor:
@@ -26,7 +20,7 @@ class TestLegMajor:
         a = [_task("a", i) for i in range(3)]
         b = [_task("b", i) for i in range(2)]
         merged = leg_major([a, b])
-        assert [(t.device, t.kernel_index) for t in merged] == [
+        assert [(t.device, t.spec) for t in merged] == [
             ("a", 0), ("a", 1), ("a", 2), ("b", 0), ("b", 1),
         ]
 
@@ -34,7 +28,7 @@ class TestLegMajor:
         legs = [[_task(d, i) for i in range(4)] for d in ("x", "y", "z")]
         merged = leg_major(legs)
         for device in ("x", "y", "z"):
-            ours = [t.kernel_index for t in merged if t.device == device]
+            ours = [t.spec for t in merged if t.device == device]
             assert ours == [0, 1, 2, 3]
 
     def test_empty(self):
@@ -43,23 +37,12 @@ class TestLegMajor:
 
 
 class TestTaskEnumeration:
-    def test_pass_major_kernel_order(self):
-        plan = CampaignPlan(devices=("tesla-p100",), recipe="quick", repeats=2)
-        device = plan.device_specs()[0]
-        tasks = plan.leg_tasks(device)
-        specs = plan.kernel_specs()
-        assert len(tasks) == plan.tasks_per_leg == 2 * len(specs)
-        # Pass-major: the first len(specs) tasks are pass 0 in kernel order.
-        assert [t.spec.name for t in tasks[: len(specs)]] == [s.name for s in specs]
-        assert all(t.pass_index == 0 for t in tasks[: len(specs)])
-        assert all(t.pass_index == 1 for t in tasks[len(specs):])
-
-    def test_only_last_pass_is_final(self):
-        plan = CampaignPlan(devices=("tesla-p100",), recipe="quick", repeats=3)
+    def test_one_task_per_kernel_in_kernel_order(self):
+        plan = CampaignPlan(devices=("tesla-p100",), recipe="quick")
         tasks = plan.leg_tasks(plan.device_specs()[0])
-        finals = [t.final for t in tasks]
-        n = len(plan.kernel_specs())
-        assert finals == [False] * (2 * n) + [True] * n
+        assert [t.spec.name for t in tasks] == [
+            s.name for s in plan.kernel_specs()
+        ]
 
     def test_settings_travel_with_the_task(self):
         plan = CampaignPlan(devices=("titan-x",), recipe="quick")
@@ -100,6 +83,15 @@ class TestDevicePool:
             assert np.array_equal(m1.energy_j, m2.energy_j)
             assert s1 is not None and s2 is not None
             assert s1.as_dict() == s2.as_dict()
+
+    def test_every_sweep_extracts_with_the_task_recipe(self):
+        plan = CampaignPlan(
+            devices=("titan-x",), recipe="quick", features="paper10+loops"
+        )
+        tasks = [t.payload() for t in plan.leg_tasks(plan.device_specs()[0])[:2]]
+        with DevicePool(workers=1) as pool:
+            for task, (_m, static, _t) in zip(tasks, pool.imap_sweeps(tasks)):
+                assert static == task[1].static_features("paper10+loops")
 
     def test_apply_async_runs_work(self):
         with DevicePool(workers=1) as pool:
@@ -232,7 +224,7 @@ class TestSweepWindow:
         # ahead of the first leg's training.
         ahead = [e for e in events[:train_first] if e == ("submit sweep", last)]
         assert len(ahead) <= 2 * plan.workers
-        assert events.count(("submit sweep", last)) == plan.tasks_per_leg
+        assert events.count(("submit sweep", last)) == len(plan.kernel_specs())
 
 
 class TestInterleavedCampaign:
@@ -259,10 +251,10 @@ class TestInterleavedCampaign:
         )
         assert seen, "callback never fired"
         assert seen == sorted(seen)  # monotone completion counts
-        assert seen[-1] == plan.tasks_per_leg
+        assert seen[-1] == len(plan.kernel_specs())
         progress = report.progress
         assert progress is not None and progress.finished is not None
-        assert progress.done == plan.tasks_per_leg
+        assert progress.done == len(plan.kernel_specs())
         assert progress.utilization() > 0.0
         leg = progress.legs[plan.device_specs()[0].name]
         assert leg.stage == "done"

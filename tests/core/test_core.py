@@ -115,6 +115,33 @@ class TestDataset:
         assert ds.groups[0] == specs[0].name
         assert ds.groups[-1] == specs[-1].name
 
+    def test_design_matrix_stacks_per_kernel_blocks(self, ctx):
+        """The assembler builds the matrix once; it equals each kernel's
+        own block, stacked in add order, bit for bit."""
+        from repro.features.vector import build_batch_design_matrix
+
+        ds = ctx.dataset
+        blocks = [
+            build_batch_design_matrix([static], ctx.settings)
+            for static in ds.static_features.values()
+        ]
+        assert np.array_equal(ds.x, np.vstack(blocks))
+
+    def test_assembler_refuses_mixed_recipe_widths(self, device):
+        from repro.core.dataset import DatasetAssembler
+
+        sim = GPUSimulator(device)
+        specs = generate_micro_benchmarks()[:2]
+        settings = sample_training_settings(device, total=12)
+        backend = SimulatorBackend(sim=sim)
+        assembler = DatasetAssembler(settings)
+        for spec, recipe in zip(specs, ("paper10", "paper10+loops")):
+            assembler.add(
+                spec, spec.static_features(recipe), backend.measure(spec, settings)
+            )
+        with pytest.raises(ValueError, match="one feature recipe"):
+            assembler.finish()
+
     def test_subset(self, ctx):
         ds = ctx.dataset
         mask = np.zeros(ds.n_samples, dtype=bool)
@@ -146,7 +173,7 @@ class TestTrainedModels:
         assert min(corrs) > 0.3
 
     def test_predict_objectives_is_one_kernel_of_the_batch_pass(self, ctx):
-        from repro.features.vector import build_design_matrix
+        from repro.features.vector import build_batch_design_matrix
 
         static = get_benchmark("MT").static_features()
         pairs = ctx.models.predict_objectives(static, ctx.settings)
@@ -154,10 +181,13 @@ class TestTrainedModels:
             [static], ctx.settings
         )
         assert pairs == list(zip(speedups[0].tolist(), energies[0].tolist()))
-        # The single-kernel design matrix predicts the same values bit for bit.
-        x = build_design_matrix(static, ctx.settings)
-        assert [s for s, _ in pairs] == ctx.models.predict_speedup(x).tolist()
-        assert [e for _, e in pairs] == ctx.models.predict_energy(x).tolist()
+        # Each model on the scaled one-kernel matrix gives the same values
+        # bit for bit.
+        x = ctx.models.scaler.transform(
+            build_batch_design_matrix([static], ctx.settings)
+        )
+        assert [s for s, _ in pairs] == ctx.models.speedup_model.predict(x).tolist()
+        assert [e for _, e in pairs] == ctx.models.energy_model.predict(x).tolist()
 
     def test_energy_predictions_positive(self, ctx):
         spec = get_benchmark("MT")

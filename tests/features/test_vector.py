@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from repro.features.vector import (
-    CONCAT_FEATURE_NAMES,
     CORE_FREQ_INTERVAL,
     FULL_FEATURE_NAMES,
     INTERACTION_FEATURE_NAMES,
     MEM_FREQ_INTERVAL,
     STATIC_FEATURE_NAMES,
     StaticFeatures,
-    build_design_matrix,
+    build_batch_design_matrix,
 )
 
 
@@ -76,7 +75,7 @@ class TestStaticFeatures:
 
 def frequency_columns(setting, **intervals):
     """The design matrix's two normalized frequency columns for one setting."""
-    row = build_design_matrix(make_static(int_add=1), [setting], **intervals)[0]
+    row = build_batch_design_matrix([make_static(int_add=1)], [setting], **intervals)[0]
     return tuple(row[10:12])
 
 
@@ -100,22 +99,25 @@ class TestFrequencyNormalization:
 class TestDesignMatrix:
     def test_shape_with_interactions(self):
         f = make_static(int_add=1)
-        m = build_design_matrix(f, [(500.0, 810.0), (1000.0, 3505.0)])
+        m = build_batch_design_matrix([f], [(500.0, 810.0), (1000.0, 3505.0)])
         assert m.shape == (2, len(FULL_FEATURE_NAMES))
 
-    def test_shape_without_interactions(self):
-        f = make_static(int_add=1)
-        m = build_design_matrix(f, [(500.0, 810.0)], interactions=False)
-        assert m.shape == (1, len(CONCAT_FEATURE_NAMES))
+    def test_kernel_blocks_stack_in_order(self):
+        a = make_static(int_add=1)
+        b = make_static(gl_access=1)
+        settings = [(500.0, 810.0), (1000.0, 3505.0)]
+        m = build_batch_design_matrix([a, b], settings)
+        assert np.array_equal(m[:2], build_batch_design_matrix([a], settings))
+        assert np.array_equal(m[2:], build_batch_design_matrix([b], settings))
 
     def test_static_part_repeats(self):
         f = make_static(int_add=1, gl_access=1)
-        m = build_design_matrix(f, [(500.0, 810.0), (1000.0, 3505.0)])
+        m = build_batch_design_matrix([f], [(500.0, 810.0), (1000.0, 3505.0)])
         assert np.allclose(m[0, :10], m[1, :10])
 
     def test_interaction_columns_are_products(self):
         f = make_static(int_add=1, gl_access=3)
-        m = build_design_matrix(f, [(700.0, 3304.0)])
+        m = build_batch_design_matrix([f], [(700.0, 3304.0)])
         base = m[0, :10]
         fc, fm = m[0, 10], m[0, 11]
         assert np.allclose(m[0, 12:22], base * fc)

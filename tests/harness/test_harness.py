@@ -92,6 +92,35 @@ class TestPredictionErrors:
         with pytest.raises(ValueError):
             prediction_errors(ctx.sim, ctx.models, [], ctx.settings, "latency")
 
+    @pytest.mark.parametrize("objective", ["speedup", "energy"])
+    def test_errors_score_each_model_on_the_kernel_block(self, ctx, objective):
+        """Each benchmark's errors come from its own 40-row block through
+        the scaled design matrix, bit for bit."""
+        from repro.features.vector import build_batch_design_matrix
+
+        spec = get_benchmark("MT")
+        ea = prediction_errors(ctx.sim, ctx.models, [spec], ctx.settings, objective)
+        model = (
+            ctx.models.speedup_model if objective == "speedup"
+            else ctx.models.energy_model
+        )
+        x = ctx.models.scaler.transform(
+            build_batch_design_matrix([spec.static_features()], ctx.settings)
+        )
+        measured = measure_configs(ctx.sim, spec, ctx.settings)
+        expected = {}
+        for config, pred in zip(ctx.settings, model.predict(x)):
+            point = measured[config]
+            truth = point.speedup if objective == "speedup" else point.norm_energy
+            label = ctx.device.domain(config[1]).label
+            expected.setdefault(label, []).append(100.0 * (pred - truth) / truth)
+        assert {
+            label: report.rmse_pct for label, report in ea.reports.items()
+        } == {
+            label: float(np.sqrt(np.mean(np.asarray(errors) ** 2)))
+            for label, errors in expected.items()
+        }
+
     def test_energy_analysis_runs(self, ctx):
         ea = prediction_errors(
             ctx.sim, ctx.models, suite_benchmarks()[:2], ctx.settings, "energy"
@@ -204,14 +233,11 @@ class TestNearZeroTruthExclusion:
         )
 
         class FakeModels:
-            interactions = True
             feature_recipe = "paper10"
 
-            def predict_speedup(self, x):
-                return np.ones(len(x))
-
-            def predict_energy(self, x):
-                return np.ones(len(x))
+            def predict_objective_arrays(self, statics, configs):
+                ones = np.ones((len(statics), len(configs)))
+                return ones, ones
 
         return SimpleNamespace(device=device), FakeModels(), [spec], settings
 

@@ -9,6 +9,7 @@ and observability never changes a byte of the measurement artifacts.
 
 import filecmp
 
+from repro.analysis.recipes import DEFAULT_RECIPE
 from repro.campaign import CampaignPlan, run_campaign
 from repro.core.config import sample_training_settings
 from repro.gpusim.device import device_slug, make_titan_x
@@ -39,7 +40,7 @@ def _pool_snapshot(workers: int):
     device = make_titan_x()
     settings = sample_training_settings(device, total=N_SETTINGS)
     tasks = [
-        (device.name, spec, settings, None)
+        (device.name, spec, settings, DEFAULT_RECIPE)
         for spec in generate_micro_benchmarks()[:N_SPECS]
     ]
     registry = MetricsRegistry()

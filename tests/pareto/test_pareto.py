@@ -7,19 +7,12 @@ from repro.pareto.algorithms import (
     pareto_set_numpy,
     pareto_set_simple,
 )
-from repro.pareto.dominance import (
-    dominates,
-    incomparable,
-    is_pareto_optimal,
-    weakly_dominates,
-)
+from repro.pareto.dominance import dominates
 from repro.pareto.extrema import extrema_distance, extreme_points
-from repro.pareto.front import ConfigFront, ConfigPoint
 from repro.pareto.hypervolume import (
     PAPER_REFERENCE_POINT,
     coverage_difference,
     hypervolume,
-    relative_coverage,
 )
 
 from .oracle_pareto import pareto_set_brute
@@ -41,19 +34,12 @@ class TestDominance:
         assert not dominates((1.0, 1.0), (1.0, 1.0))
 
     def test_tradeoff_is_incomparable(self):
-        assert incomparable((1.0, 1.0), (0.5, 0.5))
+        a, b = (1.0, 1.0), (0.5, 0.5)
+        assert not dominates(a, b) and not dominates(b, a)
 
     def test_antisymmetry(self):
         a, b = (1.0, 0.5), (0.5, 1.0)
         assert dominates(a, b) and not dominates(b, a)
-
-    def test_weak_dominance_includes_equal(self):
-        assert weakly_dominates((1.0, 1.0), (1.0, 1.0))
-
-    def test_is_pareto_optimal(self):
-        pts = [(1.0, 1.0), (2.0, 0.5)]
-        assert is_pareto_optimal((2.0, 0.5), pts)
-        assert not is_pareto_optimal((1.0, 1.0), pts)
 
 
 FIXTURES = [
@@ -145,11 +131,6 @@ class TestCoverageDifference:
         pred = [(0.9, 1.0), (1.1, 0.9)]
         assert coverage_difference(truth, pred) >= 0.0
 
-    def test_relative_coverage_bounds(self):
-        truth = [(1.0, 1.0)]
-        assert relative_coverage(truth, truth) == pytest.approx(1.0)
-        assert relative_coverage(truth, []) == pytest.approx(0.0)
-
     def test_paper_reference_point(self):
         assert PAPER_REFERENCE_POINT == (0.0, 2.0)
 
@@ -186,34 +167,3 @@ class TestExtrema:
         pred = [(1.0 + 1e-15, 1.0)]
         assert extrema_distance(truth, pred).max_speedup_exact
 
-
-class TestConfigFront:
-    def make_front(self):
-        front = ConfigFront()
-        front.add(ConfigPoint(1001.0, 3505.0, 1.0, 1.0))
-        front.add(ConfigPoint(800.0, 3505.0, 0.8, 0.85))
-        front.add(ConfigPoint(1202.0, 3505.0, 1.2, 1.1))
-        front.add(ConfigPoint(513.0, 810.0, 0.5, 1.4))  # dominated
-        return front
-
-    def test_front_excludes_dominated(self):
-        front = self.make_front().pareto_front()
-        configs = [p.config for p in front]
-        assert (513.0, 810.0) not in configs
-        assert len(front) == 3
-
-    def test_front_sorted_by_speedup(self):
-        front = self.make_front().pareto_front()
-        speeds = [p.speedup for p in front]
-        assert speeds == sorted(speeds)
-
-    def test_dominant_over_default(self):
-        front = self.make_front()
-        default = ConfigPoint(1001.0, 3505.0, 1.0, 1.0)
-        better = ConfigPoint(1100.0, 3505.0, 1.1, 0.95)
-        front.add(better)
-        winners = front.dominant_over_default(default)
-        assert better in winners
-
-    def test_len(self):
-        assert len(self.make_front()) == 4

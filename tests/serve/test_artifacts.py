@@ -138,12 +138,15 @@ class TestModelBundleRoundTrip:
     def test_save_load_predictions_bit_identical(self, ctx, tmp_path):
         path = save_models(tmp_path / "m.json", ctx.models)
         clone, _meta = load_models(path)
-        x = ctx.dataset.x[:50]
-        assert np.array_equal(ctx.models.predict_speedup(x), clone.predict_speedup(x))
-        assert np.array_equal(ctx.models.predict_energy(x), clone.predict_energy(x))
+        statics = list(ctx.dataset.static_features.values())[:2]
+        for want, got in zip(
+            ctx.models.predict_objective_arrays(statics, ctx.settings),
+            clone.predict_objective_arrays(statics, ctx.settings),
+        ):
+            assert np.array_equal(want, got)
         assert clone.settings == ctx.models.settings
         assert clone.n_training_samples == ctx.models.n_training_samples
-        assert clone.interactions == ctx.models.interactions
+        assert clone.feature_recipe == ctx.models.feature_recipe
 
     def test_reloaded_pareto_fronts_bit_identical_on_suite(self, ctx, tmp_path):
         """Acceptance: saved+reloaded bundle reproduces every front exactly."""
@@ -236,8 +239,20 @@ class TestUndecodableBundle:
                 "unknown regressor kind 'bogus'",
             ),
             (lambda p: p["scaler"].pop("mean"), "missing field 'mean'"),
+            (
+                lambda p: p.update(interactions=False),
+                "interactions=False: only the interaction design matrix is "
+                "supported (retrain the bundle)",
+            ),
+            (lambda p: p.pop("interactions"), "missing field 'interactions'"),
         ],
-        ids=["scaler-kind", "regressor-kind", "missing-field"],
+        ids=[
+            "scaler-kind",
+            "regressor-kind",
+            "missing-field",
+            "no-interactions",
+            "missing-interactions",
+        ],
     )
     def test_load_names_path_and_cause(self, ctx, tmp_path, edit, detail):
         path = save_models(tmp_path / "m.json", ctx.models)

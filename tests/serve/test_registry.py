@@ -21,7 +21,8 @@ class TestModelKey:
     def test_distinct_keys_distinct_slugs(self):
         assert ModelKey(recipe="paper").slug != ModelKey(recipe="quick").slug
         assert (
-            ModelKey(features="interactions").slug != ModelKey(features="concat").slug
+            ModelKey(features="interactions").slug
+            != ModelKey(features="paper10+loops").slug
         )
 
     def test_invalid_features_rejected(self):
@@ -31,10 +32,6 @@ class TestModelKey:
     def test_unknown_device_rejected(self):
         with pytest.raises(KeyError, match="unknown device"):
             ModelKey(device="TPU v9").device_spec()
-
-    def test_interactions_flag(self):
-        assert ModelKey(features="interactions").interactions
-        assert not ModelKey(features="concat").interactions
 
 
 class TestRegistry:
@@ -50,10 +47,12 @@ class TestRegistry:
         reloaded_registry = ModelRegistry(root=tmp_path)
         reloaded = reloaded_registry.get(key)
         assert isinstance(reloaded, TrainedModels)
-        x = ctx.dataset.x[:10]
-        assert np.array_equal(
-            ctx.models.predict_speedup(x), reloaded.predict_speedup(x)
-        )
+        statics = list(ctx.dataset.static_features.values())[:2]
+        for want, got in zip(
+            ctx.models.predict_objective_arrays(statics, ctx.settings),
+            reloaded.predict_objective_arrays(statics, ctx.settings),
+        ):
+            assert np.array_equal(want, got)
 
     def test_contains_and_entries(self, tmp_path, ctx):
         registry = ModelRegistry(root=tmp_path)
@@ -75,5 +74,22 @@ class TestRegistry:
     def test_keys_map_to_distinct_files(self, tmp_path, ctx):
         registry = ModelRegistry(root=tmp_path)
         registry.put(ModelKey(recipe="quick"), ctx.models)
-        registry.put(ModelKey(recipe="quick", features="concat"), ctx.models)
+        registry.put(ModelKey(recipe="quick", features="paper10+loops"), ctx.models)
         assert len(registry.entries()) == 2
+
+    def test_concat_artifact_is_skipped_by_known_keys(self, tmp_path, ctx):
+        """A ``*__concat.json`` bundle (no interaction columns) names no
+        valid key, so discovery passes over it like any foreign file."""
+        from repro.core.pipeline import save_models
+
+        registry = ModelRegistry(root=tmp_path)
+        key = ModelKey(recipe="quick")
+        registry.put(key, ctx.models)
+        concat_slug = key.slug.replace("__interactions", "__concat")
+        save_models(
+            registry.path_for_slug(concat_slug),
+            ctx.models,
+            meta={**key.as_meta(), "features": "concat"},
+        )
+        assert registry.entries() == sorted([key.slug, concat_slug])
+        assert registry.known_keys() == [key]

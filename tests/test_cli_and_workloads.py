@@ -82,8 +82,9 @@ class TestCLI:
         [
             ["train", "--quick", "--trainer", "streaming"],
             ["campaign", "--quick", "--devices", "titan-x", "--batch-rows", "8"],
+            ["campaign", "--quick", "--devices", "titan-x", "--repeats", "2"],
         ],
-        ids=["train-trainer", "campaign-batch-rows"],
+        ids=["train-trainer", "campaign-batch-rows", "campaign-repeats"],
     )
     def test_trainer_flags_are_usage_errors(self, tmp_path, capsys, argv):
         flag = "--save" if argv[0] == "train" else "--store"

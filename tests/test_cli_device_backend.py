@@ -41,6 +41,24 @@ def test_undecodable_model_is_a_usage_error(tmp_path, kernel_file, capsys):
     )
 
 
+def test_non_interaction_bundle_is_a_usage_error(tmp_path, kernel_file, capsys):
+    """A bundle saved without interaction columns is refused, not served."""
+    artifact = tmp_path / "m.json"
+    assert main(["train", "--quick", "--save", str(artifact)]) == 0
+    envelope = json.loads(artifact.read_text())
+    envelope["payload"]["interactions"] = False
+    artifact.write_text(json.dumps(envelope))
+    capsys.readouterr()
+    assert main(["predict", str(kernel_file), "--model", str(artifact)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: artifact {artifact} is not a loadable model bundle: "
+        "interactions=False: only the interaction design matrix is "
+        "supported (retrain the bundle)\n"
+    )
+
+
 def test_train_p100_then_predict_end_to_end(tmp_path, kernel_file, capsys):
     artifact = tmp_path / "p100.json"
     assert main(["train", "--quick", "--device", "tesla-p100",

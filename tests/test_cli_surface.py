@@ -79,7 +79,6 @@ SURFACE = {
     "campaign": ("_cmd_campaign", {
         "--devices": ("devices", None, True, None, None, None),
         "--workers": ("workers", 1, False, None, None, "int"),
-        "--repeats": ("repeats", 1, False, None, None, "int"),
         **QUICK, **STORE,
         "--resume": ("resume", False, False, 0, None, None),
         **METRICS_OUT,
@@ -129,7 +128,7 @@ PARSED = {
         "warm": True,
     },
     ("campaign", "--devices", "titan-x"): {
-        "devices": "titan-x", "workers": 1, "repeats": 1, "quick": False,
+        "devices": "titan-x", "workers": 1, "quick": False,
         "store": None, "resume": False, "metrics_out": None,
         "progress": None, "features": None,
     },
