@@ -97,9 +97,11 @@ def measure_feature_cache() -> tuple[float, float]:
     return t_cold, t_warm
 
 
-#: Ceiling on the batched pass over its numeric core.  Measured 1.11–1.20
-#: on a 2-core host, where a per-kernel model pass inside ``predict_batch``
-#: measured 1.36–1.39 and materializing every candidate's point 1.51–1.53.
+#: Ceiling on the batched pass over its numeric core.  Measured 1.10–1.12
+#: on a 2-core host with the whole batch's fronts built at once; assembling
+#: them kernel by kernel measured 1.16–1.36, a per-kernel model pass inside
+#: ``predict_batch`` 1.36–1.39 and materializing every candidate's point
+#: 1.51–1.53.
 BATCHED_OVER_CORE_MAX = 1.3
 
 

@@ -13,18 +13,21 @@ its historical name, ``exact_dense_fit``, though no Gram matrix is built.
 Beside the fit, ``energy_predict`` records the serving-side model pass:
 the energy model over the 12 suite kernels × the modeled candidates (one
 ``predict`` call, median ms), with the rows per block its support-vector
-count gives and the slab budget (a record, not a floor).
+count gives and the slab budget (a record, not a floor).  Beside it are
+the float64 one-shot expansion it replaced (the test oracle, ``oracle_ms``)
+and the largest relative difference between the two (``max_rel_diff``).
 
 Quick mode (``REPRO_BENCH_QUICK=1`` or ``REPRO_QUICK=1``) shrinks the
 workload so CI's smoke step stays fast.
 """
 
 import os
+import sys
 import time
 
 import numpy as np
 import pytest
-from _common import write_artifact
+from _common import REPO_ROOT, write_artifact
 
 from repro.core.config import (
     exhaustive_settings,
@@ -93,24 +96,42 @@ def _mape(pred: np.ndarray, actual: np.ndarray) -> float:
     return float(np.mean(np.abs((pred - actual) / actual)))
 
 
+def _oracle_predict():
+    """The float64 one-shot expansion, from the tests' oracle module."""
+    root = str(REPO_ROOT)
+    sys.path.insert(0, root)
+    try:
+        from tests.ml.oracle_expansion import oracle_predict
+    finally:
+        sys.path.remove(root)
+    return oracle_predict
+
+
 def time_energy_predict(models, device) -> dict:
     """The energy model pass of serving: the suite kernels × the modeled
-    candidates as one design matrix, timed as the median of repeats."""
+    candidates as one design matrix, timed as the median of repeats, beside
+    the float64 oracle it replaced (timed alternately with it)."""
     candidates = modeled_subset(device, models.settings)
     statics = [spec.static_features(models.feature_recipe) for spec in suite_kernels()]
-    x = build_batch_design_matrix(statics, candidates)
+    x = models.scaler.transform(build_batch_design_matrix(statics, candidates))
     energy = models.energy_model
-    energy.predict(x)
-    times = []
+    oracle_predict = _oracle_predict()
+    predicted, expected = energy.predict(x), oracle_predict(energy, x)
+    times, oracle_times = [], []
     for _ in range(PREDICT_REPEATS):
         start = time.perf_counter()
         energy.predict(x)
         times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        oracle_predict(energy, x)
+        oracle_times.append(time.perf_counter() - start)
     return {
         "kernels": len(statics),
         "candidates": len(candidates),
         "rows": x.shape[0],
         "ms": float(np.median(times)) * 1e3,
+        "oracle_ms": float(np.median(oracle_times)) * 1e3,
+        "max_rel_diff": float(np.max(np.abs(predicted - expected) / np.abs(expected))),
         "block_rows": energy.block_rows,
         "slab_entries": GRAM_BLOCK_ENTRIES,
     }
@@ -222,7 +243,9 @@ def regenerate_training_cost() -> tuple[str, dict]:
         + f"{predict['candidates']} candidates, {predict['ms']:.2f} ms "
         + f"({predict['block_rows']} rows per block against "
         + f"{solver['n_support']} support vectors, "
-        + f"{predict['slab_entries']}-entry slabs)"
+        + f"{predict['slab_entries']}-entry slabs); float64 one-shot oracle "
+        + f"{predict['oracle_ms']:.2f} ms, largest relative difference "
+        + f"{predict['max_rel_diff']:.1e}"
     )
     data = {"quick": QUICK, "campaign_cost": cost_data, **m}
     return text, data

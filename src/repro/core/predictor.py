@@ -14,6 +14,8 @@ Given trained single-objective models and a *new* kernel, the predictor:
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -125,6 +127,14 @@ class ParetoPredictor:
         # Device-constant; resolved once so the serving hot path never
         # re-walks the frequency menus per request.
         self._heuristic_config = mem_l_heuristic_config(device)
+        #: Candidate columns that are the heuristic configuration.
+        self._heuristic_columns = [
+            i for i, config in enumerate(self.candidates) if config == self._heuristic_config
+        ]
+        #: Each candidate's clocks by column, then the heuristic point's.
+        extra = [self._heuristic_config] if self._heuristic_config is not None else []
+        self._cores = [core for core, _ in [*self.candidates, *extra]]
+        self._mems = [mem for _, mem in [*self.candidates, *extra]]
 
     # -- feature entry points ------------------------------------------------
 
@@ -158,70 +168,70 @@ class ParetoPredictor:
         speedups, energies = self.models.predict_objective_arrays(
             statics, self.candidates
         )
-        masks = pareto_front_masks(speedups, energies)
+        fronts = self._fronts(speedups, energies)
         return [
-            self._assemble(
+            PredictedParetoSet(
                 static.kernel_name,
+                front,
                 # Row copies, so a retained result pins M floats per
                 # objective instead of the whole (N, M) batch matrix.
-                speedups[i].copy(),
-                energies[i].copy(),
-                np.flatnonzero(masks[i]).tolist(),
+                partial(_cloud, self.candidates, speedups[i].copy(), energies[i].copy()),
             )
-            for i, static in enumerate(statics)
+            for i, (static, front) in enumerate(zip(statics, fronts))
         ]
 
-    def _assemble(
-        self,
-        kernel_name: str,
-        speedups: np.ndarray,
-        energies: np.ndarray,
-        front_idx: list[int],
-    ) -> PredictedParetoSet:
-        """Fig. 3 steps 5–9 for one kernel's predicted point cloud.
+    def _fronts(
+        self, speedups: np.ndarray, energies: np.ndarray
+    ) -> list[list[PredictedPoint]]:
+        """Fig. 3 steps 5–9 for every kernel of a batch at once.
 
-        ``speedups`` and ``energies`` hold the kernel's predictions in
-        candidate order; the full M-point cloud is only materialized if a
-        caller reads ``all_points``.
+        Each kernel's front is its row of the batched dominance test, plus
+        the mem-L heuristic point where the front lacks it, sorted by
+        ``(speedup, norm_energy)``.  Ties keep candidate order, with the
+        heuristic point last.  The whole batch is one ``lexsort`` and one
+        pass of C-level point construction; per kernel only a slice is left.
         """
-        candidates = self.candidates
-        front_speedups = speedups[front_idx].tolist()
-        front_energies = energies[front_idx].tolist()
-        front = [
-            PredictedPoint(candidates[i][0], candidates[i][1], s, e)
-            for i, s, e in zip(front_idx, front_speedups, front_energies)
-        ]
-
-        if self.use_mem_l_heuristic:
-            heuristic = self._heuristic_config
-            if heuristic is not None and heuristic not in {
-                candidates[i] for i in front_idx
-            }:
-                # The heuristic point is appended with NaN-free placeholder
-                # objectives at the front's conservative corner; it is a
-                # *configuration* recommendation, not a model output.
-                front.append(
-                    PredictedPoint(
-                        core_mhz=heuristic[0],
-                        mem_mhz=heuristic[1],
-                        speedup=min(front_speedups),
-                        norm_energy=min(front_energies),
-                        modeled=False,
-                    )
-                )
-
-        front.sort(key=lambda p: (p.speedup, p.norm_energy))
-
-        def cloud_factory() -> list[PredictedPoint]:
-            return [
-                PredictedPoint(
-                    core_mhz=core, mem_mhz=mem, speedup=s, norm_energy=e
-                )
-                for (core, mem), s, e in zip(
-                    candidates, speedups.tolist(), energies.tolist()
-                )
-            ]
-
-        return PredictedParetoSet(
-            kernel=kernel_name, front=front, cloud_factory=cloud_factory
+        n_kernels, n_candidates = speedups.shape
+        masks = pareto_front_masks(speedups, energies)
+        rows, cols = np.nonzero(masks)
+        front_speedups, front_energies = speedups[rows, cols], energies[rows, cols]
+        if self.use_mem_l_heuristic and self._heuristic_config is not None:
+            # The heuristic point is appended with NaN-free placeholder
+            # objectives at the front's conservative corner; it is a
+            # *configuration* recommendation, not a model output.  Its
+            # column is n_candidates, one past the candidates.
+            lacking = np.flatnonzero(~masks[:, self._heuristic_columns].any(axis=1))
+            rows = np.concatenate([rows, lacking])
+            cols = np.concatenate([cols, np.full(lacking.size, n_candidates)])
+            corner_speedups = np.where(masks, speedups, np.inf).min(axis=1)
+            corner_energies = np.where(masks, energies, np.inf).min(axis=1)
+            front_speedups = np.concatenate([front_speedups, corner_speedups[lacking]])
+            front_energies = np.concatenate([front_energies, corner_energies[lacking]])
+        # Stable: by kernel, then speedup, then energy, ties in input order.
+        order = np.lexsort((front_energies, front_speedups, rows))
+        cols = cols[order].tolist()
+        points = list(
+            map(
+                tuple.__new__,
+                repeat(PredictedPoint),
+                zip(
+                    map(self._cores.__getitem__, cols),
+                    map(self._mems.__getitem__, cols),
+                    front_speedups[order].tolist(),
+                    front_energies[order].tolist(),
+                    map(n_candidates.__gt__, cols),
+                ),
+            )
         )
+        ends = np.cumsum(np.bincount(rows, minlength=n_kernels)).tolist()
+        return [points[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _cloud(
+    candidates: list[tuple[float, float]], speedups: np.ndarray, energies: np.ndarray
+) -> list[PredictedPoint]:
+    """One kernel's full predicted point cloud, in candidate order."""
+    return [
+        PredictedPoint(core_mhz=core, mem_mhz=mem, speedup=s, norm_energy=e)
+        for (core, mem), s, e in zip(candidates, speedups.tolist(), energies.tolist())
+    ]

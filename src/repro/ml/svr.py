@@ -45,6 +45,14 @@ reports ``converged_ = False``.  The runtime needs numpy alone; a
 reference L-BFGS-B is only this solver's test oracle.  The two paths
 expose the same fit/predict API.
 
+**Prediction.** The dual path evaluates ``Σ β_i K(w, w_i) + b`` over the
+support vectors only, in cache-sized blocks of rows, through the
+expansion its kernel prepares once (:meth:`Kernel.expansion`).  For the
+RBF energy model a block is one augmented GEMM whose product is
+``−γ‖w − w_i‖²``, then an in-place ``exp`` and a product with β; it
+agrees with the Gram-row expansion to about 3e-14 relative.  Fits still
+use the Gram rows, and β and the bundles do not depend on the pass.
+
 Hyper-parameters follow the paper (``C = 1000``, ``ε = 0.1``) except the
 energy model's ``C``; :func:`make_energy_svr` says why it is 1.
 """
@@ -55,22 +63,18 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import (
-    GramOperand,
-    Kernel,
-    LinearKernel,
-    RBFKernel,
-    kernel_from_state,
-    prepare,
-)
+from .kernels import Kernel, LinearKernel, RBFKernel, kernel_from_state, prepare
 from .scaling import array_from_state, array_to_state
 
 #: Entries in one block's (rows × support vectors) Gram slab when the
-#: dual path predicts: 48 Ki entries, 384 KiB, so the slab and its one
-#: temporary stay in a core's L2 cache.  Against the paper-scale Titan X
-#: energy model's 691 support vectors, 512-row blocks were 2.8 MB slabs
-#: and took about twice as long over a 918-row batch.  On a 2 MiB-L2
-#: Xeon, 32–64 Ki entries timed alike and 96 Ki and up about 2× slower.
+#: dual path predicts: 48 Ki entries, 384 KiB, so the slab stays in a
+#: core's L2 cache.  Against the paper-scale Titan X energy model's 691
+#: support vectors that is 71 rows.  With the Gram-row expansion, 512-row
+#: blocks took about twice as long over a 918-row batch.  The augmented
+#: GEMM leaves two element-wise passes over the slab where that made six.
+#: On a 2 MiB-L2 Xeon, 32–192 Ki entries then timed alike over that batch
+#: (medians 1.8–2.7 ms, each inside the others' ranges in two sweeps), so
+#: the budget stays.
 GRAM_BLOCK_ENTRIES = 48 * 1024
 
 
@@ -130,10 +134,10 @@ class SVR:
         self.beta_: np.ndarray | None = None
         self.coef_: np.ndarray | None = None  # primal path (linear kernel)
         self._sv_mask: np.ndarray | None = None
-        #: Dual path: the support rows (with their squared norms) and their
-        #: β, extracted once by fit/from_state for every predict.
-        self._support: GramOperand | None = None
+        #: Dual path: the support vectors' β and the kernel's expansion
+        #: over them, prepared once by fit/from_state for every predict.
         self._support_beta: np.ndarray | None = None
+        self._expansion: Callable[[np.ndarray], np.ndarray] | None = None
         self.bias_: float = 0.0
         self.x_train_: np.ndarray | None = None
         self.y_centered_: np.ndarray | None = None
@@ -176,11 +180,11 @@ class SVR:
         return self
 
     def _prepare_support(self) -> None:
-        """Extract the rows with ``β ≠ 0``, their norms and their β once:
-        only support vectors contribute to the kernel expansion."""
+        """Prepare the kernel's expansion over the rows with ``β ≠ 0``
+        once: only support vectors contribute to it."""
         sv = self.beta_ != 0.0
-        self._support = prepare(self.x_train_[sv])
         self._support_beta = self.beta_[sv]
+        self._expansion = self.kernel.expansion(self.x_train_[sv], self._support_beta)
 
     def _fit_dual(self, xa: np.ndarray, yc: np.ndarray) -> np.ndarray:
         """Greedy coordinate descent on the dual, with shrinking; returns β.
@@ -407,18 +411,17 @@ class SVR:
             xa = xa[None, :]
         if self.coef_ is not None:
             out = xa @ self.coef_ + self.bias_
-        elif self._support is None:
+        elif self._expansion is None:
             raise RuntimeError("model is not fitted")
         else:
             # The kernel expansion, one cache-sized block of rows at a
             # time; each output row depends only on its own input row.
             out = np.full(xa.shape[0], self.bias_)
-            support, beta = self._support, self._support_beta
-            if beta.size:  # else the model is its bias
+            if self._support_beta.size:  # else the model is its bias
                 step = self.block_rows
                 for start in range(0, xa.shape[0], step):
                     rows = slice(start, start + step)
-                    out[rows] += self.kernel.gram(xa[rows], support) @ beta
+                    out[rows] += self._expansion(xa[rows])
         return out[0] if squeeze else out
 
     # -- persistence ------------------------------------------------------------
@@ -455,9 +458,9 @@ class SVR:
             state["sv_mask"] = (
                 None if self._sv_mask is None else self._sv_mask.tolist()
             )
-        elif self._support is not None:
+        elif self._expansion is not None:
             state["beta"] = self._support_beta.tolist()
-            state["x_train"] = self._support.rows.tolist()
+            state["x_train"] = self.x_train_[self.beta_ != 0.0].tolist()
         return state
 
     @classmethod

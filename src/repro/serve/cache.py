@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 
 from ..features.extractor import ExtractorConfig, FeatureExtractor
 from ..features.vector import StaticFeatures
@@ -63,9 +64,11 @@ class KernelFeatureCache:
 
     Thread-safe: the serve daemon's per-device lanes share one instance
     across worker threads, so lookups and LRU bookkeeping are serialized
-    under a lock.  Extraction runs inside the lock too — it is pure, and a
-    concurrent miss on the same source would otherwise extract twice and
-    race the insert.
+    under a lock.  Extraction runs outside it, single-flight per key: the
+    first miss extracts, and concurrent lookups of the same key wait for
+    that extraction and share its features or its error (an error is not
+    cached).  A hit on another key never waits behind it.  A miss counts
+    an extraction, so a lookup that joins one counts as a hit.
     """
 
     def __init__(
@@ -84,6 +87,8 @@ class KernelFeatureCache:
         self._evictions = self.metrics.get(FEATURE_CACHE_EVICTIONS_TOTAL)
         self._config_print = self.extractor.config.fingerprint()
         self._entries: OrderedDict[str, StaticFeatures] = OrderedDict()
+        #: Extractions in progress, by key.
+        self._flights: dict[str, Future] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -99,13 +104,28 @@ class KernelFeatureCache:
                 self._entries.move_to_end(key)
                 self._requests.inc(1.0, result="hit")
                 return cached
-            self._requests.inc(1.0, result="miss")
+            flight = self._flights.get(key)
+            extracts = flight is None
+            if extracts:
+                flight = self._flights[key] = Future()
+            self._requests.inc(1.0, result="miss" if extracts else "hit")
+        if not extracts:
+            return flight.result()
+        try:
             features = self.extractor.extract(source, kernel_name)
+        except BaseException as exc:
+            with self._lock:
+                del self._flights[key]
+            flight.set_exception(exc)
+            raise
+        with self._lock:
+            del self._flights[key]
             self._entries[key] = features
             if len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._evictions.inc(1.0)
-            return features
+        flight.set_result(features)
+        return features
 
     def peek(self, source: str, kernel_name: str | None = None) -> StaticFeatures | None:
         """Non-mutating lookup (no extraction, no LRU/statistics update)."""

@@ -1,5 +1,7 @@
 """Tests for the core pipeline: sampling, dataset, training, prediction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,12 @@ from repro.core.config import (
 )
 from repro.core.dataset import build_training_dataset
 from repro.core.pipeline import train_models
-from repro.core.predictor import ParetoPredictor
+from repro.core.predictor import ParetoPredictor, PredictedPoint
 from repro.gpusim.device import make_tesla_p100, make_titan_x
 from repro.gpusim.executor import GPUSimulator
 from repro.harness.context import quick_context
 from repro.measure import SimulatorBackend
+from repro.pareto.algorithms import pareto_front_masks
 from repro.pareto.dominance import dominates
 from repro.suite import get_benchmark
 from repro.suite import test_benchmarks as suite_benchmarks
@@ -264,3 +267,64 @@ class TestParetoPredictor:
         result = ctx.predictor.predict_for_spec(get_benchmark("Convolution"))
         allowed = set(ctx.predictor.candidates) | {(405.0, 405.0)}
         assert set(result.configs) <= allowed
+
+
+def reference_front(candidates, heuristic, speedups, energies, mask):
+    """One kernel's front the per-kernel way: its modeled points in
+    candidate order, the heuristic point appended unless its configuration
+    is on the front, then a stable sort by (speedup, energy)."""
+    front = [
+        PredictedPoint(*candidates[i], speedups[i], energies[i])
+        for i in np.flatnonzero(mask).tolist()
+    ]
+    if heuristic is not None and heuristic not in {p.config for p in front}:
+        corner = (min(p.speedup for p in front), min(p.norm_energy for p in front))
+        front.append(PredictedPoint(*heuristic, *corner, modeled=False))
+    return sorted(front, key=lambda p: (p.speedup, p.norm_energy))
+
+
+class TestBatchedFronts:
+    """predict_batch builds every kernel's front in one pass over the batch;
+    each must be the per-kernel construction's, point for point."""
+
+    @pytest.mark.parametrize("heuristic_on", [True, False])
+    @pytest.mark.parametrize("levels", [None, 2, 8])
+    def test_matches_the_per_kernel_fronts(self, ctx, heuristic_on, levels):
+        # The heuristic configuration is a candidate twice over, so the
+        # fronts that hold it get no extra point; coarse objective levels
+        # make ties in speedup, in energy and in both.
+        heuristic = mem_l_heuristic_config(ctx.device)
+        candidates = list(prediction_candidates(ctx.device))
+        candidates[3:3] = [heuristic]
+        candidates.append(heuristic)
+        rng = np.random.default_rng(levels or 0)
+        shape = (24, len(candidates))
+        speedups, energies = rng.random(shape), rng.random(shape)
+        if levels:
+            speedups = np.round(speedups * levels) / levels
+            energies = np.round(energies * levels) / levels
+        # Every third kernel's best point is the heuristic configuration.
+        speedups[::3, 3], energies[::3, 3] = 2.0, -1.0
+        models = SimpleNamespace(
+            feature_recipe=ctx.models.feature_recipe,
+            predict_objective_arrays=lambda statics, cands: (speedups, energies),
+        )
+        predictor = ParetoPredictor(
+            models, ctx.device, use_mem_l_heuristic=heuristic_on, candidates=candidates
+        )
+        statics = [SimpleNamespace(kernel_name=f"k{i}") for i in range(shape[0])]
+        masks = pareto_front_masks(speedups, energies)
+        results = predictor.predict_batch(statics)
+        assert [r.kernel for r in results] == [s.kernel_name for s in statics]
+        for i, result in enumerate(results):
+            expected = reference_front(
+                candidates,
+                heuristic if heuristic_on else None,
+                speedups[i].tolist(),
+                energies[i].tolist(),
+                masks[i],
+            )
+            assert result.front == expected
+            assert [p.modeled for p in result.front] == [p.modeled for p in expected]
+        holds = masks[:, [3, len(candidates) - 1]].any(axis=1)
+        assert holds[::3].all() and not holds.all()

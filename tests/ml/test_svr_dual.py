@@ -7,9 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.pipeline import build_batch_design_matrix
+from repro.harness.context import quick_context
 from repro.ml.kernels import PolynomialKernel, RBFKernel, prepare
 from repro.ml.svr import GRAM_BLOCK_ENTRIES, SVR
+from repro.pareto.algorithms import pareto_front_masks
+from repro.suite import test_benchmarks
 
+from .oracle_expansion import EXPANSION_RTOL, oracle_predict
 from .oracle_greedy_cd import UnshrunkSVR
 
 
@@ -237,8 +242,9 @@ def support_model(n_sv, d=32, seed=0):
 
 class TestBlockedExpansion:
     """predict evaluates the kernel expansion in blocks of rows whose Gram
-    slab stays within GRAM_BLOCK_ENTRIES; the blocks change no answer
-    beyond BLAS summation order."""
+    slab stays within GRAM_BLOCK_ENTRIES; neither the blocks nor the RBF
+    kernel's augmented GEMM change an answer beyond summation order, so
+    every answer is the float64 oracle's within EXPANSION_RTOL."""
 
     N_SV = 700
 
@@ -259,15 +265,42 @@ class TestBlockedExpansion:
     def test_agrees_with_the_one_shot_expansion(self, model, blocks, extra):
         n = blocks * model.block_rows + extra
         x = np.random.default_rng(n).normal(size=(n, 32))
-        sv = model.x_train_[model.beta_ != 0.0]
-        one_shot = model.kernel(x, sv) @ model.beta_[model.beta_ != 0.0] + model.bias_
         predicted = model.predict(x)
         assert predicted.shape == (n,)
-        np.testing.assert_allclose(predicted, one_shot, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            predicted, oracle_predict(model, x), rtol=EXPANSION_RTOL, atol=0.0
+        )
+
+    @pytest.mark.parametrize("far", [1e30, 1e300])
+    def test_far_rows_predict_the_oracles_finite_value(self, model, far):
+        # ‖x‖² is 1e60 or overflows to inf: −γ‖x‖² must reach exp as −inf,
+        # never meet an inf of the opposite sign as NaN.
+        x = np.random.default_rng(3).normal(size=(4, 32))
+        x[1, 0] = far
+        x[2, :] = -far
+        predicted = model.predict(x)
+        assert np.all(np.isfinite(predicted))
+        np.testing.assert_allclose(
+            predicted, oracle_predict(model, x), rtol=EXPANSION_RTOL, atol=0.0
+        )
+        assert predicted[1] == predicted[2] == model.bias_
 
     def test_single_row_input_returns_a_scalar(self, model):
         x = np.random.default_rng(1).normal(size=32)
         assert model.predict(x) == model.predict(x[None, :])[0]
+
+    @pytest.mark.parametrize(
+        "kernel", [{"kind": "rbf", "gamma": 0.1}, {"kind": "poly", "degree": 2}]
+    )
+    def test_a_zero_support_state_predicts_its_bias(self, kernel):
+        state = support_model(1).to_state() | {"kernel": kernel}
+        model = SVR.from_state(state | {"beta": [], "x_train": []})
+        x = np.random.default_rng(4).normal(size=(5, 3))
+        assert model.n_support_ == 0
+        assert np.array_equal(model.predict(x), np.full(5, model.bias_))
+        # The expansion alone: no support vector, no contribution.
+        expansion = model.kernel.expansion(np.empty((0, 3)), np.empty(0))
+        assert np.array_equal(expansion(x), np.zeros(5))
 
     def test_no_support_vectors_predicts_the_bias(self):
         x, y = smooth_data(50)
@@ -339,9 +372,34 @@ PROBE = np.array([[0.0, 0.0], [0.5, -0.25], [-0.75, 0.9]])
 class TestOlderStates:
     @pytest.mark.parametrize("text, expected", PARENT_STATES, ids=["rbf", "linear"])
     def test_loads_and_predicts_bit_identically(self, text, expected):
+        # The pins hold bit for bit for the linear primal and for the
+        # float64 oracle of the dual path; the RBF pass agrees with the
+        # oracle within EXPANSION_RTOL (2.4e-15 measured here).
         state = json.loads(text)
         model = SVR.from_state(state)
-        assert [float(v).hex() for v in model.predict(PROBE)] == expected
+        predicted = model.predict(PROBE)
+        exact = predicted if model.coef_ is not None else oracle_predict(model, PROBE)
+        assert [float(v).hex() for v in exact] == expected
+        np.testing.assert_allclose(predicted, exact, rtol=EXPANSION_RTOL, atol=0.0)
         assert model.iterations_ == state["n_epochs"]
         assert model.converged_ is None and model.kkt_violation_ is None
         assert "max_epochs" not in model.to_state()
+
+
+class TestOracleFronts:
+    def test_quick_suite_fronts_are_the_oracles(self):
+        """The quick bundle's suite fronts, over the predictor's candidates,
+        are identical under the production pass and the float64 oracle."""
+        ctx = quick_context()
+        models = ctx.models
+        statics = [s.static_features(models.feature_recipe) for s in test_benchmarks()]
+        candidates = ctx.predictor.candidates
+        x = models.scaler.transform(build_batch_design_matrix(statics, candidates))
+        shape = (len(statics), len(candidates))
+        speedups = models.speedup_model.predict(x).reshape(shape)
+        energies = models.energy_model.predict(x).reshape(shape)
+        oracle = oracle_predict(models.energy_model, x).reshape(shape)
+        np.testing.assert_allclose(energies, oracle, rtol=EXPANSION_RTOL, atol=0.0)
+        assert np.array_equal(
+            pareto_front_masks(speedups, energies), pareto_front_masks(speedups, oracle)
+        )

@@ -1,5 +1,15 @@
-"""Kernel-feature cache: identity on hit, invalidation, LRU, stats."""
+"""Kernel-feature cache: identity on hit, invalidation, LRU, stats, and
+single-flight extraction outside the lock."""
 
+import random
+import sys
+import threading
+import time
+from collections import Counter
+
+import pytest
+
+from repro.clkernel.errors import CLFrontendError
 from repro.features.extractor import ExtractorConfig, FeatureExtractor
 from repro.obs import MetricsRegistry
 from repro.obs.instruments import (
@@ -144,3 +154,152 @@ class TestCacheBehaviour:
         summary = cache_summary(registry.snapshot())
         assert summary["hit_rate"] == 2 / 3
         assert summary["hits"] == 2
+
+
+class GatedExtractor(FeatureExtractor):
+    """An extractor that counts its calls and holds each one until
+    ``release`` is set; ``fail`` makes a released call raise."""
+
+    def __init__(self, fail: bool = False) -> None:
+        super().__init__()
+        self.calls = 0
+        self.fail = fail
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def extract(self, source, kernel_name=None):
+        self.calls += 1
+        self.entered.set()
+        assert self.release.wait(10.0)
+        if self.fail:
+            raise CLFrontendError("gated failure")
+        return super().extract(source, kernel_name)
+
+
+class CountingExtractor(FeatureExtractor):
+    """An extractor that counts its calls per source, under a lock."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: Counter = Counter()
+        self._lock = threading.Lock()
+
+    def extract(self, source, kernel_name=None):
+        with self._lock:
+            self.calls[source] += 1
+        return super().extract(source, kernel_name)
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
+def in_threads(fn, n):
+    """Run ``fn`` in ``n`` threads; returns the threads and a list that
+    receives each one's result or raised exception."""
+    outcomes = []
+
+    def run():
+        try:
+            outcomes.append(fn())
+        except Exception as exc:  # noqa: BLE001 - the outcome under test
+            outcomes.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(n)]
+    for thread in threads:
+        thread.start()
+    return threads, outcomes
+
+
+class TestSingleFlight:
+    WAITERS = 4
+
+    def test_concurrent_misses_on_one_key_share_one_extraction(self):
+        extractor = GatedExtractor()
+        cache = KernelFeatureCache(extractor)
+        threads, outcomes = in_threads(lambda: cache.get(SAXPY), self.WAITERS)
+        wait_until(lambda: lookups(cache, "hit") == self.WAITERS - 1)
+        extractor.release.set()
+        for thread in threads:
+            thread.join(10.0)
+        assert extractor.calls == 1
+        assert len(outcomes) == self.WAITERS
+        assert all(features is cache.peek(SAXPY) for features in outcomes)
+        # A miss counts the one extraction; the lookups that joined it hit.
+        assert lookups(cache, "miss") == 1
+        assert lookups(cache, "hit") == self.WAITERS - 1
+
+    def test_an_error_reaches_every_waiter_and_is_not_cached(self):
+        extractor = GatedExtractor(fail=True)
+        cache = KernelFeatureCache(extractor)
+        threads, outcomes = in_threads(lambda: cache.get(SAXPY), self.WAITERS)
+        wait_until(lambda: lookups(cache, "hit") == self.WAITERS - 1)
+        extractor.release.set()
+        for thread in threads:
+            thread.join(10.0)
+        assert extractor.calls == 1
+        assert len(outcomes) == self.WAITERS
+        assert all(isinstance(exc, CLFrontendError) for exc in outcomes)
+        assert cache.peek(SAXPY) is None and len(cache) == 0
+        with pytest.raises(CLFrontendError):
+            cache.get(SAXPY)
+        assert extractor.calls == 2
+
+    def test_a_hit_returns_while_another_key_extracts(self):
+        extractor = GatedExtractor()
+        cache = KernelFeatureCache(extractor)
+        extractor.release.set()
+        cached = cache.get(TINY)
+        extractor.release.clear()
+        extractor.entered.clear()
+        threads, _ = in_threads(lambda: cache.get(SAXPY), 1)
+        assert extractor.entered.wait(10.0)
+        hit, hit_outcome = in_threads(lambda: cache.get(TINY), 1)
+        hit[0].join(5.0)
+        try:
+            assert not hit[0].is_alive(), "a hit waited behind another key's extraction"
+            assert hit_outcome == [cached]
+        finally:
+            extractor.release.set()
+            for thread in threads + hit:
+                thread.join(10.0)
+        assert cache.peek(SAXPY) is not None
+
+    def test_many_threads_over_few_keys_extract_each_key_once(self):
+        # More threads than cores, switching every microsecond: a lost
+        # update to the flights or the entries shows as a second
+        # extraction of a key or two feature objects for one source.
+        sources = [TINY.replace("1.0f", f"{i}.0f") for i in range(6)]
+        extractor = CountingExtractor()
+        cache = KernelFeatureCache(extractor)
+        lookups_per_thread, n_threads = 200, 8
+        seen = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            for _ in range(lookups_per_thread):
+                source = rng.choice(sources)
+                seen.append((source, cache.get(source)))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == n_threads * lookups_per_thread
+        assert extractor.calls == Counter(sources)
+        assert {source: id(f) for source, f in seen} == {
+            source: id(cache.peek(source)) for source in sources
+        }
+        assert len({id(f) for _, f in seen}) == len(sources)
+        assert lookups(cache, "miss") == len(sources)
+        assert lookups(cache, "hit") == len(seen) - len(sources)
