@@ -129,8 +129,8 @@ class PassManager:
     extracting (``memory-mix`` and ``diagnostics`` both build on
     ``opcode-histogram``), so results are kept until a different IR comes
     in.  Repeats across kernels are the feature cache's job, not this
-    one's.  Not thread-safe; the serving layers own locking at the cache
-    above.
+    one's.  Not thread-safe: :class:`FeatureExtractor` builds one
+    manager per extraction, so concurrent extractions never share a memo.
     """
 
     def __init__(self, config: AnalysisConfig | None = None) -> None:

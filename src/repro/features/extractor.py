@@ -27,7 +27,7 @@ from ..clkernel.lowering import (
 from .vector import StaticFeatures
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from ..analysis.passes import AnalysisConfig, PassManager
+    from ..analysis.passes import AnalysisConfig
     from ..analysis.recipes import FeatureRecipe
 
 
@@ -94,25 +94,28 @@ class FeatureExtractor:
     def __init__(self, config: ExtractorConfig | None = None) -> None:
         self.config = config or ExtractorConfig()
         self._recipe: "FeatureRecipe | None" = None
-        self._manager: "PassManager | None" = None
-
-    def _bind(self) -> "tuple[FeatureRecipe, PassManager]":
-        """Resolve the recipe and pass manager once, on first extraction."""
-        if self._recipe is None or self._manager is None:
-            from ..analysis.passes import PassManager
-
-            self._recipe = self.config.resolved_recipe()
-            self._manager = PassManager(self.config.analysis_config())
-        return self._recipe, self._manager
 
     @property
     def recipe(self) -> "FeatureRecipe":
-        """The resolved feature recipe this extractor produces."""
-        return self._bind()[0]
+        """The resolved feature recipe this extractor produces.
+
+        Resolved once, on first use; resolution is idempotent, so threads
+        racing here at worst resolve it twice.
+        """
+        if self._recipe is None:
+            self._recipe = self.config.resolved_recipe()
+        return self._recipe
 
     def extract_from_ir(self, ir: KernelIR) -> StaticFeatures:
-        recipe, manager = self._bind()
-        return recipe.extract(ir, manager)
+        """Count the recipe's features of ``ir``.
+
+        Each call gets its own :class:`PassManager`: its memo holds one
+        IR's pass results, and a manager shared across threads would let
+        one extraction read another kernel's results.
+        """
+        from ..analysis.passes import PassManager
+
+        return self.recipe.extract(ir, PassManager(self.config.analysis_config()))
 
     def extract(self, source: str, kernel_name: str | None = None) -> StaticFeatures:
         """Parse + lower ``source`` and count features of its kernel."""

@@ -18,6 +18,7 @@ from repro.obs.instruments import (
 )
 from repro.serve.cache import KernelFeatureCache, source_fingerprint
 from repro.serve.service import cache_summary
+from repro.suite import test_benchmarks as suite_benchmarks
 
 SAXPY = """
 __kernel void saxpy(__global float* x, __global float* y, float a) {
@@ -190,6 +191,18 @@ class CountingExtractor(FeatureExtractor):
         return super().extract(source, kernel_name)
 
 
+class PreloweredExtractor(FeatureExtractor):
+    """An extractor that lowers its kernels once, up front, so a lookup's
+    time goes to the analysis passes rather than the frontend."""
+
+    def __init__(self, config, keys) -> None:
+        super().__init__(config)
+        self.irs = {key: self.lower(*key) for key in keys}
+
+    def extract(self, source, kernel_name=None):
+        return self.extract_from_ir(self.irs[source, kernel_name])
+
+
 def wait_until(predicate, timeout=10.0):
     deadline = time.monotonic() + timeout
     while not predicate():
@@ -303,3 +316,41 @@ class TestSingleFlight:
         assert len({id(f) for _, f in seen}) == len(sources)
         assert lookups(cache, "miss") == len(sources)
         assert lookups(cache, "hit") == len(seen) - len(sources)
+
+    def test_concurrent_extractions_of_different_kernels_keep_their_features(self):
+        # Different kernels extracted at once on the cache's one extractor:
+        # an extraction that read another kernel's pass results would
+        # cache and serve that kernel's features, so every lookup is
+        # compared with a serial extraction of its own kernel.  Every
+        # block is on, so each extraction runs every pass it can, and a
+        # one-entry cache makes nearly every lookup extract.
+        config = ExtractorConfig(recipe="paper10+loops+memmix+divergence")
+        keys = [(spec.source, spec.kernel_name) for spec in suite_benchmarks()]
+        serial = {key: FeatureExtractor(config).extract(*key) for key in keys}
+        assert len(set(serial.values())) == len(keys)
+        cache = KernelFeatureCache(PreloweredExtractor(config, keys), capacity=1)
+        lookups_per_thread, n_threads = 1000, 8
+        start = threading.Barrier(n_threads)
+        seen = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            start.wait(10.0)
+            for _ in range(lookups_per_thread):
+                key = rng.choice(keys)
+                seen.append((key, cache.get(*key)))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == n_threads * lookups_per_thread
+        wrong = [key[1] for key, features in seen if features != serial[key]]
+        assert not wrong, f"{len(wrong)} lookups served another kernel's features"
