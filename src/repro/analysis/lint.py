@@ -1,10 +1,10 @@
-"""`repro lint` engine: diagnostics-pass findings over kernel sources.
+"""`repro lint` engine: diagnostics findings over kernel sources.
 
 Runs the clkernel frontend over every kernel of every given translation
-unit and folds the ``diagnostics`` analysis pass into location-tagged
-findings (``path:line: severity: message``).  Frontend failures (lex,
-parse, lowering) are findings too — a lint run never throws on bad kernel
-source, it reports it.
+unit and folds each kernel's ``KernelAnalysis.diagnostics`` into
+location-tagged findings (``path:line: severity: message``).  Frontend
+failures (lex, parse, lowering) are findings too — a lint run never throws
+on bad kernel source, it reports it.
 
 Two collection modes mirror the CLI:
 
@@ -23,13 +23,7 @@ from dataclasses import dataclass
 from ..clkernel.errors import CLFrontendError
 from ..clkernel.lowering import Lowerer
 from ..clkernel.parser import parse
-from .passes import (
-    AnalysisConfig,
-    DiagnosticsReport,
-    Finding,
-    PassManager,
-    severity_rank,
-)
+from .passes import Finding, KernelAnalysis, severity_rank
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,6 @@ class LintReport:
 def lint_source(
     source: str,
     label: str = "<source>",
-    config: AnalysisConfig | None = None,
     kernel_name: str | None = None,
 ) -> tuple[list[LintFinding], int]:
     """Lint one translation unit; returns (findings, kernels checked).
@@ -101,8 +94,6 @@ def lint_source(
     named one when ``kernel_name`` is given).  Frontend errors become
     error-severity ``frontend-error`` findings at the failing line.
     """
-    cfg = config or AnalysisConfig()
-    manager = PassManager(cfg)
     findings: list[LintFinding] = []
     try:
         unit = parse(source)
@@ -129,15 +120,12 @@ def lint_source(
     checked = 0
     for kernel in kernels:
         try:
-            ir = Lowerer(
-                unit, branch_probability=cfg.branch_probability
-            ).lower_kernel(kernel)
+            ir = Lowerer(unit).lower_kernel(kernel)
         except CLFrontendError as exc:
             findings.append(_frontend_finding(label, exc, kernel.name))
             continue
         checked += 1
-        report = manager.run(ir, "diagnostics")
-        assert isinstance(report, DiagnosticsReport)
+        report = KernelAnalysis(ir).diagnostics
         findings.extend(LintFinding(label=label, finding=f) for f in report.findings)
     return findings, checked
 
@@ -157,9 +145,7 @@ def _frontend_finding(
     )
 
 
-def lint_paths(
-    paths: "list[str | pathlib.Path]", config: AnalysisConfig | None = None
-) -> LintReport:
+def lint_paths(paths: "list[str | pathlib.Path]") -> LintReport:
     """Lint kernel source files (one translation unit per file); a path
     that cannot be read as UTF-8 text is listed in ``unresolved``."""
     findings: list[LintFinding] = []
@@ -175,7 +161,7 @@ def lint_paths(
         except UnicodeDecodeError:
             unresolved.append(f"{path}: not UTF-8 text")
             continue
-        file_findings, file_checked = lint_source(source, str(path), config)
+        file_findings, file_checked = lint_source(source, str(path))
         findings.extend(file_findings)
         checked += file_checked
     return LintReport(
@@ -216,9 +202,7 @@ def _store_kernel_names(root: pathlib.Path) -> list[str]:
     return list(names)
 
 
-def lint_store(
-    store_root: "str | pathlib.Path", config: AnalysisConfig | None = None
-) -> LintReport:
+def lint_store(store_root: "str | pathlib.Path") -> LintReport:
     """Lint the kernel corpus behind a campaign store's traces.
 
     Kernel names come from the store's trace records; sources resolve by
@@ -246,7 +230,6 @@ def lint_store(
         spec_findings, spec_checked = lint_source(
             spec.source,  # type: ignore[attr-defined]
             label=name,
-            config=config,
             kernel_name=getattr(spec, "kernel_name", None),
         )
         findings.extend(spec_findings)

@@ -1,34 +1,26 @@
-"""Pass-manager framework over the counted kernel IR.
+"""One analysis object per kernel IR.
 
 The paper extracts its features "with an LLVM pass running on the
 intermediate representation of the kernel" (§3.2).  This module is that
-pass layer for our IR: small, registered analyses that each fold one view
-out of a :class:`~repro.clkernel.ir.KernelIR` region tree, run through a
-:class:`PassManager` that keeps one IR's results so a recipe composed of
-many blocks never re-walks the tree.
+analysis for our IR: :class:`KernelAnalysis` wraps one
+:class:`~repro.clkernel.ir.KernelIR` and exposes each view of it as a
+lazily computed, cached attribute, so a recipe composed of many blocks
+never re-walks the tree and nothing outlives the one IR it describes.
 
-Pass contract
--------------
-A pass is a stateless object with a unique ``name`` and a
-``run(ir, config, manager)`` method returning an immutable result.  Passes
-may request other passes' results through the manager (``memory-mix`` and
-``diagnostics`` both build on ``opcode-histogram``); the manager's memo
-makes such composition free.  Register with :func:`register_pass`.
-
-Built-in passes
----------------
-``opcode-histogram``
+Attributes
+----------
+``histogram``
     Per-op weighted counts — byte-identical to
     :meth:`KernelIR.weighted_counts`, which it delegates to (that fold is
     the canonical arithmetic every persisted feature vector depends on).
-``memory-mix``
+``memory_mix``
     Global/local/compute weight split and access-per-op intensity.
-``loop-structure``
+``loops``
     Nesting depth, static vs defaulted trip counts, loop-resident op share.
 ``divergence``
     Branch density and the weighted feature mass under conditional regions.
 ``diagnostics``
-    Extraction-fidelity findings (unknown trip counts, zero-weight regions,
+    Extraction-fidelity findings (unknown trip counts, zero-trip loops,
     kernels lowering to zero feature ops, weighted counts that overflow)
     — the engine behind ``repro lint``.
 """
@@ -37,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from ..clkernel.ir import (
@@ -48,6 +41,7 @@ from ..clkernel.ir import (
     RegionVisitor,
     WalkFrame,
 )
+from ..clkernel.lowering import DEFAULT_UNKNOWN_TRIP_COUNT
 
 #: Lint severity levels, least to most severe.
 SEVERITIES: tuple[str, ...] = ("info", "warning", "error")
@@ -60,100 +54,6 @@ def severity_rank(severity: str) -> int:
     except ValueError:
         return -1
 
-
-class AnalysisError(RuntimeError):
-    """Raised on unknown pass names or invalid pass registrations."""
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Knobs every pass sees (mirrors the extractor's weighting choices).
-
-    ``branch_probability`` is recorded for provenance/fingerprints: the
-    probabilities themselves are annotated on the IR during lowering, so
-    passes only ever *read* them — but two IRs lowered under different
-    assumed probabilities must never share cached results or cache keys.
-    """
-
-    default_trip_count: int = 16
-    branch_probability: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.default_trip_count < 0:
-            raise ValueError("default_trip_count must be non-negative")
-        if not 0.0 <= self.branch_probability <= 1.0:
-            raise ValueError("branch_probability must be in [0, 1]")
-
-
-class AnalysisPass:
-    """Base class for registered passes (stateless; results are cached)."""
-
-    name: str = ""
-
-    def run(self, ir: KernelIR, config: AnalysisConfig, manager: "PassManager") -> object:
-        raise NotImplementedError
-
-
-_PASS_REGISTRY: dict[str, AnalysisPass] = {}
-
-
-def register_pass(cls: type[AnalysisPass]) -> type[AnalysisPass]:
-    """Class decorator: instantiate and register an analysis pass by name."""
-    instance = cls()
-    if not instance.name:
-        raise AnalysisError(f"pass {cls.__name__} declares no name")
-    if instance.name in _PASS_REGISTRY:
-        raise AnalysisError(f"duplicate analysis pass {instance.name!r}")
-    _PASS_REGISTRY[instance.name] = instance
-    return cls
-
-
-def get_pass(name: str) -> AnalysisPass:
-    try:
-        return _PASS_REGISTRY[name]
-    except KeyError:
-        raise AnalysisError(
-            f"unknown analysis pass {name!r}; registered: {registered_passes()}"
-        ) from None
-
-
-def registered_passes() -> tuple[str, ...]:
-    """Names of every registered pass, sorted."""
-    return tuple(sorted(_PASS_REGISTRY))
-
-
-class PassManager:
-    """Runs registered passes over kernel IRs, memoizing for one IR at a time.
-
-    A recipe's blocks ask for the same passes of the IR they are
-    extracting (``memory-mix`` and ``diagnostics`` both build on
-    ``opcode-histogram``), so results are kept until a different IR comes
-    in.  Repeats across kernels are the feature cache's job, not this
-    one's.  Not thread-safe: :class:`FeatureExtractor` builds one
-    manager per extraction, so concurrent extractions never share a memo.
-    """
-
-    def __init__(self, config: AnalysisConfig | None = None) -> None:
-        self.config = config or AnalysisConfig()
-        self._ir: KernelIR | None = None
-        self._results: dict[str, object] = {}
-
-    def run(self, ir: KernelIR, name: str) -> object:
-        """Run (or recall) one pass over ``ir``."""
-        if ir is not self._ir:
-            self._ir = ir
-            self._results = {}
-        if name not in self._results:
-            self._results[name] = get_pass(name).run(ir, self.config, self)
-        return self._results[name]
-
-    def run_all(self, ir: KernelIR) -> dict[str, object]:
-        """Every registered pass over one IR, keyed by pass name."""
-        return {name: self.run(ir, name) for name in registered_passes()}
-
-
-# ---------------------------------------------------------------------------
-# opcode-histogram
 
 #: Why a kernel whose weighted counts are not finite has no feature vector.
 NON_FINITE_WEIGHT = (
@@ -185,32 +85,15 @@ class OpcodeHistogram:
 
     @property
     def finite(self) -> bool:
-        """Whether every weighted count is a finite number."""
-        return all(math.isfinite(w) for w in self.weighted.values())
+        """Whether twice the sum of the weighted counts is a finite number.
 
-
-@register_pass
-class OpcodeHistogramPass(AnalysisPass):
-    """Per-op weighted counts (the feature vector's raw material).
-
-    Delegates to :meth:`KernelIR.weighted_counts` — the canonical fold —
-    rather than re-deriving the arithmetic, so the pass framework can
-    never drift a bit from what every persisted artifact was trained on.
-    """
-
-    name = "opcode-histogram"
-
-    def run(
-        self, ir: KernelIR, config: AnalysisConfig, manager: "PassManager"
-    ) -> OpcodeHistogram:
-        return OpcodeHistogram(
-            weighted=ir.weighted_counts(config.default_trip_count),
-            static_size=ir.root.static_size(),
-        )
-
-
-# ---------------------------------------------------------------------------
-# memory-mix
+        Then every count is finite, and the factor of two is headroom:
+        every other fold of the same non-negative masses (the feature
+        total, the loop and divergence walks, the memory split) stays
+        finite whatever its summation order, so a kernel has a finite
+        vector under every recipe or under none.
+        """
+        return math.isfinite(2.0 * sum(self.weighted.values()))
 
 
 @dataclass(frozen=True)
@@ -246,32 +129,6 @@ class MemoryMix:
         mem-L heuristic keys on (memory-heavy kernels prefer high f_mem)."""
         total = self.total_weight
         return self.memory_weight / total if total > 0 else 0.0
-
-
-@register_pass
-class MemoryMixPass(AnalysisPass):
-    """Global/local/compute weight split, derived from the histogram."""
-
-    name = "memory-mix"
-
-    def run(
-        self, ir: KernelIR, config: AnalysisConfig, manager: "PassManager"
-    ) -> MemoryMix:
-        hist = manager.run(ir, "opcode-histogram")
-        assert isinstance(hist, OpcodeHistogram)
-        counts = hist.feature_counts
-        global_w = counts["gl_access"]
-        local_w = counts["loc_access"]
-        compute_w = hist.feature_total - global_w - local_w
-        return MemoryMix(
-            global_weight=global_w,
-            local_weight=local_w,
-            compute_weight=compute_w,
-        )
-
-
-# ---------------------------------------------------------------------------
-# loop-structure
 
 
 @dataclass(frozen=True)
@@ -323,35 +180,6 @@ class _LoopVisitor(RegionVisitor):
             self.under_defaulted += mass
 
 
-@register_pass
-class LoopStructurePass(AnalysisPass):
-    """Loop nesting/trip-count structure via the weighted region walk."""
-
-    name = "loop-structure"
-
-    def run(
-        self, ir: KernelIR, config: AnalysisConfig, manager: "PassManager"
-    ) -> LoopStructure:
-        visitor = _LoopVisitor()
-        ir.accept(visitor, config.default_trip_count)
-        total = visitor.total
-        return LoopStructure(
-            max_depth=ir.root.max_loop_depth(),
-            n_loops=visitor.n_loops,
-            n_static_trip=visitor.n_static,
-            n_defaulted_trip=visitor.n_defaulted,
-            n_zero_trip=visitor.n_zero,
-            loop_resident_share=visitor.in_loop / total if total > 0 else 0.0,
-            defaulted_weight_share=(
-                visitor.under_defaulted / total if total > 0 else 0.0
-            ),
-        )
-
-
-# ---------------------------------------------------------------------------
-# divergence
-
-
 @dataclass(frozen=True)
 class Divergence:
     """Control-flow divergence profile of one kernel."""
@@ -391,38 +219,6 @@ class _DivergenceVisitor(RegionVisitor):
             self.conditional += mass
 
 
-@register_pass
-class DivergencePass(AnalysisPass):
-    """Branch density + probability-scaled feature mass."""
-
-    name = "divergence"
-
-    def run(
-        self, ir: KernelIR, config: AnalysisConfig, manager: "PassManager"
-    ) -> Divergence:
-        visitor = _DivergenceVisitor()
-        ir.accept(visitor, config.default_trip_count)
-        hist = manager.run(ir, "opcode-histogram")
-        assert isinstance(hist, OpcodeHistogram)
-        branch_ops = sum(
-            op.count for op in ir.root.iter_ops() if op.op == "branch"
-        )
-        static = hist.static_size
-        return Divergence(
-            n_branch_regions=visitor.n_branch_regions,
-            branch_ops=branch_ops,
-            branch_density=branch_ops / static if static > 0 else 0.0,
-            conditional_mass=(
-                visitor.conditional / visitor.total if visitor.total > 0 else 0.0
-            ),
-            min_branch_probability=visitor.min_probability,
-        )
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
 @dataclass(frozen=True)
 class Finding:
     """One extraction-fidelity finding, anchored to a source line."""
@@ -459,8 +255,8 @@ class DiagnosticsReport:
 
 
 class _DiagnosticsVisitor(RegionVisitor):
-    def __init__(self, config: AnalysisConfig, kernel: str) -> None:
-        self.config = config
+    def __init__(self, default_trip_count: int, kernel: str) -> None:
+        self.default_trip_count = default_trip_count
         self.kernel = kernel
         self.findings: list[Finding] = []
         self._assumed_lines: set[int] = set()
@@ -475,7 +271,7 @@ class _DiagnosticsVisitor(RegionVisitor):
                         message=(
                             "loop bound is not statically known; its body is "
                             f"weighted with the default trip count "
-                            f"({self.config.default_trip_count})"
+                            f"({self.default_trip_count})"
                         ),
                         line=region.line,
                         kernel=self.kernel,
@@ -494,60 +290,122 @@ class _DiagnosticsVisitor(RegionVisitor):
                         kernel=self.kernel,
                     )
                 )
-        elif region.kind == "branch":
-            if region.probability == 0.0:
-                self.findings.append(
-                    Finding(
-                        severity="warning",
-                        code="zero-weight-region",
-                        message=(
-                            "branch region has probability 0; its body "
-                            "contributes nothing to the feature vector"
-                        ),
-                        line=region.line,
-                        kernel=self.kernel,
-                    )
+        elif region.kind == "branch" and region.line not in self._assumed_lines:
+            self._assumed_lines.add(region.line)
+            self.findings.append(
+                Finding(
+                    severity="info",
+                    code="assumed-branch-probability",
+                    message=(
+                        "conditional weighted with the static "
+                        f"branch-probability estimate "
+                        f"(p={region.probability:g})"
+                    ),
+                    line=region.line,
+                    kernel=self.kernel,
                 )
-            elif region.probability < 1.0 and region.line not in self._assumed_lines:
-                self._assumed_lines.add(region.line)
-                self.findings.append(
-                    Finding(
-                        severity="info",
-                        code="assumed-branch-probability",
-                        message=(
-                            "conditional weighted with the static "
-                            f"branch-probability estimate "
-                            f"(p={region.probability:g})"
-                        ),
-                        line=region.line,
-                        kernel=self.kernel,
-                    )
-                )
+            )
 
 
-@register_pass
-class DiagnosticsPass(AnalysisPass):
-    """Extraction-fidelity findings: what the feature vector had to assume.
+class KernelAnalysis:
+    """Every analysis of one kernel IR, each computed once on first access.
 
-    Severities (see DESIGN.md "Analysis passes & feature recipes"):
-
-    * ``error`` — the vector rests on a guess that can be arbitrarily wrong
-      (unknown trip count), is degenerate (zero feature ops) or does not
-      exist (non-finite weighted counts: extraction refuses the kernel);
-    * ``warning`` — a region provably contributes nothing (zero weight);
-    * ``info`` — a documented default was applied (branch probability).
+    Results are frozen dataclasses and a pure function of the IR and
+    ``default_trip_count``; the IR is never mutated.  Build one object per
+    IR: each extraction or lint of a kernel gets its own, so concurrent
+    extractions never share results.
     """
 
-    name = "diagnostics"
+    def __init__(
+        self, ir: KernelIR, default_trip_count: int = DEFAULT_UNKNOWN_TRIP_COUNT
+    ) -> None:
+        if default_trip_count < 0:
+            raise ValueError("default_trip_count must be non-negative")
+        self.ir = ir
+        self.default_trip_count = default_trip_count
 
-    def run(
-        self, ir: KernelIR, config: AnalysisConfig, manager: "PassManager"
-    ) -> DiagnosticsReport:
-        visitor = _DiagnosticsVisitor(config, ir.name)
-        ir.accept(visitor, config.default_trip_count)
+    @cached_property
+    def histogram(self) -> OpcodeHistogram:
+        """Per-op weighted counts (the feature vector's raw material).
+
+        Delegates to :meth:`KernelIR.weighted_counts` — the canonical fold —
+        rather than re-deriving the arithmetic, so the analysis can never
+        drift a bit from what every persisted artifact was trained on.
+        """
+        return OpcodeHistogram(
+            weighted=self.ir.weighted_counts(self.default_trip_count),
+            static_size=self.ir.root.static_size(),
+        )
+
+    @cached_property
+    def memory_mix(self) -> MemoryMix:
+        """Global/local/compute weight split, derived from the histogram."""
+        hist = self.histogram
+        counts = hist.feature_counts
+        global_w = counts["gl_access"]
+        local_w = counts["loc_access"]
+        compute_w = hist.feature_total - global_w - local_w
+        return MemoryMix(
+            global_weight=global_w,
+            local_weight=local_w,
+            compute_weight=compute_w,
+        )
+
+    @cached_property
+    def loops(self) -> LoopStructure:
+        """Loop nesting/trip-count structure via the weighted region walk."""
+        visitor = _LoopVisitor()
+        self.ir.accept(visitor, self.default_trip_count)
+        total = visitor.total
+        return LoopStructure(
+            max_depth=self.ir.root.max_loop_depth(),
+            n_loops=visitor.n_loops,
+            n_static_trip=visitor.n_static,
+            n_defaulted_trip=visitor.n_defaulted,
+            n_zero_trip=visitor.n_zero,
+            loop_resident_share=visitor.in_loop / total if total > 0 else 0.0,
+            defaulted_weight_share=(
+                visitor.under_defaulted / total if total > 0 else 0.0
+            ),
+        )
+
+    @cached_property
+    def divergence(self) -> Divergence:
+        """Branch density + probability-scaled feature mass."""
+        visitor = _DivergenceVisitor()
+        self.ir.accept(visitor, self.default_trip_count)
+        branch_ops = sum(
+            op.count for op in self.ir.root.iter_ops() if op.op == "branch"
+        )
+        static = self.histogram.static_size
+        return Divergence(
+            n_branch_regions=visitor.n_branch_regions,
+            branch_ops=branch_ops,
+            branch_density=branch_ops / static if static > 0 else 0.0,
+            conditional_mass=(
+                visitor.conditional / visitor.total if visitor.total > 0 else 0.0
+            ),
+            min_branch_probability=visitor.min_probability,
+        )
+
+    @cached_property
+    def diagnostics(self) -> DiagnosticsReport:
+        """Extraction-fidelity findings: what the feature vector had to assume.
+
+        Severities (see DESIGN.md "Lint severities"):
+
+        * ``error`` — the vector rests on a guess that can be arbitrarily
+          wrong (unknown trip count), is degenerate (zero feature ops) or
+          does not exist (non-finite weighted counts: extraction refuses
+          the kernel);
+        * ``warning`` — a zero-trip loop contributes nothing (zero weight);
+        * ``info`` — a documented default was applied (branch probability).
+        """
+        ir = self.ir
+        visitor = _DiagnosticsVisitor(self.default_trip_count, ir.name)
+        ir.accept(visitor, self.default_trip_count)
         findings = list(visitor.findings)
-        hist = manager.run(ir, "opcode-histogram")
-        assert isinstance(hist, OpcodeHistogram)
+        hist = self.histogram
         if not hist.finite:
             findings.append(
                 Finding(

@@ -1,4 +1,4 @@
-"""Named feature recipes: composable column sets over the analysis passes.
+"""Named feature recipes: composable column sets over the kernel analysis.
 
 A *recipe* names the static feature layout end to end — CLI flag
 (``--features paper10+loops``), registry key, artifact metadata, cache
@@ -8,9 +8,9 @@ fingerprint.  Naming rules:
   paper's ten normalized shares, today's exact layout) or ``paper10-raw``
   (the ablation base: raw weighted counts instead of shares);
 * each later part appends one registered **block** of extra columns
-  (``loops``, ``memmix``, ``divergence``), computed by the analysis
-  passes; block order in the name is column order in the vector, and a
-  block may appear once.
+  (``loops``, ``memmix``, ``divergence``), read off the kernel's
+  :class:`~repro.analysis.passes.KernelAnalysis`; block order in the name
+  is column order in the vector, and a block may appear once.
 
 ``paper10`` reproduces the legacy extractor's vectors **bit-for-bit**
 (same arithmetic, same objects' worth of values), which is what keeps
@@ -19,21 +19,13 @@ every existing artifact, trace replay and serve path byte-identical.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 from ..clkernel.errors import CLFrontendError
-from ..clkernel.ir import KernelIR
 from ..features.vector import STATIC_FEATURE_NAMES, StaticFeatures
-from .passes import (
-    NON_FINITE_WEIGHT,
-    Divergence,
-    LoopStructure,
-    MemoryMix,
-    PassManager,
-)
+from .passes import NON_FINITE_WEIGHT, KernelAnalysis
 
 #: The default recipe — the paper's exact layout, and the only recipe
 #: pre-recipe artifacts can carry (they don't record one).
@@ -49,16 +41,15 @@ class RecipeError(ValueError):
 
 @dataclass(frozen=True)
 class FeatureBlock:
-    """One named set of extra columns computed from analysis passes."""
+    """One named set of extra columns computed from a kernel's analysis."""
 
     name: str
     columns: tuple[str, ...]
-    compute: Callable[[KernelIR, PassManager], tuple[float, ...]]
+    compute: Callable[[KernelAnalysis], tuple[float, ...]]
 
 
-def _loops_block(ir: KernelIR, manager: PassManager) -> tuple[float, ...]:
-    loops = manager.run(ir, "loop-structure")
-    assert isinstance(loops, LoopStructure)
+def _loops_block(analysis: KernelAnalysis) -> tuple[float, ...]:
+    loops = analysis.loops
     return (
         float(loops.max_depth),
         loops.loop_resident_share,
@@ -66,9 +57,8 @@ def _loops_block(ir: KernelIR, manager: PassManager) -> tuple[float, ...]:
     )
 
 
-def _memmix_block(ir: KernelIR, manager: PassManager) -> tuple[float, ...]:
-    mix = manager.run(ir, "memory-mix")
-    assert isinstance(mix, MemoryMix)
+def _memmix_block(analysis: KernelAnalysis) -> tuple[float, ...]:
+    mix = analysis.memory_mix
     return (
         mix.global_share_of_accesses,
         mix.local_share_of_accesses,
@@ -76,9 +66,8 @@ def _memmix_block(ir: KernelIR, manager: PassManager) -> tuple[float, ...]:
     )
 
 
-def _divergence_block(ir: KernelIR, manager: PassManager) -> tuple[float, ...]:
-    div = manager.run(ir, "divergence")
-    assert isinstance(div, Divergence)
+def _divergence_block(analysis: KernelAnalysis) -> tuple[float, ...]:
+    div = analysis.divergence
     return (div.branch_density, div.conditional_mass)
 
 
@@ -123,35 +112,18 @@ class FeatureRecipe:
     def width(self) -> int:
         return len(self.column_names)
 
-    def fingerprint(self) -> str:
-        """Stable identity of the *layout* (what cache keys hash in).
-
-        Hashes the base + every block's name and column list, so renaming
-        or reordering a block's columns changes the fingerprint even if
-        the recipe name stays the same.
-        """
-        hasher = hashlib.sha256()
-        hasher.update(self.name.encode("utf-8"))
-        hasher.update(b"\x00norm=%d" % int(self.normalize))
-        for block in self.blocks:
-            hasher.update(b"\x00")
-            hasher.update(block.name.encode("utf-8"))
-            for col in block.columns:
-                hasher.update(b"\x1f")
-                hasher.update(col.encode("utf-8"))
-        return hasher.hexdigest()
-
-    def extract(self, ir: KernelIR, manager: PassManager) -> StaticFeatures:
-        """Build the recipe's :class:`StaticFeatures` for one kernel IR.
+    def extract(self, analysis: KernelAnalysis) -> StaticFeatures:
+        """Build the recipe's :class:`StaticFeatures` for one kernel.
 
         The base ten columns go through the exact arithmetic the legacy
         extractor used (:meth:`StaticFeatures.from_counts` over the
-        histogram pass, which delegates to the canonical IR fold), so the
+        histogram, which delegates to the canonical IR fold), so the
         default recipe is bit-identical to pre-recipe vectors.  A kernel
         whose weighted counts are not finite has no feature vector: it
         raises :class:`CLFrontendError`.
         """
-        hist = manager.run(ir, "opcode-histogram")
+        ir = analysis.ir
+        hist = analysis.histogram
         if not hist.finite:
             raise CLFrontendError(f"kernel {ir.name!r}: {NON_FINITE_WEIGHT}")
         base = StaticFeatures.from_counts(hist.feature_counts, kernel_name=ir.name)
@@ -166,7 +138,7 @@ class FeatureRecipe:
                 raw_counts=base.raw_counts,
             )
         for block in self.blocks:
-            values = values + block.compute(ir, manager)
+            values = values + block.compute(analysis)
         return StaticFeatures(
             values=values,
             kernel_name=ir.name,

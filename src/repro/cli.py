@@ -965,8 +965,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint", parents=[store],
-        help="diagnose kernel sources with the analysis passes: unknown "
-             "loop trip counts, zero-weight regions, assumed branch "
+        help="diagnose kernel sources with the kernel analysis: unknown "
+             "loop trip counts, zero-trip loops, assumed branch "
              "probabilities; exits nonzero on error-severity findings "
              "(with --store, lint the kernels behind the store's traces)",
     )

@@ -38,7 +38,7 @@ from .ir import (
 )
 from .lexer import Token, TokKind, tokenize
 from .lowering import (
-    DEFAULT_BRANCH_PROBABILITY,
+    BRANCH_PROBABILITY,
     DEFAULT_UNKNOWN_TRIP_COUNT,
     Lowerer,
     lower_source,
@@ -49,12 +49,12 @@ __all__ = [
     "ALL_OPS",
     "AUX_OPS",
     "AddressSpace",
+    "BRANCH_PROBABILITY",
     "CLFrontendError",
     "CLLexError",
     "CLLoweringError",
     "CLParseError",
     "CLType",
-    "DEFAULT_BRANCH_PROBABILITY",
     "DEFAULT_UNKNOWN_TRIP_COUNT",
     "FEATURE_OPS",
     "FunctionDef",

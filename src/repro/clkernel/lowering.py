@@ -66,8 +66,8 @@ from .errors import CLLoweringError
 from .ir import IRRegion, KernelIR
 from .parser import MAX_NESTING_DEPTH, parse
 
-#: Static branch probability for `if` bodies (ablated; see DESIGN.md).
-DEFAULT_BRANCH_PROBABILITY = 0.5
+#: Static probability of an ``if`` body (its ``else`` gets the complement).
+BRANCH_PROBABILITY = 0.5
 
 #: Trip count assumed for loops whose bounds are not statically known.
 DEFAULT_UNKNOWN_TRIP_COUNT = 16
@@ -122,13 +122,8 @@ class _Scope:
 class Lowerer:
     """Lowers one kernel (plus reachable helper functions) to :class:`KernelIR`."""
 
-    def __init__(
-        self,
-        unit: TranslationUnit,
-        branch_probability: float = DEFAULT_BRANCH_PROBABILITY,
-    ) -> None:
+    def __init__(self, unit: TranslationUnit) -> None:
         self.unit = unit
-        self.branch_probability = branch_probability
         self._inline_stack: list[str] = []
         #: Nesting the inlined call chain has used: each function's depth
         #: plus one per call, bounded like one function's nesting so the
@@ -208,7 +203,7 @@ class Lowerer:
         self._lower_expr(stmt.cond, region, scope)
         region.emit("branch", 1, stmt.line)
         then_region = region.add_region(
-            IRRegion(kind="branch", probability=self.branch_probability, line=stmt.line)
+            IRRegion(kind="branch", probability=BRANCH_PROBABILITY, line=stmt.line)
         )
         assert stmt.then is not None
         self._lower_stmt(stmt.then, then_region, scope)
@@ -216,7 +211,7 @@ class Lowerer:
             else_region = region.add_region(
                 IRRegion(
                     kind="branch",
-                    probability=1.0 - self.branch_probability,
+                    probability=1.0 - BRANCH_PROBABILITY,
                     line=stmt.line,
                 )
             )
@@ -508,11 +503,11 @@ class Lowerer:
         self._lower_expr(expr.cond, region, scope)
         region.emit("branch", 1, expr.line)
         then_region = region.add_region(
-            IRRegion(kind="branch", probability=self.branch_probability, line=expr.line)
+            IRRegion(kind="branch", probability=BRANCH_PROBABILITY, line=expr.line)
         )
         then_type = self._lower_expr(expr.then, then_region, scope)
         else_region = region.add_region(
-            IRRegion(kind="branch", probability=1.0 - self.branch_probability, line=expr.line)
+            IRRegion(kind="branch", probability=1.0 - BRANCH_PROBABILITY, line=expr.line)
         )
         else_type = self._lower_expr(expr.otherwise, else_region, scope)
         return self._merge_types(then_type, else_type)
@@ -622,9 +617,7 @@ class Lowerer:
 
 
 @lru_cache(maxsize=512)
-def _lower_source_cached(
-    source: str, kernel_name: str | None, branch_probability: float
-) -> KernelIR:
+def _lower_source_cached(source: str, kernel_name: str | None) -> KernelIR:
     unit = parse(source)
     kernels = unit.kernels()
     if not kernels:
@@ -636,20 +629,16 @@ def _lower_source_cached(
         if not matches:
             raise CLLoweringError(f"no kernel named {kernel_name!r}")
         kernel = matches[0]
-    return Lowerer(unit, branch_probability=branch_probability).lower_kernel(kernel)
+    return Lowerer(unit).lower_kernel(kernel)
 
 
-def lower_source(
-    source: str,
-    kernel_name: str | None = None,
-    branch_probability: float = DEFAULT_BRANCH_PROBABILITY,
-) -> KernelIR:
+def lower_source(source: str, kernel_name: str | None = None) -> KernelIR:
     """Parse ``source`` and lower its (named or sole) kernel to IR.
 
-    Memoized on ``(source, kernel_name, branch_probability)``: lowering is
-    pure and :class:`KernelIR` is treated as immutable everywhere, so
-    repeated lowering of the same kernel — every training pass calls this
-    twice per spec (features + profile), every sweep once more — costs one
-    dict lookup instead of a parse.
+    Memoized on ``(source, kernel_name)``: lowering is pure and
+    :class:`KernelIR` is treated as immutable everywhere, so repeated
+    lowering of the same kernel — every training pass calls this twice per
+    spec (features + profile), every sweep once more — costs one dict
+    lookup instead of a parse.
     """
-    return _lower_source_cached(source, kernel_name, branch_probability)
+    return _lower_source_cached(source, kernel_name)

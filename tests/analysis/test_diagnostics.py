@@ -1,15 +1,11 @@
-"""Diagnostics-pass edge cases: the lowering corners the lint must flag."""
+"""Diagnostics edge cases: the lowering corners the lint must flag."""
 
-from repro.analysis import AnalysisConfig, DiagnosticsReport, PassManager
+from repro.analysis import DiagnosticsReport, KernelAnalysis
 from repro.clkernel.lowering import lower_source
 
 
-def diagnose(source: str, **config_kwargs) -> DiagnosticsReport:
-    cfg = AnalysisConfig(**config_kwargs)
-    ir = lower_source(source, branch_probability=cfg.branch_probability)
-    report = PassManager(cfg).run(ir, "diagnostics")
-    assert isinstance(report, DiagnosticsReport)
-    return report
+def diagnose(source: str) -> DiagnosticsReport:
+    return KernelAnalysis(lower_source(source)).diagnostics
 
 
 def codes(report: DiagnosticsReport) -> list[str]:
@@ -76,24 +72,6 @@ class TestUnknownTripCounts:
 
 
 class TestZeroWeightRegions:
-    def test_else_branch_with_probability_one_is_zero_weight(self):
-        # With branch_probability=1.0 the else region is weighted
-        # 1 - p = 0: its ops vanish from every feature vector.
-        src = """
-        __kernel void f(__global float* x, int n) {
-            int i = get_global_id(0);
-            if (i < n) {
-                x[i] = 1.0f;
-            } else {
-                x[i] = 2.0f;
-            }
-        }
-        """
-        report = diagnose(src, branch_probability=1.0)
-        zero = [f for f in report.findings if f.code == "zero-weight-region"]
-        assert len(zero) >= 1
-        assert all(f.severity == "warning" for f in zero)
-
     def test_zero_trip_loop_is_zero_weight(self):
         src = """
         __kernel void f(__global float* x) {

@@ -1,17 +1,13 @@
-"""The pass manager: registry, one-IR memo, pass results."""
+"""The kernel analysis: one object per IR, each attribute computed once."""
 
 import pytest
 
 from repro.analysis import (
-    AnalysisConfig,
-    AnalysisError,
     Divergence,
+    KernelAnalysis,
     LoopStructure,
     MemoryMix,
     OpcodeHistogram,
-    PassManager,
-    get_pass,
-    registered_passes,
 )
 from repro.clkernel.lowering import lower_source
 
@@ -20,48 +16,11 @@ def lower(body: str, params: str = "__global float* x"):
     return lower_source(f"__kernel void f({params}) {{ {body} }}")
 
 
-class TestRegistry:
-    def test_minimum_pass_set_registered(self):
-        names = registered_passes()
-        for required in (
-            "opcode-histogram",
-            "memory-mix",
-            "loop-structure",
-            "divergence",
-            "diagnostics",
-        ):
-            assert required in names
-
-    def test_get_pass_unknown_name(self):
-        with pytest.raises(AnalysisError):
-            get_pass("no-such-pass")
-
-
 class TestCaching:
-    def test_same_ir_same_pass_is_cached(self):
-        ir = lower("x[0] = x[1] + 1.0f;")
-        manager = PassManager(AnalysisConfig())
-        first = manager.run(ir, "opcode-histogram")
-        second = manager.run(ir, "opcode-histogram")
-        assert first is second
-
-    def test_different_irs_do_not_share_entries(self):
-        ir_a = lower("x[0] = x[1] + 1.0f;")
-        ir_b = lower("x[0] = x[1] * 2.0f;")
-        manager = PassManager(AnalysisConfig())
-        a = manager.run(ir_a, "opcode-histogram")
-        b = manager.run(ir_b, "opcode-histogram")
-        assert a is not b
-        # One IR at a time: returning to the first recomputes an equal result.
-        again = manager.run(ir_a, "opcode-histogram")
-        assert again is not a
-        assert again == a
-
-    def test_run_all_covers_every_registered_pass(self):
-        ir = lower("for (int i = 0; i < 8; i++) { x[i] = 1.0f; }")
-        manager = PassManager(AnalysisConfig())
-        results = manager.run_all(ir)
-        assert set(results) == set(registered_passes())
+    def test_each_attribute_is_computed_once(self):
+        analysis = KernelAnalysis(lower("for (int i = 0; i < 8; i++) { x[i] = 1.0f; }"))
+        for name in ("histogram", "memory_mix", "loops", "divergence", "diagnostics"):
+            assert getattr(analysis, name) is getattr(analysis, name)
 
 
 class TestOpcodeHistogram:
@@ -69,21 +28,16 @@ class TestOpcodeHistogram:
         ir = lower(
             "for (int i = 0; i < 10; i++) { if (x[i] > 0.0f) { x[i] = x[i] / 2.0f; } }"
         )
-        manager = PassManager(AnalysisConfig())
-        hist = manager.run(ir, "opcode-histogram")
+        hist = KernelAnalysis(ir).histogram
         assert isinstance(hist, OpcodeHistogram)
         assert hist.weighted == ir.weighted_counts(16)
         assert hist.feature_total > 0.0
 
     def test_respects_default_trip_count(self):
-        src = "__kernel void f(__global float* x, int n) { for (int i = 0; i < n; i++) { x[i] = 1.0f; } }"
-        ir = lower_source(src)
-        small = PassManager(AnalysisConfig(default_trip_count=2))
-        big = PassManager(AnalysisConfig(default_trip_count=64))
-        assert (
-            big.run(ir, "opcode-histogram").feature_total
-            > small.run(ir, "opcode-histogram").feature_total
-        )
+        ir = lower("for (int i = 0; i < n; i++) { x[i] = 1.0f; }", "__global float* x, int n")
+        small = KernelAnalysis(ir, default_trip_count=2)
+        big = KernelAnalysis(ir, default_trip_count=64)
+        assert big.histogram.feature_total > small.histogram.feature_total
 
 
 class TestMemoryMix:
@@ -93,7 +47,7 @@ class TestMemoryMix:
             "{ l[0] = g[0]; g[1] = l[0] + 1.0f; }"
         )
         ir = lower_source(src)
-        mix = PassManager(AnalysisConfig()).run(ir, "memory-mix")
+        mix = KernelAnalysis(ir).memory_mix
         assert isinstance(mix, MemoryMix)
         assert mix.global_weight > 0.0
         assert mix.local_weight > 0.0
@@ -113,7 +67,7 @@ class TestLoopStructure:
         }
         """
         ir = lower_source(src)
-        loops = PassManager(AnalysisConfig()).run(ir, "loop-structure")
+        loops = KernelAnalysis(ir).loops
         assert isinstance(loops, LoopStructure)
         assert loops.n_loops == 2
         assert loops.max_depth == 2
@@ -123,7 +77,7 @@ class TestLoopStructure:
 
     def test_loop_free_kernel(self):
         ir = lower("x[0] = x[1];")
-        loops = PassManager(AnalysisConfig()).run(ir, "loop-structure")
+        loops = KernelAnalysis(ir).loops
         assert loops.n_loops == 0
         assert loops.max_depth == 0
         assert loops.loop_resident_share == 0.0
@@ -136,7 +90,7 @@ class TestDivergence:
             "{ int i = get_global_id(0); if (i < n) { x[i] = 1.0f; } }"
         )
         ir = lower_source(src)
-        div = PassManager(AnalysisConfig()).run(ir, "divergence")
+        div = KernelAnalysis(ir).divergence
         assert isinstance(div, Divergence)
         assert div.n_branch_regions >= 1
         assert div.branch_ops >= 1
@@ -145,14 +99,12 @@ class TestDivergence:
 
     def test_straight_line_kernel_has_no_divergence(self):
         ir = lower("x[0] = x[1] + 1.0f;")
-        div = PassManager(AnalysisConfig()).run(ir, "divergence")
+        div = KernelAnalysis(ir).divergence
         assert div.n_branch_regions == 0
         assert div.conditional_mass == 0.0
 
 
-class TestAnalysisConfig:
-    def test_validates_knobs(self):
+class TestKernelAnalysis:
+    def test_rejects_a_negative_default_trip_count(self):
         with pytest.raises(ValueError):
-            AnalysisConfig(default_trip_count=-1)
-        with pytest.raises(ValueError):
-            AnalysisConfig(branch_probability=1.5)
+            KernelAnalysis(lower("x[0] = 1.0f;"), default_trip_count=-1)

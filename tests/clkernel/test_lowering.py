@@ -203,13 +203,6 @@ class TestBranches:
         # condition (1 int cmp) + else branch (0.5 int add)
         assert c["int_add"] == pytest.approx(1.5)
 
-    def test_custom_branch_probability(self):
-        ir = lower_source(
-            wrap("if (n < 3) { float a = 1.0f + 2.0f; }"), branch_probability=0.25
-        )
-        c = ir.weighted_counts()
-        assert c["float_add"] == pytest.approx(0.25)
-
     def test_ternary_weighted(self):
         c = counts(wrap("float a = (n < 3) ? (1.0f + 2.0f) : 0.0f;"))
         assert c["float_add"] == pytest.approx(0.5)

