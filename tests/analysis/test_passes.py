@@ -22,6 +22,24 @@ class TestCaching:
         for name in ("histogram", "memory_mix", "loops", "divergence", "diagnostics"):
             assert getattr(analysis, name) is getattr(analysis, name)
 
+    def test_different_irs_do_not_share_entries(self):
+        ir_a = lower("x[0] = x[1] + 1.0f;")
+        ir_b = lower("x[0] = x[1] * 2.0f;")
+        a = KernelAnalysis(ir_a).histogram
+        b = KernelAnalysis(ir_b).histogram
+        assert a != b
+        # A new analysis of the first IR recomputes an equal result.
+        again = KernelAnalysis(ir_a).histogram
+        assert again is not a
+        assert again == a
+
+    @pytest.mark.parametrize("name", ["memory_mix", "divergence", "diagnostics"])
+    def test_derived_attributes_reuse_the_histogram(self, name):
+        analysis = KernelAnalysis(lower("if (x[0] > 0.0f) { x[1] = x[0] * 2.0f; }"))
+        getattr(analysis, name)
+        cached = vars(analysis)["histogram"]
+        assert analysis.histogram is cached
+
 
 class TestOpcodeHistogram:
     def test_matches_weighted_counts_exactly(self):
@@ -108,3 +126,12 @@ class TestKernelAnalysis:
     def test_rejects_a_negative_default_trip_count(self):
         with pytest.raises(ValueError):
             KernelAnalysis(lower("x[0] = 1.0f;"), default_trip_count=-1)
+
+    def test_a_zero_default_trip_count_drops_unknown_loop_bodies(self):
+        ir = lower("for (int i = 0; i < n; i++) { x[i] = x[i] * 3.0f; }", "__global float* x, int n")
+        analysis = KernelAnalysis(ir, default_trip_count=0)
+        assert analysis.histogram.weighted["float_mul"] == 0.0
+        assert analysis.loops.n_defaulted_trip == 1
+        unknown = [f for f in analysis.diagnostics.findings if f.code == "unknown-trip-count"]
+        assert len(unknown) == 1
+        assert "(0)" in unknown[0].message

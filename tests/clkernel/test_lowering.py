@@ -203,6 +203,11 @@ class TestBranches:
         # condition (1 int cmp) + else branch (0.5 int add)
         assert c["int_add"] == pytest.approx(1.5)
 
+    def test_if_and_else_weights_sum_to_one(self):
+        src = wrap("if (n < 3) { float a = 1.0f + 2.0f; } else { float b = 3.0f + 4.0f; }")
+        c = counts(src)
+        assert c["float_add"] == pytest.approx(1.0)
+
     def test_ternary_weighted(self):
         c = counts(wrap("float a = (n < 3) ? (1.0f + 2.0f) : 0.0f;"))
         assert c["float_add"] == pytest.approx(0.5)
