@@ -1,9 +1,12 @@
 """AST node definitions for the OpenCL C subset.
 
 The parser produces this tree; :mod:`repro.clkernel.lowering` walks it to
-emit the counted IR used for static feature extraction.  Nodes are plain
-dataclasses — no behaviour beyond pretty-printing — so tests can construct
-them directly.
+emit the counted IR used for static feature extraction.  Nodes are slotted
+dataclasses (``@dataclass(slots=True)``: no per-instance ``__dict__``, so
+they are smaller and quicker to build and read) with no behaviour beyond
+pretty-printing, so tests can construct them directly and compare them
+field by field.  No concrete node class subclasses another, which lets the
+lowering dispatch on a node's exact class.
 """
 
 from __future__ import annotations
@@ -90,8 +93,8 @@ class CLType:
 
     @classmethod
     def from_name(cls, name: str) -> "CLType":
-        kind, lanes = _TYPE_TABLE[name]
-        return cls(name=name, kind=kind, lanes=lanes)
+        """The type a keyword names: one shared instance per keyword."""
+        return _NAMED_TYPES[name]
 
     def pointer_to(self, space: AddressSpace, const: bool = False) -> "CLType":
         return CLType(
@@ -116,6 +119,13 @@ class CLType:
         return f"{self.name}{ptr}"
 
 
+#: One :class:`CLType` per type keyword.  The class is frozen and compares
+#: by value, so every use of a keyword can share its instance.
+_NAMED_TYPES: dict[str, CLType] = {
+    name: CLType(name=name, kind=kind, lanes=lanes) for name, (kind, lanes) in _TYPE_TABLE.items()
+}
+
+
 def is_type_keyword(text: str) -> bool:
     """True if ``text`` names a type in the subset."""
     return text in _TYPE_TABLE
@@ -126,31 +136,31 @@ def is_type_keyword(text: str) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Expr:
     """Base expression node."""
 
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLiteral(Expr):
     value: int = 0
     text: str = "0"
 
 
-@dataclass
+@dataclass(slots=True)
 class FloatLiteral(Expr):
     value: float = 0.0
     text: str = "0.0"
 
 
-@dataclass
+@dataclass(slots=True)
 class Identifier(Expr):
     name: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class UnaryOp(Expr):
     """Prefix/postfix unary expression (``-x``, ``!x``, ``~x``, ``x++`` …)."""
 
@@ -159,14 +169,14 @@ class UnaryOp(Expr):
     postfix: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class BinaryOp(Expr):
     op: str = ""
     lhs: Expr | None = None
     rhs: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Assignment(Expr):
     """``lhs = rhs`` and compound forms (``+=`` …)."""
 
@@ -175,20 +185,20 @@ class Assignment(Expr):
     value: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Ternary(Expr):
     cond: Expr | None = None
     then: Expr | None = None
     otherwise: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Expr):
     callee: str = ""
     args: list[Expr] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Index(Expr):
     """``base[index]`` — the memory-access expression."""
 
@@ -196,7 +206,7 @@ class Index(Expr):
     index: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Member(Expr):
     """Vector component access such as ``v.x`` or ``v.s0``."""
 
@@ -204,7 +214,7 @@ class Member(Expr):
     member: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class Cast(Expr):
     target_type: CLType | None = None
     operand: Expr | None = None
@@ -215,17 +225,17 @@ class Cast(Expr):
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Stmt:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Block(Stmt):
     statements: list[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class DeclStmt(Stmt):
     """A local variable declaration, possibly with initializer."""
 
@@ -234,19 +244,19 @@ class DeclStmt(Stmt):
     init: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt(Stmt):
     expr: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class IfStmt(Stmt):
     cond: Expr | None = None
     then: Stmt | None = None
     otherwise: Stmt | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ForStmt(Stmt):
     init: Stmt | None = None  # DeclStmt or ExprStmt or None
     cond: Expr | None = None
@@ -254,34 +264,34 @@ class ForStmt(Stmt):
     body: Stmt | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class WhileStmt(Stmt):
     cond: Expr | None = None
     body: Stmt | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class DoWhileStmt(Stmt):
     body: Stmt | None = None
     cond: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ReturnStmt(Stmt):
     value: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class BreakStmt(Stmt):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class ContinueStmt(Stmt):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class BarrierStmt(Stmt):
     """``barrier(CLK_LOCAL_MEM_FENCE)`` — synchronization, not counted."""
 
@@ -293,7 +303,7 @@ class BarrierStmt(Stmt):
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ParamDecl:
     """One kernel/function parameter."""
 
@@ -302,7 +312,7 @@ class ParamDecl:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionDef:
     """A function definition; ``is_kernel`` marks ``__kernel`` entry points."""
 
@@ -316,7 +326,7 @@ class FunctionDef:
     depth: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class TranslationUnit:
     """A parsed source file: every function, kernels flagged."""
 

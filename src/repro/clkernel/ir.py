@@ -55,7 +55,7 @@ ALL_OPS: tuple[str, ...] = FEATURE_OPS + AUX_OPS
 _VALID_OPS = frozenset(ALL_OPS)
 
 
-@dataclass
+@dataclass(slots=True)
 class IROp:
     """A single counted operation (leaf of the region tree)."""
 
@@ -146,12 +146,13 @@ class IRRegion:
         """Append a counted op, merging with the previous op when equal."""
         if count == 0:
             return
-        if self.children and isinstance(self.children[-1], IROp):
-            last = self.children[-1]
-            if last.op == op and last.line == line:
+        children = self.children
+        if children:
+            last = children[-1]
+            if type(last) is IROp and last.op == op and last.line == line:
                 last.count += count
                 return
-        self.children.append(IROp(op=op, count=count, line=line))
+        children.append(IROp(op, count, line))
 
     def add_region(self, region: "IRRegion") -> "IRRegion":
         self.children.append(region)

@@ -113,7 +113,9 @@ class KernelTrace:
             energy_j=measurements.energy_j.tolist(),
         )
 
-    def record(self, config: tuple[float, float], time_ms: float, power_w: float, energy_j: float) -> None:
+    def record(
+        self, config: tuple[float, float], time_ms: float, power_w: float, energy_j: float
+    ) -> None:
         """Add or overwrite one configuration's measurements."""
         try:
             i = self.configs.index(config)
