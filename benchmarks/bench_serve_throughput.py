@@ -20,9 +20,13 @@ saves only the fixed cost of a call, so ``batch_speedup`` is recorded
 The frontend split records what a never-seen kernel costs before any model
 runs: lex, parse and lower microseconds per token over the serve-unique
 workload's own never-seen mix kernels (``perfbench/inputs.unique_kernels``,
-seed 1).  It is a record, not a floor.
+seed 1).  All three stages are timed in every round and each records its
+median over ``FRONTEND_ROUNDS`` rounds, so a change in host speed moves
+every stage alike.  It is a record, not a floor.
 """
 
+import gc
+import statistics
 import sys
 import time
 
@@ -40,6 +44,8 @@ REPEATS = 3
 
 #: Serve-unique kernels in the frontend split (twelve of its 8-size blocks).
 N_MIX_KERNELS = 96
+#: Rounds of the frontend split; each stage records its median.
+FRONTEND_ROUNDS = 9
 
 
 def _specs():
@@ -189,26 +195,41 @@ def _unique_mix_sources() -> list[str]:
 
 
 def measure_frontend_per_token() -> dict:
-    """Lex, parse and lower microseconds per token over the serve-unique mix,
-    each stage timed alone (best of ``REPEATS``) on the previous stage's
-    output."""
+    """Lex, parse and lower microseconds per token over the serve-unique mix.
+
+    Every round lexes all sources, parses those tokens and lowers those
+    units, timing each stage; each stage reports its median over
+    ``FRONTEND_ROUNDS`` rounds.
+    """
     from repro.clkernel.lexer import tokenize
     from repro.clkernel.lowering import Lowerer
     from repro.clkernel.parser import Parser
 
     sources = _unique_mix_sources()
-    t_lex, streams = _best_of(lambda: [tokenize(src) for src in sources])
-    t_parse, units = _best_of(lambda: [Parser(toks).parse_unit() for toks in streams])
-    t_lower, _ = _best_of(
-        lambda: [Lowerer(unit).lower_kernel(unit.kernels()[0]) for unit in units]
-    )
-    tokens = sum(len(toks) - 1 for toks in streams)  # EOF is not a token
+    tokens = sum(len(tokenize(src)) - 1 for src in sources)  # EOF is not a token
+    seconds: dict[str, list[float]] = {"lex": [], "parse": [], "lower": []}
+    for _ in range(FRONTEND_ROUNDS):
+        # The last round's tokens and trees are freed before the clock runs.
+        gc.collect()
+        start = time.perf_counter()
+        streams = [tokenize(src) for src in sources]
+        lexed = time.perf_counter()
+        units = [Parser(toks).parse_unit() for toks in streams]
+        parsed = time.perf_counter()
+        lowered_irs = [Lowerer(unit).lower_kernel(unit.kernels()[0]) for unit in units]
+        lowered = time.perf_counter()
+        seconds["lex"].append(lexed - start)
+        seconds["parse"].append(parsed - lexed)
+        seconds["lower"].append(lowered - parsed)
+        del streams, units, lowered_irs
     return {
         "kernels": len(sources),
         "tokens": tokens,
-        "lex_us_per_token": t_lex / tokens * 1e6,
-        "parse_us_per_token": t_parse / tokens * 1e6,
-        "lower_us_per_token": t_lower / tokens * 1e6,
+        "rounds": FRONTEND_ROUNDS,
+        **{
+            f"{stage}_us_per_token": statistics.median(times) / tokens * 1e6
+            for stage, times in seconds.items()
+        },
     }
 
 

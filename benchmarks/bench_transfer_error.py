@@ -73,7 +73,9 @@ def transfer_matrix():
     return rows
 
 
-def regenerate_transfer_error() -> str:
+def regenerate_transfer_error() -> tuple[str, dict]:
+    """The table, and its rows keyed ``train->eval`` (short device names)
+    with each row's kind and speedup/energy MAPE in percent."""
     rows = transfer_matrix()
     native = {
         eval_device: (err_s, err_e)
@@ -81,8 +83,14 @@ def regenerate_transfer_error() -> str:
         if train_device == eval_device
     }
     table_rows = []
+    data_rows = {}
     for train_device, eval_device, err_s, err_e in rows:
         kind = "native" if train_device == eval_device else "transfer"
+        data_rows[f"{SHORT[train_device]}->{SHORT[eval_device]}"] = {
+            "kind": kind,
+            "speedup_mape_pct": err_s,
+            "energy_mape_pct": err_e,
+        }
         penalty_s = err_s - native[eval_device][0]
         penalty_e = err_e - native[eval_device][1]
         table_rows.append(
@@ -106,7 +114,7 @@ def regenerate_transfer_error() -> str:
         ],
         table_rows,
     )
-    return (
+    text = (
         format_heading(
             "cross-device transfer error — Fig. 4b portability "
             f"({'quick' if QUICK else 'paper'} contexts)"
@@ -115,11 +123,12 @@ def regenerate_transfer_error() -> str:
         + table
         + "\n(Δ = transfer error minus the eval device's native-model error)"
     )
+    return text, {"quick": QUICK, "rows": data_rows}
 
 
 def test_transfer_error():
-    text = regenerate_transfer_error()
-    write_artifact("transfer_error", text)
+    text, data = regenerate_transfer_error()
+    write_artifact("transfer_error", text, data=data)
     # Two devices → four (train, eval) pairs: two native, two transfer.
     lines = text.splitlines()
     assert sum(1 for line in lines if "| native " in line) == 2

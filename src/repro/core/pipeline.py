@@ -19,10 +19,8 @@ import numpy as np
 
 from ..analysis.recipes import DEFAULT_RECIPE
 from ..features.vector import StaticFeatures, build_batch_design_matrix
-from ..ml import regressor_from_state, scaler_from_state
-from ..ml.model_select import Regressor
 from ..ml.scaling import StandardScaler
-from ..ml.svr import make_energy_svr, make_speedup_svr
+from ..ml.svr import SVR, make_energy_svr, make_speedup_svr
 from ..store.envelope import ArtifactError, load_artifact, save_artifact
 from ..workloads import KernelSpec
 from .config import sample_training_settings
@@ -31,11 +29,12 @@ from .dataset import TrainingDataset, build_training_dataset
 
 @dataclass
 class TrainedModels:
-    """The fitted pair of single-objective models plus the shared scaler."""
+    """The fitted pair of single-objective models plus the shared scaler:
+    the paper's linear SVR for speedup and RBF SVR for energy."""
 
     scaler: StandardScaler
-    speedup_model: Regressor
-    energy_model: Regressor
+    speedup_model: SVR
+    energy_model: SVR
     settings: list[tuple[float, float]]
     n_training_samples: int
     #: Named feature recipe the static vectors were extracted with
@@ -107,9 +106,9 @@ class TrainedModels:
                 "design matrix is supported (retrain the bundle)"
             )
         return cls(
-            scaler=scaler_from_state(state["scaler"]),
-            speedup_model=regressor_from_state(state["speedup_model"]),
-            energy_model=regressor_from_state(state["energy_model"]),
+            scaler=StandardScaler.from_state(state["scaler"]),
+            speedup_model=SVR.from_state(state["speedup_model"]),
+            energy_model=SVR.from_state(state["energy_model"]),
             settings=[tuple(s) for s in state["settings"]],
             n_training_samples=int(state["n_training_samples"]),
             feature_recipe=str(state.get("feature_recipe", DEFAULT_RECIPE)),
@@ -130,8 +129,9 @@ def save_models(
 def load_models(path: str | pathlib.Path) -> tuple[TrainedModels, dict]:
     """Load a trained bundle together with its provenance meta.
 
-    A payload that does not decode into a bundle (an unknown scaler or
-    regressor kind, a missing or mistyped field) raises
+    A payload that does not decode into a bundle (a scaler other than a
+    ``standard_scaler``, a model other than an SVR, a kernel other than
+    linear or RBF, a missing or mistyped field) raises
     :class:`~repro.store.envelope.ArtifactError` naming the file, like
     any other unreadable artifact.
     """
@@ -149,8 +149,7 @@ def load_models(path: str | pathlib.Path) -> tuple[TrainedModels, dict]:
 
 def train_models(
     dataset: TrainingDataset,
-    make_speedup: Callable[[], Regressor] | None = None,
-    make_energy: Callable[[], Regressor] | None = None,
+    make_energy: Callable[[], SVR] = make_energy_svr,
     settings: list[tuple[float, float]] | None = None,
     feature_recipe: str = DEFAULT_RECIPE,
 ) -> TrainedModels:
@@ -159,13 +158,14 @@ def train_models(
     Width-agnostic: the models and scaler fit whatever column count the
     dataset carries, so any feature recipe trains through here —
     ``feature_recipe`` only records which one, for prediction-time
-    validation.
+    validation.  ``make_energy`` builds the energy SVR (the model ablation
+    sweeps its C through it).
     """
     scaler = StandardScaler().fit(dataset.x)
     x_scaled = scaler.transform(dataset.x)
 
-    speedup_model = (make_speedup or make_speedup_svr)()
-    energy_model = (make_energy or make_energy_svr)()
+    speedup_model = make_speedup_svr()
+    energy_model = make_energy()
     speedup_model.fit(x_scaled, dataset.y_speedup)
     energy_model.fit(x_scaled, dataset.y_energy)
 
@@ -183,8 +183,6 @@ def train_from_specs(
     backend,
     specs: list[KernelSpec],
     settings: list[tuple[float, float]] | None = None,
-    make_speedup: Callable[[], Regressor] | None = None,
-    make_energy: Callable[[], Regressor] | None = None,
     feature_recipe: str = DEFAULT_RECIPE,
 ) -> tuple[TrainedModels, TrainingDataset]:
     """End-to-end training phase: measure, assemble, fit.
@@ -204,11 +202,5 @@ def train_from_specs(
     dataset = build_training_dataset(
         backend, specs, chosen, feature_recipe=feature_recipe
     )
-    models = train_models(
-        dataset,
-        make_speedup=make_speedup,
-        make_energy=make_energy,
-        settings=chosen,
-        feature_recipe=feature_recipe,
-    )
+    models = train_models(dataset, settings=chosen, feature_recipe=feature_recipe)
     return models, dataset

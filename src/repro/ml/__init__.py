@@ -1,19 +1,13 @@
 """From-scratch ML substrate: SVR, linear models, kernels, metrics, CV.
 
-Every regressor and scaler implements the ``to_state``/``from_state``
-persistence protocol (JSON-safe dicts tagged with a ``kind`` field);
-:func:`regressor_from_state` and :func:`repro.ml.scaling.scaler_from_state`
-are the dispatchers that reconstruct instances from saved artifacts.
+A model bundle is one :class:`StandardScaler` and two :class:`SVR` models,
+the paper's linear-kernel speedup model and RBF energy model (§3.4).  Only
+those two classes persist (``to_state``/``from_state``), each checking its
+own ``kind`` tag.  OLS, ridge, LASSO, polynomial regression and
+:class:`RandomFourierSVR` are fit/predict-only ablation models.
 """
 
-from .kernels import (
-    Kernel,
-    LinearKernel,
-    PolynomialKernel,
-    RBFKernel,
-    kernel_from_state,
-    make_kernel,
-)
+from .kernels import LinearKernel, RBFKernel
 from .linear import LassoRegression, OLSRegression, RidgeRegression
 from .metrics import (
     BoxStats,
@@ -33,45 +27,20 @@ from .model_select import (
     kfold_indices,
 )
 from .model_select import Regressor
-from .poly import PolynomialRegression, n_polynomial_terms, polynomial_expand
-from .scaling import IdentityScaler, MinMaxScaler, StandardScaler, scaler_from_state
+from .poly import PolynomialRegression, polynomial_expand
+from .scaling import StandardScaler
 from .streaming import RandomFourierSVR
 from .svr import SVR, make_energy_svr, make_speedup_svr
-
-#: Discriminator → regressor class, used by :func:`regressor_from_state`.
-REGRESSOR_KINDS: dict[str, type] = {
-    "svr": SVR,
-    "ols": OLSRegression,
-    "ridge": RidgeRegression,
-    "lasso": LassoRegression,
-    "poly_regression": PolynomialRegression,
-    "rff_svr": RandomFourierSVR,
-}
-
-
-def regressor_from_state(state: dict) -> Regressor:
-    """Reconstruct any :mod:`repro.ml` regressor from its ``to_state`` dict."""
-    try:
-        cls = REGRESSOR_KINDS[state["kind"]]
-    except KeyError:
-        raise ValueError(f"unknown regressor kind {state.get('kind')!r}") from None
-    return cls.from_state(state)
-
 
 __all__ = [
     "BoxStats",
     "CVResult",
     "GroupedErrorReport",
-    "IdentityScaler",
-    "Kernel",
     "LassoRegression",
     "LinearKernel",
-    "MinMaxScaler",
     "OLSRegression",
-    "PolynomialKernel",
     "PolynomialRegression",
     "RBFKernel",
-    "REGRESSOR_KINDS",
     "RandomFourierSVR",
     "Regressor",
     "RidgeRegression",
@@ -80,16 +49,11 @@ __all__ = [
     "cross_validate",
     "grid_search",
     "grouped_kfold_indices",
-    "kernel_from_state",
     "kfold_indices",
     "mae",
     "make_energy_svr",
-    "make_kernel",
     "make_speedup_svr",
-    "regressor_from_state",
-    "scaler_from_state",
     "mape",
-    "n_polynomial_terms",
     "polynomial_expand",
     "r2_score",
     "relative_error_pct",

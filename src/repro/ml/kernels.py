@@ -1,56 +1,30 @@
-"""Kernel functions for support vector regression (paper §3.4).
-
-The paper uses two kernels:
+"""The two kernels of the paper's SVRs (§3.4).
 
 * linear — ``K(w_i, w_j) = w_i · w_j`` — for the speedup model (speedup is
   ~linear in core frequency at fixed code and memory clock);
 * RBF — ``K(w_i, w_j) = exp(-γ ||w_i − w_j||²)`` with γ = 0.1 — for the
   normalized-energy model (parabolic behaviour in core frequency).
 
-A polynomial kernel is included for the model-selection ablation.
-All functions are fully vectorized: inputs are ``(n, d)`` and ``(m, d)``
-matrices, output is the ``(n, m)`` Gram matrix.  A right-hand side used
-many times (an SVR's training matrix while it fits) is prepared once as a
-:class:`GramOperand` and evaluated against with :meth:`Kernel.gram`;
-calling a kernel prepares its ``b`` on the spot.
+:class:`LinearKernel` only tags a model: an SVR with it is solved and
+evaluated in the primal (:mod:`repro.ml.svr`), so it computes nothing and
+persists as ``{"kind": "linear"}``.  :class:`RBFKernel` is the dual path's
+kernel and persists as ``{"kind": "rbf", "gamma": γ}``.  Its functions are
+vectorized: inputs are ``(n, d)`` and ``(m, d)`` matrices, output is the
+``(n, m)`` Gram matrix.  A right-hand side used many times (the training
+matrix while an SVR fits) is prepared once as a :class:`GramOperand` and
+evaluated against with :meth:`RBFKernel.gram`; calling the kernel
+prepares its ``b`` on the spot.
 
-A fitted SVR predicts through :meth:`Kernel.expansion`, which prepares its
-support vectors and β once.  The kernel owns how a block of rows is
-evaluated: the RBF kernel as one augmented GEMM (:class:`RBFExpansion`),
-the others through their :meth:`Kernel.gram` (:class:`GramExpansion`).
-Fits always use the Gram rows.
+A fitted SVR predicts through :meth:`RBFKernel.expansion`, which prepares
+its support vectors and β once and evaluates a block of rows as one
+augmented GEMM (:class:`RBFExpansion`).  Fits always use the Gram rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
 
 import numpy as np
-
-
-class Kernel(Protocol):
-    """A positive-semidefinite kernel producing Gram matrices."""
-
-    name: str
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray: ...
-
-    def gram(self, a: np.ndarray, b: "GramOperand") -> np.ndarray:
-        """``K(a, b.rows)`` against an operand prepared once."""
-        ...
-
-    def diag(self, x: np.ndarray) -> np.ndarray:
-        """``K(x_i, x_i)`` for every row: the Gram diagonal, without the Gram."""
-        ...
-
-    def expansion(
-        self, support: np.ndarray, beta: np.ndarray
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """``x ↦ K(x, support) @ beta``, prepared once for many blocks."""
-        ...
-
-    def to_state(self) -> dict: ...
 
 
 def _as_2d(x: np.ndarray) -> np.ndarray:
@@ -83,18 +57,6 @@ def prepare(b: np.ndarray) -> GramOperand:
 
 
 @dataclass(frozen=True, eq=False)
-class GramExpansion:
-    """``K(x, support) @ β`` through the kernel's float64 Gram rows."""
-
-    kernel: Kernel
-    support: GramOperand
-    beta: np.ndarray
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.kernel.gram(x, self.support) @ self.beta
-
-
-@dataclass(frozen=True, eq=False)
 class RBFExpansion:
     """``Σ_j β_j exp(−γ‖x − s_j‖²)`` as one augmented GEMM per block.
 
@@ -124,21 +86,8 @@ class RBFExpansion:
 
 @dataclass(frozen=True)
 class LinearKernel:
-    """``K(a, b) = a · b`` (paper's speedup model kernel)."""
-
-    name: str = "linear"
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _as_2d(a) @ _as_2d(b).T
-
-    def gram(self, a: np.ndarray, b: GramOperand) -> np.ndarray:
-        return self(a, b.rows)
-
-    def diag(self, x: np.ndarray) -> np.ndarray:
-        return _sq_norms(_as_2d(x))
-
-    def expansion(self, support: np.ndarray, beta: np.ndarray) -> GramExpansion:
-        return GramExpansion(self, prepare(support), beta)
+    """``K(a, b) = a · b`` (paper's speedup model kernel), solved in the
+    primal: the kernel is only the model's tag."""
 
     def to_state(self) -> dict:
         return {"kind": "linear"}
@@ -149,7 +98,6 @@ class RBFKernel:
     """``K(a, b) = exp(-γ ||a − b||²)`` (paper's energy model kernel, γ=0.1)."""
 
     gamma: float = 0.1
-    name: str = "rbf"
 
     def __post_init__(self) -> None:
         if self.gamma <= 0:
@@ -186,59 +134,3 @@ class RBFKernel:
 
     def to_state(self) -> dict:
         return {"kind": "rbf", "gamma": self.gamma}
-
-
-@dataclass(frozen=True)
-class PolynomialKernel:
-    """``K(a, b) = (γ a·b + c)^d`` — used only in the model ablation."""
-
-    degree: int = 2
-    gamma: float = 1.0
-    coef0: float = 1.0
-    name: str = "poly"
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (self.gamma * (_as_2d(a) @ _as_2d(b).T) + self.coef0) ** self.degree
-
-    def gram(self, a: np.ndarray, b: GramOperand) -> np.ndarray:
-        return self(a, b.rows)
-
-    def diag(self, x: np.ndarray) -> np.ndarray:
-        return (self.gamma * _sq_norms(_as_2d(x)) + self.coef0) ** self.degree
-
-    def expansion(self, support: np.ndarray, beta: np.ndarray) -> GramExpansion:
-        return GramExpansion(self, prepare(support), beta)
-
-    def to_state(self) -> dict:
-        return {
-            "kind": "poly",
-            "degree": self.degree,
-            "gamma": self.gamma,
-            "coef0": self.coef0,
-        }
-
-
-def kernel_from_state(state: dict) -> Kernel:
-    """Reconstruct a kernel from its ``to_state`` dict."""
-    params = {k: v for k, v in state.items() if k != "kind"}
-    return make_kernel(state["kind"], **params)
-
-
-def make_kernel(name: str, **params: float) -> Kernel:
-    """Factory: ``make_kernel('rbf', gamma=0.1)`` etc."""
-    factories: dict[str, Callable[..., Kernel]] = {
-        "linear": LinearKernel,
-        "rbf": RBFKernel,
-        "poly": PolynomialKernel,
-    }
-    try:
-        factory = factories[name]
-    except KeyError:
-        raise ValueError(f"unknown kernel {name!r}; known: {sorted(factories)}") from None
-    return factory(**params)

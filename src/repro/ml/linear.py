@@ -4,6 +4,8 @@ The paper evaluated OLS and LASSO (along with SVR) for the speedup model
 (§3.4) before settling on linear-kernel SVR.  These implementations are
 kept for the model-selection ablation bench and as reference baselines for
 testing the SVR solver (on clean linear data all of them must agree).
+Each fits with an intercept and is fit/predict-only: no model bundle holds
+one, so none persists.
 """
 
 from __future__ import annotations
@@ -26,24 +28,16 @@ def _validated(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class OLSRegression:
     """Ordinary least squares via numpy's lstsq (rank-safe)."""
 
-    def __init__(self, fit_intercept: bool = True) -> None:
-        self.fit_intercept = fit_intercept
+    def __init__(self) -> None:
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "OLSRegression":
         xa, ya = _validated(x, y)
-        if self.fit_intercept:
-            design = np.hstack([xa, np.ones((xa.shape[0], 1))])
-        else:
-            design = xa
+        design = np.hstack([xa, np.ones((xa.shape[0], 1))])
         solution, *_ = np.linalg.lstsq(design, ya, rcond=None)
-        if self.fit_intercept:
-            self.coef_ = solution[:-1]
-            self.intercept_ = float(solution[-1])
-        else:
-            self.coef_ = solution
-            self.intercept_ = 0.0
+        self.coef_ = solution[:-1]
+        self.intercept_ = float(solution[-1])
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -55,50 +49,28 @@ class OLSRegression:
             xa = xa[None, :]
         out = xa @ self.coef_ + self.intercept_
         return out[0] if squeeze else out
-
-    def to_state(self) -> dict:
-        return {
-            "kind": "ols",
-            "fit_intercept": self.fit_intercept,
-            "coef": None if self.coef_ is None else self.coef_.tolist(),
-            "intercept": self.intercept_,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "OLSRegression":
-        model = cls(fit_intercept=state["fit_intercept"])
-        coef = state["coef"]
-        model.coef_ = None if coef is None else np.asarray(coef, dtype=np.float64)
-        model.intercept_ = float(state["intercept"])
-        return model
 
 
 class RidgeRegression:
     """L2-regularized least squares, closed form."""
 
-    def __init__(self, alpha: float = 1.0, fit_intercept: bool = True) -> None:
+    def __init__(self, alpha: float = 1.0) -> None:
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
         self.alpha = alpha
-        self.fit_intercept = fit_intercept
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RidgeRegression":
         xa, ya = _validated(x, y)
-        if self.fit_intercept:
-            x_mean = xa.mean(axis=0)
-            y_mean = float(ya.mean())
-            xc = xa - x_mean
-            yc = ya - y_mean
-        else:
-            x_mean = np.zeros(xa.shape[1])
-            y_mean = 0.0
-            xc, yc = xa, ya
+        x_mean = xa.mean(axis=0)
+        y_mean = float(ya.mean())
+        xc = xa - x_mean
+        yc = ya - y_mean
         d = xa.shape[1]
         gram = xc.T @ xc + self.alpha * np.eye(d)
         self.coef_ = np.linalg.solve(gram, xc.T @ yc)
-        self.intercept_ = y_mean - float(x_mean @ self.coef_) if self.fit_intercept else 0.0
+        self.intercept_ = y_mean - float(x_mean @ self.coef_)
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -110,23 +82,6 @@ class RidgeRegression:
             xa = xa[None, :]
         out = xa @ self.coef_ + self.intercept_
         return out[0] if squeeze else out
-
-    def to_state(self) -> dict:
-        return {
-            "kind": "ridge",
-            "alpha": self.alpha,
-            "fit_intercept": self.fit_intercept,
-            "coef": None if self.coef_ is None else self.coef_.tolist(),
-            "intercept": self.intercept_,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RidgeRegression":
-        model = cls(alpha=state["alpha"], fit_intercept=state["fit_intercept"])
-        coef = state["coef"]
-        model.coef_ = None if coef is None else np.asarray(coef, dtype=np.float64)
-        model.intercept_ = float(state["intercept"])
-        return model
 
 
 class LassoRegression:
@@ -140,7 +95,6 @@ class LassoRegression:
     def __init__(
         self,
         alpha: float = 0.001,
-        fit_intercept: bool = True,
         max_iter: int = 2000,
         tol: float = 1e-7,
     ) -> None:
@@ -149,7 +103,6 @@ class LassoRegression:
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         self.alpha = alpha
-        self.fit_intercept = fit_intercept
         self.max_iter = max_iter
         self.tol = tol
         self.coef_: np.ndarray | None = None
@@ -167,15 +120,10 @@ class LassoRegression:
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LassoRegression":
         xa, ya = _validated(x, y)
         n, d = xa.shape
-        if self.fit_intercept:
-            x_mean = xa.mean(axis=0)
-            y_mean = float(ya.mean())
-            xc = xa - x_mean
-            yc = ya - y_mean
-        else:
-            x_mean = np.zeros(d)
-            y_mean = 0.0
-            xc, yc = xa.copy(), ya.copy()
+        x_mean = xa.mean(axis=0)
+        y_mean = float(ya.mean())
+        xc = xa - x_mean
+        yc = ya - y_mean
 
         col_sq = np.einsum("ij,ij->j", xc, xc) / n
         w = np.zeros(d)
@@ -202,7 +150,7 @@ class LassoRegression:
             self.n_iter_ = self.max_iter
 
         self.coef_ = w
-        self.intercept_ = y_mean - float(x_mean @ w) if self.fit_intercept else 0.0
+        self.intercept_ = y_mean - float(x_mean @ w)
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -214,29 +162,3 @@ class LassoRegression:
             xa = xa[None, :]
         out = xa @ self.coef_ + self.intercept_
         return out[0] if squeeze else out
-
-    def to_state(self) -> dict:
-        return {
-            "kind": "lasso",
-            "alpha": self.alpha,
-            "fit_intercept": self.fit_intercept,
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-            "coef": None if self.coef_ is None else self.coef_.tolist(),
-            "intercept": self.intercept_,
-            "n_iter": self.n_iter_,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "LassoRegression":
-        model = cls(
-            alpha=state["alpha"],
-            fit_intercept=state["fit_intercept"],
-            max_iter=state["max_iter"],
-            tol=state["tol"],
-        )
-        coef = state["coef"]
-        model.coef_ = None if coef is None else np.asarray(coef, dtype=np.float64)
-        model.intercept_ = float(state["intercept"])
-        model.n_iter_ = int(state["n_iter"])
-        return model

@@ -4,7 +4,8 @@ The paper tested "polynomial regression and SVR for normalized energy
 modeling" before selecting RBF-SVR.  This implementation expands features
 to a total-degree polynomial basis and fits ridge-regularized least squares
 on the expansion (plain OLS on a degree-2 expansion of 12 features is
-rank-deficient without regularization).
+rank-deficient without regularization).  It is fit/predict-only: the
+model-ablation bench fits it, and no model bundle holds one.
 """
 
 from __future__ import annotations
@@ -40,18 +41,6 @@ def polynomial_expand(x: np.ndarray, degree: int) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def n_polynomial_terms(n_features: int, degree: int) -> int:
-    """Number of columns :func:`polynomial_expand` produces."""
-    total = 0
-    for deg in range(1, degree + 1):
-        # combinations with replacement: C(d + deg - 1, deg)
-        num = 1
-        for i in range(deg):
-            num = num * (n_features + i) // (i + 1)
-        total += num
-    return total
-
-
 class PolynomialRegression:
     """Ridge-regularized regression on a polynomial basis."""
 
@@ -60,7 +49,7 @@ class PolynomialRegression:
             raise ValueError("degree must be >= 1")
         self.degree = degree
         self.alpha = alpha
-        self._ridge = RidgeRegression(alpha=alpha, fit_intercept=True)
+        self._ridge = RidgeRegression(alpha=alpha)
         self.n_features_: int | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "PolynomialRegression":
@@ -84,20 +73,3 @@ class PolynomialRegression:
             )
         out = self._ridge.predict(polynomial_expand(arr, self.degree))
         return out[0] if squeeze else out
-
-    def to_state(self) -> dict:
-        return {
-            "kind": "poly_regression",
-            "degree": self.degree,
-            "alpha": self.alpha,
-            "n_features": self.n_features_,
-            "ridge": self._ridge.to_state(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "PolynomialRegression":
-        model = cls(degree=state["degree"], alpha=state["alpha"])
-        n_features = state["n_features"]
-        model.n_features_ = None if n_features is None else int(n_features)
-        model._ridge = RidgeRegression.from_state(state["ridge"])
-        return model

@@ -1,16 +1,14 @@
-"""Feature scalers.
+"""The feature scaler of every model bundle.
 
 The paper's features are already individually normalized (instruction shares
 in [0,1], frequencies mapped to [0,1]), but the training pipeline still
 standardizes the assembled matrix before fitting ("the features are
-normalized and used to train the two models", Fig. 2 step 5).  Both scalers
-follow the fit/transform convention.
+normalized and used to train the two models", Fig. 2 step 5).  A bundle
+holds one :class:`StandardScaler`, shared by both models.
 
-Every scaler also implements the ``to_state``/``from_state`` persistence
-protocol used by :mod:`repro.store.envelope`: ``to_state`` returns a plain
-JSON-safe dict tagged with a ``kind`` discriminator, and
-``from_state(state)`` reconstructs an equivalent instance exactly (float64
-values survive the JSON round-trip bit-for-bit).
+``to_state`` returns a JSON-safe dict tagged ``kind: standard_scaler``, and
+``from_state`` rebuilds the scaler exactly (float64 values survive the JSON
+round-trip bit for bit); a state of any other kind is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -67,19 +65,6 @@ class StandardScaler:
         out /= self.scale_
         return out[0] if squeeze else out
 
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
-
-    def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("scaler is not fitted")
-        arr = np.asarray(x, dtype=np.float64)
-        squeeze = arr.ndim == 1
-        if squeeze:
-            arr = arr[None, :]
-        out = arr * self.scale_ + self.mean_
-        return out[0] if squeeze else out
-
     def to_state(self) -> dict:
         return {
             "kind": "standard_scaler",
@@ -89,104 +74,9 @@ class StandardScaler:
 
     @classmethod
     def from_state(cls, state: dict) -> "StandardScaler":
+        if state["kind"] != "standard_scaler":
+            raise ValueError(f"unknown scaler kind {state['kind']!r}")
         scaler = cls()
         scaler.mean_ = array_from_state(state["mean"])
         scaler.scale_ = array_from_state(state["scale"])
         return scaler
-
-
-class MinMaxScaler:
-    """Columns linearly mapped to [0, 1] (paper's frequency-feature mapping)."""
-
-    def __init__(self) -> None:
-        self.min_: np.ndarray | None = None
-        self.range_: np.ndarray | None = None
-
-    def fit(self, x: np.ndarray) -> "MinMaxScaler":
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-D matrix")
-        if arr.shape[0] == 0:
-            raise ValueError("cannot fit on an empty matrix")
-        self.min_ = arr.min(axis=0)
-        rng = arr.max(axis=0) - self.min_
-        rng[rng == 0.0] = 1.0
-        self.range_ = rng
-        return self
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("scaler is not fitted")
-        arr = np.asarray(x, dtype=np.float64)
-        squeeze = arr.ndim == 1
-        if squeeze:
-            arr = arr[None, :]
-        out = (arr - self.min_) / self.range_
-        return out[0] if squeeze else out
-
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
-
-    def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("scaler is not fitted")
-        arr = np.asarray(x, dtype=np.float64)
-        squeeze = arr.ndim == 1
-        if squeeze:
-            arr = arr[None, :]
-        out = arr * self.range_ + self.min_
-        return out[0] if squeeze else out
-
-    def to_state(self) -> dict:
-        return {
-            "kind": "minmax_scaler",
-            "min": array_to_state(self.min_),
-            "range": array_to_state(self.range_),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "MinMaxScaler":
-        scaler = cls()
-        scaler.min_ = array_from_state(state["min"])
-        scaler.range_ = array_from_state(state["range"])
-        return scaler
-
-
-class IdentityScaler:
-    """No-op scaler for ablations that bypass standardization."""
-
-    def fit(self, x: np.ndarray) -> "IdentityScaler":
-        return self
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64)
-
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.transform(x)
-
-    def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64)
-
-    def to_state(self) -> dict:
-        return {"kind": "identity_scaler"}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "IdentityScaler":
-        return cls()
-
-
-#: Discriminator → class, used by :func:`scaler_from_state`.
-SCALER_KINDS: dict[str, type] = {
-    "standard_scaler": StandardScaler,
-    "minmax_scaler": MinMaxScaler,
-    "identity_scaler": IdentityScaler,
-}
-
-
-def scaler_from_state(state: dict):
-    """Reconstruct any scaler from its ``to_state`` dict."""
-    try:
-        cls = SCALER_KINDS[state["kind"]]
-    except KeyError:
-        raise ValueError(f"unknown scaler kind {state.get('kind')!r}") from None
-    return cls.from_state(state)

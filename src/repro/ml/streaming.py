@@ -2,9 +2,9 @@
 
 :class:`RandomFourierSVR` is kernel ridge on random Fourier features
 (Rahimi & Recht), approximating the paper's RBF energy model without ever
-materializing an n×n gram matrix.  The projection is regenerated
-deterministically from ``(seed, n_features)`` and never serialized, so
-artifacts stay small and reloads are bit-identical.
+materializing an n×n gram matrix.  The projection is drawn
+deterministically from ``(seed, n_features)``.  It is fit/predict-only:
+no model bundle holds one.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .linear import RidgeRegression, _validated
-from .scaling import array_from_state, array_to_state
 
 
 class RandomFourierSVR:
@@ -23,10 +22,9 @@ class RandomFourierSVR:
     fits :class:`~repro.ml.linear.RidgeRegression` on ``z``.  The cost is
     O(rows·D) — no gram matrix, no support vectors.
 
-    Determinism contract: ``W``/``b`` are regenerated from
-    ``default_rng(seed)`` the first time the input dimension is seen and are
-    **not** serialized; two instances with the same ``(seed, n_features)``
-    project identically, so reloaded artifacts predict bit-identically.
+    Determinism contract: ``W``/``b`` are drawn from ``default_rng(seed)``
+    the first time the input dimension is seen; two instances with the
+    same ``(seed, n_features)`` project identically.
     """
 
     def __init__(
@@ -80,7 +78,7 @@ class RandomFourierSVR:
             raise ValueError(
                 f"expected {self.n_features_} features, got {xa.shape[1]}"
             )
-        ridge = RidgeRegression(alpha=self.alpha, fit_intercept=True)
+        ridge = RidgeRegression(alpha=self.alpha)
         ridge.fit(self._features(xa), ya)
         self.coef_, self.intercept_ = ridge.coef_, ridge.intercept_
         return self
@@ -94,30 +92,3 @@ class RandomFourierSVR:
             xa = xa[None, :]
         out = self._features(xa) @ self.coef_ + self.intercept_
         return out[0] if squeeze else out
-
-    def to_state(self) -> dict:
-        return {
-            "kind": "rff_svr",
-            "version": 1,
-            "gamma": self.gamma,
-            "n_components": self.n_components,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "n_features": self.n_features_,
-            "coef": array_to_state(self.coef_),
-            "intercept": self.intercept_,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RandomFourierSVR":
-        model = cls(
-            gamma=state["gamma"],
-            n_components=state["n_components"],
-            alpha=state["alpha"],
-            seed=state["seed"],
-        )
-        n_features = state["n_features"]
-        model.n_features_ = None if n_features is None else int(n_features)
-        model.coef_ = array_from_state(state["coef"])
-        model.intercept_ = float(state["intercept"])
-        return model

@@ -47,11 +47,16 @@ expose the same fit/predict API.
 
 **Prediction.** The dual path evaluates ``Σ β_i K(w, w_i) + b`` over the
 support vectors only, in cache-sized blocks of rows, through the
-expansion its kernel prepares once (:meth:`Kernel.expansion`).  For the
-RBF energy model a block is one augmented GEMM whose product is
-``−γ‖w − w_i‖²``, then an in-place ``exp`` and a product with β; it
-agrees with the Gram-row expansion to about 3e-14 relative.  Fits still
-use the Gram rows, and β and the bundles do not depend on the pass.
+expansion the RBF kernel prepares once (:meth:`RBFKernel.expansion`).  A
+block is one augmented GEMM whose product is ``−γ‖w − w_i‖²``, then an
+in-place ``exp`` and a product with β; it agrees with the Gram-row
+expansion to about 3e-14 relative.  Fits still use the Gram rows, and β
+and the bundles do not depend on the pass.
+
+**Persistence.** :meth:`SVR.to_state` is a JSON-safe dict tagged
+``kind: svr`` whose ``kernel`` is ``{"kind": "linear"}`` or
+``{"kind": "rbf", "gamma": γ}``; :meth:`SVR.from_state` refuses any other
+model or kernel kind with a ``ValueError``.
 
 Hyper-parameters follow the paper (``C = 1000``, ``ε = 0.1``) except the
 energy model's ``C``; :func:`make_energy_svr` says why it is 1.
@@ -63,7 +68,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import Kernel, LinearKernel, RBFKernel, kernel_from_state, prepare
+from .kernels import LinearKernel, RBFKernel, prepare
 from .scaling import array_from_state, array_to_state
 
 #: Entries in one block's (rows × support vectors) Gram slab when the
@@ -84,7 +89,8 @@ class SVR:
     Parameters
     ----------
     kernel:
-        Any :class:`~repro.ml.kernels.Kernel`; defaults to linear.
+        :class:`~repro.ml.kernels.LinearKernel` (solved in the primal, the
+        default) or :class:`~repro.ml.kernels.RBFKernel` (the dual).
     C:
         Box constraint on the dual variables (paper: 1000).
     epsilon:
@@ -111,7 +117,7 @@ class SVR:
 
     def __init__(
         self,
-        kernel: Kernel | None = None,
+        kernel: LinearKernel | RBFKernel | None = None,
         C: float = 1000.0,
         epsilon: float = 0.1,
         tol: float = 1e-3,
@@ -468,8 +474,18 @@ class SVR:
         """Rebuild a fitted model, also from bundles written before the
         greedy solver (``max_epochs``/``shuffle_seed``/``n_epochs`` keys,
         no convergence record)."""
+        if state["kind"] != "svr":
+            raise ValueError(f"unknown regressor kind {state['kind']!r}")
+        kernel_state = state["kernel"]
+        kernel: LinearKernel | RBFKernel
+        if kernel_state["kind"] == "linear":
+            kernel = LinearKernel()
+        elif kernel_state["kind"] == "rbf":
+            kernel = RBFKernel(gamma=kernel_state["gamma"])
+        else:
+            raise ValueError(f"unknown kernel kind {kernel_state['kind']!r}")
         model = cls(
-            kernel=kernel_from_state(state["kernel"]),
+            kernel=kernel,
             C=state["C"],
             epsilon=state["epsilon"],
             tol=state["tol"],

@@ -197,16 +197,17 @@ class TestTrainedModels:
         objs = ctx.models.predict_objectives(spec.static_features(), ctx.settings)
         assert all(e > 0 for _, e in objs)
 
-    def test_custom_model_factories(self, ctx):
-        from repro.ml.linear import OLSRegression
+    def test_custom_energy_factory(self, ctx):
+        from repro.ml.kernels import RBFKernel
+        from repro.ml.svr import SVR
 
         models = train_models(
             ctx.dataset,
-            make_speedup=OLSRegression,
-            make_energy=OLSRegression,
+            make_energy=lambda: SVR(kernel=RBFKernel(gamma=0.1), C=3.0),
             settings=ctx.settings,
         )
-        assert isinstance(models.speedup_model, OLSRegression)
+        assert models.energy_model.C == 3.0
+        assert models.speedup_model.to_state() == ctx.models.speedup_model.to_state()
 
 
 class TestParetoPredictor:

@@ -9,19 +9,12 @@ from repro.core.pipeline import load_models, save_models
 from repro.harness.context import quick_context
 from repro.ml import (
     SVR,
-    LassoRegression,
-    OLSRegression,
-    PolynomialRegression,
-    RidgeRegression,
+    LinearKernel,
+    RBFKernel,
     StandardScaler,
     make_energy_svr,
-    make_kernel,
     make_speedup_svr,
-    regressor_from_state,
-    scaler_from_state,
 )
-from repro.ml.kernels import kernel_from_state
-from repro.ml.scaling import IdentityScaler, MinMaxScaler
 from repro.store.envelope import (
     ARTIFACT_FORMAT_VERSION,
     ArtifactError,
@@ -53,67 +46,43 @@ class TestScalerRoundTrip:
     def test_standard_scaler(self, training_data):
         x, _ = training_data
         scaler = StandardScaler().fit(x)
-        clone = scaler_from_state(json_round_trip(scaler.to_state()))
+        clone = StandardScaler.from_state(json_round_trip(scaler.to_state()))
         assert np.array_equal(scaler.transform(x), clone.transform(x))
-
-    def test_minmax_scaler(self, training_data):
-        x, _ = training_data
-        scaler = MinMaxScaler().fit(x)
-        clone = scaler_from_state(json_round_trip(scaler.to_state()))
-        assert np.array_equal(scaler.transform(x), clone.transform(x))
-
-    def test_identity_scaler(self, training_data):
-        x, _ = training_data
-        clone = scaler_from_state(json_round_trip(IdentityScaler().to_state()))
-        assert np.array_equal(clone.transform(x), x)
 
     def test_unfitted_scaler_round_trips(self):
-        clone = scaler_from_state(StandardScaler().to_state())
+        clone = StandardScaler.from_state(StandardScaler().to_state())
         assert clone.mean_ is None and clone.scale_ is None
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown scaler"):
-            scaler_from_state({"kind": "nope"})
+        state = StandardScaler().to_state() | {"kind": "minmax_scaler"}
+        with pytest.raises(ValueError, match="unknown scaler kind 'minmax_scaler'"):
+            StandardScaler.from_state(state)
 
 
 class TestKernelRoundTrip:
     @pytest.mark.parametrize(
-        "kernel",
-        [
-            make_kernel("linear"),
-            make_kernel("rbf", gamma=0.25),
-            make_kernel("poly", degree=3, gamma=0.5, coef0=2.0),
-        ],
+        "kernel", [LinearKernel(), RBFKernel(gamma=0.25)], ids=["linear", "rbf"]
     )
     def test_round_trip(self, kernel):
-        clone = kernel_from_state(json_round_trip(kernel.to_state()))
-        a = np.arange(12.0).reshape(3, 4)
-        b = np.arange(8.0).reshape(2, 4) * 0.5
-        assert np.array_equal(kernel(a, b), clone(a, b))
+        state = json_round_trip(make_speedup_svr().to_state())
+        state["kernel"] = json_round_trip(kernel.to_state())
+        assert SVR.from_state(state).kernel == kernel
 
 
 class TestRegressorRoundTrip:
     @pytest.mark.parametrize(
-        "make_model",
-        [
-            lambda: OLSRegression(),
-            lambda: RidgeRegression(alpha=0.5),
-            lambda: LassoRegression(alpha=0.01),
-            lambda: PolynomialRegression(degree=2),
-            lambda: make_speedup_svr(),
-            lambda: make_energy_svr(),
-            lambda: SVR(kernel=make_kernel("poly", degree=2), C=10.0),
-        ],
+        "make_model", [make_speedup_svr, make_energy_svr], ids=["speedup", "energy"]
     )
     def test_predictions_bit_identical(self, make_model, training_data):
         x, y = training_data
         model = make_model().fit(x, y)
-        clone = regressor_from_state(json_round_trip(model.to_state()))
+        clone = SVR.from_state(json_round_trip(model.to_state()))
         assert np.array_equal(model.predict(x), clone.predict(x))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown regressor"):
-            regressor_from_state({"kind": "nope"})
+        state = make_speedup_svr().to_state() | {"kind": "ols"}
+        with pytest.raises(ValueError, match="unknown regressor kind 'ols'"):
+            SVR.from_state(state)
 
     def test_compact_svr_state_keeps_only_support_vectors(self, training_data):
         x, y = training_data
@@ -121,7 +90,7 @@ class TestRegressorRoundTrip:
         state = model.to_state()
         assert len(state["beta"]) == model.n_support_
         assert len(state["x_train"]) == model.n_support_
-        clone = regressor_from_state(json_round_trip(state))
+        clone = SVR.from_state(json_round_trip(state))
         assert np.array_equal(model.predict(x), clone.predict(x))
         with pytest.raises(RuntimeError, match="full training state"):
             clone.dual_objective()
@@ -245,6 +214,24 @@ class TestUndecodableBundle:
                 "supported (retrain the bundle)",
             ),
             (lambda p: p.pop("interactions"), "missing field 'interactions'"),
+            # Kinds that once had a decoder: only the scaler and the SVR
+            # pair the pipeline writes load.
+            (
+                lambda p: p["speedup_model"].update(kind="ols"),
+                "unknown regressor kind 'ols'",
+            ),
+            (
+                lambda p: p["energy_model"].update(kind="rff_svr"),
+                "unknown regressor kind 'rff_svr'",
+            ),
+            (
+                lambda p: p["scaler"].update(kind="minmax_scaler"),
+                "unknown scaler kind 'minmax_scaler'",
+            ),
+            (
+                lambda p: p["energy_model"]["kernel"].update(kind="poly"),
+                "unknown kernel kind 'poly'",
+            ),
         ],
         ids=[
             "scaler-kind",
@@ -252,6 +239,10 @@ class TestUndecodableBundle:
             "missing-field",
             "no-interactions",
             "missing-interactions",
+            "speedup-ols",
+            "energy-rff-svr",
+            "minmax-scaler",
+            "poly-kernel",
         ],
     )
     def test_load_names_path_and_cause(self, ctx, tmp_path, edit, detail):
