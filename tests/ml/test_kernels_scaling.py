@@ -1,10 +1,24 @@
-"""Tests for the RBF kernel and the standard scaler."""
+"""Tests for the two SVR kernels and the standard scaler."""
 
 import numpy as np
 import pytest
 
-from repro.ml.kernels import RBFKernel, prepare
+from repro.ml.kernels import LinearKernel, RBFKernel, prepare
 from repro.ml.scaling import StandardScaler
+
+
+class TestKernelTags:
+    def test_linear_state_is_its_kind(self):
+        assert LinearKernel().to_state() == {"kind": "linear"}
+
+    def test_rbf_state_carries_gamma(self):
+        assert RBFKernel(gamma=0.25).to_state() == {"kind": "rbf", "gamma": 0.25}
+
+    def test_kernels_compare_by_value(self):
+        assert LinearKernel() == LinearKernel()
+        assert RBFKernel(gamma=0.1) == RBFKernel()
+        assert RBFKernel(gamma=0.1) != RBFKernel(gamma=0.2)
+        assert LinearKernel() != RBFKernel()
 
 
 class TestPreparedOperand:
@@ -99,6 +113,17 @@ class TestStandardScaler:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             StandardScaler().transform(np.ones((2, 2)))
+
+    def test_1d_fit_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            StandardScaler().fit(np.arange(5.0))
+
+    def test_transform_leaves_its_input_alone(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(loc=2.0, size=(12, 3))
+        before = x.copy()
+        StandardScaler().fit(x).transform(x)
+        assert np.array_equal(x, before)
 
     def test_empty_fit_rejected(self):
         with pytest.raises(ValueError):

@@ -58,6 +58,16 @@ class TestRidge:
         with pytest.raises(ValueError):
             RidgeRegression(alpha=-1.0)
 
+    def test_huge_alpha_predicts_the_mean(self):
+        x, y, _ = linear_data()
+        m = RidgeRegression(alpha=1e12).fit(x, y)
+        assert np.allclose(m.predict(x), np.mean(y), atol=1e-6)
+
+    def test_intercept_is_not_shrunk(self):
+        x, y, _ = linear_data()
+        m = RidgeRegression(alpha=1e-6).fit(x, y)
+        assert m.intercept_ == pytest.approx(1.5, abs=1e-6)
+
 
 class TestLasso:
     def test_sparse_recovery(self):
@@ -82,6 +92,11 @@ class TestLasso:
         m = LassoRegression(alpha=1e6).fit(x, y)
         assert np.allclose(m.coef_, 0.0)
         assert m.intercept_ == pytest.approx(np.mean(y))
+
+    def test_intercept_recovered(self):
+        x, y, _ = linear_data(n=80, d=3)
+        m = LassoRegression(alpha=0.0, max_iter=5000, tol=1e-12).fit(x, y)
+        assert m.intercept_ == pytest.approx(1.5, abs=1e-5)
 
     def test_converges_and_reports_iters(self):
         x, y, _ = linear_data()

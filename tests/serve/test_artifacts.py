@@ -58,6 +58,13 @@ class TestScalerRoundTrip:
         with pytest.raises(ValueError, match="unknown scaler kind 'minmax_scaler'"):
             StandardScaler.from_state(state)
 
+    @pytest.mark.parametrize("kind", ["identity_scaler", "welford_scaler"])
+    def test_only_the_standard_scaler_decodes(self, kind, training_data):
+        x, _ = training_data
+        state = StandardScaler().fit(x).to_state() | {"kind": kind}
+        with pytest.raises(ValueError, match=f"unknown scaler kind '{kind}'"):
+            StandardScaler.from_state(json_round_trip(state))
+
 
 class TestKernelRoundTrip:
     @pytest.mark.parametrize(
@@ -67,6 +74,13 @@ class TestKernelRoundTrip:
         state = json_round_trip(make_speedup_svr().to_state())
         state["kernel"] = json_round_trip(kernel.to_state())
         assert SVR.from_state(state).kernel == kernel
+
+    @pytest.mark.parametrize("kind", ["poly", "sigmoid", "precomputed"])
+    def test_unknown_kernel_kind_rejected(self, kind):
+        state = json_round_trip(make_energy_svr().to_state())
+        state["kernel"] = {"kind": kind, "gamma": 0.1}
+        with pytest.raises(ValueError, match=f"unknown kernel kind '{kind}'"):
+            SVR.from_state(state)
 
 
 class TestRegressorRoundTrip:
@@ -83,6 +97,14 @@ class TestRegressorRoundTrip:
         state = make_speedup_svr().to_state() | {"kind": "ols"}
         with pytest.raises(ValueError, match="unknown regressor kind 'ols'"):
             SVR.from_state(state)
+
+    @pytest.mark.parametrize("kind", ["ridge", "lasso", "poly_regression", "rff_svr"])
+    def test_ablation_model_kinds_rejected(self, kind, training_data):
+        """The ablation regressors fit and predict but never persist."""
+        x, y = training_data
+        state = make_speedup_svr().fit(x, y).to_state() | {"kind": kind}
+        with pytest.raises(ValueError, match=f"unknown regressor kind '{kind}'"):
+            SVR.from_state(json_round_trip(state))
 
     def test_compact_svr_state_keeps_only_support_vectors(self, training_data):
         x, y = training_data
@@ -116,6 +138,28 @@ class TestModelBundleRoundTrip:
         assert clone.settings == ctx.models.settings
         assert clone.n_training_samples == ctx.models.n_training_samples
         assert clone.feature_recipe == ctx.models.feature_recipe
+
+    def test_resaved_bundle_is_byte_identical(self, ctx, tmp_path):
+        path = save_models(tmp_path / "m.json", ctx.models)
+        clone, _meta = load_models(path)
+        again = save_models(tmp_path / "again.json", clone)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_bundle_is_one_standard_scaler_and_two_svrs(self, ctx, tmp_path):
+        clone, _meta = load_models(save_models(tmp_path / "m.json", ctx.models))
+        assert type(clone.scaler) is StandardScaler
+        assert type(clone.speedup_model) is SVR
+        assert type(clone.energy_model) is SVR
+
+    def test_bundle_kernels_are_the_paper_pair(self, ctx, tmp_path):
+        """Linear for speedup, RBF with γ = 0.1 for energy (§3.4)."""
+        path = save_models(tmp_path / "m.json", ctx.models)
+        payload = json.loads(path.read_text())["payload"]
+        assert payload["speedup_model"]["kernel"] == {"kind": "linear"}
+        assert payload["energy_model"]["kernel"] == {"kind": "rbf", "gamma": 0.1}
+        clone, _meta = load_models(path)
+        assert clone.speedup_model.kernel == LinearKernel()
+        assert clone.energy_model.kernel == RBFKernel(gamma=0.1)
 
     def test_reloaded_pareto_fronts_bit_identical_on_suite(self, ctx, tmp_path):
         """Acceptance: saved+reloaded bundle reproduces every front exactly."""
@@ -232,6 +276,38 @@ class TestUndecodableBundle:
                 lambda p: p["energy_model"]["kernel"].update(kind="poly"),
                 "unknown kernel kind 'poly'",
             ),
+            (
+                lambda p: p["speedup_model"].update(kind="ridge"),
+                "unknown regressor kind 'ridge'",
+            ),
+            (
+                lambda p: p["energy_model"].update(kind="lasso"),
+                "unknown regressor kind 'lasso'",
+            ),
+            (
+                lambda p: p["speedup_model"].update(kind="poly_regression"),
+                "unknown regressor kind 'poly_regression'",
+            ),
+            (
+                lambda p: p["scaler"].update(kind="identity_scaler"),
+                "unknown scaler kind 'identity_scaler'",
+            ),
+            (
+                lambda p: p["speedup_model"]["kernel"].update(kind="poly", degree=2),
+                "unknown kernel kind 'poly'",
+            ),
+            (
+                lambda p: p["energy_model"]["kernel"].pop("gamma"),
+                "missing field 'gamma'",
+            ),
+            (
+                lambda p: p["energy_model"]["kernel"].update(gamma=-0.1),
+                "gamma must be positive",
+            ),
+            (
+                lambda p: p["speedup_model"]["kernel"].pop("kind"),
+                "missing field 'kind'",
+            ),
         ],
         ids=[
             "scaler-kind",
@@ -243,6 +319,14 @@ class TestUndecodableBundle:
             "energy-rff-svr",
             "minmax-scaler",
             "poly-kernel",
+            "speedup-ridge",
+            "energy-lasso",
+            "speedup-poly-regression",
+            "identity-scaler",
+            "speedup-poly-kernel",
+            "rbf-without-gamma",
+            "rbf-negative-gamma",
+            "kernel-without-kind",
         ],
     )
     def test_load_names_path_and_cause(self, ctx, tmp_path, edit, detail):

@@ -41,6 +41,35 @@ def test_undecodable_model_is_a_usage_error(tmp_path, kernel_file, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "model, path, kind, detail",
+    [
+        ("speedup_model", (), "ols", "unknown regressor kind 'ols'"),
+        ("energy_model", ("kernel",), "poly", "unknown kernel kind 'poly'"),
+    ],
+    ids=["speedup-ols", "energy-poly-kernel"],
+)
+def test_model_kind_other_than_the_svr_pair_is_a_usage_error(
+    tmp_path, kernel_file, capsys, model, path, kind, detail
+):
+    """Only the linear and RBF SVRs decode; other kinds are one error line."""
+    artifact = tmp_path / "m.json"
+    assert main(["train", "--quick", "--save", str(artifact)]) == 0
+    envelope = json.loads(artifact.read_text())
+    state = envelope["payload"][model]
+    for key in path:
+        state = state[key]
+    state["kind"] = kind
+    artifact.write_text(json.dumps(envelope))
+    capsys.readouterr()
+    assert main(["predict", str(kernel_file), "--model", str(artifact)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: artifact {artifact} is not a loadable model bundle: {detail}\n"
+    )
+
+
 def test_non_interaction_bundle_is_a_usage_error(tmp_path, kernel_file, capsys):
     """A bundle saved without interaction columns is refused, not served."""
     artifact = tmp_path / "m.json"
